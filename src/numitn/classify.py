@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from .formatting import YEAR_MAX, YEAR_MIN
 from .grammar import _is_magnitude_word
 from .lexicon import fold_german, is_de_number_word, is_en_number_word
 from .locales import CURRENCY_WORDS, DEFAULT_CURRENCY_CODE, Locale, MINOR_UNIT_WORDS
@@ -18,9 +19,6 @@ from .types import (
     Span,
     TimeOfDay,
 )
-
-YEAR_MIN = 1000
-YEAR_MAX = 2100
 
 # Words immediately left of a cardinal that signal a calendar year.
 YEAR_CUES = {
@@ -63,9 +61,7 @@ def resolve_time(t: TimeOfDay) -> TimeOfDay:
 
 
 def _currency_code(money: MoneyParse, locale: Locale) -> str:
-    word = money.unit_word.lower()
-    if locale.language == "de":
-        word = fold_german(word)
+    word = fold_german(money.unit_word)
     if word in MINOR_UNIT_WORDS:
         return DEFAULT_CURRENCY_CODE[locale.language]
     return CURRENCY_WORDS[locale.language][word]
@@ -84,10 +80,10 @@ def _unit_word_after(candidate: CandidateParse, tokens: list[Token], locale: Loc
     word = tokens[i].lowercased
     if any(ch.isdigit() for ch in word):
         return ""
-    key = fold_german(word) if locale.language == "de" else word
+    key = tokens[i].folded
     if key in _UNIT_STOPWORDS[locale.language]:
         return ""
-    if _is_number_word(word, locale) or _is_magnitude_word(word, locale.language):
+    if _is_number_word(word, locale) or _is_magnitude_word(key, locale.language):
         return ""
     return tokens[i].surface
 
@@ -111,10 +107,7 @@ def classify(candidate: CandidateParse, tokens: list[Token], locale: Locale) -> 
         cued = False
         before = candidate.span.start - 1
         if before >= 0:
-            prev = tokens[before].lowercased
-            if locale.language == "de":
-                prev = fold_german(prev)
-            cued = prev in YEAR_CUES[locale.language]
+            cued = tokens[before].folded in YEAR_CUES[locale.language]
         if cued or candidate.pair_reading:
             return ParsedExpression(candidate.span, ExpressionType.YEAR,
                                     value.mantissa)

@@ -193,9 +193,6 @@ def split_disjoint(records: Sequence[ManifestRecord], spec: SplitSpec
 
 @dataclass(frozen=True)
 class ClientConfig:
-    endpoint: str = ""
-    api_key_env: str = ""
-    timeout_seconds: float = 30.0
     max_concurrency: int = 4
     max_retries: int = 2
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .lexicon import is_de_number_word, is_en_number_word
@@ -37,23 +38,27 @@ def _magnitude_pattern(locale: Locale) -> str:
     return r"(?:\s(?i:million|billion))?"
 
 
+@lru_cache(maxsize=64)
 def _build_patterns(locale: Locale,
-                    currencies: dict[str, CurrencyUnit]) -> list[tuple[ExpressionType, re.Pattern[str]]]:
+                    symbols: tuple[str, ...]) -> tuple[tuple[ExpressionType, re.Pattern[str]], ...]:
+    """Compiled literal patterns; ``symbols`` are escaped, longest first."""
     number = _number_pattern(locale)
     magnitude = _magnitude_pattern(locale)
-    symbols = "".join(re.escape(u.symbol) for u in currencies.values() if u.symbol)
     patterns: list[tuple[ExpressionType, re.Pattern[str]]] = []
     if symbols:
+        # An alternation, not a character class, so "US$" matches whole
+        # and its letters do not match on their own.
+        symbol = "(?:" + "|".join(symbols) + ")"
         if locale.currency_placement == "prefix":
-            money = rf"[{symbols}]{number}{magnitude}\b"
+            money = rf"{symbol}{number}{magnitude}\b"
         else:
-            money = rf"\b{number}{magnitude}[{symbols}]"
+            money = rf"\b{number}{magnitude}{symbol}"
         patterns.append((ExpressionType.CURRENCY, re.compile(money)))
     patterns.append((ExpressionType.TIMESTAMP,
                      re.compile(r"\b(?:[01]?\d|2[0-3]):[0-5]\d\b")))
     patterns.append((ExpressionType.QUANTITY,
                      re.compile(rf"\b{number}{magnitude}\b")))
-    return patterns
+    return tuple(patterns)
 
 
 def extract_numeric_literals(text: str, locale: Locale,
@@ -61,8 +66,10 @@ def extract_numeric_literals(text: str, locale: Locale,
                              ) -> list[LiteralMatch]:
     """All formatted numeric literals, left to right, non-overlapping."""
     registry = currencies if currencies is not None else DEFAULT_CURRENCIES
+    symbols = sorted((re.escape(u.symbol) for u in registry.values() if u.symbol),
+                     key=len, reverse=True)
     raw: list[tuple[int, int, int, ExpressionType, str]] = []
-    for expr_type, pattern in _build_patterns(locale, registry):
+    for expr_type, pattern in _build_patterns(locale, tuple(symbols)):
         for m in pattern.finditer(text):
             raw.append((m.start(), _PRIORITY[expr_type], -m.end(),
                         expr_type, m.group()))

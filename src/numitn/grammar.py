@@ -17,7 +17,6 @@ from .lexicon import (
     en_tens,
     en_two_digit,
     en_unit,
-    fold_german,
     parse_de_compound,
 )
 from .locales import CURRENCY_WORDS, Locale, MINOR_UNIT_WORDS
@@ -55,14 +54,20 @@ def _word(tokens: list[Token], i: int) -> Optional[str]:
     return None
 
 
+def _key(tokens: list[Token], i: int) -> Optional[str]:
+    # German tables are keyed by the folded form. English ones hold no
+    # "ae"/"oe"/"ue"/"ss" spelling, so there it finds what the lowercase finds.
+    if 0 <= i < len(tokens) and tokens[i].is_word:
+        return tokens[i].folded
+    return None
+
+
 def _surface(tokens: list[Token], i: int) -> str:
     return tokens[i].surface
 
 
-def _is_magnitude_word(word: str, language: str) -> bool:
-    if language == "de":
-        return fold_german(word) in DE_MAGNITUDE_WORDS
-    return word in EN_MAGNITUDE_WORDS
+def _is_magnitude_word(key: Optional[str], language: str) -> bool:
+    return key in (DE_MAGNITUDE_WORDS if language == "de" else EN_MAGNITUDE_WORDS)
 
 
 # --- cardinals ---------------------------------------------------------------
@@ -86,23 +91,24 @@ def _en_two_digit_span(tokens: list[Token], i: int) -> Optional[tuple[int, int]]
     return None
 
 
+def _en_hundreds(tokens: list[Token], at: int, head: int) -> tuple[int, int]:
+    """Value and end of "<head> hundred [tail]", where token ``at`` is "hundred"."""
+    tail = _en_two_digit_span(tokens, at + 1)
+    if tail is not None:
+        return head * 100 + tail[0], tail[1]
+    unit = en_unit(_word(tokens, at + 1) or "")
+    if unit:
+        return head * 100 + unit, at + 2
+    return head * 100, at + 1
+
+
 def _en_sub_thousand(tokens: list[Token], i: int) -> Optional[tuple[int, int]]:
     w = _word(tokens, i)
     if w is None:
         return None
     unit = en_unit(w)
     if unit is not None and unit >= 1 and _word(tokens, i + 1) == "hundred":
-        value, i = unit * 100, i + 2
-        tail = _en_two_digit_span(tokens, i)
-        if tail is None:
-            nxt = _word(tokens, i)
-            tail_unit = en_unit(nxt) if nxt else None
-            if tail_unit:
-                tail = (tail_unit, i + 1)
-        if tail:
-            value += tail[0]
-            i = tail[1]
-        return value, i
+        return _en_hundreds(tokens, i + 1, unit)
     two = _en_two_digit_span(tokens, i)
     if two is not None:
         return two
@@ -168,15 +174,7 @@ def _en_pair_reading(tokens: list[Token], at: int) -> Optional[tuple[int, int, b
     if nxt == "hundred":
         # "nineteen hundred [forty-five]" is a compact cardinal, not a
         # pair split, so year classification still needs a context cue.
-        value, end = first * 100, at + 2
-        tail = _en_two_digit_span(tokens, end)
-        if tail is None:
-            unit = en_unit(_word(tokens, end) or "")
-            if unit:
-                tail = (unit, end + 1)
-        if tail:
-            value += tail[0]
-            end = tail[1]
+        value, end = _en_hundreds(tokens, at + 1, first)
         return value, end, False
     if nxt == "oh":
         unit = en_unit(_word(tokens, at + 2) or "")
@@ -198,7 +196,7 @@ def _de_pair_style(tokens: list[Token], at: int, value: int, end: int) -> bool:
     """
     if end != at + 1 or not 1100 <= value <= 1999 or value % 100 == 0:
         return False
-    return "tausend" not in fold_german(_word(tokens, at) or "")
+    return "tausend" not in tokens[at].folded
 
 
 def _de_integer(tokens: list[Token], at: int) -> Optional[tuple[int, int, Optional[tuple[int, str]]]]:
@@ -216,7 +214,7 @@ def _de_integer(tokens: list[Token], at: int) -> Optional[tuple[int, int, Option
         value = parse_de_compound(w)
         if value is None:
             break
-        mag = DE_MAGNITUDE_WORDS.get(fold_german(_word(tokens, i + 1) or ""))
+        mag = DE_MAGNITUDE_WORDS.get(_key(tokens, i + 1))
         if mag is not None:
             if value == 0 or value > 999:
                 return None
@@ -234,7 +232,7 @@ def _de_integer(tokens: list[Token], at: int) -> Optional[tuple[int, int, Option
         break
     if i == at:
         return None
-    if fold_german(_word(tokens, i) or "") in DE_MAGNITUDE_WORDS:
+    if _key(tokens, i) in DE_MAGNITUDE_WORDS:
         return None
     sole = None
     if not bare_tail and len(scale_groups) == 1:
@@ -286,15 +284,14 @@ def parse_cardinal(tokens: list[Token], at: int, locale: Locale) -> Optional[Can
                 NumericValue(value // scale), magnitude_word=word))
         else:
             decimal = None
-            if fold_german(_word(tokens, end) or "") == point_word:
+            if _key(tokens, end) == point_word:
                 frac = _decimal_digits(tokens, end + 1, language)
                 if frac is not None:
                     frac_value, ndigits, frac_end = frac
                     mantissa = value * 10**ndigits + frac_value
                     if mantissa <= MAX_MANTISSA:
                         magnitude = None
-                        trailer = _word(tokens, frac_end)
-                        if trailer is not None and _is_magnitude_word(trailer, language):
+                        if _is_magnitude_word(_key(tokens, frac_end), language):
                             magnitude = _surface(tokens, frac_end)
                             frac_end += 1
                         decimal = CandidateParse(
@@ -379,17 +376,17 @@ def _en_minute_words(tokens: list[Token], i: int) -> Optional[tuple[int, int]]:
     return None
 
 
-def _relative_minutes(tokens: list[Token], at: int, locale: Locale) -> Optional[tuple[int, int]]:
+def _relative_minutes(tokens: list[Token], cardinal: Optional[CandidateParse],
+                      language: str) -> Optional[tuple[int, int]]:
     """Leading minute count of "M [minutes] past/to H"; returns (M, end)."""
-    cardinal = parse_cardinal(tokens, at, locale)
     if cardinal is None or cardinal.magnitude_word or cardinal.pair_reading:
         return None
     value = cardinal.value
     if not value.is_integer or not 1 <= value.mantissa <= 59:
         return None
     end = cardinal.span.end
-    nouns = _DE_MINUTE_NOUNS if locale.language == "de" else _EN_MINUTE_NOUNS
-    if fold_german(_word(tokens, end) or "") in nouns:
+    nouns = _DE_MINUTE_NOUNS if language == "de" else _EN_MINUTE_NOUNS
+    if _key(tokens, end) in nouns:
         return value.mantissa, end + 1
     if value.mantissa <= 29:
         # Bare counts ("five past seven") are idiomatic up to 29.
@@ -399,7 +396,7 @@ def _relative_minutes(tokens: list[Token], at: int, locale: Locale) -> Optional[
 
 def _period_lookahead(tokens: list[Token], i: int, language: str) -> Optional[PeriodHint]:
     if language == "de":
-        return _DE_PERIOD_WORDS.get(fold_german(_word(tokens, i) or ""))
+        return _DE_PERIOD_WORDS.get(_key(tokens, i))
     if _word(tokens, i) == "at" and _word(tokens, i + 1) == "night":
         return PeriodHint.NIGHT
     if _word(tokens, i) == "in" and _word(tokens, i + 1) == "the":
@@ -423,7 +420,8 @@ def _wrap_back(hour: int, language: str) -> int:
     return hour
 
 
-def _parse_clock_en(tokens: list[Token], at: int, locale: Locale) -> list[CandidateParse]:
+def _parse_clock_en(tokens: list[Token], at: int,
+                    cardinal: Optional[CandidateParse]) -> list[CandidateParse]:
     out: list[CandidateParse] = []
     w = _word(tokens, at)
     if w is None:
@@ -463,7 +461,7 @@ def _parse_clock_en(tokens: list[Token], at: int, locale: Locale) -> list[Candid
         if hour is not None and hour <= 12:
             with_trailing_ampm(at + 3, hour, 30)
 
-    rel = _relative_minutes(tokens, at, locale)
+    rel = _relative_minutes(tokens, cardinal, "en")
     if rel is not None:
         minutes, i = rel
         direction = _word(tokens, i)
@@ -496,15 +494,16 @@ def _parse_clock_en(tokens: list[Token], at: int, locale: Locale) -> list[Candid
     return out
 
 
-def _parse_clock_de(tokens: list[Token], at: int, locale: Locale) -> list[CandidateParse]:
+def _parse_clock_de(tokens: list[Token], at: int,
+                    cardinal: Optional[CandidateParse]) -> list[CandidateParse]:
     out: list[CandidateParse] = []
     w = _word(tokens, at)
     if w is None:
         return out
-    folded = fold_german(w)
+    folded = tokens[at].folded
 
     hour = _de_hour_word(tokens, at)
-    if hour is not None and fold_german(_word(tokens, at + 1) or "") == "uhr":
+    if hour is not None and _key(tokens, at + 1) == "uhr":
         i = at + 2
         out.append(_clock_candidate(tokens, at, i, hour, 0, None, "de"))
         nxt = _word(tokens, i)
@@ -515,13 +514,13 @@ def _parse_clock_de(tokens: list[Token], at: int, locale: Locale) -> list[Candid
             out.append(_clock_candidate(tokens, at, i + 1, hour, minute, None, "de"))
 
     m = _DIGIT_TIME_RE.match(w)
-    if m and int(m.group(1)) <= 23 and fold_german(_word(tokens, at + 1) or "") == "uhr":
+    if m and int(m.group(1)) <= 23 and _key(tokens, at + 1) == "uhr":
         # "15.45 Uhr" or "15:45 Uhr": reformat and drop the Uhr token.
         out.append(_clock_candidate(tokens, at, at + 2, int(m.group(1)),
                                     int(m.group(2)), None, "de"))
 
     if folded == "viertel":
-        direction = fold_german(_word(tokens, at + 1) or "")
+        direction = _key(tokens, at + 1)
         if direction in ("nach", "vor"):
             hour = _de_hour_word(tokens, at + 2, allow_digits=False, high=False)
             if hour is not None and hour >= 1:
@@ -536,10 +535,10 @@ def _parse_clock_de(tokens: list[Token], at: int, locale: Locale) -> list[Candid
             out.append(_clock_candidate(tokens, at, at + 2,
                                         _wrap_back(hour - 1, "de"), 30, None, "de"))
 
-    rel = _relative_minutes(tokens, at, locale)
+    rel = _relative_minutes(tokens, cardinal, "de")
     if rel is not None:
         minutes, i = rel
-        direction = fold_german(_word(tokens, i) or "")
+        direction = _key(tokens, i)
         if direction in ("nach", "vor"):
             hour = _de_hour_word(tokens, i + 1, allow_digits=False, high=False)
             if hour is not None and hour >= 1:
@@ -552,12 +551,17 @@ def _parse_clock_de(tokens: list[Token], at: int, locale: Locale) -> list[Candid
     return out
 
 
-def parse_clock_phrase(tokens: list[Token], at: int, locale: Locale) -> Optional[CandidateParse]:
-    """Longest spoken clock-time phrase starting at token ``at``."""
+def parse_clock_phrase(tokens: list[Token], at: int, locale: Locale,
+                       cardinal: Optional[CandidateParse]) -> Optional[CandidateParse]:
+    """Longest spoken clock-time phrase starting at token ``at``.
+
+    ``cardinal`` is ``parse_cardinal(tokens, at, locale)``; the "M past H"
+    forms read their minute count from it.
+    """
     if locale.language == "de":
-        candidates = _parse_clock_de(tokens, at, locale)
+        candidates = _parse_clock_de(tokens, at, cardinal)
     else:
-        candidates = _parse_clock_en(tokens, at, locale)
+        candidates = _parse_clock_en(tokens, at, cardinal)
     if not candidates:
         return None
     return max(candidates, key=lambda c: len(c.span))
@@ -566,19 +570,19 @@ def parse_clock_phrase(tokens: list[Token], at: int, locale: Locale) -> Optional
 # --- currency phrases --------------------------------------------------------
 
 
-def parse_currency_phrase(tokens: list[Token], at: int, locale: Locale) -> Optional[CandidateParse]:
-    """Currency amount phrase: "<amount> <unit> [and <cents> cents]"."""
+def parse_currency_phrase(tokens: list[Token], cardinal: CandidateParse,
+                          locale: Locale) -> Optional[CandidateParse]:
+    """Currency amount phrase: "<amount> <unit> [and <cents> cents]".
+
+    ``cardinal`` is the amount, as ``parse_cardinal`` read it.
+    """
     language = locale.language
-    cardinal = parse_cardinal(tokens, at, locale)
-    if cardinal is None:
-        return None
+    at = cardinal.span.start
     value = cardinal.value
     i = cardinal.span.end
-    unit = _word(tokens, i)
+    unit = _key(tokens, i)
     if unit is None:
         return None
-    if language == "de":
-        unit = fold_german(unit)
 
     if unit in MINOR_UNIT_WORDS:
         # Cents-only amount ("fifty cents" -> $0.50).
@@ -598,10 +602,7 @@ def parse_currency_phrase(tokens: list[Token], at: int, locale: Locale) -> Optio
         tail = parse_cardinal(tokens, end + 1, locale)
         if tail is not None and tail.magnitude_word is None and tail.value.is_integer:
             after = tail.span.end
-            tail_unit = _word(tokens, after) or ""
-            if language == "de":
-                tail_unit = fold_german(tail_unit)
-            if tail_unit in MINOR_UNIT_WORDS:
+            if _key(tokens, after) in MINOR_UNIT_WORDS:
                 if tail.value.mantissa >= 100:
                     return None
                 minor = tail.value
@@ -617,15 +618,17 @@ def parse_currency_phrase(tokens: list[Token], at: int, locale: Locale) -> Optio
 def scan_tokens(tokens: list[Token], locale: Locale) -> list[CandidateParse]:
     """Non-overlapping candidates, longest match, left to right.
 
-    Ties on span length prefer currency over clock over cardinal.
+    Ties on span length prefer currency over clock over cardinal. The
+    cardinal at each position is parsed once and shared: a currency phrase
+    starts with one, and the "M past H" clock forms count minutes with it.
     """
     out: list[CandidateParse] = []
     i = 0
     n = len(tokens)
     while i < n:
-        best: Optional[CandidateParse] = None
-        for parser in (parse_currency_phrase, parse_clock_phrase, parse_cardinal):
-            candidate = parser(tokens, i, locale)
+        cardinal = parse_cardinal(tokens, i, locale)
+        best = None if cardinal is None else parse_currency_phrase(tokens, cardinal, locale)
+        for candidate in (parse_clock_phrase(tokens, i, locale, cardinal), cardinal):
             if candidate is not None and (best is None or len(candidate.span) > len(best.span)):
                 best = candidate
         if best is not None:

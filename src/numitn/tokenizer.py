@@ -9,6 +9,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .lexicon import fold_german
+
 _CHUNK_RE = re.compile(r"\S+")
 
 # Characters peeled from token edges. Currency symbols are deliberately
@@ -20,6 +22,8 @@ _PEEL = set(".,!?;:\"()[]{}…«»„“”'’–—")
 class Token:
     surface: str
     lowercased: str
+    # Lowercase with umlauts and ß spelled out: the German lookup key.
+    folded: str
     index: int
     is_word: bool
     start: int
@@ -31,6 +35,7 @@ def _make_token(sentence: str, start: int, end: int, index: int) -> Token:
     return Token(
         surface=surface,
         lowercased=surface.lower(),
+        folded=fold_german(surface),
         index=index,
         is_word=any(ch.isalnum() for ch in surface),
         start=start,

@@ -11,6 +11,7 @@ import re
 from typing import Optional
 
 from .extract import extract_numeric_literals
+from .grammar import _wrap_back
 from .lexicon import (
     de_two_digit_words,
     digit_words,
@@ -236,7 +237,7 @@ def enumerate_timestamp_phrasings(locale: Locale) -> list[tuple[str, TimeOfDay]]
     out: list[tuple[str, TimeOfDay]] = []
     de = locale.language == "de"
     for hour in range(1, 13):
-        back = _wrap_enumeration(hour - 1, locale)
+        back = _wrap_back(hour - 1, locale.language)
         if de:
             face = _de_hour(hour)
             out.append((f"{de_two_digit_words(hour, final=False)} Uhr", TimeOfDay(hour, 0)))
@@ -254,12 +255,6 @@ def enumerate_timestamp_phrasings(locale: Locale) -> list[tuple[str, TimeOfDay]]
             out.append((f"two minutes past {face}", TimeOfDay(hour, 2)))
             out.append((f"two minutes to {face}", TimeOfDay(back, 58)))
     return out
-
-
-def _wrap_enumeration(hour: int, locale: Locale) -> int:
-    if hour == 0:
-        return 12 if locale.language == "en" else 0
-    return hour
 
 
 # --- currency and quantities ------------------------------------------------
@@ -346,23 +341,18 @@ def parse_literal(text: str, expr_type: ExpressionType, locale: Locale,
         return ParsedExpression(span, expr_type, TimeOfDay(int(hour), int(minute)))
 
     body = text
-    magnitude = None
-    m = re.search(r"\s(\S+)$", body)
-    if m and not any(ch.isdigit() for ch in m.group(1)) \
-            and not any(sym in m.group(1) for sym in _symbols(registry)):
-        magnitude = m.group(1)
-        body = body[: m.start()]
     currency_code = None
-    for code, unit in registry.items():
+    # Longest symbol first, as the extractor matches them: "US$" before "$".
+    for code, unit in sorted(registry.items(), key=lambda item: -len(item[1].symbol)):
         if unit.symbol and unit.symbol in body:
             currency_code = code
             body = body.replace(unit.symbol, "").strip()
             break
-    if magnitude is None:
-        m = re.search(r"\s(\S+)$", body)
-        if m and not any(ch.isdigit() for ch in m.group(1)):
-            magnitude = m.group(1)
-            body = body[: m.start()]
+    magnitude = None
+    m = re.search(r"\s(\S+)$", body)
+    if m and not any(ch.isdigit() for ch in m.group(1)):
+        magnitude = m.group(1)
+        body = body[: m.start()]
     value = _parse_number(body, locale)
 
     if expr_type == ExpressionType.CURRENCY:
@@ -377,10 +367,6 @@ def parse_literal(text: str, expr_type: ExpressionType, locale: Locale,
                                             NumericValue(int(frac_part)), code))
     return ParsedExpression(span, expr_type,
                             QuantityAmount(value, "", magnitude))
-
-
-def _symbols(registry: dict[str, CurrencyUnit]) -> str:
-    return "".join(unit.symbol for unit in registry.values())
 
 
 def _parse_number(body: str, locale: Locale) -> NumericValue:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -40,8 +41,8 @@ class GuardConfig:
     threshold: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.threshold < 0:
-            raise ValueError("threshold must be non-negative")
+        if not math.isfinite(self.threshold) or self.threshold < 0:
+            raise ValueError("threshold must be finite and non-negative")
 
 
 @dataclass(frozen=True)

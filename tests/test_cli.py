@@ -114,6 +114,16 @@ class TestGuard:
         assert code == 0
         assert out == "a b\n"
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf"])
+    def test_non_finite_threshold_exits_1(self, tmp_path, capsys, threshold):
+        src = tmp_path / "src.txt"
+        src.write_text("a b\n", encoding="utf-8")
+        code, out, err = run(capsys, "guard", str(src), str(src),
+                             "--threshold", threshold)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: threshold")
+
     def test_misaligned_exits_2(self, tmp_path, capsys):
         src = tmp_path / "src.txt"
         rew = tmp_path / "rew.txt"

@@ -1,7 +1,7 @@
 import pytest
 
 from numitn.extract import contains_numeric_expression, extract_numeric_literals
-from numitn.locales import get_locale
+from numitn.locales import DEFAULT_CURRENCIES, CurrencyUnit, get_locale
 from numitn.types import ExpressionType
 
 EN = get_locale("en")
@@ -85,6 +85,19 @@ class TestExtraction:
         text = "Pay $50 at 19:45."
         for m in extract_numeric_literals(text, EN):
             assert text[m.span.start:m.span.end] == m.text
+
+    def test_multi_char_symbol_matches_whole(self):
+        # The README's example config: "US$" for USD. Its letters alone
+        # ("S5") are not a currency, and "US$9" is not cut to "$9".
+        registry = {**DEFAULT_CURRENCIES, "USD": CurrencyUnit("USD", "US$")}
+        got = extract_numeric_literals("It cost US$9 and S5 here", EN, registry)
+        assert [(m.text, m.guessed_type) for m in got] == \
+            [("US$9", ExpressionType.CURRENCY)]
+
+    def test_longest_symbol_first(self):
+        registry = {**DEFAULT_CURRENCIES, "AUD": CurrencyUnit("AUD", "A$")}
+        got = extract_numeric_literals("A$5 or $3", EN, registry)
+        assert [m.text for m in got] == ["A$5", "$3"]
 
 
 class TestContainsNumericExpression:

@@ -22,11 +22,13 @@ def cardinal(text, locale):
 
 
 def clock(text, locale):
-    return parse_clock_phrase(tokenize(text), 0, locale)
+    tokens = tokenize(text)
+    return parse_clock_phrase(tokens, 0, locale, parse_cardinal(tokens, 0, locale))
 
 
 def money(text, locale):
-    return parse_currency_phrase(tokenize(text), 0, locale)
+    tokens = tokenize(text)
+    return parse_currency_phrase(tokens, parse_cardinal(tokens, 0, locale), locale)
 
 
 class TestEnglishCardinals:
@@ -181,7 +183,7 @@ class TestEnglishClock:
 
     def test_lookahead_period_is_not_consumed(self):
         tokens = tokenize("quarter to eight in the evening")
-        c = parse_clock_phrase(tokens, 0, EN)
+        c = parse_clock_phrase(tokens, 0, EN, parse_cardinal(tokens, 0, EN))
         assert c.value.period_hint == PeriodHint.EVENING
         assert c.span.end == 3
 
@@ -226,7 +228,7 @@ class TestGermanClock:
 
     def test_uhr_token_is_consumed(self):
         tokens = tokenize("15.45 Uhr war es.")
-        c = parse_clock_phrase(tokens, 0, DE)
+        c = parse_clock_phrase(tokens, 0, DE, parse_cardinal(tokens, 0, DE))
         assert c.span.end == 2
 
     def test_period_adverb_lookahead(self):
@@ -284,6 +286,18 @@ class TestCurrency:
 
 
 class TestScan:
+    def test_german_spellings_scan_alike(self):
+        cands = scan_sentence("um fünf Uhr", DE)
+        assert [c.kind for c in cands] == [ParseKind.CLOCK]
+        assert scan_sentence("um fuenf Uhr", DE) == cands
+        assert scan_sentence("UM FÜNF UHR", DE) == cands
+
+    def test_german_cents_tail_in_scan(self):
+        cands = scan_sentence("fünfzig Euro und zwanzig Cent", DE)
+        assert [c.kind for c in cands] == [ParseKind.CURRENCY]
+        assert cands[0].value.major == NumericValue(50)
+        assert cands[0].value.minor == NumericValue(20)
+
     def test_priority_currency_over_year(self):
         cands = scan_sentence("nineteen forty-five dollars", EN)
         assert len(cands) == 1

@@ -32,6 +32,14 @@ def test_lowercased_and_flags():
     assert not tokens[1].is_word
 
 
+def test_folded_key():
+    fuenf, uhr = tokenize("Fünfundzwanzig Uhr")
+    assert fuenf.folded == "fuenfundzwanzig"
+    assert uhr.folded == "uhr"
+    forty = tokenize("Forty")[0]
+    assert forty.folded == forty.lowercased == "forty"
+
+
 def test_indexes_are_sequential():
     assert [t.index for t in tokenize("a b c.")] == [0, 1, 2, 3]
 

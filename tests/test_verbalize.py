@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from numitn.classify import resolve_time
-from numitn.grammar import parse_clock_phrase
-from numitn.locales import get_locale
+from numitn.grammar import parse_cardinal, parse_clock_phrase
+from numitn.locales import DEFAULT_CURRENCIES, CurrencyUnit, get_locale
 from numitn.pipeline import normalize_sentence
 from numitn.tokenizer import tokenize
 from numitn.types import (
@@ -150,7 +150,7 @@ class TestTimeStyles:
         for style in applicable_time_styles(t, locale):
             words = verbalize_time(t, locale, style)
             tokens = tokenize(words)
-            c = parse_clock_phrase(tokens, 0, locale)
+            c = parse_clock_phrase(tokens, 0, locale, parse_cardinal(tokens, 0, locale))
             assert c is not None, (words, style)
             back = resolve_time(c.value)
             assert (back.hour, back.minute) == (h, m), (words, style)
@@ -164,7 +164,7 @@ class TestEnumeration:
         assert len({phrase for phrase, _ in entries}) == 72
         for phrase, t in entries:
             tokens = tokenize(phrase)
-            c = parse_clock_phrase(tokens, 0, locale)
+            c = parse_clock_phrase(tokens, 0, locale, parse_cardinal(tokens, 0, locale))
             assert c is not None, phrase
             assert (c.value.hour, c.value.minute) == (t.hour, t.minute), phrase
 
@@ -228,6 +228,11 @@ class TestLineRewrites:
         back = normalize_sentence(out, DE)
         assert "15:45" in back.text
 
+    def test_multi_char_symbol(self):
+        registry = {**DEFAULT_CURRENCIES, "USD": CurrencyUnit("USD", "US$")}
+        assert verbalize_line("It cost US$9 and S5 here", EN, currencies=registry) \
+            == "It cost nine dollars and S5 here"
+
     def test_rng_is_deterministic(self):
         line = "See you at 19:45."
         a = verbalize_line(line, EN, rng=random.Random(3))
@@ -258,6 +263,12 @@ class TestParseLiteral:
         parsed = parse_literal("1.000,50€", ExpressionType.CURRENCY, DE)
         assert parsed.payload.currency == "EUR"
         assert parsed.payload.minor == NumericValue(50)
+
+    def test_longest_symbol_wins(self):
+        registry = {**DEFAULT_CURRENCIES, "AUD": CurrencyUnit("AUD", "A$")}
+        parsed = parse_literal("A$5", ExpressionType.CURRENCY, EN, registry)
+        assert parsed.payload.currency == "AUD"
+        assert parsed.payload.major == NumericValue(5)
 
     def test_currency_magnitude(self):
         parsed = parse_literal("$9.1 million", ExpressionType.CURRENCY, EN)

@@ -93,6 +93,11 @@ class TestGuard:
         with pytest.raises(ValueError):
             GuardConfig(threshold=-0.1)
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf")])
+    def test_non_finite_threshold_rejected(self, threshold):
+        with pytest.raises(ValueError):
+            GuardConfig(threshold=threshold)
+
     @given(st.text(max_size=30), st.text(max_size=30),
            st.floats(min_value=0, max_value=4, allow_nan=False))
     def test_decision_is_consistent(self, source, rewritten, threshold):
