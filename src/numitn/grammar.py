@@ -12,12 +12,12 @@ from typing import Optional
 from .lexicon import (
     DE_MAGNITUDE_WORDS,
     EN_MAGNITUDE_WORDS,
+    _parse_de_folded,
     digit_word_value,
     en_scale,
     en_tens,
     en_two_digit,
     en_unit,
-    parse_de_compound,
 )
 from .locales import CURRENCY_WORDS, Locale, MINOR_UNIT_WORDS
 from .tokenizer import Token, tokenize
@@ -208,10 +208,10 @@ def _de_integer(tokens: list[Token], at: int) -> Optional[tuple[int, int, Option
     bare_tail = False
     i = at
     while True:
-        w = _word(tokens, i)
-        if w is None:
+        key = _key(tokens, i)
+        if key is None:
             break
-        value = parse_de_compound(w)
+        value = _parse_de_folded(key)
         if value is None:
             break
         mag = DE_MAGNITUDE_WORDS.get(_key(tokens, i + 1))
@@ -351,7 +351,7 @@ def _de_hour_word(tokens: list[Token], i: int, *, allow_digits: bool = True,
     w = _word(tokens, i)
     if w is None:
         return None
-    value = parse_de_compound(w)
+    value = _parse_de_folded(_key(tokens, i))
     if value is not None:
         return value if 0 <= value <= (23 if high else 12) else None
     if allow_digits:
@@ -507,7 +507,7 @@ def _parse_clock_de(tokens: list[Token], at: int,
         i = at + 2
         out.append(_clock_candidate(tokens, at, i, hour, 0, None, "de"))
         nxt = _word(tokens, i)
-        minute = parse_de_compound(nxt) if nxt else None
+        minute = _parse_de_folded(_key(tokens, i)) if nxt else None
         if minute is None and nxt and nxt.isdigit() and len(nxt) <= 2:
             minute = int(nxt)
         if minute is not None and 0 <= minute <= 59:

@@ -130,8 +130,12 @@ def _de_under_thousand(text: str) -> Optional[int]:
 
 
 def parse_de_compound(word: str) -> Optional[int]:
-    """Parse one folded German compound numeral token ("zweitausendfuenf")."""
-    text = fold_german(word)
+    """Parse one German compound numeral token ("zweitausendfünf")."""
+    return _parse_de_folded(fold_german(word))
+
+
+def _parse_de_folded(text: str) -> Optional[int]:
+    """``parse_de_compound`` for a token already folded ("zweitausendfuenf")."""
     cut = text.find("tausend")
     if cut < 0:
         return _de_under_thousand(text)
@@ -152,7 +156,7 @@ def parse_de_compound(word: str) -> Optional[int]:
 
 def is_de_number_word(word: str) -> bool:
     folded = fold_german(word)
-    return folded in DE_MAGNITUDE_WORDS or parse_de_compound(folded) is not None
+    return folded in DE_MAGNITUDE_WORDS or _parse_de_folded(folded) is not None
 
 
 _EN_UNIT_NAMES = ["zero", "one", "two", "three", "four", "five", "six",

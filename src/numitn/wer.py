@@ -8,19 +8,43 @@ from typing import Sequence
 
 
 def edit_distance(reference: Sequence[str], hypothesis: Sequence[str]) -> int:
-    """Levenshtein distance with unit costs over token sequences."""
+    """Levenshtein distance with unit costs over token sequences.
+
+    Symmetric in its arguments. Bit-parallel: Myers 1999 ("A fast
+    bit-vector algorithm for approximate string matching based on dynamic
+    programming") in the global form of Hyyrö 2003 ("A bit-vector
+    algorithm for computing Levenshtein and Damerau edit distances"). The
+    longer side is the pattern, one bit per token, and a DP column is held
+    as its vertical +1/-1 deltas (``pv``/``mv``) in Python ints, which
+    need no blocking however long the line. The cost is about min(n, m)
+    word-sized steps of a dozen integer operations each; an operation
+    spans max(n, m) bits, one machine word up to 64 tokens.
+    """
     if len(reference) < len(hypothesis):
         reference, hypothesis = hypothesis, reference
-    previous = list(range(len(hypothesis) + 1))
-    for i, ref_token in enumerate(reference, start=1):
-        current = [i]
-        for j, hyp_token in enumerate(hypothesis, start=1):
-            cost = 0 if ref_token == hyp_token else 1
-            current.append(min(previous[j] + 1,
-                               current[j - 1] + 1,
-                               previous[j - 1] + cost))
-        previous = current
-    return previous[-1]
+    if not hypothesis:
+        return len(reference)
+    peq: dict[str, int] = {}
+    for i, token in enumerate(reference):
+        peq[token] = peq.get(token, 0) | 1 << i
+    mask = (1 << len(reference)) - 1
+    top = 1 << (len(reference) - 1)
+    pv, mv, score = mask, 0, len(reference)
+    for token in hypothesis:
+        eq = peq.get(token, 0)
+        x = eq | mv
+        d0 = (((x & pv) + pv) ^ pv) | x
+        hp = mv | ~(d0 | pv)
+        hn = pv & d0
+        if hp & top:
+            score += 1
+        elif hn & top:
+            score -= 1
+        # Row 0 of the global DP grows by one per column: carry a +1 in.
+        hp = hp << 1 | 1
+        pv = (hn << 1 | ~(d0 | hp)) & mask
+        mv = hp & d0
+    return score
 
 
 def word_error_rate(reference: str, hypothesis: str) -> float:

@@ -1,9 +1,47 @@
+import random
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from numitn.wer import GuardConfig, edit_distance, guard, word_error_rate
 
 words = st.lists(st.sampled_from(["a", "b", "c", "dog"]), max_size=8)
+
+
+def reference_distance(a, b):
+    """Textbook Wagner-Fischer DP: the outside check for ``edit_distance``."""
+    previous = list(range(len(b) + 1))
+    for i, x in enumerate(a, start=1):
+        current = [i]
+        for j, y in enumerate(b, start=1):
+            current.append(min(previous[j] + 1, current[j - 1] + 1,
+                               previous[j - 1] + (x != y)))
+        previous = current
+    return previous[-1]
+
+
+def seeded_tokens(length, alphabet_size, seed):
+    rng = random.Random(seed)
+    return [f"w{rng.randrange(alphabet_size)}" for _ in range(length)]
+
+
+def perturbed(tokens, seed):
+    """A copy with about a tenth of the tokens substituted, deleted or inserted."""
+    rng = random.Random(seed)
+    out = []
+    for token in tokens:
+        roll = rng.random()
+        if roll < 0.03:
+            continue
+        out.append("x" if roll < 0.07 else token)
+        if roll > 0.97:
+            out.append("y")
+    return out
+
+
+# CPython ints hold 30-bit digits; these pattern lengths sit on both sides
+# of the first digit boundaries and of a 64-bit machine word.
+BOUNDARY_LENGTHS = [1, 29, 30, 31, 59, 60, 61, 63, 64, 65, 1000]
 
 
 class TestEditDistance:
@@ -37,6 +75,41 @@ class TestEditDistance:
     def test_bounds(self, a, b):
         d = edit_distance(a, b)
         assert abs(len(a) - len(b)) <= d <= max(len(a), len(b))
+
+
+class TestAgainstReference:
+    # A one-token alphabet makes every token match, which drives the longest
+    # carry chains through ``(x & pv) + pv``.
+    @pytest.mark.parametrize("alphabet_size", [1, 3, 50])
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference(self, alphabet_size, data):
+        tokens = st.sampled_from([f"w{k}" for k in range(alphabet_size)])
+        a = data.draw(st.lists(tokens, max_size=150))
+        b = data.draw(st.lists(tokens, max_size=150))
+        expected = reference_distance(a, b)
+        assert edit_distance(a, b) == expected
+        assert edit_distance(b, a) == expected
+
+    @pytest.mark.parametrize("length", BOUNDARY_LENGTHS)
+    @pytest.mark.parametrize("alphabet_size", [1, 3, 50])
+    def test_digit_boundaries(self, length, alphabet_size):
+        tokens = seeded_tokens(length, alphabet_size, seed=length)
+        partners = [
+            seeded_tokens(min(length, 7), alphabet_size, seed=length + 1),
+            seeded_tokens(length, alphabet_size, seed=length + 2),
+            perturbed(tokens, seed=length + 3),
+        ]
+        for partner in partners:
+            expected = reference_distance(tokens, partner)
+            assert edit_distance(tokens, partner) == expected
+            assert edit_distance(partner, tokens) == expected
+
+    @pytest.mark.parametrize("length", BOUNDARY_LENGTHS)
+    def test_one_side_empty(self, length):
+        tokens = seeded_tokens(length, 3, seed=length)
+        assert edit_distance(tokens, []) == length
+        assert edit_distance([], tokens) == length
 
 
 class TestWordErrorRate:
