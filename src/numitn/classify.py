@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 from .formatting import YEAR_MAX, YEAR_MIN
-from .grammar import _is_magnitude_word
-from .lexicon import fold_german, is_de_number_word, is_en_number_word
+from .lexicon import _is_de_number_folded, is_en_number_word
 from .locales import CURRENCY_WORDS, DEFAULT_CURRENCY_CODE, Locale, MINOR_UNIT_WORDS
 from .tokenizer import Token
 from .types import (
@@ -61,16 +60,16 @@ def resolve_time(t: TimeOfDay) -> TimeOfDay:
 
 
 def _currency_code(money: MoneyParse, locale: Locale) -> str:
-    word = fold_german(money.unit_word)
-    if word in MINOR_UNIT_WORDS:
+    if money.unit_word in MINOR_UNIT_WORDS:
         return DEFAULT_CURRENCY_CODE[locale.language]
-    return CURRENCY_WORDS[locale.language][word]
+    return CURRENCY_WORDS[locale.language][money.unit_word]
 
 
-def _is_number_word(word: str, locale: Locale) -> bool:
+def _is_number_word(token: Token, locale: Locale) -> bool:
+    # Both tests hold the magnitude words ("million", "Milliarden").
     if locale.language == "de":
-        return is_de_number_word(word)
-    return is_en_number_word(word)
+        return _is_de_number_folded(token.folded)
+    return is_en_number_word(token.lowercased)
 
 
 def _unit_word_after(candidate: CandidateParse, tokens: list[Token], locale: Locale) -> str:
@@ -83,7 +82,7 @@ def _unit_word_after(candidate: CandidateParse, tokens: list[Token], locale: Loc
     key = tokens[i].folded
     if key in _UNIT_STOPWORDS[locale.language]:
         return ""
-    if _is_number_word(word, locale) or _is_magnitude_word(key, locale.language):
+    if _is_number_word(tokens[i], locale):
         return ""
     return tokens[i].surface
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .lexicon import is_de_number_word, is_en_number_word
+from .lexicon import _is_de_number_folded, is_en_number_word
 from .locales import DEFAULT_CURRENCIES, CurrencyUnit, Locale
 from .tokenizer import tokenize
 from .types import ExpressionType, Span
@@ -99,9 +99,9 @@ def contains_numeric_expression(text: str, locale: Locale,
             continue
         if de:
             # Bare articles are not treated as numerals here; "eins" is.
-            if token.lowercased in ("ein", "eine"):
+            if token.folded in ("ein", "eine"):
                 continue
-            if is_de_number_word(token.lowercased):
+            if _is_de_number_folded(token.folded):
                 return True
         elif is_en_number_word(token.lowercased):
             return True

@@ -12,8 +12,8 @@ from typing import Optional
 from .lexicon import (
     DE_MAGNITUDE_WORDS,
     EN_MAGNITUDE_WORDS,
+    _digit_value_folded,
     _parse_de_folded,
-    digit_word_value,
     en_scale,
     en_tens,
     en_two_digit,
@@ -43,6 +43,10 @@ _EN_PERIOD_WORDS = {"morning": PeriodHint.MORNING, "afternoon": PeriodHint.AFTER
 _DE_PERIOD_WORDS = {"morgens": PeriodHint.MORNING, "vormittags": PeriodHint.MORNING,
                     "mittags": PeriodHint.AFTERNOON, "nachmittags": PeriodHint.AFTERNOON,
                     "abends": PeriodHint.EVENING, "nachts": PeriodHint.NIGHT}
+
+# Words that open a clock phrase without a number ("quarter past", "halb acht").
+_EN_QUARTER, _EN_HALF = "quarter", "half"
+_DE_QUARTER, _DE_HALF = "viertel", "halb"
 
 _EN_MINUTE_NOUNS = {"minutes", "minute"}
 _DE_MINUTE_NOUNS = {"minuten", "minute"}
@@ -245,10 +249,10 @@ def _decimal_digits(tokens: list[Token], i: int, language: str) -> Optional[tupl
     value = 0
     count = 0
     while count < MAX_SCALE:
-        w = _word(tokens, i)
-        if w is None:
+        key = _key(tokens, i)
+        if key is None:
             break
-        digit = digit_word_value(w, language)
+        digit = _digit_value_folded(key, language)
         if digit is None:
             break
         value = value * 10 + digit
@@ -449,14 +453,14 @@ def _parse_clock_en(tokens: list[Token], at: int,
         else:
             out.append(_clock_candidate(tokens, at, end, hour, minute, None, "en"))
 
-    if w == "quarter" and _word(tokens, at + 1) in ("past", "to"):
+    if w == _EN_QUARTER and _word(tokens, at + 1) in ("past", "to"):
         hour = _en_hour_word(tokens, at + 2)
         if hour is not None and hour <= 12:
             if _word(tokens, at + 1) == "past":
                 with_trailing_ampm(at + 3, hour, 15)
-            else:
+            elif hour >= 1:
                 with_trailing_ampm(at + 3, _wrap_back(hour - 1, "en"), 45)
-    if w == "half" and _word(tokens, at + 1) == "past":
+    if w == _EN_HALF and _word(tokens, at + 1) == "past":
         hour = _en_hour_word(tokens, at + 2)
         if hour is not None and hour <= 12:
             with_trailing_ampm(at + 3, hour, 30)
@@ -470,7 +474,7 @@ def _parse_clock_en(tokens: list[Token], at: int,
             if hour is not None and hour <= 12:
                 if direction == "past":
                     with_trailing_ampm(i + 2, hour, minutes)
-                elif minutes < 60:
+                elif hour >= 1:
                     with_trailing_ampm(i + 2, _wrap_back(hour - 1, "en"), 60 - minutes)
 
     hour = _en_hour_word(tokens, at)
@@ -519,7 +523,7 @@ def _parse_clock_de(tokens: list[Token], at: int,
         out.append(_clock_candidate(tokens, at, at + 2, int(m.group(1)),
                                     int(m.group(2)), None, "de"))
 
-    if folded == "viertel":
+    if folded == _DE_QUARTER:
         direction = _key(tokens, at + 1)
         if direction in ("nach", "vor"):
             hour = _de_hour_word(tokens, at + 2, allow_digits=False, high=False)
@@ -529,7 +533,7 @@ def _parse_clock_de(tokens: list[Token], at: int,
                 else:
                     out.append(_clock_candidate(tokens, at, at + 3,
                                                 _wrap_back(hour - 1, "de"), 45, None, "de"))
-    if folded == "halb":
+    if folded == _DE_HALF:
         hour = _de_hour_word(tokens, at + 1, allow_digits=False, high=False)
         if hour is not None and hour >= 1:
             out.append(_clock_candidate(tokens, at, at + 2,
@@ -588,7 +592,7 @@ def parse_currency_phrase(tokens: list[Token], cardinal: CandidateParse,
         # Cents-only amount ("fifty cents" -> $0.50).
         if cardinal.magnitude_word or not value.is_integer or value.mantissa >= 100:
             return None
-        money = MoneyParse(NumericValue(0), value, _surface(tokens, i))
+        money = MoneyParse(NumericValue(0), value, unit)
         return CandidateParse(Span(at, i + 1), ParseKind.CURRENCY, money)
 
     if unit not in CURRENCY_WORDS[language]:
@@ -607,12 +611,31 @@ def parse_currency_phrase(tokens: list[Token], cardinal: CandidateParse,
                     return None
                 minor = tail.value
                 end = after + 1
-    money = MoneyParse(value, minor, _surface(tokens, i))
+    money = MoneyParse(value, minor, unit)
     return CandidateParse(Span(at, end), ParseKind.CURRENCY, money,
                           magnitude_word=cardinal.magnitude_word)
 
 
 # --- sentence scan -----------------------------------------------------------
+
+
+def _can_start(token: Token, language: str) -> bool:
+    """Whether any parser can match from ``token``.
+
+    Every parser reads its first token through ``_word``/``_key`` and goes
+    on only from a word that starts with a digit (the digit patterns are
+    anchored on ``\\d``, a subset of ``str.isdigit``), a clock start word or
+    a number word. The "M past H" clock forms start from a cardinal.
+    """
+    if not token.is_word:
+        return False
+    w = token.lowercased
+    if w[0].isdigit():
+        return True
+    if language == "de":
+        key = token.folded
+        return key in (_DE_QUARTER, _DE_HALF) or _parse_de_folded(key) is not None
+    return w in (_EN_QUARTER, _EN_HALF) or en_unit(w) is not None or en_two_digit(w) is not None
 
 
 def scan_tokens(tokens: list[Token], locale: Locale) -> list[CandidateParse]:
@@ -621,11 +644,16 @@ def scan_tokens(tokens: list[Token], locale: Locale) -> list[CandidateParse]:
     Ties on span length prefer currency over clock over cardinal. The
     cardinal at each position is parsed once and shared: a currency phrase
     starts with one, and the "M past H" clock forms count minutes with it.
+    Positions no parser can start from are skipped without parsing.
     """
     out: list[CandidateParse] = []
+    language = locale.language
     i = 0
     n = len(tokens)
     while i < n:
+        if not _can_start(tokens[i], language):
+            i += 1
+            continue
         cardinal = parse_cardinal(tokens, i, locale)
         best = None if cardinal is None else parse_currency_phrase(tokens, cardinal, locale)
         for candidate in (parse_clock_phrase(tokens, i, locale, cardinal), cardinal):

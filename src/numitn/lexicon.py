@@ -155,8 +155,12 @@ def _parse_de_folded(text: str) -> Optional[int]:
 
 
 def is_de_number_word(word: str) -> bool:
-    folded = fold_german(word)
-    return folded in DE_MAGNITUDE_WORDS or _parse_de_folded(folded) is not None
+    return _is_de_number_folded(fold_german(word))
+
+
+def _is_de_number_folded(text: str) -> bool:
+    """``is_de_number_word`` for a token already folded."""
+    return text in DE_MAGNITUDE_WORDS or _parse_de_folded(text) is not None
 
 
 _EN_UNIT_NAMES = ["zero", "one", "two", "three", "four", "five", "six",
@@ -279,9 +283,17 @@ def digit_words(digits: str, language: str) -> str:
 
 
 def digit_word_value(word: str, language: str) -> Optional[int]:
+    return _digit_value_folded(fold_german(word) if language == "de" else word, language)
+
+
+def _digit_value_folded(text: str, language: str) -> Optional[int]:
+    """``digit_word_value`` for a token already folded.
+
+    English digit names hold no ae/oe/ue/ss, so there the folded key finds
+    what the lowercase word finds.
+    """
     if language == "de":
-        value = _DE_UNITS.get(fold_german(word))
-        return value if word.lower() != "eine" else None
-    if word == "oh":
+        return None if text == "eine" else _DE_UNITS.get(text)
+    if text == "oh":
         return 0
-    return _EN_UNITS.get(word)
+    return _EN_UNITS.get(text)

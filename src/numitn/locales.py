@@ -8,6 +8,8 @@ from pathlib import Path
 from typing import Union
 
 _PLACEMENTS = ("prefix", "suffix")
+# Languages the grammar, classifier and verbalizer have tables for.
+_LANGUAGES = ("en", "de")
 
 
 @dataclass(frozen=True)
@@ -22,6 +24,8 @@ class Locale:
             raise ValueError("thousands separator and decimal mark must differ")
         if self.currency_placement not in _PLACEMENTS:
             raise ValueError(f"currency placement must be one of {_PLACEMENTS}")
+        if self.language not in _LANGUAGES:
+            raise ValueError(f"language must be one of {_LANGUAGES}, not {self.language!r}")
 
 
 @dataclass(frozen=True)

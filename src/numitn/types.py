@@ -113,6 +113,7 @@ class MoneyParse:
 
     major: NumericValue
     minor: Optional[NumericValue]
+    # The unit token's folded key, as CURRENCY_WORDS and MINOR_UNIT_WORDS hold it.
     unit_word: str
 
 

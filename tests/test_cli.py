@@ -48,6 +48,27 @@ class TestNormalize:
         assert code == 0
         assert out == "US$50\n"
 
+    def test_to_hour_zero_passes_through(self, tmp_path, capsys):
+        src = tmp_path / "in.txt"
+        src.write_text("It is quarter to 0.\nfifty dollars\n", encoding="utf-8")
+        code, out, err = run(capsys, "normalize", "--locale", "en", str(src))
+        assert code == 0
+        assert out == "It is quarter to 0.\n$50\n"
+        assert err == ""
+
+    def test_config_language_without_grammar_exits_1(self, tmp_path, capsys):
+        config = tmp_path / "fr.json"
+        config.write_text('{"locales": {"en": {"language": "fr"}}}',
+                          encoding="utf-8")
+        src = tmp_path / "in.txt"
+        src.write_text("fifty dollars\n", encoding="utf-8")
+        code, out, err = run(capsys, "normalize", "--locale", "en",
+                             "--config", str(config), str(src))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
 
 class TestVerbalize:
     def test_round_trip(self, tmp_path, capsys):

@@ -8,8 +8,9 @@ from numitn.grammar import (
     scan_sentence,
     scan_tokens,
 )
-from numitn.lexicon import verbalize_cardinal
-from numitn.locales import get_locale
+from numitn import lexicon
+from numitn.lexicon import fold_german, verbalize_cardinal
+from numitn.locales import CURRENCY_WORDS, MINOR_UNIT_WORDS, get_locale
 from numitn.tokenizer import tokenize
 from numitn.types import MoneyParse, NumericValue, ParseKind, PeriodHint
 
@@ -203,6 +204,11 @@ class TestEnglishClock:
     def test_digit_time_without_meridiem_is_not_claimed(self):
         assert clock("19:45", EN) is None
 
+    @pytest.mark.parametrize("text", ["quarter to 0", "twenty to 0", "ten minutes to 00"])
+    def test_to_hour_zero_is_rejected(self, text):
+        # There is no hour before 0 to count back to; this used to raise.
+        assert clock(text, EN) is None
+
 
 class TestGermanClock:
     @pytest.mark.parametrize("text,hour,minute", [
@@ -321,6 +327,73 @@ class TestScan:
             cands = scan_tokens(tokenize(sentence), locale)
             for a, b in zip(cands, cands[1:]):
                 assert a.span.end <= b.span.start
+
+
+def ungated_scan(tokens, locale):
+    """``scan_tokens`` without its start gate, as a reference: every position is parsed."""
+    out = []
+    i = 0
+    while i < len(tokens):
+        cardinal = parse_cardinal(tokens, i, locale)
+        best = None if cardinal is None else parse_currency_phrase(tokens, cardinal, locale)
+        for candidate in (parse_clock_phrase(tokens, i, locale, cardinal), cardinal):
+            if candidate is not None and (best is None or len(candidate.span) > len(best.span)):
+                best = candidate
+        if best is not None:
+            out.append(best)
+            i = best.span.end
+        else:
+            i += 1
+    return out
+
+
+_EN_TENS = sorted(lexicon._EN_TENS)
+_LEXICON_WORDS = sorted({
+    *lexicon._EN_UNITS, *lexicon._EN_TEENS, *lexicon._EN_TENS, *lexicon._EN_SCALES,
+    "hundred", *lexicon._DE_UNITS, *lexicon._DE_TEENS, *lexicon._DE_TENS,
+    *lexicon.DE_MAGNITUDE_WORDS, "hundert", "tausend",
+})
+_SPELLINGS = [str, fold_german, str.capitalize, str.upper]
+_CLOCK_WORDS = ["quarter", "half", "past", "to", "o'clock", "am", "pm", "a.m.", "p.m.",
+                "viertel", "halb", "nach", "vor", "Uhr", "Viertel", "minutes", "Minuten"]
+# Idiom openers and hour words get strategies of their own, so "quarter past
+# <hour>" and "halb <hour>" come up often enough to test the clock start words.
+_CLOCK_OPENERS = ["quarter past", "quarter to", "half past", "viertel nach",
+                  "viertel vor", "halb"]
+_DIGIT_FORMS = ["7", "12", "23", "0", "2024", "4:30pm", "7am", "15.45", "15:45",
+                "1.000,50€", "$5", "٣"]
+_CURRENCY = sorted({*CURRENCY_WORDS["en"], *CURRENCY_WORDS["de"], *MINOR_UNIT_WORDS,
+                    "Euro", "Dollar", "Pfund", "Cent", "and", "und"})
+_FILLERS = ["the", "was", "a", "in", "the evening", "at night", "morgens", "abends",
+            "point", "komma", "oh", "Leute", "pieces", ",", ".", "!", "(", ")", "-"]
+
+
+def _spoken(low, high, languages):
+    return st.builds(lambda n, language, spell: spell(verbalize_cardinal(n, language)),
+                     st.integers(min_value=low, max_value=high),
+                     st.sampled_from(languages), st.sampled_from(_SPELLINGS))
+
+
+_WORD = st.one_of(
+    st.sampled_from(_LEXICON_WORDS),
+    st.builds("{}-{}".format, st.sampled_from(_EN_TENS + ["ten", "nineteen"]),
+              st.sampled_from(sorted(lexicon._EN_UNITS))),
+    _spoken(0, 2_999_999, ["de"]),
+    _spoken(1, 12, ["en", "de"]),
+    st.sampled_from(_CLOCK_WORDS),
+    st.sampled_from(_CLOCK_OPENERS),
+    st.sampled_from(_DIGIT_FORMS),
+    st.sampled_from(_CURRENCY),
+    st.sampled_from(_FILLERS),
+)
+
+
+@pytest.mark.parametrize("locale", [EN, DE], ids=["en", "de"])
+@settings(max_examples=1000, deadline=None)
+@given(words=st.lists(_WORD, min_size=1, max_size=12))
+def test_scan_gate_skips_only_positions_no_parser_starts(locale, words):
+    tokens = tokenize(" ".join(words))
+    assert scan_tokens(tokens, locale) == ungated_scan(tokens, locale)
 
 
 @settings(max_examples=300)

@@ -34,6 +34,11 @@ def test_placement_validated():
         Locale("xx", ",", ".", "around")
 
 
+def test_language_without_grammar_rejected():
+    with pytest.raises(ValueError, match="language"):
+        Locale("fr", " ", ",", "suffix")
+
+
 def test_default_currencies():
     assert DEFAULT_CURRENCIES["USD"].symbol == "$"
     assert DEFAULT_CURRENCIES["EUR"].symbol == "€"
@@ -66,4 +71,12 @@ def test_load_config_rejects_bad_convention(tmp_path):
     path.write_text(json.dumps({"locales": {"en": {"decimal_mark": ","}}}),
                     encoding="utf-8")
     with pytest.raises(ValueError):
+        load_locale_config(path)
+
+
+def test_load_config_rejects_language_without_grammar(tmp_path):
+    path = tmp_path / "fr.json"
+    path.write_text(json.dumps({"locales": {"en": {"language": "fr"}}}),
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match="language"):
         load_locale_config(path)

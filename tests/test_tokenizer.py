@@ -1,6 +1,38 @@
+import re
+
+import pytest
 from hypothesis import given, strategies as st
 
-from numitn.tokenizer import tokenize
+from numitn.lexicon import fold_german
+from numitn.tokenizer import _PEEL, Token, tokenize
+
+
+def reference_tokenize(sentence):
+    """Chunk on whitespace, then peel _PEEL characters off each edge one by one."""
+    tokens = []
+    for chunk in re.finditer(r"\S+", sentence):
+        i, j = chunk.start(), chunk.end()
+        lead = []
+        while i < j and sentence[i] in _PEEL:
+            lead.append((i, i + 1))
+            i += 1
+        trail = []
+        while j > i and sentence[j - 1] in _PEEL:
+            trail.append((j - 1, j))
+            j -= 1
+        pieces = lead + ([(i, j)] if i < j else []) + list(reversed(trail))
+        for s, e in pieces:
+            surface = sentence[s:e]
+            tokens.append(Token(
+                surface=surface,
+                lowercased=surface.lower(),
+                folded=fold_german(surface),
+                index=len(tokens),
+                is_word=any(ch.isalnum() for ch in surface),
+                start=s,
+                end=e,
+            ))
+    return tokens
 
 
 def test_keeps_interior_punctuation():
@@ -65,3 +97,30 @@ def test_single_word_is_one_token(word):
     tokens = tokenize(word)
     assert len(tokens) == 1
     assert tokens[0].surface == word
+
+
+# Dense in peel characters and the edge cases of \s and \w: Unicode spaces,
+# an information separator, "_", a superscript digit and non-Latin digits.
+_EDGE_ALPHABET = st.sampled_from(
+    sorted(_PEEL) + [" ", "\t", "\n", "\u00a0", "\u2009", "\u3000", "\x1c",
+                     "_", "²", "٣", "७", "a", "Z", "ß", "Ü", "9", "$", "€", "-", "/"])
+
+
+@given(st.text(alphabet=_EDGE_ALPHABET, max_size=40))
+def test_matches_peel_loop(text):
+    assert tokenize(text) == reference_tokenize(text)
+
+
+@given(st.text(max_size=60))
+def test_matches_peel_loop_on_any_text(text):
+    assert tokenize(text) == reference_tokenize(text)
+
+
+def test_token_is_an_immutable_record():
+    token = tokenize("Fünf")[0]
+    assert token == Token("Fünf", "fünf", "fuenf", 0, True, 0, 4)
+    assert hash(token) == hash(Token("Fünf", "fünf", "fuenf", 0, True, 0, 4))
+    assert repr(token) == ("Token(surface='Fünf', lowercased='fünf', folded='fuenf', "
+                           "index=0, is_word=True, start=0, end=4)")
+    with pytest.raises(AttributeError):
+        token.surface = "Sechs"
