@@ -1,7 +1,8 @@
 """Line-oriented command line front end.
 
 Data goes to standard output, diagnostics to standard error. Exit codes:
-0 success, 1 operational error, 2 misaligned inputs.
+0 success, 1 operational error (or a line that failed and was reported
+as "line N: reason"), 2 misaligned inputs or a usage error.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import random
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Iterator, Optional
+from typing import IO, Callable, Iterator, Optional
 
 from .datagen import (
     DEFAULT_VOICES,
@@ -26,7 +27,7 @@ from .datagen import (
 )
 from .evaluate import EvalItem, evaluate, render_report
 from .extract import extract_numeric_literals
-from .locales import DEFAULT_CONFIG, LocaleConfig, load_locale_config
+from .locales import DEFAULT_CONFIG, Locale, LocaleConfig, load_locale_config
 from .manifest import iter_manifest, read_manifest, write_manifest
 from .pipeline import normalize_text
 from .types import ExpressionType
@@ -45,6 +46,16 @@ def _config(args: argparse.Namespace) -> LocaleConfig:
     if getattr(args, "config", None):
         return load_locale_config(args.config)
     return DEFAULT_CONFIG
+
+
+def _locale(args: argparse.Namespace) -> tuple[LocaleConfig, Locale]:
+    """The config and its ``--locale``; a code it does not define is a usage error."""
+    cfg = _config(args)
+    if args.locale not in cfg.locales:
+        choices = ", ".join(map(repr, cfg.locales))
+        args.parser.error(f"argument --locale: invalid choice: {args.locale!r} "
+                          f"(choose from {choices})")
+    return cfg, cfg.locales[args.locale]
 
 
 @contextmanager
@@ -70,33 +81,43 @@ def _stripped(handle: IO[str]) -> Iterator[str]:
         yield line.rstrip("\n")
 
 
-def _cmd_normalize(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    locale = cfg.locale(args.locale)
+def _each_line(args: argparse.Namespace, render: Callable[[int, str], str], *,
+               pass_through: bool = True) -> int:
+    """Write ``render(line_no, line)`` for every input line.
+
+    A line whose rendering raises ``ValueError`` is reported on stderr as
+    "line N: reason" and written unchanged (``pass_through``) or not at
+    all; the stream goes on, and the exit status is 1 at the end.
+    """
+    status = 0
     with _open_in(args.input) as src, _open_out(args.output) as dst:
-        for line in _stripped(src):
-            dst.write(normalize_text(line, locale, cfg.currencies) + "\n")
-    return 0
+        for line_no, line in enumerate(_stripped(src), start=1):
+            try:
+                text = render(line_no, line)
+            except ValueError as err:
+                print(f"line {line_no}: {err}", file=sys.stderr)
+                status = 1
+                text = line + "\n" if pass_through else ""
+            dst.write(text)
+    return status
+
+
+def _cmd_normalize(args: argparse.Namespace) -> int:
+    cfg, locale = _locale(args)
+    return _each_line(args, lambda _, line: normalize_text(line, locale, cfg.currencies) + "\n")
 
 
 def _cmd_verbalize(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    locale = cfg.locale(args.locale)
+    cfg, locale = _locale(args)
     rng = random.Random(args.seed)
-    with _open_in(args.input) as src, _open_out(args.output) as dst:
-        for line in _stripped(src):
-            dst.write(verbalize_line(line, locale, rng, cfg.currencies) + "\n")
-    return 0
+    return _each_line(args, lambda _, line: verbalize_line(line, locale, rng, cfg.currencies) + "\n")
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    locale = cfg.locale(args.locale)
-    with _open_in(args.input) as src, _open_out(args.output) as dst:
-        for line_no, line in enumerate(_stripped(src), start=1):
-            for lit in extract_numeric_literals(line, locale, cfg.currencies):
-                dst.write(f"{line_no}\t{lit.guessed_type.value}\t{lit.text}\n")
-    return 0
+    cfg, locale = _locale(args)
+    return _each_line(args, lambda line_no, line: "".join(
+        f"{line_no}\t{lit.guessed_type.value}\t{lit.text}\n"
+        for lit in extract_numeric_literals(line, locale, cfg.currencies)), pass_through=False)
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
@@ -147,8 +168,7 @@ def _cmd_guard(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    locale = cfg.locale(args.locale)
+    _, locale = _locale(args)
     counts = {
         ExpressionType.YEAR: args.years,
         ExpressionType.TIMESTAMP: args.timestamps,
@@ -199,8 +219,10 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_locale(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--locale", choices=("en", "de"), required=True)
+        p.add_argument("--locale", required=True,
+                       help="en, de or a locale defined in --config")
         p.add_argument("--config", help="JSON file overriding locale conventions")
+        p.set_defaults(parser=p)
 
     p = sub.add_parser("normalize", help="number words to numeric literals")
     add_locale(p)

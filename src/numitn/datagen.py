@@ -17,6 +17,7 @@ from typing import Callable, Mapping, Optional, Sequence, TypeVar
 
 from .extract import extract_numeric_literals
 from .grammar import scan_tokens
+from .lexicon import DE_MAGNITUDE_NAMES, EN_MAGNITUDE_WORDS
 from .locales import DEFAULT_CONFIG, CurrencyUnit, Locale
 from .manifest import ManifestError, ManifestRecord
 from .pipeline import normalize_text
@@ -392,9 +393,9 @@ class RuleBasedTextGenerator(TextGenerator):
     def _magnitude_word(self, count: int) -> str:
         rng = self._rng
         if self._locale.language == "de":
-            stem = rng.choice(("Million", "Milliarde"))
-            return stem if count == 1 else stem + "n" if stem.endswith("e") else stem + "en"
-        return rng.choice(("million", "billion"))
+            _, singular, plural = rng.choice(DE_MAGNITUDE_NAMES)
+            return singular if count == 1 else plural
+        return rng.choice(EN_MAGNITUDE_WORDS)
 
 
 # --- the pipeline -------------------------------------------------------------

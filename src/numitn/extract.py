@@ -7,7 +7,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .lexicon import _is_de_number_folded, is_en_number_word
+from .lexicon import (
+    DE_EIN,
+    DE_EINE,
+    DE_MAGNITUDE_NAMES,
+    EN_MAGNITUDE_WORDS,
+    _is_de_number_folded,
+    is_en_number_word,
+)
 from .locales import DEFAULT_CURRENCIES, CurrencyUnit, Locale
 from .tokenizer import tokenize
 from .types import ExpressionType, Span
@@ -34,8 +41,12 @@ def _number_pattern(locale: Locale) -> str:
 
 def _magnitude_pattern(locale: Locale) -> str:
     if locale.language == "de":
-        return r"(?:\s(?i:million(?:en)?|milliarden?))?"
-    return r"(?:\s(?i:million|billion))?"
+        words = [form for _, *forms in DE_MAGNITUDE_NAMES for form in forms]
+    else:
+        words = EN_MAGNITUDE_WORDS
+    # Longest first, so "Millionen" is tried before "Million".
+    alternation = "|".join(re.escape(w) for w in sorted(words, key=len, reverse=True))
+    return rf"(?:\s(?i:{alternation}))?"
 
 
 @lru_cache(maxsize=64)
@@ -99,7 +110,7 @@ def contains_numeric_expression(text: str, locale: Locale,
             continue
         if de:
             # Bare articles are not treated as numerals here; "eins" is.
-            if token.folded in ("ein", "eine"):
+            if token.folded in (DE_EIN, DE_EINE):
                 continue
             if _is_de_number_folded(token.folded):
                 return True

@@ -7,14 +7,19 @@ index and return the longest matching ``CandidateParse`` or ``None``.
 from __future__ import annotations
 
 import re
-from typing import Optional
+from typing import Callable, Optional
 
 from .lexicon import (
+    AND_KEYS,
     DE_MAGNITUDE_WORDS,
+    DE_THOUSAND,
+    EN_HUNDRED,
     EN_MAGNITUDE_WORDS,
+    EN_OH,
+    POINT_KEYS,
+    _EN_SCALES,
     _digit_value_folded,
     _parse_de_folded,
-    en_scale,
     en_tens,
     en_two_digit,
     en_unit,
@@ -111,7 +116,7 @@ def _en_sub_thousand(tokens: list[Token], i: int) -> Optional[tuple[int, int]]:
     if w is None:
         return None
     unit = en_unit(w)
-    if unit is not None and unit >= 1 and _word(tokens, i + 1) == "hundred":
+    if unit is not None and unit >= 1 and _word(tokens, i + 1) == EN_HUNDRED:
         return _en_hundreds(tokens, i + 1, unit)
     two = _en_two_digit_span(tokens, i)
     if two is not None:
@@ -119,49 +124,6 @@ def _en_sub_thousand(tokens: list[Token], i: int) -> Optional[tuple[int, int]]:
     if unit is not None:
         return unit, i + 1
     return None
-
-
-def _en_integer(tokens: list[Token], at: int) -> Optional[tuple[int, int, Optional[tuple[int, str]]]]:
-    """Parse an English integer cardinal.
-
-    Returns (value, end, sole_magnitude) where sole_magnitude is
-    (scale, surface) when the whole parse is one "<n> million/billion"
-    group. A dangling or non-decreasing scale word makes the phrase
-    malformed and the parse absent.
-    """
-    total = 0
-    min_scale: Optional[int] = None
-    scale_groups: list[int] = []
-    last_scale_surface = ""
-    bare_tail = False
-    i = at
-    while True:
-        sub = _en_sub_thousand(tokens, i)
-        if sub is None:
-            break
-        value, j = sub
-        scale = en_scale(_word(tokens, j) or "")
-        if scale is not None:
-            if value == 0 or (min_scale is not None and scale >= min_scale):
-                return None
-            total += value * scale
-            min_scale = scale
-            scale_groups.append(scale)
-            last_scale_surface = _surface(tokens, j)
-            i = j + 1
-            continue
-        total += value
-        bare_tail = True
-        i = j
-        break
-    if i == at:
-        return None
-    if en_scale(_word(tokens, i) or "") is not None:
-        return None
-    sole = None
-    if not bare_tail and len(scale_groups) == 1 and scale_groups[0] >= 1_000_000:
-        sole = (scale_groups[0], last_scale_surface)
-    return total, i, sole
 
 
 def _en_pair_reading(tokens: list[Token], at: int) -> Optional[tuple[int, int, bool]]:
@@ -175,12 +137,12 @@ def _en_pair_reading(tokens: list[Token], at: int) -> Optional[tuple[int, int, b
     nxt = _word(tokens, at + 1)
     if nxt is None:
         return None
-    if nxt == "hundred":
+    if nxt == EN_HUNDRED:
         # "nineteen hundred [forty-five]" is a compact cardinal, not a
         # pair split, so year classification still needs a context cue.
         value, end = _en_hundreds(tokens, at + 1, first)
         return value, end, False
-    if nxt == "oh":
+    if nxt == EN_OH:
         unit = en_unit(_word(tokens, at + 2) or "")
         if unit:
             return first * 100 + unit, at + 3, True
@@ -200,46 +162,55 @@ def _de_pair_style(tokens: list[Token], at: int, value: int, end: int) -> bool:
     """
     if end != at + 1 or not 1100 <= value <= 1999 or value % 100 == 0:
         return False
-    return "tausend" not in tokens[at].folded
+    return DE_THOUSAND not in tokens[at].folded
 
 
-def _de_integer(tokens: list[Token], at: int) -> Optional[tuple[int, int, Optional[tuple[int, str]]]]:
-    """Parse a German integer cardinal across magnitude-noun groups."""
+def _de_group(tokens: list[Token], i: int) -> Optional[tuple[int, int]]:
+    """A German cardinal group: one compound numeral token ("zweihundert")."""
+    key = _key(tokens, i)
+    value = None if key is None else _parse_de_folded(key)
+    return None if value is None else (value, i + 1)
+
+
+def _integer(tokens: list[Token], at: int,
+             read_group: Callable[[list[Token], int], Optional[tuple[int, int]]],
+             scales: dict[str, int]) -> Optional[tuple[int, int, Optional[tuple[int, str]]]]:
+    """Parse an integer cardinal from the groups ``read_group`` reads.
+
+    Every group but a bare last one is 1..999 and followed by a word of
+    ``scales``, the scales decreasing.
+
+    Returns (value, end, sole_magnitude) where sole_magnitude is
+    (scale, surface) when the whole parse is one "<n> million/Millionen"
+    group. A dangling or non-decreasing scale word makes the phrase
+    malformed and the parse absent.
+    """
     total = 0
-    min_scale: Optional[int] = None
     scale_groups: list[int] = []
     last_scale_surface = ""
     bare_tail = False
     i = at
     while True:
-        key = _key(tokens, i)
-        if key is None:
+        group = read_group(tokens, i)
+        if group is None:
             break
-        value = _parse_de_folded(key)
-        if value is None:
+        value, j = group
+        scale = scales.get(_key(tokens, j))
+        if scale is None:
+            total += value
+            bare_tail = True
+            i = j
             break
-        mag = DE_MAGNITUDE_WORDS.get(_key(tokens, i + 1))
-        if mag is not None:
-            if value == 0 or value > 999:
-                return None
-            if min_scale is not None and mag >= min_scale:
-                return None
-            total += value * mag
-            min_scale = mag
-            scale_groups.append(mag)
-            last_scale_surface = _surface(tokens, i + 1)
-            i += 2
-            continue
-        total += value
-        bare_tail = True
-        i += 1
-        break
-    if i == at:
-        return None
-    if _key(tokens, i) in DE_MAGNITUDE_WORDS:
+        if not 0 < value < 1000 or (scale_groups and scale >= scale_groups[-1]):
+            return None
+        total += value * scale
+        scale_groups.append(scale)
+        last_scale_surface = _surface(tokens, j)
+        i = j + 1
+    if i == at or _key(tokens, i) in scales:
         return None
     sole = None
-    if not bare_tail and len(scale_groups) == 1:
+    if not bare_tail and len(scale_groups) == 1 and scale_groups[0] >= 1_000_000:
         sole = (scale_groups[0], last_scale_surface)
     return total, i, sole
 
@@ -266,17 +237,16 @@ def _decimal_digits(tokens: list[Token], i: int, language: str) -> Optional[tupl
 def parse_cardinal(tokens: list[Token], at: int, locale: Locale) -> Optional[CandidateParse]:
     """Longest cardinal (integer or decimal) starting at token ``at``."""
     language = locale.language
-    point_word = "komma" if language == "de" else "point"
     candidates: list[CandidateParse] = []
 
     de_pair = False
     if language == "de":
-        integer = _de_integer(tokens, at)
+        integer = _integer(tokens, at, _de_group, DE_MAGNITUDE_WORDS)
         pair = None
         if integer is not None and integer[2] is None:
             de_pair = _de_pair_style(tokens, at, integer[0], integer[1])
     else:
-        integer = _en_integer(tokens, at)
+        integer = _integer(tokens, at, _en_sub_thousand, _EN_SCALES)
         pair = _en_pair_reading(tokens, at)
 
     if integer is not None:
@@ -288,7 +258,7 @@ def parse_cardinal(tokens: list[Token], at: int, locale: Locale) -> Optional[Can
                 NumericValue(value // scale), magnitude_word=word))
         else:
             decimal = None
-            if _key(tokens, end) == point_word:
+            if _key(tokens, end) == POINT_KEYS[language]:
                 frac = _decimal_digits(tokens, end + 1, language)
                 if frac is not None:
                     frac_value, ndigits, frac_end = frac
@@ -369,7 +339,7 @@ def _en_minute_words(tokens: list[Token], i: int) -> Optional[tuple[int, int]]:
     w = _word(tokens, i)
     if w is None:
         return None
-    if w == "oh":
+    if w == EN_OH:
         unit = en_unit(_word(tokens, i + 1) or "")
         if unit:
             return unit, i + 2
@@ -548,7 +518,7 @@ def _parse_clock_de(tokens: list[Token], at: int,
             if hour is not None and hour >= 1:
                 if direction == "nach":
                     out.append(_clock_candidate(tokens, at, i + 2, hour, minutes, None, "de"))
-                elif minutes < 60:
+                else:
                     out.append(_clock_candidate(tokens, at, i + 2,
                                                 _wrap_back(hour - 1, "de"),
                                                 60 - minutes, None, "de"))
@@ -601,8 +571,8 @@ def parse_currency_phrase(tokens: list[Token], cardinal: CandidateParse,
         return None
     end = i + 1
     minor: Optional[NumericValue] = None
-    conj = "und" if language == "de" else "and"
-    if cardinal.magnitude_word is None and value.is_integer and _word(tokens, end) == conj:
+    if cardinal.magnitude_word is None and value.is_integer \
+            and _key(tokens, end) == AND_KEYS[language]:
         tail = parse_cardinal(tokens, end + 1, locale)
         if tail is not None and tail.magnitude_word is None and tail.value.is_integer:
             after = tail.span.end

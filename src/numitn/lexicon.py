@@ -1,57 +1,67 @@
-"""Number-word tables for English and German plus cardinal verbalization.
+"""Number words for English and German, and cardinal verbalization.
 
-German matching is done on a folded form (lowercase, ss for ß, ae/oe/ue
-for umlauts) so ASR transliterations like "fuenfundvierzig" still parse.
+Each word is spelled once, as the verbalizer writes it; the parse tables
+are derived from those spellings. English tables are keyed by the
+lowercase form. German matching is done on a folded form (lowercase, ss
+for ß, ae/oe/ue for umlauts) so ASR transliterations like
+"fuenfundvierzig" still parse.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-_EN_UNITS = {
-    "zero": 0, "one": 1, "two": 2, "three": 3, "four": 4,
-    "five": 5, "six": 6, "seven": 7, "eight": 8, "nine": 9,
-}
-
-_EN_TEENS = {
-    "ten": 10, "eleven": 11, "twelve": 12, "thirteen": 13, "fourteen": 14,
-    "fifteen": 15, "sixteen": 16, "seventeen": 17, "eighteen": 18,
-    "nineteen": 19,
-}
-
-_EN_TENS = {
-    "twenty": 20, "thirty": 30, "forty": 40, "fifty": 50,
-    "sixty": 60, "seventy": 70, "eighty": 80, "ninety": 90,
-}
-
-_EN_SCALES = {"thousand": 1_000, "million": 1_000_000, "billion": 1_000_000_000}
-EN_MAGNITUDE_WORDS = ("million", "billion")
-
-_DE_UNITS = {
-    "null": 0, "ein": 1, "eins": 1, "eine": 1, "zwei": 2, "drei": 3,
-    "vier": 4, "fuenf": 5, "sechs": 6, "sieben": 7, "acht": 8, "neun": 9,
-}
-
-_DE_TEENS = {
-    "zehn": 10, "elf": 11, "zwoelf": 12, "dreizehn": 13, "vierzehn": 14,
-    "fuenfzehn": 15, "sechzehn": 16, "siebzehn": 17, "achtzehn": 18,
-    "neunzehn": 19,
-}
-
-_DE_TENS = {
-    "zwanzig": 20, "dreissig": 30, "vierzig": 40, "fuenfzig": 50,
-    "sechzig": 60, "siebzig": 70, "achtzig": 80, "neunzig": 90,
-}
-
-# Separate-token magnitude nouns; "tausend"/"hundert" live inside compounds.
-DE_MAGNITUDE_WORDS = {"million": 1_000_000, "millionen": 1_000_000,
-                      "milliarde": 1_000_000_000, "milliarden": 1_000_000_000}
-
 _FOLD_TABLE = str.maketrans({"ä": "ae", "ö": "oe", "ü": "ue", "ß": "ss"})
 
 
 def fold_german(word: str) -> str:
+    if word.isascii():
+        # The fold table maps only non-ASCII characters.
+        return word.lower()
     return word.lower().translate(_FOLD_TABLE)
+
+
+_EN_UNIT_NAMES = ["zero", "one", "two", "three", "four", "five", "six",
+                  "seven", "eight", "nine", "ten", "eleven", "twelve",
+                  "thirteen", "fourteen", "fifteen", "sixteen", "seventeen",
+                  "eighteen", "nineteen"]
+_EN_TENS_NAMES = ["", "", "twenty", "thirty", "forty", "fifty", "sixty",
+                  "seventy", "eighty", "ninety"]
+_DE_UNIT_NAMES = ["null", "eins", "zwei", "drei", "vier", "fünf", "sechs",
+                  "sieben", "acht", "neun", "zehn", "elf", "zwölf",
+                  "dreizehn", "vierzehn", "fünfzehn", "sechzehn", "siebzehn",
+                  "achtzehn", "neunzehn"]
+_DE_TENS_NAMES = ["", "", "zwanzig", "dreißig", "vierzig", "fünfzig",
+                  "sechzig", "siebzig", "achtzig", "neunzig"]
+# The article forms of 1: "ein" also heads compounds ("einhundert"), "eine"
+# counts feminine nouns ("eine Million", "eine Minute").
+DE_EIN, DE_EINE = "ein", "eine"
+EN_HUNDRED, EN_OH = "hundred", "oh"
+# Scale words, smallest first: English (value, name) and German magnitude
+# nouns (value, singular, plural).
+_EN_SCALE_NAMES = ((1000, "thousand"), (10**6, "million"), (10**9, "billion"))
+DE_MAGNITUDE_NAMES = ((10**6, "Million", "Millionen"), (10**9, "Milliarde", "Milliarden"))
+# The decimal point and the "and" before cents, spoken and as parse keys.
+POINT_WORDS = {"en": "point", "de": "Komma"}
+AND_WORDS = {"en": "and", "de": "und"}
+POINT_KEYS = {language: fold_german(word) for language, word in POINT_WORDS.items()}
+AND_KEYS = {language: fold_german(word) for language, word in AND_WORDS.items()}
+# Fragments inside German compounds ("zweihundertundfünf"); each is
+# lowercase ASCII and so its own folded key.
+_DE_HUNDRED, DE_THOUSAND, _DE_AND = "hundert", "tausend", AND_WORDS["de"]
+
+_EN_UNITS = {name: n for n, name in enumerate(_EN_UNIT_NAMES[:10])}
+_EN_TEENS = {name: n for n, name in enumerate(_EN_UNIT_NAMES) if n >= 10}
+_EN_TENS = {name: 10 * n for n, name in enumerate(_EN_TENS_NAMES) if name}
+_EN_SCALES = {name: value for value, name in _EN_SCALE_NAMES}
+EN_MAGNITUDE_WORDS = tuple(name for value, name in _EN_SCALE_NAMES if value >= 10**6)
+
+_DE_UNITS = {fold_german(name): n for n, name in enumerate(_DE_UNIT_NAMES[:10])}
+_DE_UNITS.update({DE_EIN: 1, DE_EINE: 1})
+_DE_TEENS = {fold_german(name): n for n, name in enumerate(_DE_UNIT_NAMES) if n >= 10}
+_DE_TENS = {fold_german(name): 10 * n for n, name in enumerate(_DE_TENS_NAMES) if name}
+DE_MAGNITUDE_WORDS = {fold_german(form): value
+                      for value, *forms in DE_MAGNITUDE_NAMES for form in forms}
 
 
 def en_unit(word: str) -> Optional[int]:
@@ -75,15 +85,11 @@ def en_tens(word: str) -> Optional[int]:
     return _EN_TENS.get(word)
 
 
-def en_scale(word: str) -> Optional[int]:
-    return _EN_SCALES.get(word)
-
-
 def is_en_number_word(word: str) -> bool:
     return (
         word in _EN_UNITS
         or word in _EN_SCALES
-        or word == "hundred"
+        or word == EN_HUNDRED
         or en_two_digit(word) is not None
     )
 
@@ -98,10 +104,10 @@ def _de_under_hundred(text: str) -> Optional[int]:
     if text in _DE_UNITS:
         return _DE_UNITS[text]
     # "fuenfundvierzig": unit before "und", tens after.
-    cut = text.rfind("und")
-    if cut > 0:
-        unit = _DE_UNITS.get(text[:cut])
-        tens = _DE_TENS.get(text[cut + 3 :])
+    head, _, tail = text.rpartition(_DE_AND)
+    if head:
+        unit = _DE_UNITS.get(head)
+        tens = _DE_TENS.get(tail)
         if unit and tens is not None:
             return tens + unit
     return None
@@ -110,20 +116,16 @@ def _de_under_hundred(text: str) -> Optional[int]:
 def _de_under_thousand(text: str) -> Optional[int]:
     if not text:
         return None
-    cut = text.find("hundert")
-    if cut < 0:
+    head, found, rest = text.partition(_DE_HUNDRED)
+    if not found:
         return _de_under_hundred(text)
-    head = text[:cut] or "ein"
     # Prefixes up to 19 cover year-style forms like "neunzehnhundert".
-    hundreds = _de_under_hundred(head)
+    hundreds = _de_under_hundred(head or DE_EIN)
     if hundreds is None or not 1 <= hundreds <= 19:
         return None
-    rest = text[cut + 7 :]
     if not rest:
         return hundreds * 100
-    if rest.startswith("und"):
-        rest = rest[3:]
-    tail = _de_under_hundred(rest)
+    tail = _de_under_hundred(rest.removeprefix(_DE_AND))
     if tail is None:
         return None
     return hundreds * 100 + tail
@@ -136,19 +138,15 @@ def parse_de_compound(word: str) -> Optional[int]:
 
 def _parse_de_folded(text: str) -> Optional[int]:
     """``parse_de_compound`` for a token already folded ("zweitausendfuenf")."""
-    cut = text.find("tausend")
-    if cut < 0:
+    head, found, rest = text.partition(DE_THOUSAND)
+    if not found:
         return _de_under_thousand(text)
-    head = text[:cut] or "ein"
-    thousands = _de_under_thousand(head)
+    thousands = _de_under_thousand(head or DE_EIN)
     if thousands is None or thousands == 0:
         return None
-    rest = text[cut + 7 :]
     if not rest:
         return thousands * 1000
-    if rest.startswith("und"):
-        rest = rest[3:]
-    tail = _de_under_thousand(rest)
+    tail = _de_under_thousand(rest.removeprefix(_DE_AND))
     if tail is None:
         return None
     return thousands * 1000 + tail
@@ -161,14 +159,6 @@ def is_de_number_word(word: str) -> bool:
 def _is_de_number_folded(text: str) -> bool:
     """``is_de_number_word`` for a token already folded."""
     return text in DE_MAGNITUDE_WORDS or _parse_de_folded(text) is not None
-
-
-_EN_UNIT_NAMES = ["zero", "one", "two", "three", "four", "five", "six",
-                  "seven", "eight", "nine", "ten", "eleven", "twelve",
-                  "thirteen", "fourteen", "fifteen", "sixteen", "seventeen",
-                  "eighteen", "nineteen"]
-_EN_TENS_NAMES = ["", "", "twenty", "thirty", "forty", "fifty", "sixty",
-                  "seventy", "eighty", "ninety"]
 
 
 def en_two_digit_words(n: int) -> str:
@@ -184,7 +174,7 @@ def _en_under_thousand(n: int) -> str:
     parts = []
     hundreds, rest = divmod(n, 100)
     if hundreds:
-        parts.append(f"{_EN_UNIT_NAMES[hundreds]} hundred")
+        parts.append(f"{_EN_UNIT_NAMES[hundreds]} {EN_HUNDRED}")
     if rest or not parts:
         parts.append(en_two_digit_words(rest))
     return " ".join(parts)
@@ -192,9 +182,9 @@ def _en_under_thousand(n: int) -> str:
 
 def _verbalize_en(n: int) -> str:
     if n == 0:
-        return "zero"
+        return _EN_UNIT_NAMES[0]
     parts = []
-    for scale, name in ((10**9, "billion"), (10**6, "million"), (1000, "thousand")):
+    for scale, name in reversed(_EN_SCALE_NAMES):
         group, n = divmod(n, scale)
         if group:
             parts.append(f"{_en_under_thousand(group)} {name}")
@@ -203,35 +193,27 @@ def _verbalize_en(n: int) -> str:
     return " ".join(parts)
 
 
-_DE_UNIT_NAMES = ["null", "eins", "zwei", "drei", "vier", "fünf", "sechs",
-                  "sieben", "acht", "neun", "zehn", "elf", "zwölf",
-                  "dreizehn", "vierzehn", "fünfzehn", "sechzehn", "siebzehn",
-                  "achtzehn", "neunzehn"]
-_DE_TENS_NAMES = ["", "", "zwanzig", "dreißig", "vierzig", "fünfzig",
-                  "sechzig", "siebzig", "achtzig", "neunzig"]
-
-
 def de_two_digit_words(n: int, *, final: bool = True) -> str:
     """0..99 as a compound fragment; ``final`` selects "eins" over "ein"."""
-    if n == 1:
-        return "eins" if final else "ein"
+    if n == 1 and not final:
+        return DE_EIN
     if n < 20:
         return _DE_UNIT_NAMES[n]
     tens, unit = divmod(n, 10)
     if unit:
-        prefix = "ein" if unit == 1 else _DE_UNIT_NAMES[unit]
-        return f"{prefix}und{_DE_TENS_NAMES[tens]}"
+        return f"{de_two_digit_words(unit, final=False)}{_DE_AND}{_DE_TENS_NAMES[tens]}"
     return _DE_TENS_NAMES[tens]
 
 
 def de_under_thousand_words(n: int, *, final: bool = True) -> str:
+    """0..1999 as a compound fragment; hundreds up to 19 give year forms."""
     hundreds, rest = divmod(n, 100)
     if not hundreds:
         return de_two_digit_words(rest, final=final)
-    prefix = "ein" if hundreds == 1 else _DE_UNIT_NAMES[hundreds]
+    prefix = de_two_digit_words(hundreds, final=False) + _DE_HUNDRED
     if rest:
-        return f"{prefix}hundert{de_two_digit_words(rest, final=final)}"
-    return f"{prefix}hundert"
+        return prefix + de_two_digit_words(rest, final=final)
+    return prefix
 
 
 def _de_compound(n: int) -> str:
@@ -239,21 +221,20 @@ def _de_compound(n: int) -> str:
     thousands, rest = divmod(n, 1000)
     if not thousands:
         return de_under_thousand_words(rest)
-    head = "ein" if thousands == 1 else de_under_thousand_words(thousands, final=False)
+    head = de_under_thousand_words(thousands, final=False) + DE_THOUSAND
     if rest:
-        return f"{head}tausend{de_under_thousand_words(rest)}"
-    return f"{head}tausend"
+        return head + de_under_thousand_words(rest)
+    return head
 
 
 def _verbalize_de(n: int) -> str:
     if n == 0:
-        return "null"
+        return _DE_UNIT_NAMES[0]
     parts = []
-    for scale, singular, plural in ((10**9, "Milliarde", "Milliarden"),
-                                    (10**6, "Million", "Millionen")):
+    for scale, singular, plural in reversed(DE_MAGNITUDE_NAMES):
         group, n = divmod(n, scale)
         if group == 1:
-            parts.append(f"eine {singular}")
+            parts.append(f"{DE_EINE} {singular}")
         elif group:
             parts.append(f"{_de_compound(group)} {plural}")
     if n:
@@ -272,7 +253,7 @@ def verbalize_cardinal(n: int, language: str) -> str:
 
 # Spoken digit strings use "oh" for zero ("one oh five"); the parser
 # accepts "zero" as well.
-_EN_DIGIT_NAMES = ["oh"] + _EN_UNIT_NAMES[1:10]
+_EN_DIGIT_NAMES = [EN_OH] + _EN_UNIT_NAMES[1:10]
 _DE_DIGIT_NAMES = _DE_UNIT_NAMES[:10]
 
 
@@ -293,7 +274,7 @@ def _digit_value_folded(text: str, language: str) -> Optional[int]:
     what the lowercase word finds.
     """
     if language == "de":
-        return None if text == "eine" else _DE_UNITS.get(text)
-    if text == "oh":
+        return None if text == DE_EINE else _DE_UNITS.get(text)
+    if text == EN_OH:
         return 0
     return _EN_UNITS.get(text)

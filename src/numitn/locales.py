@@ -7,6 +7,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
+from .lexicon import fold_german
+
 _PLACEMENTS = ("prefix", "suffix")
 # Languages the grammar, classifier and verbalizer have tables for.
 _LANGUAGES = ("en", "de")
@@ -50,14 +52,6 @@ DEFAULT_CURRENCIES: dict[str, CurrencyUnit] = {
     "GBP": CurrencyUnit("GBP", "£"),
 }
 
-# Spoken unit word (folded lowercase) -> currency code. "cent"/"cents" maps
-# to the locale's default currency and is handled separately.
-CURRENCY_WORDS: dict[str, dict[str, str]] = {
-    "en": {"dollar": "USD", "dollars": "USD", "euro": "EUR", "euros": "EUR",
-           "pound": "GBP", "pounds": "GBP"},
-    "de": {"dollar": "USD", "euro": "EUR", "pfund": "GBP"},
-}
-
 MINOR_UNIT_WORDS = {"cent", "cents"}
 
 DEFAULT_CURRENCY_CODE = {"en": "USD", "de": "EUR"}
@@ -71,6 +65,13 @@ CURRENCY_SPOKEN = {
     ("EUR", "de"): ("Euro", "Euro"),
     ("GBP", "de"): ("Pfund", "Pfund"),
 }
+
+# Spoken unit word (folded) -> currency code, per language. "cent"/"cents"
+# maps to the locale's default currency and is handled separately.
+CURRENCY_WORDS: dict[str, dict[str, str]] = {
+    language: {fold_german(form): code for (code, spoken_in), forms in CURRENCY_SPOKEN.items()
+               if spoken_in == language for form in forms}
+    for language in _LANGUAGES}
 
 
 @dataclass(frozen=True)

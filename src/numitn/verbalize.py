@@ -13,7 +13,13 @@ from typing import Optional
 from .extract import extract_numeric_literals
 from .grammar import _wrap_back
 from .lexicon import (
+    AND_WORDS,
+    DE_EINE,
+    EN_HUNDRED,
+    EN_OH,
+    POINT_WORDS,
     de_two_digit_words,
+    de_under_thousand_words,
     digit_words,
     en_two_digit_words,
     verbalize_cardinal,
@@ -51,8 +57,7 @@ def verbalize_decimal(value: NumericValue, language: str) -> str:
     int_part, frac_part = value.digit_parts()
     words = verbalize_cardinal(int(int_part), language)
     if frac_part:
-        point = "Komma" if language == "de" else "point"
-        words += f" {point} {digit_words(frac_part, language)}"
+        words += f" {POINT_WORDS[language]} {digit_words(frac_part, language)}"
     return words
 
 
@@ -72,20 +77,17 @@ def verbalize_year(year: int, language: str, style: Optional[str] = None) -> str
         raise ValueError(f"style {style!r} not applicable to year {year}")
     if style == "cardinal":
         return verbalize_cardinal(year, language)
-    high, low = divmod(year, 100)
     if language == "de":
-        head = f"{de_two_digit_words(high, final=False)}hundert"
-        return head + (de_two_digit_words(low) if low else "")
-    if high == 20:
+        return de_under_thousand_words(year)
+    high, low = divmod(year, 100)
+    if high == 20 and low < 10:
         # "twenty oh five" is rare; spell 2000..2009 as plain cardinals.
-        if low < 10:
-            return verbalize_cardinal(year, "en")
-        return f"twenty {en_two_digit_words(low)}"
+        return verbalize_cardinal(year, "en")
     head = en_two_digit_words(high)
     if low == 0:
-        return f"{head} hundred"
+        return f"{head} {EN_HUNDRED}"
     if low < 10:
-        return f"{head} oh {en_two_digit_words(low)}"
+        return f"{head} {EN_OH} {en_two_digit_words(low)}"
     return f"{head} {en_two_digit_words(low)}"
 
 
@@ -180,7 +182,7 @@ def _verbalize_time_en(t: TimeOfDay, style: str) -> str:
     if m == 0:
         middle = ""
     elif m < 10:
-        middle = f" oh {en_two_digit_words(m)}"
+        middle = f" {EN_OH} {en_two_digit_words(m)}"
     else:
         middle = f" {en_two_digit_words(m)}"
     return f"{face}{middle} {meridiem}"
@@ -192,7 +194,7 @@ def _verbalize_time_de(t: TimeOfDay, style: str) -> str:
     face = _de_hour(_face(h))
     next_face = _de_hour(_face(h + 1))
     if style in ("uhr", "uhr_minute"):
-        hour_words = de_two_digit_words(h, final=False) if h else "null"
+        hour_words = de_two_digit_words(h, final=False)
         if style == "uhr" or m == 0:
             return f"{hour_words} Uhr"
         return f"{hour_words} Uhr {de_two_digit_words(m)}"
@@ -204,12 +206,12 @@ def _verbalize_time_de(t: TimeOfDay, style: str) -> str:
         return f"viertel vor {next_face}{suffix}"
     if style == "minuten_nach":
         noun = "Minute" if m == 1 else "Minuten"
-        count = "eine" if m == 1 else de_two_digit_words(m)
+        count = DE_EINE if m == 1 else de_two_digit_words(m)
         return f"{count} {noun} nach {face}{suffix}"
     if style == "minuten_vor":
         left = 60 - m
         noun = "Minute" if left == 1 else "Minuten"
-        count = "eine" if left == 1 else de_two_digit_words(left)
+        count = DE_EINE if left == 1 else de_two_digit_words(left)
         return f"{count} {noun} vor {next_face}{suffix}"
     raise ValueError(f"unknown German time style: {style!r}")
 
@@ -236,6 +238,7 @@ def enumerate_timestamp_phrasings(locale: Locale) -> list[tuple[str, TimeOfDay]]
     """
     out: list[tuple[str, TimeOfDay]] = []
     de = locale.language == "de"
+    two = verbalize_cardinal(2, locale.language)
     for hour in range(1, 13):
         back = _wrap_back(hour - 1, locale.language)
         if de:
@@ -244,16 +247,16 @@ def enumerate_timestamp_phrasings(locale: Locale) -> list[tuple[str, TimeOfDay]]
             out.append((f"viertel nach {face}", TimeOfDay(hour, 15)))
             out.append((f"halb {face}", TimeOfDay(back, 30)))
             out.append((f"viertel vor {face}", TimeOfDay(back, 45)))
-            out.append((f"zwei Minuten nach {face}", TimeOfDay(hour, 2)))
-            out.append((f"zwei Minuten vor {face}", TimeOfDay(back, 58)))
+            out.append((f"{two} Minuten nach {face}", TimeOfDay(hour, 2)))
+            out.append((f"{two} Minuten vor {face}", TimeOfDay(back, 58)))
         else:
             face = _en_hour(hour)
             out.append((f"{face} o'clock", TimeOfDay(hour, 0)))
             out.append((f"quarter past {face}", TimeOfDay(hour, 15)))
             out.append((f"half past {face}", TimeOfDay(hour, 30)))
             out.append((f"quarter to {face}", TimeOfDay(back, 45)))
-            out.append((f"two minutes past {face}", TimeOfDay(hour, 2)))
-            out.append((f"two minutes to {face}", TimeOfDay(back, 58)))
+            out.append((f"{two} minutes past {face}", TimeOfDay(hour, 2)))
+            out.append((f"{two} minutes to {face}", TimeOfDay(back, 58)))
     return out
 
 
@@ -262,11 +265,10 @@ def enumerate_timestamp_phrasings(locale: Locale) -> list[tuple[str, TimeOfDay]]
 
 def _count_words(value: NumericValue, language: str,
                  magnitude_word: Optional[str]) -> str:
-    words = verbalize_decimal(value, language)
     # "eine Million", never "eins Million".
-    if magnitude_word and language == "de" and words == "eins":
-        return "eine"
-    return words
+    if magnitude_word and language == "de" and value.is_integer and value.mantissa == 1:
+        return DE_EINE
+    return verbalize_decimal(value, language)
 
 
 def _currency_words(money: MoneyAmount, locale: Locale) -> str:
@@ -280,14 +282,13 @@ def _currency_words(money: MoneyAmount, locale: Locale) -> str:
         out += f" {money.magnitude_word}"
     out += f" {unit}"
     if money.minor is not None:
-        conj = "und" if language == "de" else "and"
         cents = money.minor.mantissa
         if language == "de":
             cent_words = f"{verbalize_cardinal(cents, 'de')} Cent"
         else:
             cent_words = f"{verbalize_cardinal(cents, 'en')} " \
                          f"{'cent' if cents == 1 else 'cents'}"
-        out += f" {conj} {cent_words}"
+        out += f" {AND_WORDS[language]} {cent_words}"
     return out
 
 

@@ -263,6 +263,100 @@ class TestGenSplitEval:
         assert "disjoint" in err
 
 
+class TestPerLineErrors:
+    """A line that cannot be handled is passed through and reported; the
+    stream goes on and the exit status is 1 at the end."""
+
+    def test_verbalize_out_of_range_literal(self, tmp_path, capsys):
+        src = tmp_path / "in.txt"
+        src.write_text("a 1\nThe counter read 123456789012345678901.\nb 2\n",
+                       encoding="utf-8")
+        code, out, err = run(capsys, "verbalize", "--locale", "en", str(src))
+        assert code == 1
+        assert out.splitlines() == [
+            "a one",
+            "The counter read 123456789012345678901.",
+            "b two",
+        ]
+        assert err == "line 2: mantissa out of range: 123456789012345678901\n"
+        assert "Traceback" not in err
+
+    def test_normalize_failing_line(self, tmp_path, capsys, monkeypatch):
+        from numitn import cli
+
+        def normalize(line, locale, currencies):
+            if line == "bad":
+                raise ValueError("broken")
+            return line.upper()
+
+        monkeypatch.setattr(cli, "normalize_text", normalize)
+        src = tmp_path / "in.txt"
+        src.write_text("x\nbad\ny\n", encoding="utf-8")
+        code, out, err = run(capsys, "normalize", "--locale", "en", str(src))
+        assert code == 1
+        assert out == "X\nbad\nY\n"
+        assert err == "line 2: broken\n"
+
+    def test_extract_failing_line_writes_no_rows(self, tmp_path, capsys, monkeypatch):
+        from numitn import cli
+        real = cli.extract_numeric_literals
+
+        def extract(line, locale, currencies):
+            found = real(line, locale, currencies)
+            if "bad" in line:
+                # Fail after the first literal, so a partial row would show.
+                yield from found[:1]
+                raise ValueError("broken")
+            yield from found
+
+        monkeypatch.setattr(cli, "extract_numeric_literals", extract)
+        src = tmp_path / "in.txt"
+        src.write_text("$5\nbad $6 $7\nin 1999\n", encoding="utf-8")
+        code, out, err = run(capsys, "extract", "--locale", "en", str(src))
+        assert code == 1
+        assert out.splitlines() == ["1\tcurrency\t$5", "3\tyear\t1999"]
+        assert err == "line 2: broken\n"
+
+
+class TestConfigLocales:
+    CONFIG = {"locales": {"en-in": {"language": "en", "thousands_separator": ",",
+                                    "decimal_mark": ".", "currency_placement": "prefix"}}}
+
+    def test_config_locale_selectable(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(self.CONFIG), encoding="utf-8")
+        src = tmp_path / "in.txt"
+        src.write_text("It cost fifty dollars in twenty twenty.\n", encoding="utf-8")
+        code, out, err = run(capsys, "normalize", "--locale", "en-in",
+                             "--config", str(config), str(src))
+        assert (code, err) == (0, "")
+        assert out == "It cost $50 in 2020.\n"
+
+    def test_locale_missing_from_config_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(self.CONFIG), encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            main(["normalize", "--locale", "en-gb", "--config", str(config)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "'en-gb'" in err and "'en-in'" in err
+
+    def test_config_only_locale_needs_the_config(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["normalize", "--locale", "en-in"])
+        assert exc.value.code == 2
+
+    def test_unloadable_config_exits_1(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text("[1, 2]", encoding="utf-8")
+        code, out, err = run(capsys, "normalize", "--locale", "en-in",
+                             "--config", str(config), str(config))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+
+
 class TestParser:
     def test_unknown_locale_rejected(self, capsys):
         with pytest.raises(SystemExit):

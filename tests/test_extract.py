@@ -43,6 +43,15 @@ class TestExtraction:
         assert spans("about 9.1 million users", EN) == \
             [("9.1 million", ExpressionType.QUANTITY)]
 
+    @pytest.mark.parametrize("text,locale", [
+        ("5 Millionen", DE), ("5 Milliarde", DE), ("2 billion", EN), ("9.1 million", EN),
+    ])
+    def test_magnitude_word_joins_the_literal(self, text, locale):
+        assert spans(f"rund {text} hier", locale) == [(text, ExpressionType.QUANTITY)]
+
+    def test_magnitude_prefix_of_a_longer_word_is_left_out(self):
+        assert spans("eine 5 Millionenstadt", DE) == [("5", ExpressionType.QUANTITY)]
+
     def test_time(self):
         assert spans("at 19:45 sharp", EN) == [("19:45", ExpressionType.TIMESTAMP)]
 

@@ -1,18 +1,145 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from numitn import lexicon
 from numitn.lexicon import (
     de_two_digit_words,
     digit_word_value,
     digit_words,
     en_two_digit,
     en_two_digit_words,
+    en_unit,
     fold_german,
     is_de_number_word,
     is_en_number_word,
     parse_de_compound,
     verbalize_cardinal,
 )
+from numitn.grammar import scan_sentence
+from numitn.locales import CURRENCY_SPOKEN, CURRENCY_WORDS, get_locale
+from numitn.types import NumericValue
+from numitn.verbalize import verbalize_decimal
+
+# Golden word tables, written out by hand so that they do not depend on the
+# name lists the lexicon derives its parse tables from. German entries give
+# the spelling and the folded key.
+EN_UNITS = {"zero": 0, "one": 1, "two": 2, "three": 3, "four": 4, "five": 5,
+            "six": 6, "seven": 7, "eight": 8, "nine": 9}
+EN_TWO_DIGIT = {"ten": 10, "eleven": 11, "twelve": 12, "thirteen": 13,
+                "fourteen": 14, "fifteen": 15, "sixteen": 16, "seventeen": 17,
+                "eighteen": 18, "nineteen": 19, "twenty": 20, "thirty": 30,
+                "forty": 40, "fifty": 50, "sixty": 60, "seventy": 70,
+                "eighty": 80, "ninety": 90}
+EN_SCALES = {"thousand": 1_000, "million": 1_000_000, "billion": 1_000_000_000}
+DE_NUMBERS = [
+    ("null", "null", 0), ("eins", "eins", 1), ("zwei", "zwei", 2),
+    ("drei", "drei", 3), ("vier", "vier", 4), ("fünf", "fuenf", 5),
+    ("sechs", "sechs", 6), ("sieben", "sieben", 7), ("acht", "acht", 8),
+    ("neun", "neun", 9), ("zehn", "zehn", 10), ("elf", "elf", 11),
+    ("zwölf", "zwoelf", 12), ("dreizehn", "dreizehn", 13),
+    ("vierzehn", "vierzehn", 14), ("fünfzehn", "fuenfzehn", 15),
+    ("sechzehn", "sechzehn", 16), ("siebzehn", "siebzehn", 17),
+    ("achtzehn", "achtzehn", 18), ("neunzehn", "neunzehn", 19),
+    ("zwanzig", "zwanzig", 20), ("dreißig", "dreissig", 30),
+    ("vierzig", "vierzig", 40), ("fünfzig", "fuenfzig", 50),
+    ("sechzig", "sechzig", 60), ("siebzig", "siebzig", 70),
+    ("achtzig", "achtzig", 80), ("neunzig", "neunzig", 90),
+]
+DE_ARTICLES = {"ein": 1, "eine": 1}
+DE_MAGNITUDES = [
+    ("Million", "million", 1_000_000), ("Millionen", "millionen", 1_000_000),
+    ("Milliarde", "milliarde", 1_000_000_000), ("Milliarden", "milliarden", 1_000_000_000),
+]
+# (language, spelling, folded key, code)
+CURRENCIES = [
+    ("en", "dollar", "dollar", "USD"), ("en", "dollars", "dollars", "USD"),
+    ("en", "euro", "euro", "EUR"), ("en", "euros", "euros", "EUR"),
+    ("en", "pound", "pound", "GBP"), ("en", "pounds", "pounds", "GBP"),
+    ("de", "Dollar", "dollar", "USD"), ("de", "Euro", "euro", "EUR"),
+    ("de", "Pfund", "pfund", "GBP"),
+]
+
+
+class TestGoldenWords:
+    def test_english_parse_tables(self):
+        for word, value in EN_UNITS.items():
+            assert en_unit(word) == value, word
+        for word, value in EN_TWO_DIGIT.items():
+            assert en_two_digit(word) == value, word
+        assert {**lexicon._EN_UNITS, **lexicon._EN_TEENS, **lexicon._EN_TENS} == \
+            {**EN_UNITS, **EN_TWO_DIGIT}
+        assert lexicon._EN_SCALES == EN_SCALES
+        assert sorted(lexicon.EN_MAGNITUDE_WORDS) == ["billion", "million"]
+
+    def test_english_verbalization(self):
+        for word, value in {**EN_UNITS, **EN_TWO_DIGIT}.items():
+            assert verbalize_cardinal(value, "en") == word
+        for word, value in EN_SCALES.items():
+            assert verbalize_cardinal(value, "en") == f"one {word}"
+
+    def test_german_parse_tables(self):
+        for spelling, key, value in DE_NUMBERS:
+            assert fold_german(spelling) == key
+            assert parse_de_compound(spelling) == value, spelling
+            assert parse_de_compound(key) == value, key
+        for word, value in DE_ARTICLES.items():
+            assert parse_de_compound(word) == value
+        assert {**lexicon._DE_UNITS, **lexicon._DE_TEENS, **lexicon._DE_TENS} == \
+            {**{key: value for _, key, value in DE_NUMBERS}, **DE_ARTICLES}
+        for spelling, key, value in DE_MAGNITUDES:
+            assert fold_german(spelling) == key
+        assert lexicon.DE_MAGNITUDE_WORDS == {key: value for _, key, value in DE_MAGNITUDES}
+
+    def test_german_verbalization(self):
+        for spelling, _, value in DE_NUMBERS:
+            assert verbalize_cardinal(value, "de") == spelling
+        assert verbalize_cardinal(1_000, "de") == "eintausend"
+        singular_million, plural_million, singular_billion, plural_billion = \
+            (spelling for spelling, _, _ in DE_MAGNITUDES)
+        assert verbalize_cardinal(1_000_000, "de") == f"eine {singular_million}"
+        assert verbalize_cardinal(2_000_000, "de") == f"zwei {plural_million}"
+        assert verbalize_cardinal(1_000_000_000, "de") == f"eine {singular_billion}"
+        assert verbalize_cardinal(2_000_000_000, "de") == f"zwei {plural_billion}"
+
+    def test_currency_words(self):
+        for language, spelling, key, code in CURRENCIES:
+            assert fold_german(spelling) == key
+            assert spelling in CURRENCY_SPOKEN[(code, language)]
+        assert CURRENCY_WORDS == {
+            language: {key: code for lang, _, key, code in CURRENCIES if lang == language}
+            for language in ("en", "de")}
+        assert set(CURRENCY_SPOKEN) == {(code, language) for language, _, _, code in CURRENCIES}
+
+    @pytest.mark.parametrize("language,n,words", [
+        ("en", 100, "one hundred"), ("en", 105, "one hundred five"),
+        ("de", 100, "einhundert"), ("de", 1_000, "eintausend"),
+        ("de", 21, "einundzwanzig"), ("de", 2_105, "zweitausendeinhundertfünf"),
+    ])
+    def test_compound_words(self, language, n, words):
+        assert verbalize_cardinal(n, language) == words
+        [parse] = scan_sentence(words, get_locale(language))
+        assert parse.value == NumericValue(n)
+
+    def test_oh_digit(self):
+        assert digit_words("0", "en") == "oh"
+        assert digit_word_value("oh", "en") == 0
+        [parse] = scan_sentence("nineteen oh five", get_locale("en"))
+        assert parse.value == NumericValue(1905)
+
+    @pytest.mark.parametrize("language,words", [
+        ("en", "nine point five"), ("de", "neun Komma fünf"),
+    ])
+    def test_decimal_point_word(self, language, words):
+        assert verbalize_decimal(NumericValue(95, 1), language) == words
+        [parse] = scan_sentence(words, get_locale(language))
+        assert parse.value == NumericValue(95, 1)
+
+    @pytest.mark.parametrize("language,words", [
+        ("en", "five dollars and twenty cents"), ("de", "fünf Euro und zwanzig Cent"),
+    ])
+    def test_cents_and_word(self, language, words):
+        [parse] = scan_sentence(words, get_locale(language))
+        assert (parse.value.major, parse.value.minor) == (NumericValue(5), NumericValue(20))
 
 
 class TestEnglishWords:
