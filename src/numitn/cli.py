@@ -134,8 +134,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
                         "hypothesis file has fewer lines than the manifest")
                 hypothesis = line
                 if args.normalize_before_wer:
+                    if record.locale not in cfg.locales:
+                        raise ValueError(
+                            f"record {record.id}: unknown locale {record.locale!r}")
                     hypothesis = normalize_text(
-                        hypothesis, cfg.locale(record.locale), cfg.currencies)
+                        hypothesis, cfg.locales[record.locale], cfg.currencies)
                 expected = tuple((surface, ExpressionType(expr_type))
                                  for surface, expr_type in record.expressions)
                 yield EvalItem(record.formatted, hypothesis, expected)

@@ -1,7 +1,7 @@
 """Three-step corpus generation: sentences, audio, conversions.
 
-Text-client calls run sequentially so a stateful mock stays reproducible;
-synthesis calls are stateless and fan out over a thread pool.
+All client calls run in order on the calling thread, so a stateful mock
+stays reproducible. Audio is synthesized but not written anywhere.
 """
 
 from __future__ import annotations
@@ -10,9 +10,7 @@ import hashlib
 import random
 import re
 from abc import ABC, abstractmethod
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence, TypeVar
 
 from .extract import extract_numeric_literals
@@ -194,6 +192,9 @@ def split_disjoint(records: Sequence[ManifestRecord], spec: SplitSpec
 
 @dataclass(frozen=True)
 class ClientConfig:
+    """``max_retries`` bounds retries of each text call. ``max_concurrency``
+    is validated but unused: every call runs on the calling thread."""
+
     max_concurrency: int = 4
     max_retries: int = 2
 
@@ -221,8 +222,6 @@ class SynthesisResult:
 
 
 class SpeechSynthesizer(ABC):
-    is_mock = False
-
     def __init__(self, config: ClientConfig = ClientConfig()) -> None:
         self.config = config
 
@@ -232,9 +231,7 @@ class SpeechSynthesizer(ABC):
 
 
 class MockSpeechSynthesizer(SpeechSynthesizer):
-    """Deterministic placeholder audio; nothing is persisted for it."""
-
-    is_mock = True
+    """Deterministic placeholder audio."""
 
     def synthesize(self, text: str, voice: str) -> SynthesisResult:
         digest = hashlib.sha256(f"{voice}|{text}".encode("utf-8")).digest()
@@ -446,10 +443,9 @@ def _with_retries(call: Callable[[], T], retries: int) -> T:
 
 
 def run_generation(plan: GenerationPlan, textgen: TextGenerator,
-                   synthesizer: SpeechSynthesizer,
-                   output_dir: Optional[str | Path] = None
+                   synthesizer: SpeechSynthesizer
                    ) -> tuple[list[ManifestRecord], GenerationStats]:
-    """Steps: prompt sentences, synthesize audio, convert, filter."""
+    """Steps: prompt sentences, then per batch synthesize, convert, filter."""
     locale = plan.locale
     rng = random.Random(plan.seed)
     failures: list[str] = []
@@ -482,37 +478,29 @@ def run_generation(plan: GenerationPlan, textgen: TextGenerator,
                      for line in reply.splitlines() if line.strip()]
         batches.append((expr_type, sentences[:expected]))
 
-    flat: list[tuple[int, ExpressionType, str]] = []
-    for expr_type, sentences in batches:
-        for sentence in sentences:
-            flat.append((len(flat), expr_type, sentence))
-
-    # Step 2: synthesis fans out; voices are drawn up front to keep the
-    # record → voice pairing independent of thread scheduling.
-    voices = [rng.choice(plan.voices) for _ in flat]
-    audio_results: list[Optional[SynthesisResult]] = [None] * len(flat)
-
-    def synth(at: int) -> Optional[SynthesisResult]:
-        _, _, sentence = flat[at]
-        return _with_retries(lambda: synthesizer.synthesize(sentence, voices[at]),
-                             synthesizer.config.max_retries)
-
-    if flat:
-        workers = max(1, synthesizer.config.max_concurrency)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            jobs = {at: pool.submit(synth, at) for at in range(len(flat))}
-        for at, job in jobs.items():
-            try:
-                audio_results[at] = job.result()
-            except Exception as err:
-                failures.append(f"synthesis failed for {flat[at][2]!r}: {err}")
-
-    # Step 3: one conversion call per original batch.
-    converted: dict[int, str] = {}
-    offset = 0
+    records: list[ManifestRecord] = []
+    generated = 0
+    discarded = 0
+    per_type: dict[str, int] = {}
+    audio_seconds = 0.0
     for expr_type, sentences in batches:
         if not sentences:
             continue
+        # Ids count every generated sentence, converted or not.
+        first, generated = generated, generated + len(sentences)
+
+        # Step 2: one synthesis call per sentence; a failure leaves no audio.
+        voiced: list[tuple[str, float]] = []
+        for sentence in sentences:
+            voice = rng.choice(plan.voices)
+            seconds = 0.0
+            try:
+                seconds = synthesizer.synthesize(sentence, voice).duration_seconds
+            except Exception as err:
+                failures.append(f"synthesis failed for {sentence!r}: {err}")
+            voiced.append((voice, seconds))
+
+        # Step 3: one conversion call for the batch.
         prompt = build_conversion_prompt(expr_type) + "\n" + "\n".join(sentences)
         prompts_issued += 1
         try:
@@ -524,58 +512,35 @@ def run_generation(plan: GenerationPlan, textgen: TextGenerator,
                     f"conversion returned {len(lines)} lines for {len(sentences)} sentences")
         except Exception as err:
             failures.append(f"conversion failed: {err}")
-            offset += len(sentences)
             continue
-        for at, line in enumerate(lines):
-            converted[offset + at] = line.strip()
-        offset += len(sentences)
 
-    records: list[ManifestRecord] = []
-    discarded = 0
-    per_type: dict[str, int] = {}
-    audio_seconds = 0.0
-    audio_dir: Optional[Path] = None
-    if output_dir is not None and not synthesizer.is_mock:
-        audio_dir = Path(output_dir) / "audio"
-        audio_dir.mkdir(parents=True, exist_ok=True)
-
-    for at, expr_type, sentence in flat:
-        formatted = converted.get(at)
-        if formatted is None:
-            continue
-        if not validate_record(sentence, formatted, locale):
-            discarded += 1
-            continue
-        literals = extract_numeric_literals(formatted, locale)
-        record_id = f"{locale.language}-{expr_type.value}-{at:05d}"
-        synthesis = audio_results[at]
-        audio_ref = None
-        if synthesis is not None:
-            audio_seconds += synthesis.duration_seconds
-            if audio_dir is not None:
-                name = f"{record_id}.{synthesis.format_tag}"
-                (audio_dir / name).write_bytes(synthesis.data)
-                audio_ref = f"audio/{name}"
-        try:
-            records.append(ManifestRecord(
-                id=record_id,
-                locale=locale.language,
-                type=expr_type.value,
-                verbalized=sentence,
-                formatted=formatted,
-                expressions=tuple((lit.text, lit.guessed_type.value)
-                                  for lit in literals),
-                audio=audio_ref,
-                voice=voices[at],
-            ))
-        except ManifestError as err:
-            failures.append(str(err))
-            continue
-        per_type[expr_type.value] = per_type.get(expr_type.value, 0) + 1
+        for at, (sentence, line, (voice, seconds)) in enumerate(
+                zip(sentences, lines, voiced), start=first):
+            formatted = line.strip()
+            if not validate_record(sentence, formatted, locale):
+                discarded += 1
+                continue
+            literals = extract_numeric_literals(formatted, locale)
+            audio_seconds += seconds
+            try:
+                records.append(ManifestRecord(
+                    id=f"{locale.language}-{expr_type.value}-{at:05d}",
+                    locale=locale.language,
+                    type=expr_type.value,
+                    verbalized=sentence,
+                    formatted=formatted,
+                    expressions=tuple((lit.text, lit.guessed_type.value)
+                                      for lit in literals),
+                    voice=voice,
+                ))
+            except ManifestError as err:
+                failures.append(str(err))
+                continue
+            per_type[expr_type.value] = per_type.get(expr_type.value, 0) + 1
 
     stats = GenerationStats(
         prompts_issued=prompts_issued,
-        sentences_generated=len(flat),
+        sentences_generated=generated,
         accepted=len(records),
         discarded=discarded,
         failures=tuple(failures),

@@ -273,6 +273,8 @@ def _count_words(value: NumericValue, language: str,
 
 def _currency_words(money: MoneyAmount, locale: Locale) -> str:
     language = locale.language
+    if (money.currency, language) not in CURRENCY_SPOKEN:
+        raise ValueError(f"no {language!r} words for currency {money.currency!r}")
     singular, plural = CURRENCY_SPOKEN[(money.currency, language)]
     major_words = _count_words(money.major, language, money.magnitude_word)
     unit = singular if money.major.is_integer and money.major.mantissa == 1 \

@@ -250,6 +250,23 @@ class TestGenSplitEval:
         assert code == 2
         assert "fewer lines" in err
 
+    def test_eval_unknown_record_locale_exits_1(self, tmp_path, capsys):
+        path = self.gen_manifest(tmp_path, capsys)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        first = json.loads(lines[0])
+        first["locale"] = "en-gb"
+        lines[0] = json.dumps(first)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        hyp = tmp_path / "hyp.txt"
+        hyp.write_text("".join(json.loads(line)["verbalized"] + "\n"
+                               for line in lines), encoding="utf-8")
+        argv = ("eval", "--manifest", str(path), "--hypotheses", str(hyp))
+        code, out, err = run(capsys, *argv, "--normalize-before-wer")
+        assert (code, out) == (1, "")
+        assert err == f"error: record {first['id']}: unknown locale 'en-gb'\n"
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+
     def test_split_needs_enough_groups(self, tmp_path, capsys):
         path = tmp_path / "tiny.jsonl"
         record = {"id": "a", "locale": "en", "type": "year",
@@ -280,6 +297,18 @@ class TestPerLineErrors:
         ]
         assert err == "line 2: mantissa out of range: 123456789012345678901\n"
         assert "Traceback" not in err
+
+    def test_verbalize_currency_without_words(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"currencies": {"INR": {"symbol": "₹"}}}),
+                          encoding="utf-8")
+        src = tmp_path / "in.txt"
+        src.write_text("x ₹50\ny 2\n", encoding="utf-8")
+        code, out, err = run(capsys, "verbalize", "--locale", "en",
+                             "--config", str(config), str(src))
+        assert code == 1
+        assert out == "x ₹50\ny two\n"
+        assert err == "line 1: no 'en' words for currency 'INR'\n"
 
     def test_normalize_failing_line(self, tmp_path, capsys, monkeypatch):
         from numitn import cli

@@ -1,3 +1,6 @@
+import hashlib
+import threading
+
 import pytest
 
 from numitn.datagen import (
@@ -9,6 +12,7 @@ from numitn.datagen import (
     RuleBasedTextGenerator,
     SentencePromptSpec,
     SplitSpec,
+    SynthesisResult,
     TextGenerator,
     build_conversion_prompt,
     build_sentence_prompt,
@@ -175,7 +179,6 @@ class TestClients:
         assert a.data != c.data
         assert a.format_tag == "wav"
         assert a.duration_seconds == 0.0
-        assert synth.is_mock
 
 
 class TestRuleBasedGenerator:
@@ -260,6 +263,21 @@ class FlakyGenerator(TextGenerator):
         return self._inner.complete(prompt)
 
 
+class RecordingSynthesizer(MockSpeechSynthesizer):
+    """Logs (thread, text, voice) per call; raises for the sentence ``fail``."""
+
+    def __init__(self, fail=None):
+        super().__init__()
+        self.calls = []
+        self.fail = fail
+
+    def synthesize(self, text, voice):
+        self.calls.append((threading.get_ident(), text, voice))
+        if text == self.fail:
+            raise RuntimeError("voice offline")
+        return SynthesisResult(b"", "wav", 1.5)
+
+
 class TestRunGeneration:
     def plan(self, **kwargs):
         defaults = dict(locale=EN,
@@ -338,6 +356,44 @@ class TestRunGeneration:
         b, _ = run_generation(self.plan(), RuleBasedTextGenerator(EN, seed=2),
                               MockSpeechSynthesizer())
         assert a == b
+
+    def test_synthesis_runs_inline_in_sentence_order(self):
+        synth = RecordingSynthesizer()
+        records, stats = run_generation(
+            self.plan(), RuleBasedTextGenerator(EN, seed=2), synth)
+        assert stats.sentences_generated == len(records) == 8
+        assert {ident for ident, _, _ in synth.calls} == {threading.get_ident()}
+        assert [(text, voice) for _, text, voice in synth.calls] == \
+            [(r.verbalized, r.voice) for r in records]
+        assert stats.audio_seconds == 8 * 1.5
+
+    def test_synthesis_failure_is_recorded_once(self):
+        expected, _ = run_generation(
+            self.plan(), RuleBasedTextGenerator(EN, seed=2), MockSpeechSynthesizer())
+        target = expected[2].verbalized
+        synth = RecordingSynthesizer(fail=target)
+        records, stats = run_generation(
+            self.plan(), RuleBasedTextGenerator(EN, seed=2), synth)
+        assert [text for _, text, _ in synth.calls].count(target) == 1
+        assert stats.failures == (f"synthesis failed for {target!r}: voice offline",)
+        assert records == expected
+        assert stats.audio_seconds == 7 * 1.5
+
+    def test_pinned_output(self):
+        # Pinned so that a restructured run_generation keeps the corpus byte for byte.
+        lines = []
+        for locale, seed in ((EN, 21), (DE, 22)):
+            plan = GenerationPlan(locale=locale,
+                                  counts={t: 3 for t in ExpressionType},
+                                  sweep_timestamp_phrasings=True,
+                                  batch_size=2, seed=seed)
+            records, _ = run_generation(
+                plan, RuleBasedTextGenerator(locale, seed=seed),
+                MockSpeechSynthesizer())
+            lines += [r.to_json() for r in records]
+        assert len(lines) == 168
+        assert hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest() == \
+            "d60eb4d44c954eb5323dc0b060cd57d032c9baa402e452fc0bd37a8b061055de"
 
 
 class TestCorpusStatistics:
