@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from .formatting import YEAR_MAX, YEAR_MIN
+from .lexicon import CLOCK_STYLES, HOUR_NOUNS, MINUTE_NOUNS, phrase_keys
 from .lexicon import _is_de_number_folded, is_en_number_word
 from .locales import CURRENCY_WORDS, DEFAULT_CURRENCY_CODE, Locale, MINOR_UNIT_WORDS
 from .tokenizer import Token
@@ -25,20 +26,24 @@ YEAR_CUES = {
     "de": {"seit", "jahr", "bis"},
 }
 
-# Function words and phrase starters that cannot serve as a quantity unit.
-_UNIT_STOPWORDS = {
+_FUNCTION_WORDS = {
     "en": {"a", "an", "and", "are", "as", "at", "be", "been", "but", "by",
-           "for", "from", "half", "if", "in", "is", "it", "minute", "minutes",
-           "of", "o'clock", "oh", "on", "or", "past", "per", "point",
-           "quarter", "so", "than", "that", "the", "then", "this", "to",
+           "for", "from", "if", "in", "is", "it", "of", "oh", "on", "or",
+           "per", "point", "so", "than", "that", "the", "then", "this",
            "until", "was", "were", "when", "while", "with"},
     "de": {"aber", "als", "am", "an", "auf", "bei", "bis", "das", "dem",
            "den", "der", "des", "die", "doch", "eine", "einem", "einen",
-           "einer", "fuer", "halb", "im", "in", "ist", "komma", "minute",
-           "minuten", "mit", "nach", "oder", "pro", "seit", "sind", "so",
-           "uhr", "um", "und", "viertel", "von", "vor", "war", "waren",
-           "wenn", "zu"},
+           "einer", "fuer", "im", "in", "ist", "komma", "mit", "oder", "pro",
+           "seit", "sind", "so", "um", "und", "von", "war", "waren", "wenn",
+           "zu"},
 }
+# Function words and the words of clock phrases ("quarter past", "Uhr")
+# cannot serve as a quantity unit.
+_UNIT_STOPWORDS = {
+    language: words | {key for phrase in (HOUR_NOUNS[language], *MINUTE_NOUNS[language],
+                                          *(style.words for style in CLOCK_STYLES[language]))
+                       for key in phrase_keys(phrase)}
+    for language, words in _FUNCTION_WORDS.items()}
 
 _AM_HINTS = (PeriodHint.EXPLICIT_AM, PeriodHint.MORNING)
 _PM_HINTS = (PeriodHint.EXPLICIT_PM, PeriodHint.AFTERNOON, PeriodHint.EVENING,

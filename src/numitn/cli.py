@@ -11,8 +11,9 @@ import argparse
 import random
 import sys
 from contextlib import contextmanager
+from itertools import zip_longest
 from pathlib import Path
-from typing import IO, Callable, Iterator, Optional
+from typing import IO, Callable, Iterable, Iterator, Optional
 
 from .datagen import (
     DEFAULT_VOICES,
@@ -28,7 +29,7 @@ from .datagen import (
 from .evaluate import EvalItem, evaluate, render_report
 from .extract import extract_numeric_literals
 from .locales import DEFAULT_CONFIG, Locale, LocaleConfig, load_locale_config
-from .manifest import iter_manifest, read_manifest, write_manifest
+from .manifest import ManifestError, iter_manifest_lines, write_manifest
 from .pipeline import normalize_text
 from .types import ExpressionType
 from .verbalize import verbalize_line
@@ -81,6 +82,17 @@ def _stripped(handle: IO[str]) -> Iterator[str]:
         yield line.rstrip("\n")
 
 
+def _paired(items: Iterable, lines: Iterable[str], lines_name: str,
+            items_name: str) -> Iterator[tuple]:
+    """Each item with its line; a count mismatch raises ``MisalignedInputs``."""
+    for item, line in zip_longest(items, lines, fillvalue=_SENTINEL):
+        if line is _SENTINEL:
+            raise MisalignedInputs(f"{lines_name} has fewer lines than {items_name}")
+        if item is _SENTINEL:
+            raise MisalignedInputs(f"{lines_name} has more lines than {items_name}")
+        yield item, line
+
+
 def _each_line(args: argparse.Namespace, render: Callable[[int, str], str], *,
                pass_through: bool = True) -> int:
     """Write ``render(line_no, line)`` for every input line.
@@ -121,52 +133,49 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    """Score each manifest record against its hypothesis line.
+
+    A bad record is reported as "line N: reason" and skipped with its
+    hypothesis line, so the rest stay paired; the exit status is then 1.
+    """
     cfg = _config(args)
-    records = iter_manifest(args.manifest)
+    status = 0
     with _open_in(args.hypotheses) as handle:
-        hyp_lines = _stripped(handle)
 
         def items() -> Iterator[EvalItem]:
-            for record in records:
-                line = next(hyp_lines, _SENTINEL)
-                if line is _SENTINEL:
-                    raise MisalignedInputs(
-                        "hypothesis file has fewer lines than the manifest")
-                hypothesis = line
+            nonlocal status
+            for (line_no, record), hypothesis in _paired(
+                    iter_manifest_lines(args.manifest), _stripped(handle),
+                    "hypothesis file", "the manifest"):
+                if args.normalize_before_wer and not isinstance(record, ManifestError) \
+                        and record.locale not in cfg.locales:
+                    record = ManifestError(f"record {record.id}: unknown locale {record.locale!r}")
+                if isinstance(record, ManifestError):
+                    print(f"line {line_no}: {record}", file=sys.stderr)
+                    status = 1
+                    continue
                 if args.normalize_before_wer:
-                    if record.locale not in cfg.locales:
-                        raise ValueError(
-                            f"record {record.id}: unknown locale {record.locale!r}")
                     hypothesis = normalize_text(
                         hypothesis, cfg.locales[record.locale], cfg.currencies)
                 expected = tuple((surface, ExpressionType(expr_type))
                                  for surface, expr_type in record.expressions)
                 yield EvalItem(record.formatted, hypothesis, expected)
-            if next(hyp_lines, _SENTINEL) is not _SENTINEL:
-                raise MisalignedInputs(
-                    "hypothesis file has more lines than the manifest")
 
         report = evaluate(items())
     print(render_report(report, args.format))
-    return 0
+    return status
 
 
 def _cmd_guard(args: argparse.Namespace) -> int:
     config = GuardConfig(args.threshold)
     with _open_in(args.source) as src, _open_in(args.rewritten) as rew:
-        source_lines = _stripped(src)
-        rewritten_lines = _stripped(rew)
-        for line_no, source in enumerate(source_lines, start=1):
-            rewritten = next(rewritten_lines, _SENTINEL)
-            if rewritten is _SENTINEL:
-                raise MisalignedInputs("rewritten file has fewer lines than source")
+        pairs = _paired(_stripped(src), _stripped(rew), "rewritten file", "source")
+        for line_no, (source, rewritten) in enumerate(pairs, start=1):
             decision = guard(source, rewritten, config)
             print(decision.text)
             verdict = "kept" if decision.kept else "reverted"
             print(f"line {line_no}: {verdict} wer={decision.wer:.3f}",
                   file=sys.stderr)
-        if next(rewritten_lines, _SENTINEL) is not _SENTINEL:
-            raise MisalignedInputs("rewritten file has more lines than source")
     return 0
 
 
@@ -203,7 +212,14 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_split(args: argparse.Namespace) -> int:
-    records = read_manifest(args.manifest)
+    """Split the manifest; a line that holds no record is reported and left out."""
+    records, status = [], 0
+    for line_no, entry in iter_manifest_lines(args.manifest):
+        if isinstance(entry, ManifestError):
+            print(f"line {line_no}: {entry}", file=sys.stderr)
+            status = 1
+        else:
+            records.append(entry)
     spec = SplitSpec(args.train, args.dev, args.test, args.seed)
     train, dev, test = split_disjoint(records, spec)
     out_dir = Path(args.out_dir)
@@ -212,7 +228,7 @@ def _cmd_split(args: argparse.Namespace) -> int:
     for name, part in named.items():
         write_manifest(part, out_dir / f"{name}.jsonl")
     print(corpus_statistics(named), file=sys.stderr)
-    return 0
+    return status
 
 
 def _parser() -> argparse.ArgumentParser:

@@ -11,11 +11,18 @@ from typing import Callable, Optional
 
 from .lexicon import (
     AND_KEYS,
+    CLOCK_STYLES,
     DE_MAGNITUDE_WORDS,
     DE_THOUSAND,
     EN_HUNDRED,
     EN_MAGNITUDE_WORDS,
     EN_OH,
+    HOUR_BEFORE_ONE,
+    HOUR_NOUNS,
+    MAX_COUNTED_MINUTE,
+    MERIDIEMS,
+    MINUTE_NOUNS,
+    PERIOD_PHRASES,
     POINT_KEYS,
     _EN_SCALES,
     _digit_value_folded,
@@ -23,6 +30,8 @@ from .lexicon import (
     en_tens,
     en_two_digit,
     en_unit,
+    fold_german,
+    phrase_keys,
 )
 from .locales import CURRENCY_WORDS, Locale, MINOR_UNIT_WORDS
 from .tokenizer import Token, tokenize
@@ -38,23 +47,36 @@ from .types import (
     TimeOfDay,
 )
 
-_DIGIT_HOUR_RE = re.compile(r"(\d{1,2})$")
+_TWO_DIGITS_RE = re.compile(r"(\d{1,2})$")
 _DIGIT_TIME_RE = re.compile(r"(\d{1,2})[.:]([0-5]\d)$")
-_DIGIT_HOUR_AMPM_RE = re.compile(r"(\d{1,2})(am|pm)$")
-_DIGIT_TIME_AMPM_RE = re.compile(r"(\d{1,2})[.:]([0-5]\d)(am|pm)$")
+_DIGIT_AMPM_RE = re.compile(rf"(\d{{1,2}})(?:[.:]([0-5]\d))?({'|'.join(MERIDIEMS['en'])})$")
 
-_EN_PERIOD_WORDS = {"morning": PeriodHint.MORNING, "afternoon": PeriodHint.AFTERNOON,
-                    "evening": PeriodHint.EVENING}
-_DE_PERIOD_WORDS = {"morgens": PeriodHint.MORNING, "vormittags": PeriodHint.MORNING,
-                    "mittags": PeriodHint.AFTERNOON, "nachmittags": PeriodHint.AFTERNOON,
-                    "abends": PeriodHint.EVENING, "nachts": PeriodHint.NIGHT}
+# Clock parse keys, derived from the lexicon's spellings.
+_HOUR_NOUN = {language: fold_german(noun) for language, noun in HOUR_NOUNS.items()}
+_MINUTE_NOUNS = {language: set(map(fold_german, nouns))
+                 for language, nouns in MINUTE_NOUNS.items()}
+_MERIDIEMS = {language: dict(zip(map(fold_german, words),
+                                 (PeriodHint.EXPLICIT_AM, PeriodHint.EXPLICIT_PM)))
+              for language, words in MERIDIEMS.items()}
 
-# Words that open a clock phrase without a number ("quarter past", "halb acht").
-_EN_QUARTER, _EN_HALF = "quarter", "half"
-_DE_QUARTER, _DE_HALF = "viertel", "halb"
 
-_EN_MINUTE_NOUNS = {"minutes", "minute"}
-_DE_MINUTE_NOUNS = {"minuten", "minute"}
+def _by_first_key(entries):
+    """(keys, value) pairs grouped by their first key, so a position costs one lookup."""
+    index: dict[str, list] = {}
+    for keys, value in entries:
+        index.setdefault(keys[0], []).append((keys, value))
+    return index
+
+
+_PERIODS = {language: _by_first_key((phrase_keys(phrase), hint)
+                                    for hint, phrases in periods.items() for phrase in phrases)
+            for language, periods in PERIOD_PHRASES.items()}
+# The idioms with a fixed minute start a phrase; the counted ones follow a count.
+_IDIOMS = {language: _by_first_key((phrase_keys(s.words), s) for s in styles
+                                   if s.words and not s.counted)
+           for language, styles in CLOCK_STYLES.items()}
+_COUNTED = {language: _by_first_key((phrase_keys(s.words), s) for s in styles if s.counted)
+            for language, styles in CLOCK_STYLES.items()}
 
 
 def _word(tokens: list[Token], i: int) -> Optional[str]:
@@ -292,47 +314,31 @@ def parse_cardinal(tokens: list[Token], at: int, locale: Locale) -> Optional[Can
 # --- clock phrases -----------------------------------------------------------
 
 
-def _ampm_hint(word: Optional[str]) -> Optional[PeriodHint]:
-    if word is None:
-        return None
-    stripped = word.replace(".", "")
-    if stripped == "am":
-        return PeriodHint.EXPLICIT_AM
-    if stripped == "pm":
-        return PeriodHint.EXPLICIT_PM
-    return None
+def _meridiem(tokens: list[Token], i: int, language: str) -> Optional[PeriodHint]:
+    """The hint of an am/pm word ("p.m." too) at token ``i``; German has none."""
+    key = _key(tokens, i)
+    return None if key is None else _MERIDIEMS[language].get(key.replace(".", ""))
 
 
-def _en_hour_word(tokens: list[Token], i: int) -> Optional[int]:
-    # Word hours run to 23 ("nineteen forty-five"); the 12-hour idioms
-    # re-check their own bound.
-    w = _word(tokens, i)
-    if w is None:
+def _spells(tokens: list[Token], i: int, keys: tuple[str, ...]) -> bool:
+    # Every key holds a letter, so a punctuation token never equals one.
+    return i + len(keys) <= len(tokens) and all(
+        tokens[i + k].folded == key for k, key in enumerate(keys))
+
+
+def _clock_number(tokens: list[Token], i: int, language: str) -> Optional[int]:
+    """An hour or minute said as a number word or one or two digits.
+
+    English number words start at one: "zero" is no hour.
+    """
+    key = _key(tokens, i)
+    if key is None:
         return None
-    value = en_unit(w)
+    value = _parse_de_folded(key) if language == "de" else en_unit(key) or en_two_digit(key)
     if value is None:
-        value = en_two_digit(w)
-    if value is not None:
-        return value if 1 <= value <= 23 else None
-    m = _DIGIT_HOUR_RE.match(w)
-    if m and int(m.group(1)) <= 23:
-        return int(m.group(1))
-    return None
-
-
-def _de_hour_word(tokens: list[Token], i: int, *, allow_digits: bool = True,
-                  high: bool = True) -> Optional[int]:
-    w = _word(tokens, i)
-    if w is None:
-        return None
-    value = _parse_de_folded(_key(tokens, i))
-    if value is not None:
-        return value if 0 <= value <= (23 if high else 12) else None
-    if allow_digits:
-        m = _DIGIT_HOUR_RE.match(w)
-        if m and int(m.group(1)) <= 23:
-            return int(m.group(1))
-    return None
+        m = _TWO_DIGITS_RE.match(key)
+        value = int(m.group(1)) if m else None
+    return value
 
 
 def _en_minute_words(tokens: list[Token], i: int) -> Optional[tuple[int, int]]:
@@ -352,176 +358,126 @@ def _en_minute_words(tokens: list[Token], i: int) -> Optional[tuple[int, int]]:
 
 def _relative_minutes(tokens: list[Token], cardinal: Optional[CandidateParse],
                       language: str) -> Optional[tuple[int, int]]:
-    """Leading minute count of "M [minutes] past/to H"; returns (M, end)."""
+    """Leading minute count of "M [minutes] past/to H"; returns (end, M)."""
     if cardinal is None or cardinal.magnitude_word or cardinal.pair_reading:
         return None
     value = cardinal.value
     if not value.is_integer or not 1 <= value.mantissa <= 59:
         return None
     end = cardinal.span.end
-    nouns = _DE_MINUTE_NOUNS if language == "de" else _EN_MINUTE_NOUNS
-    if _key(tokens, end) in nouns:
-        return value.mantissa, end + 1
-    if value.mantissa <= 29:
-        # Bare counts ("five past seven") are idiomatic up to 29.
-        return value.mantissa, end
+    if _key(tokens, end) in _MINUTE_NOUNS[language]:
+        return end + 1, value.mantissa
+    if value.mantissa <= MAX_COUNTED_MINUTE:
+        # Bare counts ("five past seven") are idiomatic up to the half hour.
+        return end, value.mantissa
     return None
 
 
 def _period_lookahead(tokens: list[Token], i: int, language: str) -> Optional[PeriodHint]:
-    if language == "de":
-        return _DE_PERIOD_WORDS.get(_key(tokens, i))
-    if _word(tokens, i) == "at" and _word(tokens, i + 1) == "night":
-        return PeriodHint.NIGHT
-    if _word(tokens, i) == "in" and _word(tokens, i + 1) == "the":
-        return _EN_PERIOD_WORDS.get(_word(tokens, i + 2) or "")
+    for keys, hint in _PERIODS[language].get(_key(tokens, i), ()):
+        if _spells(tokens, i, keys):
+            return hint
     return None
 
 
-def _clock_candidate(tokens: list[Token], at: int, end: int, hour: int,
-                     minute: int, hint: Optional[PeriodHint],
-                     language: str) -> CandidateParse:
+def _clock_candidate(tokens: list[Token], at: int, end: int, hour: int, minute: int,
+                     language: str, hint: Optional[PeriodHint] = None) -> CandidateParse:
+    """The clock phrase from ``at`` to ``end``.
+
+    Unless ``hint`` is given, an am/pm word after it joins it, else a period phrase sets it.
+    """
     if hint is None:
-        hint = _period_lookahead(tokens, end, language) or PeriodHint.UNSPECIFIED
-    return CandidateParse(Span(at, end), ParseKind.CLOCK,
-                          TimeOfDay(hour, minute, hint))
+        hint = _meridiem(tokens, end, language)
+        if hint is not None:
+            end += 1
+        else:
+            hint = _period_lookahead(tokens, end, language) or PeriodHint.UNSPECIFIED
+    return CandidateParse(Span(at, end), ParseKind.CLOCK, TimeOfDay(hour, minute, hint))
 
 
-def _wrap_back(hour: int, language: str) -> int:
-    # "quarter to one": EN keeps the 12-hour face, DE wraps to 0.
-    if hour == 0:
-        return 12 if language == "en" else 0
-    return hour
-
-
-def _parse_clock_en(tokens: list[Token], at: int,
-                    cardinal: Optional[CandidateParse]) -> list[CandidateParse]:
+def _parse_hour_first_en(tokens: list[Token], at: int) -> list[CandidateParse]:
+    """Digit times, "H o'clock", "H pm", "H MM pm" and "H MM in the evening"."""
     out: list[CandidateParse] = []
     w = _word(tokens, at)
     if w is None:
         return out
 
-    m = _DIGIT_HOUR_AMPM_RE.match(w)
+    m = _DIGIT_AMPM_RE.match(w)
     if m and int(m.group(1)) <= 23:
-        out.append(_clock_candidate(tokens, at, at + 1, int(m.group(1)), 0,
-                                    _ampm_hint(m.group(2)), "en"))
-    m = _DIGIT_TIME_AMPM_RE.match(w)
-    if m and int(m.group(1)) <= 23:
-        out.append(_clock_candidate(tokens, at, at + 1, int(m.group(1)),
-                                    int(m.group(2)), _ampm_hint(m.group(3)), "en"))
+        out.append(_clock_candidate(tokens, at, at + 1, int(m.group(1)), int(m.group(2) or 0),
+                                    "en", _MERIDIEMS["en"][m.group(3)]))
     m = _DIGIT_TIME_RE.match(w)
-    if m and int(m.group(1)) <= 23:
-        hint = _ampm_hint(_word(tokens, at + 1))
-        if hint is not None:
-            out.append(_clock_candidate(tokens, at, at + 2, int(m.group(1)),
-                                        int(m.group(2)), hint, "en"))
+    if m and int(m.group(1)) <= 23 and _meridiem(tokens, at + 1, "en") is not None:
+        out.append(_clock_candidate(tokens, at, at + 1, int(m.group(1)), int(m.group(2)), "en"))
 
-    def with_trailing_ampm(end: int, hour: int, minute: int) -> None:
-        hint = _ampm_hint(_word(tokens, end))
-        if hint is not None:
-            out.append(_clock_candidate(tokens, at, end + 1, hour, minute, hint, "en"))
-        else:
-            out.append(_clock_candidate(tokens, at, end, hour, minute, None, "en"))
-
-    if w == _EN_QUARTER and _word(tokens, at + 1) in ("past", "to"):
-        hour = _en_hour_word(tokens, at + 2)
-        if hour is not None and hour <= 12:
-            if _word(tokens, at + 1) == "past":
-                with_trailing_ampm(at + 3, hour, 15)
-            elif hour >= 1:
-                with_trailing_ampm(at + 3, _wrap_back(hour - 1, "en"), 45)
-    if w == _EN_HALF and _word(tokens, at + 1) == "past":
-        hour = _en_hour_word(tokens, at + 2)
-        if hour is not None and hour <= 12:
-            with_trailing_ampm(at + 3, hour, 30)
-
-    rel = _relative_minutes(tokens, cardinal, "en")
-    if rel is not None:
-        minutes, i = rel
-        direction = _word(tokens, i)
-        if direction in ("past", "to"):
-            hour = _en_hour_word(tokens, i + 1)
-            if hour is not None and hour <= 12:
-                if direction == "past":
-                    with_trailing_ampm(i + 2, hour, minutes)
-                elif hour >= 1:
-                    with_trailing_ampm(i + 2, _wrap_back(hour - 1, "en"), 60 - minutes)
-
-    hour = _en_hour_word(tokens, at)
-    if hour is not None:
-        if _word(tokens, at + 1) == "o'clock":
-            with_trailing_ampm(at + 2, hour, 0)
-        hint = _ampm_hint(_word(tokens, at + 1))
-        if hint is not None:
-            out.append(_clock_candidate(tokens, at, at + 2, hour, 0, hint, "en"))
-        minutes = _en_minute_words(tokens, at + 1)
-        if minutes is not None:
-            hint = _ampm_hint(_word(tokens, minutes[1]))
-            if hint is not None:
-                out.append(_clock_candidate(tokens, at, minutes[1] + 1, hour,
-                                            minutes[0], hint, "en"))
-            elif _period_lookahead(tokens, minutes[1], "en") is not None:
-                # Bare hour-minute pairs need a period phrase to outrank
-                # the year reading ("nineteen forty-five in the evening").
-                out.append(_clock_candidate(tokens, at, minutes[1], hour,
-                                            minutes[0], None, "en"))
+    hour = _clock_number(tokens, at, "en")
+    if hour is None or hour > 23:
+        return out
+    if _key(tokens, at + 1) == _HOUR_NOUN["en"]:
+        out.append(_clock_candidate(tokens, at, at + 2, hour, 0, "en"))
+    if _meridiem(tokens, at + 1, "en") is not None:
+        out.append(_clock_candidate(tokens, at, at + 1, hour, 0, "en"))
+    minutes = _en_minute_words(tokens, at + 1)
+    # Bare hour-minute pairs need am/pm or a period phrase to outrank the
+    # year reading ("nineteen forty-five in the evening").
+    if minutes is not None and (_meridiem(tokens, minutes[1], "en") is not None
+                                or _period_lookahead(tokens, minutes[1], "en") is not None):
+        out.append(_clock_candidate(tokens, at, minutes[1], hour, minutes[0], "en"))
     return out
 
 
-def _parse_clock_de(tokens: list[Token], at: int,
-                    cardinal: Optional[CandidateParse]) -> list[CandidateParse]:
+def _parse_hour_first_de(tokens: list[Token], at: int) -> list[CandidateParse]:
+    """"H Uhr [M]" and "HH.MM Uhr"."""
     out: list[CandidateParse] = []
     w = _word(tokens, at)
-    if w is None:
+    if w is None or _key(tokens, at + 1) != _HOUR_NOUN["de"]:
         return out
-    folded = tokens[at].folded
 
-    hour = _de_hour_word(tokens, at)
-    if hour is not None and _key(tokens, at + 1) == "uhr":
+    hour = _clock_number(tokens, at, "de")
+    if hour is not None and hour <= 23:
         i = at + 2
-        out.append(_clock_candidate(tokens, at, i, hour, 0, None, "de"))
-        nxt = _word(tokens, i)
-        minute = _parse_de_folded(_key(tokens, i)) if nxt else None
-        if minute is None and nxt and nxt.isdigit() and len(nxt) <= 2:
-            minute = int(nxt)
-        if minute is not None and 0 <= minute <= 59:
-            out.append(_clock_candidate(tokens, at, i + 1, hour, minute, None, "de"))
+        out.append(_clock_candidate(tokens, at, i, hour, 0, "de"))
+        minute = _clock_number(tokens, i, "de")
+        if minute is not None and minute <= 59:
+            out.append(_clock_candidate(tokens, at, i + 1, hour, minute, "de"))
 
     m = _DIGIT_TIME_RE.match(w)
-    if m and int(m.group(1)) <= 23 and _key(tokens, at + 1) == "uhr":
+    if m and int(m.group(1)) <= 23:
         # "15.45 Uhr" or "15:45 Uhr": reformat and drop the Uhr token.
-        out.append(_clock_candidate(tokens, at, at + 2, int(m.group(1)),
-                                    int(m.group(2)), None, "de"))
+        out.append(_clock_candidate(tokens, at, at + 2, int(m.group(1)), int(m.group(2)), "de"))
+    return out
 
-    if folded == _DE_QUARTER:
-        direction = _key(tokens, at + 1)
-        if direction in ("nach", "vor"):
-            hour = _de_hour_word(tokens, at + 2, allow_digits=False, high=False)
-            if hour is not None and hour >= 1:
-                if direction == "nach":
-                    out.append(_clock_candidate(tokens, at, at + 3, hour, 15, None, "de"))
-                else:
-                    out.append(_clock_candidate(tokens, at, at + 3,
-                                                _wrap_back(hour - 1, "de"), 45, None, "de"))
-    if folded == _DE_HALF:
-        hour = _de_hour_word(tokens, at + 1, allow_digits=False, high=False)
-        if hour is not None and hour >= 1:
-            out.append(_clock_candidate(tokens, at, at + 2,
-                                        _wrap_back(hour - 1, "de"), 30, None, "de"))
 
-    rel = _relative_minutes(tokens, cardinal, "de")
-    if rel is not None:
-        minutes, i = rel
-        direction = _key(tokens, i)
-        if direction in ("nach", "vor"):
-            hour = _de_hour_word(tokens, i + 1, allow_digits=False, high=False)
-            if hour is not None and hour >= 1:
-                if direction == "nach":
-                    out.append(_clock_candidate(tokens, at, i + 2, hour, minutes, None, "de"))
-                else:
-                    out.append(_clock_candidate(tokens, at, i + 2,
-                                                _wrap_back(hour - 1, "de"),
-                                                60 - minutes, None, "de"))
+def _parse_idioms(tokens: list[Token], at: int, cardinal: Optional[CandidateParse],
+                  language: str) -> list[CandidateParse]:
+    """The styles that say words before the hour, as ``CLOCK_STYLES`` spells them.
+
+    A fixed idiom starts at ``at`` ("quarter past seven", "halb acht"); a
+    counted one follows the minute count ``cardinal`` holds ("five
+    [minutes] past seven").
+    """
+    starts = [(at, None, _IDIOMS[language])]
+    counted = _relative_minutes(tokens, cardinal, language)
+    if counted is not None:
+        starts.append((*counted, _COUNTED[language]))
+    out: list[CandidateParse] = []
+    for i, count, idioms in starts:
+        for keys, style in idioms.get(_key(tokens, i), ()):
+            if not _spells(tokens, i, keys):
+                continue
+            hour_at = i + len(keys)
+            hour = _clock_number(tokens, hour_at, language)
+            if hour is None or hour > 12 or (style.next_hour and hour == 0):
+                continue
+            if language == "de" and (hour == 0 or tokens[hour_at].folded[0].isdigit()):
+                # German says the hour in words and from one up.
+                continue
+            minute = style.minute
+            if minute is None:
+                minute = 60 - count if style.next_hour else count
+            if style.next_hour:
+                hour = hour - 1 or HOUR_BEFORE_ONE[language]
+            out.append(_clock_candidate(tokens, at, hour_at + 1, hour, minute, language))
     return out
 
 
@@ -532,10 +488,9 @@ def parse_clock_phrase(tokens: list[Token], at: int, locale: Locale,
     ``cardinal`` is ``parse_cardinal(tokens, at, locale)``; the "M past H"
     forms read their minute count from it.
     """
-    if locale.language == "de":
-        candidates = _parse_clock_de(tokens, at, cardinal)
-    else:
-        candidates = _parse_clock_en(tokens, at, cardinal)
+    language = locale.language
+    candidates = (_parse_hour_first_de if language == "de" else _parse_hour_first_en)(tokens, at)
+    candidates += _parse_idioms(tokens, at, cardinal, language)
     if not candidates:
         return None
     return max(candidates, key=lambda c: len(c.span))
@@ -594,8 +549,8 @@ def _can_start(token: Token, language: str) -> bool:
 
     Every parser reads its first token through ``_word``/``_key`` and goes
     on only from a word that starts with a digit (the digit patterns are
-    anchored on ``\\d``, a subset of ``str.isdigit``), a clock start word or
-    a number word. The "M past H" clock forms start from a cardinal.
+    anchored on ``\\d``, a subset of ``str.isdigit``), a clock idiom's first
+    word or a number word. The counted clock forms start from a cardinal.
     """
     if not token.is_word:
         return False
@@ -604,8 +559,8 @@ def _can_start(token: Token, language: str) -> bool:
         return True
     if language == "de":
         key = token.folded
-        return key in (_DE_QUARTER, _DE_HALF) or _parse_de_folded(key) is not None
-    return w in (_EN_QUARTER, _EN_HALF) or en_unit(w) is not None or en_two_digit(w) is not None
+        return key in _IDIOMS["de"] or _parse_de_folded(key) is not None
+    return w in _IDIOMS["en"] or en_unit(w) is not None or en_two_digit(w) is not None
 
 
 def scan_tokens(tokens: list[Token], locale: Locale) -> list[CandidateParse]:

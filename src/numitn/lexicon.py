@@ -1,15 +1,22 @@
-"""Number words for English and German, and cardinal verbalization.
+"""Number and clock words for English and German, and cardinal verbalization.
 
 Each word is spelled once, as the verbalizer writes it; the parse tables
 are derived from those spellings. English tables are keyed by the
 lowercase form. German matching is done on a folded form (lowercase, ss
 for ß, ae/oe/ue for umlauts) so ASR transliterations like
 "fuenfundvierzig" still parse.
+
+The clock tables spell each language's time styles ("quarter past",
+"halb", the counted "minutes to"), its clock nouns, am/pm words and
+day-period phrases. The clock parser, the verbalizer and the timestamp
+sweep all read them, so a new phrasing is one table entry.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NamedTuple, Optional
+
+from .types import PeriodHint
 
 _FOLD_TABLE = str.maketrans({"ä": "ae", "ö": "oe", "ü": "ue", "ß": "ss"})
 
@@ -278,3 +285,69 @@ def _digit_value_folded(text: str, language: str) -> Optional[int]:
     if text == EN_OH:
         return 0
     return _EN_UNITS.get(text)
+
+
+# --- clock words -------------------------------------------------------------
+
+# Counted styles ("five minutes past seven") stop short of the half hour.
+MAX_COUNTED_MINUTE = 29
+
+
+class ClockStyle(NamedTuple):
+    """One way to say a time of day; ``words`` come before the hour, if any.
+
+    ``minute`` is None for a counted style ("five minutes past") and for
+    hour-minute. A ``next_hour`` style names the coming hour ("quarter to
+    eight" is 7:45). The verbalizer ends a ``period`` style with a
+    day-period phrase; the others say am/pm or use the 24-hour clock.
+    """
+
+    name: str
+    words: str = ""
+    minute: Optional[int] = None
+    next_hour: bool = False
+    period: bool = True
+
+    @property
+    def counted(self) -> bool:
+        return self.minute is None and bool(self.words)
+
+
+# Each language's time styles, in the order the verbalizer offers them.
+CLOCK_STYLES = {
+    "en": (ClockStyle("oclock", minute=0),
+           ClockStyle("quarter_past", "quarter past", 15),
+           ClockStyle("half_past", "half past", 30),
+           ClockStyle("quarter_to", "quarter to", 45, next_hour=True),
+           ClockStyle("minutes_past", "past"),
+           ClockStyle("minutes_to", "to", next_hour=True),
+           ClockStyle("hour_minute", period=False)),
+    "de": (ClockStyle("uhr", minute=0, period=False),
+           ClockStyle("viertel_nach", "viertel nach", 15),
+           ClockStyle("halb", "halb", 30, next_hour=True),
+           ClockStyle("viertel_vor", "viertel vor", 45, next_hour=True),
+           ClockStyle("minuten_nach", "nach"),
+           ClockStyle("minuten_vor", "vor", next_hour=True),
+           ClockStyle("uhr_minute", period=False)),
+}
+HOUR_NOUNS = {"en": "o'clock", "de": "Uhr"}
+MINUTE_NOUNS = {"en": ("minute", "minutes"), "de": ("Minute", "Minuten")}
+MERIDIEMS = {"en": ("am", "pm"), "de": ()}
+# Day-period phrases by hint; the verbalizer writes the first.
+PERIOD_PHRASES = {
+    "en": {PeriodHint.MORNING: ("in the morning",),
+           PeriodHint.AFTERNOON: ("in the afternoon",),
+           PeriodHint.EVENING: ("in the evening",),
+           PeriodHint.NIGHT: ("at night",)},
+    "de": {PeriodHint.MORNING: ("morgens", "vormittags"),
+           PeriodHint.AFTERNOON: ("nachmittags", "mittags"),
+           PeriodHint.EVENING: ("abends",),
+           PeriodHint.NIGHT: ("nachts",)},
+}
+# The hour before one on the face a next-hour style names: "quarter to
+# one" is 12:45, "halb eins" is 0:30.
+HOUR_BEFORE_ONE = {"en": 12, "de": 0}
+
+
+def phrase_keys(phrase: str) -> tuple[str, ...]:
+    return tuple(fold_german(word) for word in phrase.split())

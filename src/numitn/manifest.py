@@ -73,9 +73,13 @@ class ManifestRecord:
         missing = [name for name in _FIELD_ORDER[:6] if name not in obj]
         if missing:
             raise ManifestError(f"missing fields: {missing}")
+        mistyped = [name for name in _FIELD_ORDER[:5] if not isinstance(obj[name], str)]
+        if mistyped:
+            raise ManifestError(f"fields must be strings: {mistyped}")
         data = dict(obj)
         raw = data["expressions"]
-        if not isinstance(raw, list) or any(len(pair) != 2 for pair in raw):
+        if not isinstance(raw, list) or any(not isinstance(pair, list) or len(pair) != 2
+                                            for pair in raw):
             raise ManifestError("expressions must be [surface, type] pairs")
         data["expressions"] = tuple((str(s), str(t)) for s, t in raw)
         return cls(**data)
@@ -98,19 +102,27 @@ def _write(records: Iterable[ManifestRecord], path: str | Path, mode: str) -> in
     return count
 
 
-def iter_manifest(path: str | Path) -> Iterator[ManifestRecord]:
+def iter_manifest_lines(
+        path: str | Path) -> Iterator[tuple[int, ManifestRecord | ManifestError]]:
+    """Each non-blank line's number with its record, or the error that line holds."""
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                entry = ManifestRecord.from_obj(json.loads(line))
             except json.JSONDecodeError as err:
-                raise ManifestError(f"{path}:{line_no}: invalid JSON: {err}") from err
-            try:
-                yield ManifestRecord.from_obj(obj)
+                entry = ManifestError(f"invalid JSON: {err}")
             except ManifestError as err:
-                raise ManifestError(f"{path}:{line_no}: {err}") from err
+                entry = err
+            yield line_no, entry
+
+
+def iter_manifest(path: str | Path) -> Iterator[ManifestRecord]:
+    for line_no, entry in iter_manifest_lines(path):
+        if isinstance(entry, ManifestError):
+            raise ManifestError(f"{path}:{line_no}: {entry}") from entry
+        yield entry
 
 
 def read_manifest(path: str | Path) -> list[ManifestRecord]:

@@ -11,13 +11,20 @@ import re
 from typing import Optional
 
 from .extract import extract_numeric_literals
-from .grammar import _wrap_back
 from .lexicon import (
     AND_WORDS,
+    CLOCK_STYLES,
     DE_EINE,
     EN_HUNDRED,
     EN_OH,
+    HOUR_BEFORE_ONE,
+    HOUR_NOUNS,
+    MAX_COUNTED_MINUTE,
+    MERIDIEMS,
+    MINUTE_NOUNS,
+    PERIOD_PHRASES,
     POINT_WORDS,
+    ClockStyle,
     de_two_digit_words,
     de_under_thousand_words,
     digit_words,
@@ -40,17 +47,6 @@ from .types import (
     Span,
     TimeOfDay,
 )
-
-_EN_PERIOD_PHRASE = {"morning": "in the morning", "afternoon": "in the afternoon",
-                     "evening": "in the evening"}
-_DE_PERIOD_PHRASE = {"morning": "morgens", "afternoon": "nachmittags",
-                     "evening": "abends"}
-
-EN_TIME_STYLES = ("oclock", "quarter_past", "half_past", "quarter_to",
-                  "minutes_past", "minutes_to", "hour_minute")
-DE_TIME_STYLES = ("uhr", "viertel_nach", "halb", "viertel_vor",
-                  "minuten_nach", "minuten_vor", "uhr_minute")
-
 
 def verbalize_decimal(value: NumericValue, language: str) -> str:
     """Integer part as a cardinal, fraction digits read one by one."""
@@ -94,169 +90,106 @@ def verbalize_year(year: int, language: str, style: Optional[str] = None) -> str
 # --- timestamps --------------------------------------------------------------
 
 
+_TWO_DIGIT_WORDS = {"en": en_two_digit_words, "de": de_two_digit_words}
+
+
 def _face(hour: int) -> int:
-    face = hour % 12
-    return face if face else 12
+    return hour % 12 or 12
 
 
-def _en_hour(face: int) -> str:
-    return en_two_digit_words(face)
-
-
-def _de_hour(face: int) -> str:
-    # Standalone hour after an idiom word, so 1 is "eins" not "ein".
-    return de_two_digit_words(face)
+# The day period said after a 12-hour-face time, by hour: none from 1 to 12.
+_PERIOD_OF_HOUR = ((PeriodHint.MORNING,) + (None,) * 12 + (PeriodHint.AFTERNOON,) * 5
+                   + (PeriodHint.EVENING,) * 6)
 
 
 def _period_suffix(hour: int, language: str) -> str:
     """Disambiguating phrase appended to 12-hour-face styles."""
-    table = _DE_PERIOD_PHRASE if language == "de" else _EN_PERIOD_PHRASE
-    if hour == 0:
-        return " " + table["morning"]
-    if 13 <= hour <= 17:
-        return " " + table["afternoon"]
-    if hour >= 18:
-        return " " + table["evening"]
-    return ""
+    hint = _PERIOD_OF_HOUR[hour]
+    return "" if hint is None else " " + PERIOD_PHRASES[language][hint][0]
+
+
+def _expresses(style: ClockStyle, minute: int, noon: bool, language: str) -> bool:
+    if style.next_hour and noon and HOUR_BEFORE_ONE[language] != 12:
+        # "halb eins nachmittags" parses back to 0:30: where the hour before
+        # one is 0, no next-hour style survives the round trip at 12:xx.
+        return False
+    if style.minute is not None:
+        return minute == style.minute
+    if style.counted:
+        return 1 <= (60 - minute if style.next_hour else minute) <= MAX_COUNTED_MINUTE
+    return True
+
+
+# The styles able to say each minute, at 12:xx (noon) and at other hours.
+_STYLES_BY_MINUTE = {
+    (language, noon): [tuple(s for s in styles if _expresses(s, minute, noon, language))
+                       for minute in range(60)]
+    for language, styles in CLOCK_STYLES.items() for noon in (False, True)}
 
 
 def applicable_time_styles(t: TimeOfDay, locale: Locale) -> tuple[str, ...]:
     """Phrase families able to express the given 24-hour time."""
-    h, m = t.hour, t.minute
-    out: list[str] = []
-    if locale.language == "de":
-        if m == 0:
-            out.append("uhr")
-        if m == 15:
-            out.append("viertel_nach")
-        # "halb eins nachmittags" parses back to 0:30; 12:xx has no
-        # German next-hour idiom that survives the round trip.
-        if m == 30 and h != 12:
-            out.append("halb")
-        if m == 45 and h != 12:
-            out.append("viertel_vor")
-        if 1 <= m <= 29:
-            out.append("minuten_nach")
-        if 31 <= m <= 59 and h != 12:
-            out.append("minuten_vor")
-        out.append("uhr_minute")
-    else:
-        if m == 0:
-            out.append("oclock")
-        if m == 15:
-            out.append("quarter_past")
-        if m == 30:
-            out.append("half_past")
-        if m == 45:
-            out.append("quarter_to")
-        if 1 <= m <= 29:
-            out.append("minutes_past")
-        if 31 <= m <= 59:
-            out.append("minutes_to")
-        out.append("hour_minute")
-    return tuple(out)
+    return tuple(s.name for s in _STYLES_BY_MINUTE[locale.language, t.hour == 12][t.minute])
 
 
-def _verbalize_time_en(t: TimeOfDay, style: str) -> str:
+def _time_phrase(t: TimeOfDay, style: ClockStyle, language: str) -> str:
+    """``t`` said in ``style``, without a day-period phrase."""
     h, m = t.hour, t.minute
-    suffix = _period_suffix(h, "en")
-    face = _en_hour(_face(h))
-    next_face = _en_hour(_face(h + 1))
-    if style == "oclock":
-        return f"{face} o'clock{suffix}"
-    if style == "quarter_past":
-        return f"quarter past {face}{suffix}"
-    if style == "half_past":
-        return f"half past {face}{suffix}"
-    if style == "quarter_to":
-        return f"quarter to {next_face}{suffix}"
-    if style == "minutes_past":
-        noun = "minute" if m == 1 else "minutes"
-        return f"{en_two_digit_words(m)} {noun} past {face}{suffix}"
-    if style == "minutes_to":
-        left = 60 - m
-        noun = "minute" if left == 1 else "minutes"
-        return f"{en_two_digit_words(left)} {noun} to {next_face}{suffix}"
+    if style.words:
+        words = _TWO_DIGIT_WORDS[language]
+        hour = words(_face(h + 1 if style.next_hour else h))
+        if not style.counted:
+            return f"{style.words} {hour}"
+        count = 60 - m if style.next_hour else m
+        # "eine Minute", as "eine Million" in _count_words.
+        count_words = DE_EINE if count == 1 and language == "de" else words(count)
+        return f"{count_words} {MINUTE_NOUNS[language][count != 1]} {style.words} {hour}"
+    if language == "de":
+        # German says the hour first on the 24-hour clock: "fünfzehn Uhr zehn".
+        phrase = f"{de_two_digit_words(h, final=False)} {HOUR_NOUNS[language]}"
+        return f"{phrase} {de_two_digit_words(m)}" if style.minute is None and m else phrase
+    face = en_two_digit_words(_face(h))
+    if style.minute == 0:
+        return f"{face} {HOUR_NOUNS[language]}"
     # hour_minute: explicit am/pm words instead of a period phrase.
-    meridiem = "am" if h < 12 else "pm"
+    meridiem = MERIDIEMS[language][h >= 12]
     if m == 0:
-        middle = ""
-    elif m < 10:
-        middle = f" {EN_OH} {en_two_digit_words(m)}"
-    else:
-        middle = f" {en_two_digit_words(m)}"
-    return f"{face}{middle} {meridiem}"
-
-
-def _verbalize_time_de(t: TimeOfDay, style: str) -> str:
-    h, m = t.hour, t.minute
-    suffix = _period_suffix(h, "de")
-    face = _de_hour(_face(h))
-    next_face = _de_hour(_face(h + 1))
-    if style in ("uhr", "uhr_minute"):
-        hour_words = de_two_digit_words(h, final=False)
-        if style == "uhr" or m == 0:
-            return f"{hour_words} Uhr"
-        return f"{hour_words} Uhr {de_two_digit_words(m)}"
-    if style == "viertel_nach":
-        return f"viertel nach {face}{suffix}"
-    if style == "halb":
-        return f"halb {next_face}{suffix}"
-    if style == "viertel_vor":
-        return f"viertel vor {next_face}{suffix}"
-    if style == "minuten_nach":
-        noun = "Minute" if m == 1 else "Minuten"
-        count = DE_EINE if m == 1 else de_two_digit_words(m)
-        return f"{count} {noun} nach {face}{suffix}"
-    if style == "minuten_vor":
-        left = 60 - m
-        noun = "Minute" if left == 1 else "Minuten"
-        count = DE_EINE if left == 1 else de_two_digit_words(left)
-        return f"{count} {noun} vor {next_face}{suffix}"
-    raise ValueError(f"unknown German time style: {style!r}")
+        return f"{face} {meridiem}"
+    oh = f"{EN_OH} " if m < 10 else ""
+    return f"{face} {oh}{en_two_digit_words(m)} {meridiem}"
 
 
 def verbalize_time(t: TimeOfDay, locale: Locale, style: Optional[str] = None,
                    rng: Optional[random.Random] = None) -> str:
-    styles = applicable_time_styles(t, locale)
+    styles = _STYLES_BY_MINUTE[locale.language, t.hour == 12][t.minute]
     if style is None:
-        style = rng.choice(styles) if rng is not None else styles[0]
-    if style not in styles:
-        raise ValueError(f"style {style!r} cannot express {t.hour}:{t.minute:02d}")
-    if locale.language == "de":
-        return _verbalize_time_de(t, style)
-    return _verbalize_time_en(t, style)
+        chosen = rng.choice(styles) if rng is not None else styles[0]
+    else:
+        chosen = next((s for s in styles if s.name == style), None)
+        if chosen is None:
+            raise ValueError(f"style {style!r} cannot express {t.hour}:{t.minute:02d}")
+    phrase = _time_phrase(t, chosen, locale.language)
+    return phrase + _period_suffix(t.hour, locale.language) if chosen.period else phrase
 
 
 def enumerate_timestamp_phrasings(locale: Locale) -> list[tuple[str, TimeOfDay]]:
-    """Six phrase families instantiated for every hour 1..12.
+    """Every style but hour-minute, said for every hour 1..12.
 
     Each entry pairs the phrase with the time it parses to before period
     resolution, e.g. EN hour one: "one o'clock", "quarter past one",
     "half past one", "quarter to one", "two minutes past one",
-    "two minutes to one".
+    "two minutes to one". The counted styles count two minutes.
     """
+    language = locale.language
     out: list[tuple[str, TimeOfDay]] = []
-    de = locale.language == "de"
-    two = verbalize_cardinal(2, locale.language)
     for hour in range(1, 13):
-        back = _wrap_back(hour - 1, locale.language)
-        if de:
-            face = _de_hour(hour)
-            out.append((f"{de_two_digit_words(hour, final=False)} Uhr", TimeOfDay(hour, 0)))
-            out.append((f"viertel nach {face}", TimeOfDay(hour, 15)))
-            out.append((f"halb {face}", TimeOfDay(back, 30)))
-            out.append((f"viertel vor {face}", TimeOfDay(back, 45)))
-            out.append((f"{two} Minuten nach {face}", TimeOfDay(hour, 2)))
-            out.append((f"{two} Minuten vor {face}", TimeOfDay(back, 58)))
-        else:
-            face = _en_hour(hour)
-            out.append((f"{face} o'clock", TimeOfDay(hour, 0)))
-            out.append((f"quarter past {face}", TimeOfDay(hour, 15)))
-            out.append((f"half past {face}", TimeOfDay(hour, 30)))
-            out.append((f"quarter to {face}", TimeOfDay(back, 45)))
-            out.append((f"{two} minutes past {face}", TimeOfDay(hour, 2)))
-            out.append((f"{two} minutes to {face}", TimeOfDay(back, 58)))
+        for style in CLOCK_STYLES[language]:
+            minute = (58 if style.next_hour else 2) if style.counted else style.minute
+            if minute is None:
+                continue
+            t = TimeOfDay(hour - 1 or HOUR_BEFORE_ONE[language] if style.next_hour else hour,
+                          minute)
+            out.append((_time_phrase(t, style, language), t))
     return out
 
 
@@ -295,16 +228,14 @@ def _currency_words(money: MoneyAmount, locale: Locale) -> str:
 
 
 def verbalize_value(expr: ParsedExpression, locale: Locale,
-                    style: Optional[str] = None,
                     rng: Optional[random.Random] = None) -> str:
     """Render a classified expression back into spoken number words."""
     language = locale.language
     if expr.expr_type == ExpressionType.YEAR:
-        if style is None and rng is not None:
-            style = rng.choice(year_styles(expr.payload, language))
+        style = None if rng is None else rng.choice(year_styles(expr.payload, language))
         return verbalize_year(expr.payload, language, style)
     if expr.expr_type == ExpressionType.TIMESTAMP:
-        return verbalize_time(expr.payload, locale, style, rng)
+        return verbalize_time(expr.payload, locale, rng=rng)
     if expr.expr_type == ExpressionType.CURRENCY:
         return _currency_words(expr.payload, locale)
     quantity: QuantityAmount = expr.payload

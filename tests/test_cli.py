@@ -262,10 +262,54 @@ class TestGenSplitEval:
                                for line in lines), encoding="utf-8")
         argv = ("eval", "--manifest", str(path), "--hypotheses", str(hyp))
         code, out, err = run(capsys, *argv, "--normalize-before-wer")
-        assert (code, out) == (1, "")
-        assert err == f"error: record {first['id']}: unknown locale 'en-gb'\n"
+        assert code == 1
+        assert err == f"line 1: record {first['id']}: unknown locale 'en-gb'\n"
+        # The record is skipped with its hypothesis line: the rest scores as
+        # a manifest without it.
+        rest, rest_hyp = tmp_path / "rest.jsonl", tmp_path / "rest.txt"
+        rest.write_text("\n".join(lines[1:]) + "\n", encoding="utf-8")
+        rest_hyp.write_text(hyp.read_text(encoding="utf-8").split("\n", 1)[1],
+                            encoding="utf-8")
+        assert run(capsys, "eval", "--manifest", str(rest), "--hypotheses",
+                   str(rest_hyp), "--normalize-before-wer") == (0, out, "")
         code, _, err = run(capsys, *argv)
         assert (code, err) == (0, "")
+
+    def broken_manifest(self, tmp_path, capsys):
+        """A generated manifest whose lines 3 and 5 hold no record."""
+        path = self.gen_manifest(tmp_path, capsys)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        mistyped = json.loads(lines[4])
+        mistyped["verbalized"] = 5
+        lines[2], lines[4] = "{not json", json.dumps(mistyped)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path, lines
+
+    def test_split_skips_malformed_records(self, tmp_path, capsys):
+        path, lines = self.broken_manifest(tmp_path, capsys)
+        out_dir = tmp_path / "splits"
+        code, _, err = run(capsys, "split", "--manifest", str(path),
+                           "--out-dir", str(out_dir))
+        assert code == 1
+        assert err.startswith("line 3: invalid JSON: ")
+        assert "\nline 5: fields must be strings: ['verbalized']\n" in err
+        assert "Traceback" not in err
+        total = sum(len(read_manifest(out_dir / f"{name}.jsonl"))
+                    for name in ("train", "dev", "test"))
+        assert total == len(lines) - 2
+
+    def test_eval_skips_malformed_records_with_their_hypotheses(self, tmp_path, capsys):
+        path, lines = self.broken_manifest(tmp_path, capsys)
+        hyp = tmp_path / "hyp.txt"
+        hyp.write_text("".join((json.loads(line)["formatted"] if i not in (2, 4) else "x")
+                               + "\n" for i, line in enumerate(lines)), encoding="utf-8")
+        code, out, err = run(capsys, "eval", "--manifest", str(path),
+                             "--hypotheses", str(hyp))
+        assert code == 1
+        assert err.startswith("line 3: invalid JSON: ")
+        assert err.endswith("\nline 5: fields must be strings: ['verbalized']\n")
+        # Every kept record met its own hypothesis: a perfect score.
+        assert out.splitlines()[1].split() == ["0.0"] + ["100.0"] * 5
 
     def test_split_needs_enough_groups(self, tmp_path, capsys):
         path = tmp_path / "tiny.jsonl"

@@ -250,6 +250,11 @@ class TestGermanClock:
     def test_idiom_hours_are_words_only(self):
         assert clock("halb 2", DE) is None
 
+    @pytest.mark.parametrize("minute", ["²", "123", "fünf-"])
+    def test_uhr_takes_only_a_word_or_two_digits_as_minute(self, minute):
+        c = clock(f"fünf Uhr {minute}", DE)
+        assert (c.span.end, c.value.hour, c.value.minute) == (2, 5, 0)
+
 
 class TestCurrency:
     def test_simple(self):

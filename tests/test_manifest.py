@@ -101,6 +101,19 @@ class TestSerialization:
         with pytest.raises(ManifestError, match="pairs"):
             ManifestRecord.from_obj(obj)
 
+    @pytest.mark.parametrize("pair", [5, None])
+    def test_non_list_pair_rejected(self, pair):
+        obj = {**json.loads(record().to_json()), "expressions": [pair]}
+        with pytest.raises(ManifestError, match="pairs"):
+            ManifestRecord.from_obj(obj)
+
+    @pytest.mark.parametrize("field,value", [("verbalized", 5), ("formatted", None),
+                                             ("locale", ["en"]), ("type", {})])
+    def test_non_string_field_rejected(self, field, value):
+        obj = {**json.loads(record().to_json()), field: value}
+        with pytest.raises(ManifestError, match=rf"fields must be strings: \['{field}'\]"):
+            ManifestRecord.from_obj(obj)
+
 
 class TestFiles:
     def test_write_read_round_trip(self, tmp_path):
