@@ -20,6 +20,9 @@ from .tokenizer import tokenize
 from .types import ExpressionType, Span
 
 _YEAR_GUESS_RE = re.compile(r"^[12]\d{3}$")
+# Every literal pattern needs a digit of this class, so a line without one
+# holds no literal.
+_DIGIT_RE = re.compile(r"\d")
 
 # Overlapping matches are resolved in this order.
 _PRIORITY = {ExpressionType.CURRENCY: 0, ExpressionType.TIMESTAMP: 1,
@@ -52,14 +55,16 @@ def _magnitude_pattern(locale: Locale) -> str:
 @lru_cache(maxsize=64)
 def _build_patterns(locale: Locale,
                     symbols: tuple[str, ...]) -> tuple[tuple[ExpressionType, re.Pattern[str]], ...]:
-    """Compiled literal patterns; ``symbols`` are escaped, longest first."""
+    """Compiled literal patterns for a registry's currency ``symbols``."""
     number = _number_pattern(locale)
     magnitude = _magnitude_pattern(locale)
     patterns: list[tuple[ExpressionType, re.Pattern[str]]] = []
-    if symbols:
+    # Escaped before sorting, so the longest escaped symbol is tried first.
+    escaped = sorted((re.escape(s) for s in symbols if s), key=len, reverse=True)
+    if escaped:
         # An alternation, not a character class, so "US$" matches whole
         # and its letters do not match on their own.
-        symbol = "(?:" + "|".join(symbols) + ")"
+        symbol = "(?:" + "|".join(escaped) + ")"
         if locale.currency_placement == "prefix":
             money = rf"{symbol}{number}{magnitude}\b"
         else:
@@ -76,11 +81,12 @@ def extract_numeric_literals(text: str, locale: Locale,
                              currencies: Optional[dict[str, CurrencyUnit]] = None
                              ) -> list[LiteralMatch]:
     """All formatted numeric literals, left to right, non-overlapping."""
+    if not _DIGIT_RE.search(text):
+        return []
     registry = currencies if currencies is not None else DEFAULT_CURRENCIES
-    symbols = sorted((re.escape(u.symbol) for u in registry.values() if u.symbol),
-                     key=len, reverse=True)
+    symbols = tuple(u.symbol for u in registry.values())
     raw: list[tuple[int, int, int, ExpressionType, str]] = []
-    for expr_type, pattern in _build_patterns(locale, tuple(symbols)):
+    for expr_type, pattern in _build_patterns(locale, symbols):
         for m in pattern.finditer(text):
             raw.append((m.start(), _PRIORITY[expr_type], -m.end(),
                         expr_type, m.group()))

@@ -16,6 +16,7 @@ from .lexicon import (
     DE_THOUSAND,
     EN_HUNDRED,
     EN_MAGNITUDE_WORDS,
+    EN_NUMBER_WORDS,
     EN_OH,
     HOUR_BEFORE_ONE,
     HOUR_NOUNS,
@@ -77,6 +78,8 @@ _IDIOMS = {language: _by_first_key((phrase_keys(s.words), s) for s in styles
            for language, styles in CLOCK_STYLES.items()}
 _COUNTED = {language: _by_first_key((phrase_keys(s.words), s) for s in styles if s.counted)
             for language, styles in CLOCK_STYLES.items()}
+# English words a parser can start from: a number word or an idiom opener.
+_EN_START_WORDS = EN_NUMBER_WORDS.union(_IDIOMS["en"])
 
 
 def _word(tokens: list[Token], i: int) -> Optional[str]:
@@ -560,7 +563,7 @@ def _can_start(token: Token, language: str) -> bool:
     if language == "de":
         key = token.folded
         return key in _IDIOMS["de"] or _parse_de_folded(key) is not None
-    return w in _IDIOMS["en"] or en_unit(w) is not None or en_two_digit(w) is not None
+    return w in _EN_START_WORDS
 
 
 def scan_tokens(tokens: list[Token], locale: Locale) -> list[CandidateParse]:

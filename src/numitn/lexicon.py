@@ -62,6 +62,12 @@ _EN_TEENS = {name: n for n, name in enumerate(_EN_UNIT_NAMES) if n >= 10}
 _EN_TENS = {name: 10 * n for n, name in enumerate(_EN_TENS_NAMES) if name}
 _EN_SCALES = {name: value for value, name in _EN_SCALE_NAMES}
 EN_MAGNITUDE_WORDS = tuple(name for value, name in _EN_SCALE_NAMES if value >= 10**6)
+# Single tokens naming 10..99: teens, tens and "<tens>-<unit>" ("forty-five").
+_EN_TWO_DIGIT = {**_EN_TEENS, **_EN_TENS,
+                 **{f"{tens}-{unit}": t + u for tens, t in _EN_TENS.items()
+                    for unit, u in _EN_UNITS.items() if u}}
+# The tokens ``en_unit`` or ``en_two_digit`` read: one lookup tests a word.
+EN_NUMBER_WORDS = frozenset({*_EN_UNITS, *_EN_TWO_DIGIT})
 
 _DE_UNITS = {fold_german(name): n for n, name in enumerate(_DE_UNIT_NAMES[:10])}
 _DE_UNITS.update({DE_EIN: 1, DE_EINE: 1})
@@ -69,6 +75,11 @@ _DE_TEENS = {fold_german(name): n for n, name in enumerate(_DE_UNIT_NAMES) if n 
 _DE_TENS = {fold_german(name): 10 * n for n, name in enumerate(_DE_TENS_NAMES) if name}
 DE_MAGNITUDE_WORDS = {fold_german(form): value
                       for value, *forms in DE_MAGNITUDE_NAMES for form in forms}
+# Every folded key ``_parse_de_folded`` accepts starts with one of these:
+# each branch either finds the key in a table or reads a head before "und",
+# "hundert" or "tausend", and an empty head leaves the key starting with
+# "hundert" or "tausend".
+_DE_NUMBER_STARTS = (*_DE_UNITS, *_DE_TEENS, *_DE_TENS, _DE_HUNDRED, DE_THOUSAND)
 
 
 def en_unit(word: str) -> Optional[int]:
@@ -77,15 +88,7 @@ def en_unit(word: str) -> Optional[int]:
 
 def en_two_digit(word: str) -> Optional[int]:
     """Value of a single token naming 10..99 ("fifteen", "forty", "forty-five")."""
-    if word in _EN_TEENS:
-        return _EN_TEENS[word]
-    if word in _EN_TENS:
-        return _EN_TENS[word]
-    if "-" in word:
-        tens, _, unit = word.partition("-")
-        if tens in _EN_TENS and unit in _EN_UNITS and _EN_UNITS[unit] > 0:
-            return _EN_TENS[tens] + _EN_UNITS[unit]
-    return None
+    return _EN_TWO_DIGIT.get(word)
 
 
 def en_tens(word: str) -> Optional[int]:
@@ -93,12 +96,7 @@ def en_tens(word: str) -> Optional[int]:
 
 
 def is_en_number_word(word: str) -> bool:
-    return (
-        word in _EN_UNITS
-        or word in _EN_SCALES
-        or word == EN_HUNDRED
-        or en_two_digit(word) is not None
-    )
+    return word in EN_NUMBER_WORDS or word in _EN_SCALES or word == EN_HUNDRED
 
 
 def _de_under_hundred(text: str) -> Optional[int]:
@@ -145,6 +143,8 @@ def parse_de_compound(word: str) -> Optional[int]:
 
 def _parse_de_folded(text: str) -> Optional[int]:
     """``parse_de_compound`` for a token already folded ("zweitausendfuenf")."""
+    if not text.startswith(_DE_NUMBER_STARTS):
+        return None
     head, found, rest = text.partition(DE_THOUSAND)
     if not found:
         return _de_under_thousand(text)

@@ -1,8 +1,15 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from numitn.extract import contains_numeric_expression, extract_numeric_literals
+from numitn import extract
+from numitn.extract import (
+    LiteralMatch,
+    _build_patterns,
+    contains_numeric_expression,
+    extract_numeric_literals,
+)
 from numitn.locales import DEFAULT_CURRENCIES, CurrencyUnit, get_locale
-from numitn.types import ExpressionType
+from numitn.types import ExpressionType, Span
 
 EN = get_locale("en")
 DE = get_locale("de")
@@ -128,3 +135,50 @@ class TestContainsNumericExpression:
     def test_detection(self, text, code, expected):
         locale = EN if code == "en" else DE
         assert contains_numeric_expression(text, locale) == expected
+
+
+def ungated_extract(text, locale, currencies=None):
+    """``extract_numeric_literals`` without its digit gate, as a reference."""
+    registry = currencies if currencies is not None else DEFAULT_CURRENCIES
+    patterns = _build_patterns(locale, tuple(u.symbol for u in registry.values()))
+    raw = sorted(((m.start(), extract._PRIORITY[t], -m.end(), t, m.group())
+                  for t, pattern in patterns for m in pattern.finditer(text)),
+                 key=lambda r: r[:3])
+    kept = []
+    last_end = -1
+    for start, _, neg_end, expr_type, surface in raw:
+        if start < last_end:
+            continue
+        if expr_type == ExpressionType.QUANTITY and extract._YEAR_GUESS_RE.match(surface) \
+                and 1000 <= int(surface) <= 2100:
+            expr_type = ExpressionType.YEAR
+        kept.append(LiteralMatch(Span(start, -neg_end), surface, expr_type))
+        last_end = -neg_end
+    return kept
+
+
+# Digits of every script ``\d`` matches ("٣", "０", "७"), "²" (a digit to
+# ``str.isdigit`` but not to ``\d``), separators, symbols and magnitude words.
+_LITERAL_PIECES = ["0", "1", "7", "19", "2024", "٣", "０", "७", "²", ",", ".", ":", " ",
+                   "$", "€", "£", "US$", "A$", "a", "x", "million", "Millionen", "Uhr"]
+_REGISTRIES = [DEFAULT_CURRENCIES,
+               {**DEFAULT_CURRENCIES, "USD": CurrencyUnit("USD", "US$"),
+                "AUD": CurrencyUnit("AUD", "A$"), "XXX": CurrencyUnit("XXX", "")}]
+
+
+@settings(max_examples=1000)
+@given(text=st.lists(st.sampled_from(_LITERAL_PIECES), max_size=12).map("".join),
+       locale=st.sampled_from([EN, DE]), currencies=st.sampled_from(_REGISTRIES))
+@example(text="٣", locale=EN, currencies=DEFAULT_CURRENCIES)
+@example(text="$０", locale=EN, currencies=DEFAULT_CURRENCIES)
+@example(text="²", locale=DE, currencies=DEFAULT_CURRENCIES)
+def test_digit_gate_skips_only_lines_without_literals(text, locale, currencies):
+    assert extract_numeric_literals(text, locale, currencies) == \
+        ungated_extract(text, locale, currencies)
+
+
+def test_symbols_are_escaped_before_they_are_sorted():
+    # "$$" escapes to four characters and so goes before "abc"; the empty
+    # symbol of a currency without one is left out.
+    patterns = dict(_build_patterns(EN, ("abc", "", "$$")))
+    assert patterns[ExpressionType.CURRENCY].pattern.startswith(r"(?:\$\$|abc)")

@@ -370,7 +370,9 @@ _DIGIT_FORMS = ["7", "12", "23", "0", "2024", "4:30pm", "7am", "15.45", "15:45",
 _CURRENCY = sorted({*CURRENCY_WORDS["en"], *CURRENCY_WORDS["de"], *MINOR_UNIT_WORDS,
                     "Euro", "Dollar", "Pfund", "Cent", "and", "und"})
 _FILLERS = ["the", "was", "a", "in", "the evening", "at night", "morgens", "abends",
-            "point", "komma", "oh", "Leute", "pieces", ",", ".", "!", "(", ")", "-"]
+            "point", "komma", "oh", "Leute", "pieces", ",", ".", "!", "(", ")", "-",
+            # German words that start like a numeral but are none.
+            "achten", "einmal", "elfen", "hundertmal", "Zweifel"]
 
 
 def _spoken(low, high, languages):

@@ -1,5 +1,7 @@
+from itertools import product
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from numitn import lexicon
 from numitn.lexicon import (
@@ -255,3 +257,56 @@ def test_de_single_compound_round_trip(n):
 def test_negative_rejected():
     with pytest.raises(ValueError):
         verbalize_cardinal(-1, "en")
+
+
+def ungated_parse_de_folded(text):
+    """``lexicon._parse_de_folded`` without its start-word gate, as a reference."""
+    head, found, rest = text.partition("tausend")
+    if not found:
+        return lexicon._de_under_thousand(text)
+    thousands = lexicon._de_under_thousand(head or "ein")
+    if not thousands:
+        return None
+    if not rest:
+        return thousands * 1000
+    tail = lexicon._de_under_thousand(rest.removeprefix("und"))
+    return None if tail is None else thousands * 1000 + tail
+
+
+# German number morphemes, "und", and junk that shares their letters.
+_DE_MORPHEMES = sorted({*(key for _, key, _ in DE_NUMBERS), "ein", "eine", "hundert",
+                        "tausend", "und", "zig", "en", "mal", "s", "x", "fel", "sieb"})
+
+
+@settings(max_examples=2000)
+@given(st.lists(st.sampled_from(_DE_MORPHEMES), min_size=1, max_size=6).map("".join))
+@example("hundertfuenf")
+@example("tausendundeins")
+@example("einhundert")
+@example("einundzwanzigtausend")
+def test_german_start_gate_rejects_only_keys_no_branch_accepts(text):
+    assert lexicon._parse_de_folded(text) == ungated_parse_de_folded(text)
+
+
+def old_en_two_digit(word):
+    """The branch-by-branch reading ``en_two_digit`` replaced, as a reference."""
+    if word in EN_TWO_DIGIT:
+        return EN_TWO_DIGIT[word]
+    tens, _, unit = word.partition("-")
+    if EN_TWO_DIGIT.get(tens, 0) in range(20, 100, 10) and EN_UNITS.get(unit, 0) > 0:
+        return EN_TWO_DIGIT[tens] + EN_UNITS[unit]
+    return None
+
+
+_EN_PIECES = [*EN_UNITS, *EN_TWO_DIGIT, "hundred", "thousand", "oh", "x", ""]
+
+
+def test_en_number_words_are_the_words_en_unit_or_en_two_digit_read():
+    # Every join of up to three pieces with "-": "forty-zero", "-five",
+    # "forty-five-six", "ten-five" and the like.
+    words = {"-".join(parts) for n in (1, 2, 3) for parts in product(_EN_PIECES, repeat=n)}
+    for word in words:
+        old = word in EN_UNITS or old_en_two_digit(word) is not None
+        assert (word in lexicon.EN_NUMBER_WORDS) == old, word
+        assert en_two_digit(word) == old_en_two_digit(word), word
+        assert is_en_number_word(word) == (old or word == "hundred" or word in EN_SCALES), word
