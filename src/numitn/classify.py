@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 from .formatting import YEAR_MAX, YEAR_MIN
-from .lexicon import CLOCK_STYLES, HOUR_NOUNS, MINUTE_NOUNS, phrase_keys
-from .lexicon import _is_de_number_folded, is_en_number_word
+from .lexicon import CLOCK_STYLES, HOUR_NOUNS, MINUTE_NOUNS, is_number_word, phrase_keys
 from .locales import CURRENCY_WORDS, DEFAULT_CURRENCY_CODE, Locale, MINOR_UNIT_WORDS
 from .tokenizer import Token
 from .types import (
@@ -70,24 +69,14 @@ def _currency_code(money: MoneyParse, locale: Locale) -> str:
     return CURRENCY_WORDS[locale.language][money.unit_word]
 
 
-def _is_number_word(token: Token, locale: Locale) -> bool:
-    # Both tests hold the magnitude words ("million", "Milliarden").
-    if locale.language == "de":
-        return _is_de_number_folded(token.folded)
-    return is_en_number_word(token.lowercased)
-
-
 def _unit_word_after(candidate: CandidateParse, tokens: list[Token], locale: Locale) -> str:
     i = candidate.span.end
     if i >= len(tokens) or not tokens[i].is_word:
         return ""
-    word = tokens[i].lowercased
-    if any(ch.isdigit() for ch in word):
-        return ""
     key = tokens[i].folded
-    if key in _UNIT_STOPWORDS[locale.language]:
+    if any(ch.isdigit() for ch in key):
         return ""
-    if _is_number_word(tokens[i], locale):
+    if key in _UNIT_STOPWORDS[locale.language] or is_number_word(key, locale.language):
         return ""
     return tokens[i].surface
 

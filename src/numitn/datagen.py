@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence, TypeVar
 
 from .extract import extract_numeric_literals
+from .formatting import YEAR_MAX, YEAR_MIN
 from .grammar import scan_tokens
 from .lexicon import DE_MAGNITUDE_NAMES, EN_MAGNITUDE_WORDS
 from .locales import DEFAULT_CONFIG, CurrencyUnit, Locale
@@ -344,7 +345,7 @@ class RuleBasedTextGenerator(TextGenerator):
         rng = self._rng
         language = self._locale.language
         if expr_type == ExpressionType.YEAR:
-            year = rng.randint(1000, 2100)
+            year = rng.randint(YEAR_MIN, YEAR_MAX)
             return verbalize_year(year, language, rng.choice(year_styles(year, language)))
         if expr_type == ExpressionType.TIMESTAMP:
             t = TimeOfDay(rng.randint(0, 23), rng.randint(0, 59))

@@ -7,14 +7,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .lexicon import (
-    DE_EIN,
-    DE_EINE,
-    DE_MAGNITUDE_NAMES,
-    EN_MAGNITUDE_WORDS,
-    _is_de_number_folded,
-    is_en_number_word,
-)
+from .formatting import YEAR_MAX, YEAR_MIN
+from .lexicon import DE_EIN, DE_EINE, DE_MAGNITUDE_NAMES, EN_MAGNITUDE_WORDS, is_number_word
 from .locales import DEFAULT_CURRENCIES, CurrencyUnit, Locale
 from .tokenizer import tokenize
 from .types import ExpressionType, Span
@@ -98,7 +92,7 @@ def extract_numeric_literals(text: str, locale: Locale,
         if start < last_end:
             continue
         if expr_type == ExpressionType.QUANTITY and _YEAR_GUESS_RE.match(surface) \
-                and 1000 <= int(surface) <= 2100:
+                and YEAR_MIN <= int(surface) <= YEAR_MAX:
             expr_type = ExpressionType.YEAR
         kept.append(LiteralMatch(Span(start, end), surface, expr_type))
         last_end = end
@@ -110,16 +104,6 @@ def contains_numeric_expression(text: str, locale: Locale,
     """True when the text holds a digit literal or a spoken number word."""
     if extract_numeric_literals(text, locale, currencies):
         return True
-    de = locale.language == "de"
-    for token in tokenize(text):
-        if not token.is_word:
-            continue
-        if de:
-            # Bare articles are not treated as numerals here; "eins" is.
-            if token.folded in (DE_EIN, DE_EINE):
-                continue
-            if _is_de_number_folded(token.folded):
-                return True
-        elif is_en_number_word(token.lowercased):
-            return True
-    return False
+    # Bare German articles are not treated as numerals here; "eins" is.
+    return any(token.folded not in (DE_EIN, DE_EINE)
+               and is_number_word(token.folded, locale.language) for token in tokenize(text))

@@ -18,6 +18,7 @@ from .lexicon import (
     EN_MAGNITUDE_WORDS,
     EN_NUMBER_WORDS,
     EN_OH,
+    EN_SCALES,
     HOUR_BEFORE_ONE,
     HOUR_NOUNS,
     MAX_COUNTED_MINUTE,
@@ -25,9 +26,8 @@ from .lexicon import (
     MINUTE_NOUNS,
     PERIOD_PHRASES,
     POINT_KEYS,
-    _EN_SCALES,
-    _digit_value_folded,
-    _parse_de_folded,
+    de_compound,
+    digit_value,
     en_tens,
     en_two_digit,
     en_unit,
@@ -82,25 +82,17 @@ _COUNTED = {language: _by_first_key((phrase_keys(s.words), s) for s in styles if
 _EN_START_WORDS = EN_NUMBER_WORDS.union(_IDIOMS["en"])
 
 
-def _word(tokens: list[Token], i: int) -> Optional[str]:
-    if 0 <= i < len(tokens) and tokens[i].is_word:
-        return tokens[i].lowercased
-    return None
-
-
-def _key(tokens: list[Token], i: int) -> Optional[str]:
-    # German tables are keyed by the folded form. English ones hold no
-    # "ae"/"oe"/"ue"/"ss" spelling, so there it finds what the lowercase finds.
-    if 0 <= i < len(tokens) and tokens[i].is_word:
-        return tokens[i].folded
-    return None
+def _key(tokens: list[Token], i: int) -> str:
+    # Every table key and digit pattern needs a letter or a digit, so neither
+    # a punctuation token nor the empty key past the end matches one.
+    return tokens[i].folded if i < len(tokens) else ""
 
 
 def _surface(tokens: list[Token], i: int) -> str:
     return tokens[i].surface
 
 
-def _is_magnitude_word(key: Optional[str], language: str) -> bool:
+def _is_magnitude_word(key: str, language: str) -> bool:
     return key in (DE_MAGNITUDE_WORDS if language == "de" else EN_MAGNITUDE_WORDS)
 
 
@@ -109,17 +101,14 @@ def _is_magnitude_word(key: Optional[str], language: str) -> bool:
 
 def _en_two_digit_span(tokens: list[Token], i: int) -> Optional[tuple[int, int]]:
     """Read 10..99 as one token or a tens + unit pair ("forty five")."""
-    w = _word(tokens, i)
-    if w is None:
-        return None
-    tens = en_tens(w)
+    key = _key(tokens, i)
+    tens = en_tens(key)
     if tens is not None:
-        nxt = _word(tokens, i + 1)
-        unit = en_unit(nxt) if nxt else None
+        unit = en_unit(_key(tokens, i + 1))
         if unit:
             return tens + unit, i + 2
         return tens, i + 1
-    value = en_two_digit(w)
+    value = en_two_digit(key)
     if value is not None:
         return value, i + 1
     return None
@@ -130,18 +119,15 @@ def _en_hundreds(tokens: list[Token], at: int, head: int) -> tuple[int, int]:
     tail = _en_two_digit_span(tokens, at + 1)
     if tail is not None:
         return head * 100 + tail[0], tail[1]
-    unit = en_unit(_word(tokens, at + 1) or "")
+    unit = en_unit(_key(tokens, at + 1))
     if unit:
         return head * 100 + unit, at + 2
     return head * 100, at + 1
 
 
 def _en_sub_thousand(tokens: list[Token], i: int) -> Optional[tuple[int, int]]:
-    w = _word(tokens, i)
-    if w is None:
-        return None
-    unit = en_unit(w)
-    if unit is not None and unit >= 1 and _word(tokens, i + 1) == EN_HUNDRED:
+    unit = en_unit(_key(tokens, i))
+    if unit is not None and unit >= 1 and _key(tokens, i + 1) == EN_HUNDRED:
         return _en_hundreds(tokens, i + 1, unit)
     two = _en_two_digit_span(tokens, i)
     if two is not None:
@@ -153,22 +139,17 @@ def _en_sub_thousand(tokens: list[Token], i: int) -> Optional[tuple[int, int]]:
 
 def _en_pair_reading(tokens: list[Token], at: int) -> Optional[tuple[int, int, bool]]:
     """Two-digit-pair year forms; returns (value, end, true_pair_flag)."""
-    w = _word(tokens, at)
-    if w is None:
-        return None
-    first = en_two_digit(w)
+    first = en_two_digit(_key(tokens, at))
     if first is None or not 11 <= first <= 20:
         return None
-    nxt = _word(tokens, at + 1)
-    if nxt is None:
-        return None
+    nxt = _key(tokens, at + 1)
     if nxt == EN_HUNDRED:
         # "nineteen hundred [forty-five]" is a compact cardinal, not a
         # pair split, so year classification still needs a context cue.
         value, end = _en_hundreds(tokens, at + 1, first)
         return value, end, False
     if nxt == EN_OH:
-        unit = en_unit(_word(tokens, at + 2) or "")
+        unit = en_unit(_key(tokens, at + 2))
         if unit:
             return first * 100 + unit, at + 3, True
         return None
@@ -192,8 +173,7 @@ def _de_pair_style(tokens: list[Token], at: int, value: int, end: int) -> bool:
 
 def _de_group(tokens: list[Token], i: int) -> Optional[tuple[int, int]]:
     """A German cardinal group: one compound numeral token ("zweihundert")."""
-    key = _key(tokens, i)
-    value = None if key is None else _parse_de_folded(key)
+    value = de_compound(_key(tokens, i))
     return None if value is None else (value, i + 1)
 
 
@@ -245,10 +225,7 @@ def _decimal_digits(tokens: list[Token], i: int, language: str) -> Optional[tupl
     value = 0
     count = 0
     while count < MAX_SCALE:
-        key = _key(tokens, i)
-        if key is None:
-            break
-        digit = _digit_value_folded(key, language)
+        digit = digit_value(_key(tokens, i), language)
         if digit is None:
             break
         value = value * 10 + digit
@@ -271,7 +248,7 @@ def parse_cardinal(tokens: list[Token], at: int, locale: Locale) -> Optional[Can
         if integer is not None and integer[2] is None:
             de_pair = _de_pair_style(tokens, at, integer[0], integer[1])
     else:
-        integer = _integer(tokens, at, _en_sub_thousand, _EN_SCALES)
+        integer = _integer(tokens, at, _en_sub_thousand, EN_SCALES)
         pair = _en_pair_reading(tokens, at)
 
     if integer is not None:
@@ -319,8 +296,7 @@ def parse_cardinal(tokens: list[Token], at: int, locale: Locale) -> Optional[Can
 
 def _meridiem(tokens: list[Token], i: int, language: str) -> Optional[PeriodHint]:
     """The hint of an am/pm word ("p.m." too) at token ``i``; German has none."""
-    key = _key(tokens, i)
-    return None if key is None else _MERIDIEMS[language].get(key.replace(".", ""))
+    return _MERIDIEMS[language].get(_key(tokens, i).replace(".", ""))
 
 
 def _spells(tokens: list[Token], i: int, keys: tuple[str, ...]) -> bool:
@@ -335,9 +311,7 @@ def _clock_number(tokens: list[Token], i: int, language: str) -> Optional[int]:
     English number words start at one: "zero" is no hour.
     """
     key = _key(tokens, i)
-    if key is None:
-        return None
-    value = _parse_de_folded(key) if language == "de" else en_unit(key) or en_two_digit(key)
+    value = de_compound(key) if language == "de" else en_unit(key) or en_two_digit(key)
     if value is None:
         m = _TWO_DIGITS_RE.match(key)
         value = int(m.group(1)) if m else None
@@ -345,11 +319,8 @@ def _clock_number(tokens: list[Token], i: int, language: str) -> Optional[int]:
 
 
 def _en_minute_words(tokens: list[Token], i: int) -> Optional[tuple[int, int]]:
-    w = _word(tokens, i)
-    if w is None:
-        return None
-    if w == EN_OH:
-        unit = en_unit(_word(tokens, i + 1) or "")
+    if _key(tokens, i) == EN_OH:
+        unit = en_unit(_key(tokens, i + 1))
         if unit:
             return unit, i + 2
         return None
@@ -401,15 +372,12 @@ def _clock_candidate(tokens: list[Token], at: int, end: int, hour: int, minute: 
 def _parse_hour_first_en(tokens: list[Token], at: int) -> list[CandidateParse]:
     """Digit times, "H o'clock", "H pm", "H MM pm" and "H MM in the evening"."""
     out: list[CandidateParse] = []
-    w = _word(tokens, at)
-    if w is None:
-        return out
-
-    m = _DIGIT_AMPM_RE.match(w)
+    key = _key(tokens, at)
+    m = _DIGIT_AMPM_RE.match(key)
     if m and int(m.group(1)) <= 23:
         out.append(_clock_candidate(tokens, at, at + 1, int(m.group(1)), int(m.group(2) or 0),
                                     "en", _MERIDIEMS["en"][m.group(3)]))
-    m = _DIGIT_TIME_RE.match(w)
+    m = _DIGIT_TIME_RE.match(key)
     if m and int(m.group(1)) <= 23 and _meridiem(tokens, at + 1, "en") is not None:
         out.append(_clock_candidate(tokens, at, at + 1, int(m.group(1)), int(m.group(2)), "en"))
 
@@ -432,8 +400,7 @@ def _parse_hour_first_en(tokens: list[Token], at: int) -> list[CandidateParse]:
 def _parse_hour_first_de(tokens: list[Token], at: int) -> list[CandidateParse]:
     """"H Uhr [M]" and "HH.MM Uhr"."""
     out: list[CandidateParse] = []
-    w = _word(tokens, at)
-    if w is None or _key(tokens, at + 1) != _HOUR_NOUN["de"]:
+    if _key(tokens, at + 1) != _HOUR_NOUN["de"]:
         return out
 
     hour = _clock_number(tokens, at, "de")
@@ -444,7 +411,7 @@ def _parse_hour_first_de(tokens: list[Token], at: int) -> list[CandidateParse]:
         if minute is not None and minute <= 59:
             out.append(_clock_candidate(tokens, at, i + 1, hour, minute, "de"))
 
-    m = _DIGIT_TIME_RE.match(w)
+    m = _DIGIT_TIME_RE.match(_key(tokens, at))
     if m and int(m.group(1)) <= 23:
         # "15.45 Uhr" or "15:45 Uhr": reformat and drop the Uhr token.
         out.append(_clock_candidate(tokens, at, at + 2, int(m.group(1)), int(m.group(2)), "de"))
@@ -513,9 +480,6 @@ def parse_currency_phrase(tokens: list[Token], cardinal: CandidateParse,
     value = cardinal.value
     i = cardinal.span.end
     unit = _key(tokens, i)
-    if unit is None:
-        return None
-
     if unit in MINOR_UNIT_WORDS:
         # Cents-only amount ("fifty cents" -> $0.50).
         if cardinal.magnitude_word or not value.is_integer or value.mantissa >= 100:
@@ -550,20 +514,17 @@ def parse_currency_phrase(tokens: list[Token], cardinal: CandidateParse,
 def _can_start(token: Token, language: str) -> bool:
     """Whether any parser can match from ``token``.
 
-    Every parser reads its first token through ``_word``/``_key`` and goes
-    on only from a word that starts with a digit (the digit patterns are
-    anchored on ``\\d``, a subset of ``str.isdigit``), a clock idiom's first
-    word or a number word. The counted clock forms start from a cardinal.
+    Every parser reads its first token through ``_key`` and goes on only
+    from a key that starts with a digit (the digit patterns are anchored on
+    ``\\d``, a subset of ``str.isdigit``), a clock idiom's first word or a
+    number word. The counted clock forms start from a cardinal.
     """
-    if not token.is_word:
-        return False
-    w = token.lowercased
-    if w[0].isdigit():
+    key = token.folded
+    if key[0].isdigit():
         return True
     if language == "de":
-        key = token.folded
-        return key in _IDIOMS["de"] or _parse_de_folded(key) is not None
-    return w in _EN_START_WORDS
+        return key in _IDIOMS["de"] or de_compound(key) is not None
+    return key in _EN_START_WORDS
 
 
 def scan_tokens(tokens: list[Token], locale: Locale) -> list[CandidateParse]:

@@ -1,10 +1,11 @@
 """Number and clock words for English and German, and cardinal verbalization.
 
 Each word is spelled once, as the verbalizer writes it; the parse tables
-are derived from those spellings. English tables are keyed by the
-lowercase form. German matching is done on a folded form (lowercase, ss
-for ß, ae/oe/ue for umlauts) so ASR transliterations like
-"fuenfundvierzig" still parse.
+are derived from those spellings. Every table is keyed by the folded form
+``fold_german`` gives (lowercase, ss for ß, ae/oe/ue for umlauts), so ASR
+transliterations like "fuenfundvierzig" still parse. No English spelling
+holds ß, an umlaut, "ss", "ae", "oe" or "ue", so there the folded key is
+the lowercase word.
 
 The clock tables spell each language's time styles ("quarter past",
 "halb", the counted "minutes to"), its clock nouns, am/pm words and
@@ -60,7 +61,7 @@ _DE_HUNDRED, DE_THOUSAND, _DE_AND = "hundert", "tausend", AND_WORDS["de"]
 _EN_UNITS = {name: n for n, name in enumerate(_EN_UNIT_NAMES[:10])}
 _EN_TEENS = {name: n for n, name in enumerate(_EN_UNIT_NAMES) if n >= 10}
 _EN_TENS = {name: 10 * n for n, name in enumerate(_EN_TENS_NAMES) if name}
-_EN_SCALES = {name: value for value, name in _EN_SCALE_NAMES}
+EN_SCALES = {name: value for value, name in _EN_SCALE_NAMES}
 EN_MAGNITUDE_WORDS = tuple(name for value, name in _EN_SCALE_NAMES if value >= 10**6)
 # Single tokens naming 10..99: teens, tens and "<tens>-<unit>" ("forty-five").
 _EN_TWO_DIGIT = {**_EN_TEENS, **_EN_TENS,
@@ -75,7 +76,7 @@ _DE_TEENS = {fold_german(name): n for n, name in enumerate(_DE_UNIT_NAMES) if n 
 _DE_TENS = {fold_german(name): 10 * n for n, name in enumerate(_DE_TENS_NAMES) if name}
 DE_MAGNITUDE_WORDS = {fold_german(form): value
                       for value, *forms in DE_MAGNITUDE_NAMES for form in forms}
-# Every folded key ``_parse_de_folded`` accepts starts with one of these:
+# Every folded key ``de_compound`` accepts starts with one of these:
 # each branch either finds the key in a table or reads a head before "und",
 # "hundert" or "tausend", and an empty head leaves the key starting with
 # "hundert" or "tausend".
@@ -93,10 +94,6 @@ def en_two_digit(word: str) -> Optional[int]:
 
 def en_tens(word: str) -> Optional[int]:
     return _EN_TENS.get(word)
-
-
-def is_en_number_word(word: str) -> bool:
-    return word in EN_NUMBER_WORDS or word in _EN_SCALES or word == EN_HUNDRED
 
 
 def _de_under_hundred(text: str) -> Optional[int]:
@@ -136,13 +133,8 @@ def _de_under_thousand(text: str) -> Optional[int]:
     return hundreds * 100 + tail
 
 
-def parse_de_compound(word: str) -> Optional[int]:
-    """Parse one German compound numeral token ("zweitausendfünf")."""
-    return _parse_de_folded(fold_german(word))
-
-
-def _parse_de_folded(text: str) -> Optional[int]:
-    """``parse_de_compound`` for a token already folded ("zweitausendfuenf")."""
+def de_compound(text: str) -> Optional[int]:
+    """Value of one folded German compound numeral ("zweitausendfuenf")."""
     if not text.startswith(_DE_NUMBER_STARTS):
         return None
     head, found, rest = text.partition(DE_THOUSAND)
@@ -159,13 +151,11 @@ def _parse_de_folded(text: str) -> Optional[int]:
     return thousands * 1000 + tail
 
 
-def is_de_number_word(word: str) -> bool:
-    return _is_de_number_folded(fold_german(word))
-
-
-def _is_de_number_folded(text: str) -> bool:
-    """``is_de_number_word`` for a token already folded."""
-    return text in DE_MAGNITUDE_WORDS or _parse_de_folded(text) is not None
+def is_number_word(key: str, language: str) -> bool:
+    """Whether a folded key is a number, scale or magnitude word."""
+    if language == "de":
+        return key in DE_MAGNITUDE_WORDS or de_compound(key) is not None
+    return key in EN_NUMBER_WORDS or key in EN_SCALES or key == EN_HUNDRED
 
 
 def en_two_digit_words(n: int) -> str:
@@ -223,7 +213,7 @@ def de_under_thousand_words(n: int, *, final: bool = True) -> str:
     return prefix
 
 
-def _de_compound(n: int) -> str:
+def _de_compound_words(n: int) -> str:
     """1..999999 as one compound token."""
     thousands, rest = divmod(n, 1000)
     if not thousands:
@@ -243,9 +233,9 @@ def _verbalize_de(n: int) -> str:
         if group == 1:
             parts.append(f"{DE_EINE} {singular}")
         elif group:
-            parts.append(f"{_de_compound(group)} {plural}")
+            parts.append(f"{_de_compound_words(group)} {plural}")
     if n:
-        parts.append(_de_compound(n))
+        parts.append(_de_compound_words(n))
     return " ".join(parts)
 
 
@@ -270,21 +260,13 @@ def digit_words(digits: str, language: str) -> str:
     return " ".join(names[int(d)] for d in digits)
 
 
-def digit_word_value(word: str, language: str) -> Optional[int]:
-    return _digit_value_folded(fold_german(word) if language == "de" else word, language)
-
-
-def _digit_value_folded(text: str, language: str) -> Optional[int]:
-    """``digit_word_value`` for a token already folded.
-
-    English digit names hold no ae/oe/ue/ss, so there the folded key finds
-    what the lowercase word finds.
-    """
+def digit_value(key: str, language: str) -> Optional[int]:
+    """The digit a folded key names when digits are read one by one."""
     if language == "de":
-        return None if text == DE_EINE else _DE_UNITS.get(text)
-    if text == EN_OH:
+        return None if key == DE_EINE else _DE_UNITS.get(key)
+    if key == EN_OH:
         return 0
-    return _EN_UNITS.get(text)
+    return _EN_UNITS.get(key)
 
 
 # --- clock words -------------------------------------------------------------

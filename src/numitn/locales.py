@@ -52,8 +52,6 @@ DEFAULT_CURRENCIES: dict[str, CurrencyUnit] = {
     "GBP": CurrencyUnit("GBP", "£"),
 }
 
-MINOR_UNIT_WORDS = {"cent", "cents"}
-
 DEFAULT_CURRENCY_CODE = {"en": "USD", "de": "EUR"}
 
 # Spoken currency words for verbalization, keyed by (code, language).
@@ -66,8 +64,13 @@ CURRENCY_SPOKEN = {
     ("GBP", "de"): ("Pfund", "Pfund"),
 }
 
-# Spoken unit word (folded) -> currency code, per language. "cent"/"cents"
-# maps to the locale's default currency and is handled separately.
+# Spoken minor-unit words (singular, plural) for verbalization, by language.
+MINOR_UNIT_SPOKEN = {"en": ("cent", "cents"), "de": ("Cent", "Cent")}
+
+# Spoken unit word (folded) -> currency code, per language. A minor-unit
+# word, in either language, maps to the locale's default currency and is
+# handled separately.
+MINOR_UNIT_WORDS = {fold_german(form) for forms in MINOR_UNIT_SPOKEN.values() for form in forms}
 CURRENCY_WORDS: dict[str, dict[str, str]] = {
     language: {fold_german(form): code for (code, spoken_in), forms in CURRENCY_SPOKEN.items()
                if spoken_in == language for form in forms}

@@ -24,13 +24,15 @@ _ALNUM_RE = re.compile(r"[^\W_]")
 
 class Token(NamedTuple):
     surface: str
-    lowercased: str
-    # Lowercase with umlauts and ß spelled out: the German lookup key.
+    # Lowercase with umlauts and ß spelled out: the key every table lookup reads.
     folded: str
     index: int
-    is_word: bool
     start: int
     end: int
+
+    @property
+    def is_word(self) -> bool:
+        return _ALNUM_RE.search(self.surface) is not None
 
 
 def tokenize(sentence: str) -> list[Token]:
@@ -42,7 +44,5 @@ def tokenize(sentence: str) -> list[Token]:
     tokens: list[Token] = []
     for index, match in enumerate(_TOKEN_RE.finditer(sentence)):
         surface = match.group()
-        start, end = match.span()
-        tokens.append(Token(surface, surface.lower(), fold_german(surface), index,
-                            _ALNUM_RE.search(surface) is not None, start, end))
+        tokens.append(Token(surface, fold_german(surface), index, *match.span()))
     return tokens

@@ -35,6 +35,7 @@ from .locales import (
     CURRENCY_SPOKEN,
     CurrencyUnit,
     DEFAULT_CURRENCIES,
+    MINOR_UNIT_SPOKEN,
     Locale,
 )
 from .types import (
@@ -218,12 +219,8 @@ def _currency_words(money: MoneyAmount, locale: Locale) -> str:
     out += f" {unit}"
     if money.minor is not None:
         cents = money.minor.mantissa
-        if language == "de":
-            cent_words = f"{verbalize_cardinal(cents, 'de')} Cent"
-        else:
-            cent_words = f"{verbalize_cardinal(cents, 'en')} " \
-                         f"{'cent' if cents == 1 else 'cents'}"
-        out += f" {AND_WORDS[language]} {cent_words}"
+        minor_unit = MINOR_UNIT_SPOKEN[language][cents != 1]
+        out += f" {AND_WORDS[language]} {verbalize_cardinal(cents, language)} {minor_unit}"
     return out
 
 
@@ -295,10 +292,13 @@ def parse_literal(text: str, expr_type: ExpressionType, locale: Locale,
             return ParsedExpression(span, expr_type,
                                     MoneyAmount(value if magnitude else NumericValue(value.mantissa),
                                                 None, code, magnitude))
-        int_part, frac_part = value.digit_parts()
+        # Split as format_currency joins: the fraction counts minor units.
+        digits = registry[code].minor_unit_digits
+        if value.scale > digits:
+            raise ValueError(f"{text!r} has more than {digits} fraction digits for {code}")
+        major, minor = divmod(value.mantissa * 10**(digits - value.scale), 10**digits)
         return ParsedExpression(span, expr_type,
-                                MoneyAmount(NumericValue(int(int_part)),
-                                            NumericValue(int(frac_part)), code))
+                                MoneyAmount(NumericValue(major), NumericValue(minor), code))
     return ParsedExpression(span, expr_type,
                             QuantityAmount(value, "", magnitude))
 

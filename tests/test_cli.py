@@ -342,6 +342,14 @@ class TestPerLineErrors:
         assert err == "line 2: mantissa out of range: 123456789012345678901\n"
         assert "Traceback" not in err
 
+    def test_verbalize_too_many_cent_digits(self, tmp_path, capsys):
+        src = tmp_path / "in.txt"
+        src.write_text("It cost $1.5.\nIt cost $1.505.\n", encoding="utf-8")
+        code, out, err = run(capsys, "verbalize", "--locale", "en", str(src))
+        assert code == 1
+        assert out == "It cost one dollar and fifty cents.\nIt cost $1.505.\n"
+        assert err == "line 2: '$1.505' has more than 2 fraction digits for USD\n"
+
     def test_verbalize_currency_without_words(self, tmp_path, capsys):
         config = tmp_path / "c.json"
         config.write_text(json.dumps({"currencies": {"INR": {"symbol": "₹"}}}),

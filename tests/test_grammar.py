@@ -354,7 +354,7 @@ def ungated_scan(tokens, locale):
 
 _EN_TENS = sorted(lexicon._EN_TENS)
 _LEXICON_WORDS = sorted({
-    *lexicon._EN_UNITS, *lexicon._EN_TEENS, *lexicon._EN_TENS, *lexicon._EN_SCALES,
+    *lexicon._EN_UNITS, *lexicon._EN_TEENS, *lexicon._EN_TENS, *lexicon.EN_SCALES,
     "hundred", *lexicon._DE_UNITS, *lexicon._DE_TEENS, *lexicon._DE_TENS,
     *lexicon.DE_MAGNITUDE_WORDS, "hundert", "tausend",
 })

@@ -5,16 +5,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from numitn import lexicon
 from numitn.lexicon import (
+    de_compound,
     de_two_digit_words,
-    digit_word_value,
+    digit_value,
     digit_words,
     en_two_digit,
     en_two_digit_words,
     en_unit,
     fold_german,
-    is_de_number_word,
-    is_en_number_word,
-    parse_de_compound,
+    is_number_word,
     verbalize_cardinal,
 )
 from numitn.grammar import scan_sentence
@@ -24,7 +23,8 @@ from numitn.verbalize import verbalize_decimal
 
 # Golden word tables, written out by hand so that they do not depend on the
 # name lists the lexicon derives its parse tables from. German entries give
-# the spelling and the folded key.
+# the spelling and the folded key. Every lookup takes a folded key, so the
+# tests fold a spelling with ``fold_german`` before they look it up.
 EN_UNITS = {"zero": 0, "one": 1, "two": 2, "three": 3, "four": 4, "five": 5,
             "six": 6, "seven": 7, "eight": 8, "nine": 9}
 EN_TWO_DIGIT = {"ten": 10, "eleven": 11, "twelve": 12, "thirteen": 13,
@@ -70,7 +70,7 @@ class TestGoldenWords:
             assert en_two_digit(word) == value, word
         assert {**lexicon._EN_UNITS, **lexicon._EN_TEENS, **lexicon._EN_TENS} == \
             {**EN_UNITS, **EN_TWO_DIGIT}
-        assert lexicon._EN_SCALES == EN_SCALES
+        assert lexicon.EN_SCALES == EN_SCALES
         assert sorted(lexicon.EN_MAGNITUDE_WORDS) == ["billion", "million"]
 
     def test_english_verbalization(self):
@@ -82,10 +82,9 @@ class TestGoldenWords:
     def test_german_parse_tables(self):
         for spelling, key, value in DE_NUMBERS:
             assert fold_german(spelling) == key
-            assert parse_de_compound(spelling) == value, spelling
-            assert parse_de_compound(key) == value, key
+            assert de_compound(key) == value, key
         for word, value in DE_ARTICLES.items():
-            assert parse_de_compound(word) == value
+            assert de_compound(word) == value
         assert {**lexicon._DE_UNITS, **lexicon._DE_TEENS, **lexicon._DE_TENS} == \
             {**{key: value for _, key, value in DE_NUMBERS}, **DE_ARTICLES}
         for spelling, key, value in DE_MAGNITUDES:
@@ -124,7 +123,7 @@ class TestGoldenWords:
 
     def test_oh_digit(self):
         assert digit_words("0", "en") == "oh"
-        assert digit_word_value("oh", "en") == 0
+        assert digit_value("oh", "en") == 0
         [parse] = scan_sentence("nineteen oh five", get_locale("en"))
         assert parse.value == NumericValue(1905)
 
@@ -169,9 +168,12 @@ class TestEnglishWords:
         assert en_two_digit("hundred") is None
 
     def test_number_word_detection(self):
-        assert is_en_number_word("seventeen")
-        assert is_en_number_word("million")
-        assert not is_en_number_word("pieces")
+        assert is_number_word("seventeen", "en")
+        assert is_number_word("million", "en")
+        assert is_number_word("hundred", "en")
+        assert not is_number_word("pieces", "en")
+        # German words are not English ones.
+        assert not is_number_word("fuenf", "en")
 
 
 class TestGermanWords:
@@ -203,23 +205,25 @@ class TestGermanWords:
         ("dreißig", 30),
     ])
     def test_compound_parse(self, word, value):
-        assert parse_de_compound(word) == value
+        assert de_compound(fold_german(word)) == value
 
     @pytest.mark.parametrize("word", [
         "hund", "stunden", "sekunden", "achtung", "zweifel",
         "unterzeichnet", "schachteln", "uhr", "",
     ])
     def test_compound_rejects_lookalikes(self, word):
-        assert parse_de_compound(word) is None
+        assert de_compound(fold_german(word)) is None
 
     def test_fold(self):
         assert fold_german("fünfunddreißig") == "fuenfunddreissig"
         assert fold_german("Äpfel") == "aepfel"
 
     def test_number_word_detection(self):
-        assert is_de_number_word("zweitausend")
-        assert is_de_number_word("millionen")
-        assert not is_de_number_word("teile")
+        for word in ("zweitausend", "Millionen", "Fünfundzwanzig", "fuenf", "eine"):
+            assert is_number_word(fold_german(word), "de"), word
+        assert not is_number_word(fold_german("teile"), "de")
+        # English words are not German ones.
+        assert not is_number_word("five", "de")
 
 
 class TestDigitAndTwoDigitForms:
@@ -228,11 +232,14 @@ class TestDigitAndTwoDigitForms:
         assert digit_words("105", "de") == "eins null fünf"
 
     def test_digit_word_value(self):
-        assert digit_word_value("oh", "en") == 0
-        assert digit_word_value("null", "de") == 0
-        assert digit_word_value("eins", "de") == 1
+        assert digit_value("oh", "en") == 0
+        assert digit_value("zero", "en") == 0
+        assert digit_value(fold_german("Null"), "de") == 0
+        assert digit_value(fold_german("fünf"), "de") == 5
+        assert digit_value("eins", "de") == 1
         # The article reading would corrupt decimals: "neun Komma eine".
-        assert digit_word_value("eine", "de") is None
+        assert digit_value("eine", "de") is None
+        assert digit_value("ten", "en") is None
 
     def test_two_digit_words(self):
         assert en_two_digit_words(45) == "forty-five"
@@ -244,14 +251,14 @@ class TestDigitAndTwoDigitForms:
 @given(st.integers(min_value=0, max_value=999_999_999))
 def test_en_verbalization_uses_known_words(n):
     for word in verbalize_cardinal(n, "en").split():
-        assert is_en_number_word(word)
+        assert is_number_word(fold_german(word), "en")
 
 
 @given(st.integers(min_value=0, max_value=999_999))
 def test_de_single_compound_round_trip(n):
     words = verbalize_cardinal(n, "de")
     assert " " not in words
-    assert parse_de_compound(words.lower()) == n
+    assert de_compound(fold_german(words)) == n
 
 
 def test_negative_rejected():
@@ -259,8 +266,8 @@ def test_negative_rejected():
         verbalize_cardinal(-1, "en")
 
 
-def ungated_parse_de_folded(text):
-    """``lexicon._parse_de_folded`` without its start-word gate, as a reference."""
+def ungated_de_compound(text):
+    """``lexicon.de_compound`` without its start-word gate, as a reference."""
     head, found, rest = text.partition("tausend")
     if not found:
         return lexicon._de_under_thousand(text)
@@ -285,7 +292,7 @@ _DE_MORPHEMES = sorted({*(key for _, key, _ in DE_NUMBERS), "ein", "eine", "hund
 @example("einhundert")
 @example("einundzwanzigtausend")
 def test_german_start_gate_rejects_only_keys_no_branch_accepts(text):
-    assert lexicon._parse_de_folded(text) == ungated_parse_de_folded(text)
+    assert lexicon.de_compound(text) == ungated_de_compound(text)
 
 
 def old_en_two_digit(word):
@@ -309,4 +316,4 @@ def test_en_number_words_are_the_words_en_unit_or_en_two_digit_read():
         old = word in EN_UNITS or old_en_two_digit(word) is not None
         assert (word in lexicon.EN_NUMBER_WORDS) == old, word
         assert en_two_digit(word) == old_en_two_digit(word), word
-        assert is_en_number_word(word) == (old or word == "hundred" or word in EN_SCALES), word
+        assert is_number_word(word, "en") == (old or word == "hundred" or word in EN_SCALES), word

@@ -25,14 +25,16 @@ def reference_tokenize(sentence):
             surface = sentence[s:e]
             tokens.append(Token(
                 surface=surface,
-                lowercased=surface.lower(),
                 folded=fold_german(surface),
                 index=len(tokens),
-                is_word=any(ch.isalnum() for ch in surface),
                 start=s,
                 end=e,
             ))
     return tokens
+
+
+def reference_is_word(surface):
+    return any(ch.isalnum() for ch in surface)
 
 
 def test_keeps_interior_punctuation():
@@ -57,19 +59,17 @@ def test_offsets_point_into_source():
         assert text[token.start:token.end] == token.surface
 
 
-def test_lowercased_and_flags():
-    tokens = tokenize("Uhr!")
-    assert tokens[0].lowercased == "uhr"
-    assert tokens[0].is_word
-    assert not tokens[1].is_word
+def test_word_flag():
+    tokens = tokenize("Uhr! ²-$ _ ٣")
+    assert [t.is_word for t in tokens] == [True, False, True, False, True]
 
 
 def test_folded_key():
     fuenf, uhr = tokenize("Fünfundzwanzig Uhr")
     assert fuenf.folded == "fuenfundzwanzig"
     assert uhr.folded == "uhr"
-    forty = tokenize("Forty")[0]
-    assert forty.folded == forty.lowercased == "forty"
+    assert tokenize("Forty")[0].folded == "forty"
+    assert tokenize("STRASSE Straße")[1].folded == "strasse"
 
 
 def test_indexes_are_sequential():
@@ -106,21 +106,28 @@ _EDGE_ALPHABET = st.sampled_from(
                      "_", "²", "٣", "७", "a", "Z", "ß", "Ü", "9", "$", "€", "-", "/"])
 
 
+def _assert_matches_reference(text):
+    tokens = tokenize(text)
+    assert tokens == reference_tokenize(text)
+    assert [t.is_word for t in tokens] == [reference_is_word(t.surface) for t in tokens]
+
+
 @given(st.text(alphabet=_EDGE_ALPHABET, max_size=40))
 def test_matches_peel_loop(text):
-    assert tokenize(text) == reference_tokenize(text)
+    _assert_matches_reference(text)
 
 
 @given(st.text(max_size=60))
 def test_matches_peel_loop_on_any_text(text):
-    assert tokenize(text) == reference_tokenize(text)
+    _assert_matches_reference(text)
 
 
 def test_token_is_an_immutable_record():
     token = tokenize("Fünf")[0]
-    assert token == Token("Fünf", "fünf", "fuenf", 0, True, 0, 4)
-    assert hash(token) == hash(Token("Fünf", "fünf", "fuenf", 0, True, 0, 4))
-    assert repr(token) == ("Token(surface='Fünf', lowercased='fünf', folded='fuenf', "
-                           "index=0, is_word=True, start=0, end=4)")
+    assert token == Token("Fünf", "fuenf", 0, 0, 4)
+    assert hash(token) == hash(Token("Fünf", "fuenf", 0, 0, 4))
+    assert repr(token) == "Token(surface='Fünf', folded='fuenf', index=0, start=0, end=4)"
     with pytest.raises(AttributeError):
         token.surface = "Sechs"
+    with pytest.raises(AttributeError):
+        token.is_word = False

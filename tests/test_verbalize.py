@@ -228,6 +228,19 @@ class TestLineRewrites:
         back = normalize_sentence(out, DE)
         assert "15:45" in back.text
 
+    @pytest.mark.parametrize("line,locale,words,written", [
+        ("It cost $1.5.", "en", "It cost one dollar and fifty cents.", "It cost $1.50."),
+        ("Es kostet 1,5€.", "de", "Es kostet eins Euro und fünfzig Cent.",
+         "Es kostet 1,50€."),
+        ("It cost $0.05.", "en", "It cost zero dollars and five cents.", "It cost $0.05."),
+        ("It cost $2.01.", "en", "It cost two dollars and one cent.", "It cost $2.01."),
+    ])
+    def test_fraction_counts_minor_units(self, line, locale, words, written):
+        # "$1.5" is a dollar and fifty cents, as format_currency writes $1.50.
+        loc = EN if locale == "en" else DE
+        assert verbalize_line(line, loc) == words
+        assert normalize_sentence(words, loc).text == written
+
     def test_multi_char_symbol(self):
         registry = {**DEFAULT_CURRENCIES, "USD": CurrencyUnit("USD", "US$")}
         assert verbalize_line("It cost US$9 and S5 here", EN, currencies=registry) \
@@ -258,6 +271,27 @@ class TestParseLiteral:
     def test_currency_whole(self):
         parsed = parse_literal("$1,945", ExpressionType.CURRENCY, EN)
         assert parsed.payload.minor is None
+
+    @pytest.mark.parametrize("text,locale,major,minor", [
+        ("$1.5", EN, 1, 50), ("$1.05", EN, 1, 5), ("$0.5", EN, 0, 50),
+        ("1,5€", DE, 1, 50), ("1.000,5€", DE, 1000, 50),
+    ])
+    def test_currency_fraction_is_minor_units(self, text, locale, major, minor):
+        parsed = parse_literal(text, ExpressionType.CURRENCY, locale)
+        assert (parsed.payload.major, parsed.payload.minor) == \
+            (NumericValue(major), NumericValue(minor))
+
+    def test_currency_minor_unit_digits_from_registry(self):
+        registry = {**DEFAULT_CURRENCIES, "BHD": CurrencyUnit("BHD", "BD", 3)}
+        parsed = parse_literal("BD1.5", ExpressionType.CURRENCY, EN, registry)
+        assert (parsed.payload.major, parsed.payload.minor) == (NumericValue(1), NumericValue(500))
+        with pytest.raises(ValueError, match="more than 3 fraction digits"):
+            parse_literal("BD1.5055", ExpressionType.CURRENCY, EN, registry)
+
+    @pytest.mark.parametrize("text,locale", [("$1.505", EN), ("1,505€", DE)])
+    def test_currency_too_many_fraction_digits(self, text, locale):
+        with pytest.raises(ValueError, match="more than 2 fraction digits"):
+            parse_literal(text, ExpressionType.CURRENCY, locale)
 
     def test_currency_suffix_symbol(self):
         parsed = parse_literal("1.000,50€", ExpressionType.CURRENCY, DE)
