@@ -13,14 +13,14 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence, TypeVar
 
-from .extract import extract_numeric_literals
+from .extract import LiteralMatch, extract_numeric_literals
 from .formatting import YEAR_MAX, YEAR_MIN
 from .grammar import scan_tokens
 from .lexicon import DE_MAGNITUDE_NAMES, EN_MAGNITUDE_WORDS
 from .locales import DEFAULT_CONFIG, CurrencyUnit, Locale
 from .manifest import ManifestError, ManifestRecord
 from .pipeline import normalize_text
-from .tokenizer import tokenize
+from .tokenizer import Token, tokenize
 from .types import (
     ExpressionType,
     MoneyAmount,
@@ -110,17 +110,13 @@ def build_timestamp_prompt(phrase: str, locale: Locale) -> str:
 def validate_record(verbalized: str, converted: str, locale: Locale,
                     currencies: Optional[dict[str, CurrencyUnit]] = None) -> bool:
     """Filter rule: the conversion must add literals and change nothing else."""
-    if any(ch.isdigit() for ch in verbalized):
+    if any(map(str.isdigit, verbalized)):
         return False
     registry = currencies if currencies is not None else DEFAULT_CONFIG.currencies
     literals = extract_numeric_literals(converted, locale, registry)
     if not literals:
         return False
-    converted_rest = [
-        t.surface for t in tokenize(converted)
-        if not any(lit.span.start <= t.start and t.end <= lit.span.end
-                   for lit in literals)
-    ]
+    converted_rest = _surfaces_outside(tokenize(converted), literals)
     verbalized_tokens = tokenize(verbalized)
     covered: set[int] = set()
     for candidate in scan_tokens(verbalized_tokens, locale):
@@ -128,6 +124,23 @@ def validate_record(verbalized: str, converted: str, locale: Locale,
     verbalized_rest = [t.surface for t in verbalized_tokens
                        if t.index not in covered]
     return verbalized_rest == converted_rest
+
+
+def _surfaces_outside(tokens: list[Token], literals: list[LiteralMatch]) -> list[str]:
+    """Surfaces of the tokens that no literal covers, in one forward walk.
+
+    The literal spans are sorted and disjoint, so only the first one that
+    ends after a token's start can cover that token.
+    """
+    out = []
+    remaining = iter(literals)
+    lit = next(remaining, None)
+    for t in tokens:
+        while lit is not None and lit.span.end <= t.start:
+            lit = next(remaining, None)
+        if lit is None or not (lit.span.start <= t.start and t.end <= lit.span.end):
+            out.append(t.surface)
+    return out
 
 
 # --- splitting ----------------------------------------------------------------

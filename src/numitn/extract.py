@@ -5,6 +5,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Optional
 
 from .formatting import YEAR_MAX, YEAR_MIN
@@ -21,6 +22,8 @@ _DIGIT_RE = re.compile(r"\d")
 # Overlapping matches are resolved in this order.
 _PRIORITY = {ExpressionType.CURRENCY: 0, ExpressionType.TIMESTAMP: 1,
              ExpressionType.QUANTITY: 2}
+# Start, priority, then the longer match first.
+_SORT_KEY = itemgetter(0, 1, 2)
 
 
 @dataclass(frozen=True)
@@ -30,14 +33,22 @@ class LiteralMatch:
     guessed_type: ExpressionType
 
 
-def _number_pattern(locale: Locale) -> str:
-    sep = re.escape(locale.thousands_separator)
-    mark = re.escape(locale.decimal_mark)
-    return rf"(?:\d{{1,3}}(?:{sep}\d{{3}})+|\d+)(?:{mark}\d+)?"
+# "\b" before a digit, written after that first digit: the lookbehind fails
+# exactly when a word character comes before it (every "\d" is a "\w"). A
+# pattern that starts with a character class, not "\b", lets the regex
+# engine skip ahead to a digit in C instead of trying every position.
+_WORD_START = r"(?<!\w\d)"
 
 
-def _magnitude_pattern(locale: Locale) -> str:
-    if locale.language == "de":
+def _number_pattern(separator: str, decimal_mark: str, edge: str) -> str:
+    """A grouped or plain number, with ``edge`` written after its first digit."""
+    sep = re.escape(separator)
+    mark = re.escape(decimal_mark)
+    return rf"\d{edge}(?:\d{{0,2}}(?:{sep}\d{{3}})+|\d*)(?:{mark}\d+)?"
+
+
+def _magnitude_pattern(language: str) -> str:
+    if language == "de":
         words = [form for _, *forms in DE_MAGNITUDE_NAMES for form in forms]
     else:
         words = EN_MAGNITUDE_WORDS
@@ -46,12 +57,22 @@ def _magnitude_pattern(locale: Locale) -> str:
     return rf"(?:\s(?i:{alternation}))?"
 
 
+# An hour of 0-23 then ":MM"; the branches after the first digit read it.
+_TIMESTAMP_RE = re.compile(rf"\d{_WORD_START}(?:(?<=[01])\d|(?<=2)[0-3])?:[0-5]\d\b")
+
+
 @lru_cache(maxsize=64)
-def _build_patterns(locale: Locale,
-                    symbols: tuple[str, ...]) -> tuple[tuple[ExpressionType, re.Pattern[str]], ...]:
-    """Compiled literal patterns for a registry's currency ``symbols``."""
-    number = _number_pattern(locale)
-    magnitude = _magnitude_pattern(locale)
+def _build_patterns(language: str, separator: str, decimal_mark: str, placement: str,
+                    symbols: tuple[str, ...]
+                    ) -> tuple[tuple[int, ExpressionType, re.Pattern[str]], ...]:
+    """(priority, type, pattern) for a locale's conventions and currency ``symbols``.
+
+    Keyed on strings, not on the ``Locale``, whose dataclass hash runs in
+    Python on every call.
+    """
+    number = _number_pattern(separator, decimal_mark, "")
+    word_number = _number_pattern(separator, decimal_mark, _WORD_START)
+    magnitude = _magnitude_pattern(language)
     patterns: list[tuple[ExpressionType, re.Pattern[str]]] = []
     # Escaped before sorting, so the longest escaped symbol is tried first.
     escaped = sorted((re.escape(s) for s in symbols if s), key=len, reverse=True)
@@ -59,16 +80,14 @@ def _build_patterns(locale: Locale,
         # An alternation, not a character class, so "US$" matches whole
         # and its letters do not match on their own.
         symbol = "(?:" + "|".join(escaped) + ")"
-        if locale.currency_placement == "prefix":
+        if placement == "prefix":
             money = rf"{symbol}{number}{magnitude}\b"
         else:
-            money = rf"\b{number}{magnitude}{symbol}"
+            money = rf"{word_number}{magnitude}{symbol}"
         patterns.append((ExpressionType.CURRENCY, re.compile(money)))
-    patterns.append((ExpressionType.TIMESTAMP,
-                     re.compile(r"\b(?:[01]?\d|2[0-3]):[0-5]\d\b")))
-    patterns.append((ExpressionType.QUANTITY,
-                     re.compile(rf"\b{number}{magnitude}\b")))
-    return tuple(patterns)
+    patterns.append((ExpressionType.TIMESTAMP, _TIMESTAMP_RE))
+    patterns.append((ExpressionType.QUANTITY, re.compile(rf"{word_number}{magnitude}\b")))
+    return tuple((_PRIORITY[t], t, pattern) for t, pattern in patterns)
 
 
 def extract_numeric_literals(text: str, locale: Locale,
@@ -78,13 +97,14 @@ def extract_numeric_literals(text: str, locale: Locale,
     if not _DIGIT_RE.search(text):
         return []
     registry = currencies if currencies is not None else DEFAULT_CURRENCIES
-    symbols = tuple(u.symbol for u in registry.values())
+    patterns = _build_patterns(locale.language, locale.thousands_separator,
+                               locale.decimal_mark, locale.currency_placement,
+                               tuple([u.symbol for u in registry.values()]))
     raw: list[tuple[int, int, int, ExpressionType, str]] = []
-    for expr_type, pattern in _build_patterns(locale, symbols):
+    for priority, expr_type, pattern in patterns:
         for m in pattern.finditer(text):
-            raw.append((m.start(), _PRIORITY[expr_type], -m.end(),
-                        expr_type, m.group()))
-    raw.sort(key=lambda r: r[:3])
+            raw.append((m.start(), priority, -m.end(), expr_type, m.group()))
+    raw.sort(key=_SORT_KEY)
     kept: list[LiteralMatch] = []
     last_end = -1
     for start, _, neg_end, expr_type, surface in raw:

@@ -40,7 +40,7 @@ class ManifestRecord:
     def __post_init__(self) -> None:
         if self.type not in _TYPE_VALUES:
             raise ManifestError(f"record {self.id}: unknown type {self.type!r}")
-        if any(ch.isdigit() for ch in self.verbalized):
+        if any(map(str.isdigit, self.verbalized)):
             raise ManifestError(
                 f"record {self.id}: verbalized text contains digits: {self.verbalized!r}")
         if not self.expressions:
@@ -66,8 +66,7 @@ class ManifestRecord:
     def from_obj(cls, obj: object) -> "ManifestRecord":
         if not isinstance(obj, dict):
             raise ManifestError(f"expected an object, got {type(obj).__name__}")
-        known = {f.name for f in fields(cls)}
-        extra = set(obj) - known
+        extra = set(obj) - _FIELD_NAMES
         if extra:
             raise ManifestError(f"unknown fields: {sorted(extra)}")
         missing = [name for name in _FIELD_ORDER[:6] if name not in obj]
@@ -83,6 +82,9 @@ class ManifestRecord:
             raise ManifestError("expressions must be [surface, type] pairs")
         data["expressions"] = tuple((str(s), str(t)) for s, t in raw)
         return cls(**data)
+
+
+_FIELD_NAMES = frozenset(f.name for f in fields(ManifestRecord))
 
 
 def write_manifest(records: Iterable[ManifestRecord], path: str | Path) -> int:

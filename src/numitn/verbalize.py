@@ -14,6 +14,7 @@ from .extract import extract_numeric_literals
 from .lexicon import (
     AND_WORDS,
     CLOCK_STYLES,
+    DE_EIN,
     DE_EINE,
     EN_HUNDRED,
     EN_OH,
@@ -210,17 +211,19 @@ def _currency_words(money: MoneyAmount, locale: Locale) -> str:
     if (money.currency, language) not in CURRENCY_SPOKEN:
         raise ValueError(f"no {language!r} words for currency {money.currency!r}")
     singular, plural = CURRENCY_SPOKEN[(money.currency, language)]
-    major_words = _count_words(money.major, language, money.magnitude_word)
-    unit = singular if money.major.is_integer and money.major.mantissa == 1 \
-        and not money.magnitude_word else plural
-    out = major_words
+    one = money.major.is_integer and money.major.mantissa == 1 and not money.magnitude_word
+    # "ein Euro", never "eins Euro".
+    out = DE_EIN if one and language == "de" else \
+        _count_words(money.major, language, money.magnitude_word)
     if money.magnitude_word:
         out += f" {money.magnitude_word}"
-    out += f" {unit}"
+    out += f" {singular if one else plural}"
     if money.minor is not None:
         cents = money.minor.mantissa
         minor_unit = MINOR_UNIT_SPOKEN[language][cents != 1]
-        out += f" {AND_WORDS[language]} {verbalize_cardinal(cents, language)} {minor_unit}"
+        cent_words = DE_EIN if cents == 1 and language == "de" \
+            else verbalize_cardinal(cents, language)
+        out += f" {AND_WORDS[language]} {cent_words} {minor_unit}"
     return out
 
 
@@ -259,6 +262,8 @@ def verbalize_line(line: str, locale: Locale,
 
 # --- formatted-literal parsing (CLI inverse) ----------------------------------
 
+_TRAILING_WORD_RE = re.compile(r"\s(\S+)$")
+
 
 def parse_literal(text: str, expr_type: ExpressionType, locale: Locale,
                   currencies: Optional[dict[str, CurrencyUnit]] = None) -> ParsedExpression:
@@ -273,15 +278,16 @@ def parse_literal(text: str, expr_type: ExpressionType, locale: Locale,
 
     body = text
     currency_code = None
-    # Longest symbol first, as the extractor matches them: "US$" before "$".
-    for code, unit in sorted(registry.items(), key=lambda item: -len(item[1].symbol)):
-        if unit.symbol and unit.symbol in body:
-            currency_code = code
-            body = body.replace(unit.symbol, "").strip()
-            break
+    found = [(code, unit.symbol) for code, unit in registry.items()
+             if unit.symbol and unit.symbol in text]
+    if found:
+        # The longest symbol, as the extractor matches them: "US$" before
+        # "$"; on a tie, the first in registry order.
+        currency_code, symbol = max(found, key=lambda item: len(item[1]))
+        body = text.replace(symbol, "").strip()
     magnitude = None
-    m = re.search(r"\s(\S+)$", body)
-    if m and not any(ch.isdigit() for ch in m.group(1)):
+    m = _TRAILING_WORD_RE.search(body)
+    if m and not any(map(str.isdigit, m.group(1))):
         magnitude = m.group(1)
         body = body[: m.start()]
     value = _parse_number(body, locale)

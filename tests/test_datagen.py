@@ -2,6 +2,7 @@ import hashlib
 import threading
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from numitn.datagen import (
     ANTI_ENUMERATION,
@@ -20,11 +21,14 @@ from numitn.datagen import (
     corpus_statistics,
     run_generation,
     split_disjoint,
+    _surfaces_outside,
     validate_record,
 )
+from numitn.extract import extract_numeric_literals
 from numitn.locales import get_locale
 from numitn.manifest import ManifestRecord
 from numitn.pipeline import normalize_text
+from numitn.tokenizer import tokenize
 from numitn.types import ExpressionType
 
 EN = get_locale("en")
@@ -409,3 +413,22 @@ class TestCorpusStatistics:
         assert lines[1].split() == ["train", "3", "2.0"]
         assert lines[2].split() == ["dev", "1", "0.5"]
         assert lines[3].split() == ["test", "0", "0.0"]
+
+
+_CONVERTED_PIECES = ["Pay", "x", " ", "  ", "$50", "$9.1 million", "10:00", "2,000", "1945",
+                     "(", ")", ".", ",", "5€", "a5", "_", "19", ":", "million"]
+
+
+@settings(max_examples=500)
+@given(text=st.lists(st.sampled_from(_CONVERTED_PIECES), max_size=14).map("".join),
+       locale=st.sampled_from([EN, DE]))
+@example(text="Pay $9.1 million at 10:00 for 2,000.", locale=EN)
+@example(text="(1945)x5€ 19:", locale=DE)
+def test_surfaces_outside_walks_as_the_any_rule(text, locale):
+    # The forward walk keeps exactly the tokens no literal span contains.
+    tokens = tokenize(text)
+    literals = extract_numeric_literals(text, locale)
+    expected = [t.surface for t in tokens
+                if not any(lit.span.start <= t.start and t.end <= lit.span.end
+                           for lit in literals)]
+    assert _surfaces_outside(tokens, literals) == expected

@@ -1,13 +1,16 @@
+import dataclasses
+import re
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from numitn import extract
 from numitn.extract import (
     LiteralMatch,
     _build_patterns,
     contains_numeric_expression,
     extract_numeric_literals,
 )
+from numitn.lexicon import DE_MAGNITUDE_NAMES, EN_MAGNITUDE_WORDS
 from numitn.locales import DEFAULT_CURRENCIES, CurrencyUnit, get_locale
 from numitn.types import ExpressionType, Span
 
@@ -137,11 +140,43 @@ class TestContainsNumericExpression:
         assert contains_numeric_expression(text, locale) == expected
 
 
-def ungated_extract(text, locale, currencies=None):
-    """``extract_numeric_literals`` without its digit gate, as a reference."""
+# The literal patterns spelled the plain way, each starting with "\b" (or
+# the prefix symbol): a reference that shares no code with
+# ``extract._build_patterns`` and its digit-first spelling.
+_REF_NUMBER = r"(?:\d{{1,3}}(?:{sep}\d{{3}})+|\d+)(?:{mark}\d+)?"
+_REF_TIMESTAMP = r"\b(?:[01]?\d|2[0-3]):[0-5]\d\b"
+_REF_PRIORITY = {ExpressionType.CURRENCY: 0, ExpressionType.TIMESTAMP: 1,
+                 ExpressionType.QUANTITY: 2}
+
+
+def _reference_patterns(locale, symbols):
+    number = _REF_NUMBER.format(sep=re.escape(locale.thousands_separator),
+                                mark=re.escape(locale.decimal_mark))
+    if locale.language == "de":
+        words = [form for _, *forms in DE_MAGNITUDE_NAMES for form in forms]
+    else:
+        words = EN_MAGNITUDE_WORDS
+    alternation = "|".join(re.escape(w) for w in sorted(words, key=len, reverse=True))
+    magnitude = rf"(?:\s(?i:{alternation}))?"
+    patterns = []
+    escaped = sorted((re.escape(s) for s in symbols if s), key=len, reverse=True)
+    if escaped:
+        symbol = "(?:" + "|".join(escaped) + ")"
+        if locale.currency_placement == "prefix":
+            money = rf"{symbol}{number}{magnitude}\b"
+        else:
+            money = rf"\b{number}{magnitude}{symbol}"
+        patterns.append((ExpressionType.CURRENCY, re.compile(money)))
+    patterns.append((ExpressionType.TIMESTAMP, re.compile(_REF_TIMESTAMP)))
+    patterns.append((ExpressionType.QUANTITY, re.compile(rf"\b{number}{magnitude}\b")))
+    return patterns
+
+
+def reference_extract(text, locale, currencies=None):
+    """``extract_numeric_literals`` with no digit gate, on the reference patterns."""
     registry = currencies if currencies is not None else DEFAULT_CURRENCIES
-    patterns = _build_patterns(locale, tuple(u.symbol for u in registry.values()))
-    raw = sorted(((m.start(), extract._PRIORITY[t], -m.end(), t, m.group())
+    patterns = _reference_patterns(locale, [u.symbol for u in registry.values()])
+    raw = sorted(((m.start(), _REF_PRIORITY[t], -m.end(), t, m.group())
                   for t, pattern in patterns for m in pattern.finditer(text)),
                  key=lambda r: r[:3])
     kept = []
@@ -149,7 +184,7 @@ def ungated_extract(text, locale, currencies=None):
     for start, _, neg_end, expr_type, surface in raw:
         if start < last_end:
             continue
-        if expr_type == ExpressionType.QUANTITY and extract._YEAR_GUESS_RE.match(surface) \
+        if expr_type == ExpressionType.QUANTITY and re.match(r"^[12]\d{3}$", surface) \
                 and 1000 <= int(surface) <= 2100:
             expr_type = ExpressionType.YEAR
         kept.append(LiteralMatch(Span(start, -neg_end), surface, expr_type))
@@ -158,9 +193,12 @@ def ungated_extract(text, locale, currencies=None):
 
 
 # Digits of every script ``\d`` matches ("٣", "０", "७"), "²" (a digit to
-# ``str.isdigit`` but not to ``\d``), separators, symbols and magnitude words.
-_LITERAL_PIECES = ["0", "1", "7", "19", "2024", "٣", "０", "७", "²", ",", ".", ":", " ",
-                   "$", "€", "£", "US$", "A$", "a", "x", "million", "Millionen", "Uhr"]
+# ``str.isdigit`` but not to ``\d``), the hour digits the timestamp branches
+# read ("2", "24", "9"), letters and "_" before a digit, separators, ":",
+# "-", symbols and magnitude words.
+_LITERAL_PIECES = ["0", "1", "2", "7", "9", "19", "24", "2024", "٣", "０", "७", "²",
+                   ",", ".", ":", "-", " ", "_", "$", "€", "£", "US$", "A$", "a", "x",
+                   "million", "Millionen", "Uhr"]
 _REGISTRIES = [DEFAULT_CURRENCIES,
                {**DEFAULT_CURRENCIES, "USD": CurrencyUnit("USD", "US$"),
                 "AUD": CurrencyUnit("AUD", "A$"), "XXX": CurrencyUnit("XXX", "")}]
@@ -172,13 +210,69 @@ _REGISTRIES = [DEFAULT_CURRENCIES,
 @example(text="٣", locale=EN, currencies=DEFAULT_CURRENCIES)
 @example(text="$０", locale=EN, currencies=DEFAULT_CURRENCIES)
 @example(text="²", locale=DE, currencies=DEFAULT_CURRENCIES)
+@example(text="1:30", locale=EN, currencies=DEFAULT_CURRENCIES)
+@example(text="01:30", locale=EN, currencies=DEFAULT_CURRENCIES)
+@example(text="19:30", locale=EN, currencies=DEFAULT_CURRENCIES)
+@example(text="20:30", locale=EN, currencies=DEFAULT_CURRENCIES)
+@example(text="23:59", locale=EN, currencies=DEFAULT_CURRENCIES)
+@example(text="24:00", locale=EN, currencies=DEFAULT_CURRENCIES)
+@example(text="29:30", locale=EN, currencies=DEFAULT_CURRENCIES)
+@example(text="x1:30", locale=EN, currencies=DEFAULT_CURRENCIES)
+@example(text="_1:30", locale=EN, currencies=DEFAULT_CURRENCIES)
+@example(text="٣:٣٠", locale=EN, currencies=DEFAULT_CURRENCIES)
+@example(text="1:3", locale=EN, currencies=DEFAULT_CURRENCIES)
+@example(text="a5€", locale=DE, currencies=DEFAULT_CURRENCIES)
+@example(text="1234,567", locale=EN, currencies=DEFAULT_CURRENCIES)
 def test_digit_gate_skips_only_lines_without_literals(text, locale, currencies):
     assert extract_numeric_literals(text, locale, currencies) == \
-        ungated_extract(text, locale, currencies)
+        reference_extract(text, locale, currencies)
+
+
+_BEFORE = ["", " ", "x", "_", "$", "٣"]
+_AFTER = ["", " ", "x", "€", "0"]
+
+
+@settings(max_examples=300)
+@given(before=st.sampled_from(_BEFORE), hour=st.integers(0, 30), minute=st.integers(0, 60),
+       widths=st.tuples(st.integers(1, 2), st.integers(1, 3)), after=st.sampled_from(_AFTER),
+       locale=st.sampled_from([EN, DE]))
+def test_clock_digits_match_the_reference(before, hour, minute, widths, after, locale):
+    # Every hour branch ("0"/"1" then any digit, "2" then "0"-"3", one
+    # digit) and what comes before and after it.
+    text = f"{before}{hour:0{widths[0]}d}:{minute:0{widths[1]}d}{after}"
+    assert extract_numeric_literals(text, locale) == reference_extract(text, locale)
+
+
+@settings(max_examples=300)
+@given(before=st.sampled_from(_BEFORE), head=st.integers(0, 99999),
+       sep=st.sampled_from([",", "."]), tail=st.integers(0, 9999), width=st.integers(1, 4),
+       after=st.sampled_from(_AFTER), locale=st.sampled_from([EN, DE]))
+def test_number_groups_match_the_reference(before, head, sep, tail, width, after, locale):
+    # One to five leading digits, then a group of one to four.
+    text = f"{before}{head}{sep}{tail:0{width}d}{after}"
+    assert extract_numeric_literals(text, locale) == reference_extract(text, locale)
+
+
+def _patterns(locale, symbols):
+    return _build_patterns(locale.language, locale.thousands_separator,
+                           locale.decimal_mark, locale.currency_placement, symbols)
 
 
 def test_symbols_are_escaped_before_they_are_sorted():
     # "$$" escapes to four characters and so goes before "abc"; the empty
     # symbol of a currency without one is left out.
-    patterns = dict(_build_patterns(EN, ("abc", "", "$$")))
+    patterns = {t: pattern for _, t, pattern in _patterns(EN, ("abc", "", "$$"))}
     assert patterns[ExpressionType.CURRENCY].pattern.startswith(r"(?:\$\$|abc)")
+
+
+@pytest.mark.parametrize("placement", ["prefix", "suffix"])
+@pytest.mark.parametrize("locale", [EN, DE])
+def test_every_pattern_starts_with_a_digit_class_or_the_symbols(locale, placement):
+    # The regex engine skips ahead in C only to a first literal or character
+    # class; a leading "\b" or lookbehind would try a match at every character.
+    locale = dataclasses.replace(locale, currency_placement=placement)
+    symbols = ("$", "US$", "€")
+    for _, expr_type, pattern in _patterns(locale, symbols):
+        prefix = r"(?:US\$|\$|€)" if expr_type == ExpressionType.CURRENCY \
+            and placement == "prefix" else r"\d"
+        assert pattern.pattern.startswith(prefix), (expr_type, pattern.pattern)

@@ -1,7 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
+from numitn import manifest
 from numitn.manifest import (
     ManifestError,
     ManifestRecord,
@@ -84,6 +86,9 @@ class TestSerialization:
     def test_round_trip(self):
         rec = record(audio="clips/en-year-00001.wav", voice="alpha")
         assert ManifestRecord.from_obj(json.loads(rec.to_json())) == rec
+
+    def test_known_field_names_are_the_record_fields(self):
+        assert manifest._FIELD_NAMES == {f.name for f in dataclasses.fields(ManifestRecord)}
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ManifestError, match="unknown fields"):

@@ -230,7 +230,7 @@ class TestLineRewrites:
 
     @pytest.mark.parametrize("line,locale,words,written", [
         ("It cost $1.5.", "en", "It cost one dollar and fifty cents.", "It cost $1.50."),
-        ("Es kostet 1,5€.", "de", "Es kostet eins Euro und fünfzig Cent.",
+        ("Es kostet 1,5€.", "de", "Es kostet ein Euro und fünfzig Cent.",
          "Es kostet 1,50€."),
         ("It cost $0.05.", "en", "It cost zero dollars and five cents.", "It cost $0.05."),
         ("It cost $2.01.", "en", "It cost two dollars and one cent.", "It cost $2.01."),
@@ -240,6 +240,19 @@ class TestLineRewrites:
         loc = EN if locale == "en" else DE
         assert verbalize_line(line, loc) == words
         assert normalize_sentence(words, loc).text == written
+
+    @pytest.mark.parametrize("line,words", [
+        ("Es kostet 1€.", "Es kostet ein Euro."),
+        ("Es kostet 0,01€.", "Es kostet null Euro und ein Cent."),
+        ("Es kostet 1,01€.", "Es kostet ein Euro und ein Cent."),
+        ("Es kostet 2,01€.", "Es kostet zwei Euro und ein Cent."),
+        ("Es kostet 21€.", "Es kostet einundzwanzig Euro."),
+        ("Es kostet 1 Million€.", "Es kostet eine Million Euro."),
+        ("Es kostet 1,5 Millionen€.", "Es kostet eins Komma fünf Millionen Euro."),
+    ])
+    def test_german_one_before_a_currency_noun_is_ein(self, line, words):
+        assert verbalize_line(line, DE) == words
+        assert normalize_sentence(words, DE).text == line
 
     def test_multi_char_symbol(self):
         registry = {**DEFAULT_CURRENCIES, "USD": CurrencyUnit("USD", "US$")}
@@ -303,6 +316,18 @@ class TestParseLiteral:
         parsed = parse_literal("A$5", ExpressionType.CURRENCY, EN, registry)
         assert parsed.payload.currency == "AUD"
         assert parsed.payload.major == NumericValue(5)
+
+    def test_longest_symbol_present_wins_over_registry_order(self):
+        registry = {"USD": CurrencyUnit("USD", "$"), "XUS": CurrencyUnit("XUS", "US$")}
+        parsed = parse_literal("US$5", ExpressionType.CURRENCY, EN, registry)
+        assert parsed.payload.currency == "XUS"
+        assert parsed.payload.major == NumericValue(5)
+
+    @pytest.mark.parametrize("codes", [("USD", "AUD"), ("AUD", "USD")])
+    def test_equal_symbols_take_the_first_in_registry_order(self, codes):
+        registry = {code: CurrencyUnit(code, "$") for code in codes}
+        parsed = parse_literal("$5", ExpressionType.CURRENCY, EN, registry)
+        assert parsed.payload.currency == codes[0]
 
     def test_currency_magnitude(self):
         parsed = parse_literal("$9.1 million", ExpressionType.CURRENCY, EN)
