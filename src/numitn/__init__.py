@@ -9,8 +9,8 @@ pipeline with manifest tooling.
 """
 
 from .evaluate import EvalItem, EvalReport, evaluate, render_report
-from .extract import LiteralMatch, contains_numeric_expression, extract_numeric_literals
-from .locales import DEFAULT_CONFIG, CurrencyUnit, Locale, LocaleConfig, get_locale
+from .extract import LiteralMatch, extract_numeric_literals
+from .locales import DEFAULT_CONFIG, CurrencyUnit, Locale, LocaleConfig
 from .manifest import ManifestError, ManifestRecord, read_manifest, write_manifest
 from .pipeline import NormalizationOutcome, NormalizedExpression, normalize_sentence, normalize_text
 from .types import (
@@ -50,12 +50,10 @@ __all__ = [
     "QuantityAmount",
     "Span",
     "TimeOfDay",
-    "contains_numeric_expression",
     "edit_distance",
     "enumerate_timestamp_phrasings",
     "evaluate",
     "extract_numeric_literals",
-    "get_locale",
     "guard",
     "normalize_sentence",
     "normalize_text",

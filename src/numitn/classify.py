@@ -96,7 +96,7 @@ def classify(candidate: CandidateParse, tokens: list[Token], locale: Locale) -> 
 
     value = candidate.value
     if (value.is_integer and candidate.magnitude_word is None
-            and YEAR_MIN <= value.mantissa <= YEAR_MAX and not value.negative):
+            and YEAR_MIN <= value.mantissa <= YEAR_MAX):
         cued = False
         before = candidate.span.start - 1
         if before >= 0:

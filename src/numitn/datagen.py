@@ -6,7 +6,6 @@ stays reproducible. Audio is synthesized but not written anywhere.
 
 from __future__ import annotations
 
-import hashlib
 import random
 import re
 from abc import ABC, abstractmethod
@@ -121,8 +120,8 @@ def validate_record(verbalized: str, converted: str, locale: Locale,
     covered: set[int] = set()
     for candidate in scan_tokens(verbalized_tokens, locale):
         covered.update(range(candidate.span.start, candidate.span.end))
-    verbalized_rest = [t.surface for t in verbalized_tokens
-                       if t.index not in covered]
+    verbalized_rest = [t.surface for at, t in enumerate(verbalized_tokens)
+                       if at not in covered]
     return verbalized_rest == converted_rest
 
 
@@ -207,7 +206,8 @@ def split_disjoint(records: Sequence[ManifestRecord], spec: SplitSpec
 @dataclass(frozen=True)
 class ClientConfig:
     """``max_retries`` bounds retries of each text call. ``max_concurrency``
-    is validated but unused: every call runs on the calling thread."""
+    is validated but unused: every call runs on the calling thread. It is
+    kept only because the benchmark's ``corpus`` workload passes it."""
 
     max_concurrency: int = 4
     max_retries: int = 2
@@ -230,8 +230,6 @@ class TextGenerator(ABC):
 
 @dataclass(frozen=True)
 class SynthesisResult:
-    data: bytes
-    format_tag: str
     duration_seconds: float
 
 
@@ -245,11 +243,10 @@ class SpeechSynthesizer(ABC):
 
 
 class MockSpeechSynthesizer(SpeechSynthesizer):
-    """Deterministic placeholder audio."""
+    """Placeholder synthesis: no audio, zero seconds."""
 
     def synthesize(self, text: str, voice: str) -> SynthesisResult:
-        digest = hashlib.sha256(f"{voice}|{text}".encode("utf-8")).digest()
-        return SynthesisResult(digest, "wav", 0.0)
+        return SynthesisResult(0.0)
 
 
 # --- rule-based text client -----------------------------------------------
@@ -567,13 +564,11 @@ def run_generation(plan: GenerationPlan, textgen: TextGenerator,
     return records, stats
 
 
-def corpus_statistics(splits: Mapping[str, Sequence[ManifestRecord]],
-                      audio_seconds: Optional[Mapping[str, float]] = None) -> str:
-    """Utterance and hour counts per subset, one row each."""
-    rows = [("Subset", "Utterances", "Hours")]
+def corpus_statistics(splits: Mapping[str, Sequence[ManifestRecord]]) -> str:
+    """Utterance counts per subset, one row each."""
+    rows = [("Subset", "Utterances")]
     for name, records in splits.items():
-        seconds = (audio_seconds or {}).get(name, 0.0)
-        rows.append((name, str(len(records)), f"{seconds / 3600:.1f}"))
-    widths = [max(len(row[col]) for row in rows) for col in range(3)]
+        rows.append((name, str(len(records))))
+    widths = [max(len(row[col]) for row in rows) for col in range(2)]
     return "\n".join("  ".join(cell.ljust(width) for cell, width
                                in zip(row, widths)).rstrip() for row in rows)

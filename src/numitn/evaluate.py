@@ -122,18 +122,3 @@ def render_report(report: EvalReport, fmt: str = "table") -> str:
     body = "  ".join(c.ljust(w) for c, w in zip(cells, widths))
     return f"{head.rstrip()}\n{body.rstrip()}"
 
-
-def parse_report_tsv(text: str) -> EvalReport:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if len(lines) != 2:
-        raise ValueError("expected a header line and a value line")
-    header = tuple(lines[0].split("\t"))
-    if header != _TSV_FIELDS:
-        raise ValueError(f"unexpected report header: {header!r}")
-    values = [int(v) for v in lines[1].split("\t")]
-    counts: dict[ExpressionType, TypeCount] = {}
-    for (expr_type, _), at in zip(_COLUMNS, range(2, len(values), 2)):
-        correct, total = values[at], values[at + 1]
-        if total or correct:
-            counts[expr_type] = TypeCount(correct, total)
-    return EvalReport(values[0], values[1], counts)

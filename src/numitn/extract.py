@@ -9,9 +9,8 @@ from operator import itemgetter
 from typing import Optional
 
 from .formatting import YEAR_MAX, YEAR_MIN
-from .lexicon import DE_EIN, DE_EINE, DE_MAGNITUDE_NAMES, EN_MAGNITUDE_WORDS, is_number_word
+from .lexicon import DE_MAGNITUDE_NAMES, EN_MAGNITUDE_WORDS
 from .locales import DEFAULT_CURRENCIES, CurrencyUnit, Locale
-from .tokenizer import tokenize
 from .types import ExpressionType, Span
 
 _YEAR_GUESS_RE = re.compile(r"^[12]\d{3}$")
@@ -118,12 +117,3 @@ def extract_numeric_literals(text: str, locale: Locale,
         last_end = end
     return kept
 
-
-def contains_numeric_expression(text: str, locale: Locale,
-                                currencies: Optional[dict[str, CurrencyUnit]] = None) -> bool:
-    """True when the text holds a digit literal or a spoken number word."""
-    if extract_numeric_literals(text, locale, currencies):
-        return True
-    # Bare German articles are not treated as numerals here; "eins" is.
-    return any(token.folded not in (DE_EIN, DE_EINE)
-               and is_number_word(token.folded, locale.language) for token in tokenize(text))

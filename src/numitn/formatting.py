@@ -46,8 +46,6 @@ def _decimal_string(value: NumericValue, locale: Locale) -> str:
     out = group_thousands(int_part, locale.thousands_separator)
     if frac_part:
         out += locale.decimal_mark + frac_part
-    if value.negative:
-        out = "-" + out
     return out
 
 
@@ -61,8 +59,6 @@ def format_currency(major: NumericValue, minor: Optional[NumericValue],
                     unit: CurrencyUnit, magnitude_word: Optional[str],
                     locale: Locale) -> str:
     """Render a currency amount; cents only when spoken ("$0", "$1,000.50")."""
-    if major.negative or (minor is not None and minor.negative):
-        raise ValueError("negative currency amounts are not supported")
     if magnitude_word:
         body = f"{_decimal_string(major, locale)} {magnitude_word}"
         return _place_symbol(body, unit.symbol, locale)

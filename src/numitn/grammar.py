@@ -35,7 +35,7 @@ from .lexicon import (
     phrase_keys,
 )
 from .locales import CURRENCY_WORDS, Locale, MINOR_UNIT_WORDS
-from .tokenizer import Token, tokenize
+from .tokenizer import Token
 from .types import (
     MAX_MANTISSA,
     MAX_SCALE,
@@ -86,14 +86,6 @@ def _key(tokens: list[Token], i: int) -> str:
     # Every table key and digit pattern needs a letter or a digit, so neither
     # a punctuation token nor the empty key past the end matches one.
     return tokens[i].folded if i < len(tokens) else ""
-
-
-def _surface(tokens: list[Token], i: int) -> str:
-    return tokens[i].surface
-
-
-def _is_magnitude_word(key: str, language: str) -> bool:
-    return key in (DE_MAGNITUDE_WORDS if language == "de" else EN_MAGNITUDE_WORDS)
 
 
 # --- cardinals ---------------------------------------------------------------
@@ -210,7 +202,7 @@ def _integer(tokens: list[Token], at: int,
             return None
         total += value * scale
         scale_groups.append(scale)
-        last_scale_surface = _surface(tokens, j)
+        last_scale_surface = tokens[j].surface
         i = j + 1
     if i == at or _key(tokens, i) in scales:
         return None
@@ -267,8 +259,9 @@ def parse_cardinal(tokens: list[Token], at: int, locale: Locale) -> Optional[Can
                     mantissa = value * 10**ndigits + frac_value
                     if mantissa <= MAX_MANTISSA:
                         magnitude = None
-                        if _is_magnitude_word(_key(tokens, frac_end), language):
-                            magnitude = _surface(tokens, frac_end)
+                        if _key(tokens, frac_end) in (DE_MAGNITUDE_WORDS if language == "de"
+                                                      else EN_MAGNITUDE_WORDS):
+                            magnitude = tokens[frac_end].surface
                             frac_end += 1
                         decimal = CandidateParse(
                             Span(at, frac_end), ParseKind.CARDINAL,
@@ -554,7 +547,3 @@ def scan_tokens(tokens: list[Token], locale: Locale) -> list[CandidateParse]:
         else:
             i += 1
     return out
-
-
-def scan_sentence(sentence: str, locale: Locale) -> list[CandidateParse]:
-    return scan_tokens(tokenize(sentence), locale)

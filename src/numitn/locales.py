@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Union
 
@@ -22,6 +22,11 @@ class Locale:
     currency_placement: str
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not isinstance(getattr(self, f.name), str):
+                raise ValueError(f"{f.name} must be a string")
+        if not self.decimal_mark:
+            raise ValueError("decimal mark must not be empty")
         if self.thousands_separator == self.decimal_mark:
             raise ValueError("thousands separator and decimal mark must differ")
         if self.currency_placement not in _PLACEMENTS:
@@ -37,6 +42,10 @@ class CurrencyUnit:
     minor_unit_digits: int = 2
 
     def __post_init__(self) -> None:
+        if not isinstance(self.symbol, str):
+            raise ValueError("symbol must be a string")
+        if not isinstance(self.minor_unit_digits, int) or isinstance(self.minor_unit_digits, bool):
+            raise ValueError("minor_unit_digits must be an integer")
         if self.minor_unit_digits < 0:
             raise ValueError("minor_unit_digits must be non-negative")
 
@@ -96,11 +105,16 @@ class LocaleConfig:
         except KeyError:
             raise KeyError(f"unknown currency: {code!r}") from None
 
-    def currency_symbols(self) -> str:
-        return "".join(unit.symbol for unit in self.currencies.values())
-
 
 DEFAULT_CONFIG = LocaleConfig(dict(DEFAULT_LOCALES), dict(DEFAULT_CURRENCIES))
+
+
+def _section(raw: dict, name: str) -> dict:
+    """The config's ``name`` section: each code mapped to a JSON object."""
+    section = raw.get(name, {})
+    if not isinstance(section, dict) or not all(isinstance(e, dict) for e in section.values()):
+        raise ValueError(f"{name!r} must map each code to a JSON object")
+    return section
 
 
 def load_locale_config(path: Union[str, Path]) -> LocaleConfig:
@@ -116,7 +130,7 @@ def load_locale_config(path: Union[str, Path]) -> LocaleConfig:
     if not isinstance(raw, dict):
         raise ValueError("locale config must be a JSON object")
     locales = dict(DEFAULT_LOCALES)
-    for code, entry in raw.get("locales", {}).items():
+    for code, entry in _section(raw, "locales").items():
         base = locales.get(code)
         locales[code] = Locale(
             language=entry.get("language", base.language if base else code),
@@ -127,7 +141,7 @@ def load_locale_config(path: Union[str, Path]) -> LocaleConfig:
                 "currency_placement", base.currency_placement if base else "prefix"),
         )
     currencies = dict(DEFAULT_CURRENCIES)
-    for code, entry in raw.get("currencies", {}).items():
+    for code, entry in _section(raw, "currencies").items():
         base_unit = currencies.get(code)
         currencies[code] = CurrencyUnit(
             code=code,
@@ -137,7 +151,3 @@ def load_locale_config(path: Union[str, Path]) -> LocaleConfig:
                 base_unit.minor_unit_digits if base_unit else 2),
         )
     return LocaleConfig(locales, currencies)
-
-
-def get_locale(code: str) -> Locale:
-    return DEFAULT_CONFIG.locale(code)

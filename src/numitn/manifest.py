@@ -88,16 +88,8 @@ _FIELD_NAMES = frozenset(f.name for f in fields(ManifestRecord))
 
 
 def write_manifest(records: Iterable[ManifestRecord], path: str | Path) -> int:
-    return _write(records, path, "w")
-
-
-def append_manifest(records: Iterable[ManifestRecord], path: str | Path) -> int:
-    return _write(records, path, "a")
-
-
-def _write(records: Iterable[ManifestRecord], path: str | Path, mode: str) -> int:
     count = 0
-    with open(path, mode, encoding="utf-8") as handle:
+    with open(path, "w", encoding="utf-8") as handle:
         for record in records:
             handle.write(record.to_json() + "\n")
             count += 1

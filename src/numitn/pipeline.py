@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Optional
+from typing import Optional
 
 from .classify import classify, resolve_time
 from .extract import extract_numeric_literals
@@ -24,20 +24,11 @@ class NormalizedExpression:
     formatted: str
     output_span: Span
 
-    def restore(self, normalized: str) -> str:
-        """Splice the original wording back over the output span."""
-        return (normalized[: self.output_span.start] + self.source_text
-                + normalized[self.output_span.end:])
-
 
 @dataclass(frozen=True)
 class NormalizationOutcome:
     text: str
     replacements: tuple[NormalizedExpression, ...]
-
-    @property
-    def changed(self) -> bool:
-        return bool(self.replacements)
 
 
 def _char_range(tokens: list[Token], span: Span) -> tuple[int, int]:
@@ -85,10 +76,3 @@ def normalize_sentence(sentence: str, locale: Locale,
 def normalize_text(sentence: str, locale: Locale,
                    currencies: Optional[dict[str, CurrencyUnit]] = None) -> str:
     return normalize_sentence(sentence, locale, currencies).text
-
-
-def normalize_lines(lines: Iterable[str], locale: Locale,
-                    currencies: Optional[dict[str, CurrencyUnit]] = None
-                    ) -> Iterator[NormalizationOutcome]:
-    for line in lines:
-        yield normalize_sentence(line, locale, currencies)

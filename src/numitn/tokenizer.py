@@ -26,7 +26,6 @@ class Token(NamedTuple):
     surface: str
     # Lowercase with umlauts and ß spelled out: the key every table lookup reads.
     folded: str
-    index: int
     start: int
     end: int
 
@@ -42,7 +41,7 @@ def tokenize(sentence: str) -> list[Token]:
     reconstructs the input exactly.
     """
     tokens: list[Token] = []
-    for index, match in enumerate(_TOKEN_RE.finditer(sentence)):
+    for match in _TOKEN_RE.finditer(sentence):
         surface = match.group()
-        tokens.append(Token(surface, fold_german(surface), index, *match.span()))
+        tokens.append(Token(surface, fold_german(surface), *match.span()))
     return tokens

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from decimal import Decimal
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
 
@@ -38,7 +37,7 @@ class ParseKind(Enum):
 
 @dataclass(frozen=True)
 class NumericValue:
-    """Exact decimal number: sign * mantissa * 10**-scale.
+    """Exact non-negative decimal number: mantissa * 10**-scale.
 
     The mantissa carries all spoken digits; the scale counts digits after
     the decimal point ("nine point one" -> mantissa 91, scale 1).
@@ -46,7 +45,6 @@ class NumericValue:
 
     mantissa: int
     scale: int = 0
-    negative: bool = False
 
     def __post_init__(self) -> None:
         if not 0 <= self.mantissa <= MAX_MANTISSA:
@@ -54,22 +52,9 @@ class NumericValue:
         if not 0 <= self.scale <= MAX_SCALE:
             raise ValueError(f"scale out of range: {self.scale}")
 
-    @classmethod
-    def from_int(cls, n: int) -> "NumericValue":
-        return cls(abs(n), 0, n < 0)
-
-    def to_decimal(self) -> Decimal:
-        d = Decimal(self.mantissa).scaleb(-self.scale)
-        return -d if self.negative else d
-
     @property
     def is_integer(self) -> bool:
         return self.scale == 0
-
-    def as_int(self) -> int:
-        if self.scale:
-            raise ValueError(f"not an integer value: {self!r}")
-        return -self.mantissa if self.negative else self.mantissa
 
     def digit_parts(self) -> tuple[str, str]:
         """Split into (integer digits, fraction digits) without separators."""

@@ -27,7 +27,7 @@ from numitn.extract import extract_numeric_literals
 from numitn.formatting import format_currency, format_quantity, format_time, format_year
 from numitn.grammar import parse_cardinal
 from numitn.lexicon import verbalize_cardinal
-from numitn.locales import DEFAULT_CURRENCIES, get_locale
+from numitn.locales import DEFAULT_CONFIG, DEFAULT_CURRENCIES
 from numitn.manifest import ManifestRecord
 from numitn.pipeline import normalize_sentence, normalize_text
 from numitn.tokenizer import tokenize
@@ -39,8 +39,8 @@ from numitn.types import (
 from numitn.verbalize import applicable_time_styles, verbalize_time
 from numitn.wer import GuardConfig, edit_distance, guard, word_error_rate
 
-EN = get_locale("en")
-DE = get_locale("de")
+EN = DEFAULT_CONFIG.locale("en")
+DE = DEFAULT_CONFIG.locale("de")
 LOCALES = {"en": EN, "de": DE}
 
 

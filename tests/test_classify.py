@@ -3,12 +3,12 @@ from hypothesis import given, strategies as st
 
 from numitn.classify import classify, resolve_time
 from numitn.grammar import scan_tokens
-from numitn.locales import get_locale
+from numitn.locales import DEFAULT_CONFIG
 from numitn.tokenizer import tokenize
 from numitn.types import ExpressionType, PeriodHint, TimeOfDay
 
-EN = get_locale("en")
-DE = get_locale("de")
+EN = DEFAULT_CONFIG.locale("en")
+DE = DEFAULT_CONFIG.locale("de")
 
 
 def classify_first(text, locale):

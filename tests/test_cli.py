@@ -5,6 +5,8 @@ import pytest
 from numitn.cli import main
 from numitn.manifest import read_manifest
 
+from test_locales import MALFORMED_CONFIGS
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -436,6 +438,18 @@ class TestConfigLocales:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["normalize", "verbalize", "extract"])
+    @pytest.mark.parametrize("raw", MALFORMED_CONFIGS, ids=json.dumps)
+    def test_malformed_config_exits_1(self, tmp_path, capsys, command, raw):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        src = tmp_path / "in.txt"
+        src.write_text("five point two costs $5.20\n", encoding="utf-8")
+        code, out, err = run(capsys, command, "--locale", "en", "--config", str(config),
+                             str(src))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestParser:

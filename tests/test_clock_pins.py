@@ -12,7 +12,7 @@ import hashlib
 from numitn.classify import resolve_time
 from numitn.grammar import parse_cardinal, parse_clock_phrase
 from numitn.lexicon import verbalize_cardinal
-from numitn.locales import get_locale
+from numitn.locales import DEFAULT_CONFIG
 from numitn.tokenizer import tokenize
 from numitn.types import TimeOfDay
 from numitn.verbalize import (
@@ -21,7 +21,7 @@ from numitn.verbalize import (
     verbalize_time,
 )
 
-LOCALES = {"en": get_locale("en"), "de": get_locale("de")}
+LOCALES = {"en": DEFAULT_CONFIG.locale("en"), "de": DEFAULT_CONFIG.locale("de")}
 COUNTS = (1, 2, 29, 30, 31, 59)
 
 # Phrase templates: {h} is the hour (as words or digits), {d} the hour as

@@ -25,14 +25,14 @@ from numitn.datagen import (
     validate_record,
 )
 from numitn.extract import extract_numeric_literals
-from numitn.locales import get_locale
+from numitn.locales import DEFAULT_CONFIG
 from numitn.manifest import ManifestRecord
 from numitn.pipeline import normalize_text
 from numitn.tokenizer import tokenize
 from numitn.types import ExpressionType
 
-EN = get_locale("en")
-DE = get_locale("de")
+EN = DEFAULT_CONFIG.locale("en")
+DE = DEFAULT_CONFIG.locale("de")
 
 
 class TestPrompts:
@@ -179,9 +179,7 @@ class TestClients:
         a = synth.synthesize("hello there", "alloy")
         b = synth.synthesize("hello there", "alloy")
         c = synth.synthesize("hello there", "echo")
-        assert a == b
-        assert a.data != c.data
-        assert a.format_tag == "wav"
+        assert a == b == c
         assert a.duration_seconds == 0.0
 
 
@@ -279,7 +277,7 @@ class RecordingSynthesizer(MockSpeechSynthesizer):
         self.calls.append((threading.get_ident(), text, voice))
         if text == self.fail:
             raise RuntimeError("voice offline")
-        return SynthesisResult(b"", "wav", 1.5)
+        return SynthesisResult(1.5)
 
 
 class TestRunGeneration:
@@ -407,12 +405,11 @@ class TestCorpusStatistics:
             "dev": [make_record("d", ["4001"])],
             "test": [],
         }
-        table = corpus_statistics(splits, {"train": 7200.0, "dev": 1800.0})
-        lines = table.splitlines()
-        assert lines[0].split() == ["Subset", "Utterances", "Hours"]
-        assert lines[1].split() == ["train", "3", "2.0"]
-        assert lines[2].split() == ["dev", "1", "0.5"]
-        assert lines[3].split() == ["test", "0", "0.0"]
+        lines = corpus_statistics(splits).splitlines()
+        assert lines[0].split() == ["Subset", "Utterances"]
+        assert lines[1].split() == ["train", "3"]
+        assert lines[2].split() == ["dev", "1"]
+        assert lines[3].split() == ["test", "0"]
 
 
 _CONVERTED_PIECES = ["Pay", "x", " ", "  ", "$50", "$9.1 million", "10:00", "2,000", "1945",

@@ -9,7 +9,6 @@ from numitn.evaluate import (
     TypeCount,
     evaluate,
     literal_present,
-    parse_report_tsv,
     render_report,
 )
 from numitn.types import ExpressionType
@@ -98,6 +97,25 @@ class TestRounding:
         assert EvalReport().accuracy(ExpressionType.YEAR) is None
 
 
+# The per-type columns of a TSV report, and the tally behind each.
+_TSV_COLUMNS = (("years", ExpressionType.YEAR), ("timestamps", ExpressionType.TIMESTAMP),
+                ("currencies", ExpressionType.CURRENCY), ("quantities", ExpressionType.QUANTITY))
+
+
+def _tsv_fields(report):
+    """Each column of a TSV report with the tally it must hold, in column order."""
+    fields = [("wer_distance", report.wer_distance), ("wer_tokens", report.wer_tokens)]
+    for name, expr_type in _TSV_COLUMNS:
+        count = report.counts.get(expr_type, TypeCount())
+        fields += [(f"{name}_correct", count.correct), (f"{name}_total", count.total)]
+    return fields
+
+
+def _read_tsv(text):
+    header, values = text.split("\n")
+    return list(zip(header.split("\t"), map(int, values.split("\t")), strict=True))
+
+
 class TestRendering:
     REPORT = EvalReport(3, 100, {
         ExpressionType.YEAR: TypeCount(9, 10),
@@ -131,18 +149,7 @@ class TestRendering:
             render_report(self.REPORT, "csv")
 
     def test_tsv_round_trip(self):
-        back = parse_report_tsv(render_report(self.REPORT, "tsv"))
-        assert back == self.REPORT
-
-    @pytest.mark.parametrize("text", [
-        "",
-        "one line only",
-        "bad\theader\nrow",
-        "wer_distance\twer_tokens\n1",
-    ])
-    def test_parse_rejects_malformed(self, text):
-        with pytest.raises(ValueError):
-            parse_report_tsv(text)
+        assert _read_tsv(render_report(self.REPORT, "tsv")) == _tsv_fields(self.REPORT)
 
 
 counts_strategy = st.dictionaries(
@@ -155,4 +162,4 @@ counts_strategy = st.dictionaries(
 @given(st.integers(0, 500), st.integers(1, 500), counts_strategy)
 def test_tsv_round_trip_property(distance, tokens, counts):
     report = EvalReport(distance, tokens, counts)
-    assert parse_report_tsv(render_report(report, "tsv")) == report
+    assert _read_tsv(render_report(report, "tsv")) == _tsv_fields(report)

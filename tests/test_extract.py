@@ -7,15 +7,15 @@ from hypothesis import example, given, settings, strategies as st
 from numitn.extract import (
     LiteralMatch,
     _build_patterns,
-    contains_numeric_expression,
     extract_numeric_literals,
 )
-from numitn.lexicon import DE_MAGNITUDE_NAMES, EN_MAGNITUDE_WORDS
-from numitn.locales import DEFAULT_CURRENCIES, CurrencyUnit, get_locale
+from numitn.lexicon import DE_EIN, DE_EINE, DE_MAGNITUDE_NAMES, EN_MAGNITUDE_WORDS, is_number_word
+from numitn.locales import DEFAULT_CONFIG, DEFAULT_CURRENCIES, CurrencyUnit
+from numitn.tokenizer import tokenize
 from numitn.types import ExpressionType, Span
 
-EN = get_locale("en")
-DE = get_locale("de")
+EN = DEFAULT_CONFIG.locale("en")
+DE = DEFAULT_CONFIG.locale("de")
 
 
 def spans(text, locale):
@@ -137,7 +137,11 @@ class TestContainsNumericExpression:
     ])
     def test_detection(self, text, code, expected):
         locale = EN if code == "en" else DE
-        assert contains_numeric_expression(text, locale) == expected
+        # A digit literal, or a number word other than a bare German article.
+        found = bool(extract_numeric_literals(text, locale)) or any(
+            token.folded not in (DE_EIN, DE_EINE) and is_number_word(token.folded, code)
+            for token in tokenize(text))
+        assert found == expected
 
 
 # The literal patterns spelled the plain way, each starting with "\b" (or

@@ -8,11 +8,11 @@ from numitn.formatting import (
     format_year,
     group_thousands,
 )
-from numitn.locales import DEFAULT_CURRENCIES, get_locale
+from numitn.locales import DEFAULT_CONFIG, DEFAULT_CURRENCIES
 from numitn.types import NumericValue, TimeOfDay
 
-EN = get_locale("en")
-DE = get_locale("de")
+EN = DEFAULT_CONFIG.locale("en")
+DE = DEFAULT_CONFIG.locale("de")
 USD = DEFAULT_CURRENCIES["USD"]
 EUR = DEFAULT_CURRENCIES["EUR"]
 
@@ -106,10 +106,6 @@ class TestCurrency:
         got = format_currency(NumericValue(91, 1), None, EUR, "Millionen", DE)
         assert got == "9,1 Millionen€"
 
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            format_currency(NumericValue(5, negative=True), None, USD, None, EN)
-
     def test_minor_too_large_rejected(self):
         with pytest.raises(ValueError):
             format_currency(NumericValue(1), NumericValue(100), USD, None, EN)
@@ -136,9 +132,6 @@ class TestQuantity:
 
     def test_bare_number(self):
         assert format_quantity(NumericValue(7), "", None, EN) == "7"
-
-    def test_negative(self):
-        assert format_quantity(NumericValue(5, negative=True), "", None, EN) == "-5"
 
     @given(st.integers(min_value=0, max_value=10**12))
     def test_en_de_agree_modulo_separator(self, n):

@@ -5,17 +5,16 @@ from numitn.grammar import (
     parse_cardinal,
     parse_clock_phrase,
     parse_currency_phrase,
-    scan_sentence,
     scan_tokens,
 )
 from numitn import lexicon
 from numitn.lexicon import fold_german, verbalize_cardinal
-from numitn.locales import CURRENCY_WORDS, MINOR_UNIT_WORDS, get_locale
+from numitn.locales import CURRENCY_WORDS, DEFAULT_CONFIG, MINOR_UNIT_WORDS
 from numitn.tokenizer import tokenize
 from numitn.types import MoneyParse, NumericValue, ParseKind, PeriodHint
 
-EN = get_locale("en")
-DE = get_locale("de")
+EN = DEFAULT_CONFIG.locale("en")
+DE = DEFAULT_CONFIG.locale("de")
 
 
 def cardinal(text, locale):
@@ -298,29 +297,29 @@ class TestCurrency:
 
 class TestScan:
     def test_german_spellings_scan_alike(self):
-        cands = scan_sentence("um fünf Uhr", DE)
+        cands = scan_tokens(tokenize("um fünf Uhr"), DE)
         assert [c.kind for c in cands] == [ParseKind.CLOCK]
-        assert scan_sentence("um fuenf Uhr", DE) == cands
-        assert scan_sentence("UM FÜNF UHR", DE) == cands
+        assert scan_tokens(tokenize("um fuenf Uhr"), DE) == cands
+        assert scan_tokens(tokenize("UM FÜNF UHR"), DE) == cands
 
     def test_german_cents_tail_in_scan(self):
-        cands = scan_sentence("fünfzig Euro und zwanzig Cent", DE)
+        cands = scan_tokens(tokenize("fünfzig Euro und zwanzig Cent"), DE)
         assert [c.kind for c in cands] == [ParseKind.CURRENCY]
         assert cands[0].value.major == NumericValue(50)
         assert cands[0].value.minor == NumericValue(20)
 
     def test_priority_currency_over_year(self):
-        cands = scan_sentence("nineteen forty-five dollars", EN)
+        cands = scan_tokens(tokenize("nineteen forty-five dollars"), EN)
         assert len(cands) == 1
         assert cands[0].kind == ParseKind.CURRENCY
 
     def test_clock_beats_pair_on_tie(self):
-        cands = scan_sentence("nineteen forty-five in the evening", EN)
+        cands = scan_tokens(tokenize("nineteen forty-five in the evening"), EN)
         assert cands[0].kind == ParseKind.CLOCK
 
     def test_multiple_candidates_in_order(self):
-        cands = scan_sentence(
-            "Pay fifty dollars at ten o'clock for two thousand pieces.", EN)
+        cands = scan_tokens(tokenize(
+            "Pay fifty dollars at ten o'clock for two thousand pieces."), EN)
         kinds = [c.kind for c in cands]
         assert kinds == [ParseKind.CURRENCY, ParseKind.CLOCK, ParseKind.CARDINAL]
         starts = [c.span.start for c in cands]
@@ -419,4 +418,4 @@ def test_cardinal_round_trip(n, code):
         scale = {"million": 10**6, "billion": 10**9,
                  "Million": 10**6, "Millionen": 10**6,
                  "Milliarde": 10**9, "Milliarden": 10**9}[c.magnitude_word]
-        assert c.value.to_decimal() * scale == n
+        assert c.value.mantissa * scale == n * 10**c.value.scale

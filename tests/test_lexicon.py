@@ -16,8 +16,9 @@ from numitn.lexicon import (
     is_number_word,
     verbalize_cardinal,
 )
-from numitn.grammar import scan_sentence
-from numitn.locales import CURRENCY_SPOKEN, CURRENCY_WORDS, get_locale
+from numitn.grammar import scan_tokens
+from numitn.locales import CURRENCY_SPOKEN, CURRENCY_WORDS, DEFAULT_CONFIG
+from numitn.tokenizer import tokenize
 from numitn.types import NumericValue
 from numitn.verbalize import verbalize_decimal
 
@@ -118,13 +119,13 @@ class TestGoldenWords:
     ])
     def test_compound_words(self, language, n, words):
         assert verbalize_cardinal(n, language) == words
-        [parse] = scan_sentence(words, get_locale(language))
+        [parse] = scan_tokens(tokenize(words), DEFAULT_CONFIG.locale(language))
         assert parse.value == NumericValue(n)
 
     def test_oh_digit(self):
         assert digit_words("0", "en") == "oh"
         assert digit_value("oh", "en") == 0
-        [parse] = scan_sentence("nineteen oh five", get_locale("en"))
+        [parse] = scan_tokens(tokenize("nineteen oh five"), DEFAULT_CONFIG.locale("en"))
         assert parse.value == NumericValue(1905)
 
     @pytest.mark.parametrize("language,words", [
@@ -132,14 +133,14 @@ class TestGoldenWords:
     ])
     def test_decimal_point_word(self, language, words):
         assert verbalize_decimal(NumericValue(95, 1), language) == words
-        [parse] = scan_sentence(words, get_locale(language))
+        [parse] = scan_tokens(tokenize(words), DEFAULT_CONFIG.locale(language))
         assert parse.value == NumericValue(95, 1)
 
     @pytest.mark.parametrize("language,words", [
         ("en", "five dollars and twenty cents"), ("de", "fünf Euro und zwanzig Cent"),
     ])
     def test_cents_and_word(self, language, words):
-        [parse] = scan_sentence(words, get_locale(language))
+        [parse] = scan_tokens(tokenize(words), DEFAULT_CONFIG.locale(language))
         assert (parse.value.major, parse.value.minor) == (NumericValue(5), NumericValue(20))
 
 

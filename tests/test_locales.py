@@ -7,21 +7,20 @@ from numitn.locales import (
     DEFAULT_CURRENCIES,
     CurrencyUnit,
     Locale,
-    get_locale,
     load_locale_config,
 )
 
 
 def test_preset_conventions():
-    en = get_locale("en")
+    en = DEFAULT_CONFIG.locale("en")
     assert (en.thousands_separator, en.decimal_mark, en.currency_placement) == (",", ".", "prefix")
-    de = get_locale("de")
+    de = DEFAULT_CONFIG.locale("de")
     assert (de.thousands_separator, de.decimal_mark, de.currency_placement) == (".", ",", "suffix")
 
 
 def test_unknown_locale():
     with pytest.raises(KeyError):
-        get_locale("fr")
+        DEFAULT_CONFIG.locale("fr")
 
 
 def test_separator_must_differ_from_mark():
@@ -49,7 +48,7 @@ def test_default_currencies():
 def test_config_lookup():
     assert DEFAULT_CONFIG.locale("de").language == "de"
     assert DEFAULT_CONFIG.currency("USD").symbol == "$"
-    assert "€" in DEFAULT_CONFIG.currency_symbols()
+    assert "€" in {unit.symbol for unit in DEFAULT_CONFIG.currencies.values()}
 
 
 def test_load_config_merges_over_presets(tmp_path):
@@ -70,6 +69,30 @@ def test_load_config_rejects_bad_convention(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text(json.dumps({"locales": {"en": {"decimal_mark": ","}}}),
                     encoding="utf-8")
+    with pytest.raises(ValueError):
+        load_locale_config(path)
+
+
+# Config files that must be rejected when they load: a section or entry
+# that is not a JSON object, a field of the wrong type, an empty decimal mark.
+MALFORMED_CONFIGS = [
+    {"locales": []},
+    {"locales": {"x": "de"}},
+    {"currencies": ["INR"]},
+    {"currencies": {"INR": "₹"}},
+    {"currencies": {"INR": {"minor_unit_digits": "2"}}},
+    {"currencies": {"INR": {"minor_unit_digits": True}}},
+    {"currencies": {"INR": {"symbol": 5}}},
+    {"locales": {"en-x": {"language": "en", "decimal_mark": 7}}},
+    {"locales": {"en-x": {"language": "en", "thousands_separator": None}}},
+    {"locales": {"en-x": {"language": "en", "decimal_mark": ""}}},
+]
+
+
+@pytest.mark.parametrize("raw", MALFORMED_CONFIGS, ids=json.dumps)
+def test_load_config_rejects_malformed(tmp_path, raw):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
     with pytest.raises(ValueError):
         load_locale_config(path)
 

@@ -15,7 +15,7 @@ import random
 from numitn import grammar, lexicon
 from numitn.classify import YEAR_CUES, _UNIT_STOPWORDS
 from numitn.lexicon import AND_KEYS, POINT_KEYS, fold_german
-from numitn.locales import CURRENCY_WORDS, MINOR_UNIT_WORDS, get_locale
+from numitn.locales import CURRENCY_WORDS, DEFAULT_CONFIG, MINOR_UNIT_WORDS
 from numitn.pipeline import normalize_text
 
 LANGUAGES = ("en", "de")
@@ -137,7 +137,7 @@ def _grid(language, rng, lines):
 def _normalize_lines():
     rng = random.Random(20240917)
     for language in LANGUAGES:
-        locale = get_locale(language)
+        locale = DEFAULT_CONFIG.locale(language)
         for line in _grid(language, rng, 600):
             try:
                 out = normalize_text(line, locale)

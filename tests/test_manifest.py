@@ -7,7 +7,6 @@ from numitn import manifest
 from numitn.manifest import (
     ManifestError,
     ManifestRecord,
-    append_manifest,
     iter_manifest,
     read_manifest,
     write_manifest,
@@ -126,13 +125,6 @@ class TestFiles:
         records = [record(), record(id="en-year-00002")]
         assert write_manifest(records, path) == 2
         assert read_manifest(path) == records
-
-    def test_append(self, tmp_path):
-        path = tmp_path / "manifest.jsonl"
-        write_manifest([record()], path)
-        append_manifest([record(id="en-year-00002")], path)
-        assert [r.id for r in read_manifest(path)] == \
-            ["en-year-00001", "en-year-00002"]
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "manifest.jsonl"

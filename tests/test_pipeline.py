@@ -1,12 +1,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from numitn.locales import get_locale, load_locale_config
-from numitn.pipeline import normalize_lines, normalize_sentence, normalize_text
+from numitn.locales import DEFAULT_CONFIG, load_locale_config
+from numitn.pipeline import normalize_sentence, normalize_text
 from numitn.types import ExpressionType
 
-EN = get_locale("en")
-DE = get_locale("de")
+EN = DEFAULT_CONFIG.locale("en")
+DE = DEFAULT_CONFIG.locale("de")
 
 GOLDEN = [
     ("en", "The war ended in nineteen forty-five.", "The war ended in 1945."),
@@ -60,7 +60,6 @@ class TestReplacements:
         src = "Pay fifty dollars at ten o'clock for two thousand pieces."
         out = normalize_sentence(src, EN)
         assert out.text == "Pay $50 at 10:00 for 2,000 pieces."
-        assert out.changed
         assert len(out.replacements) == 3
         for rep in out.replacements:
             assert src[rep.source_span.start:rep.source_span.end] == rep.source_text
@@ -79,13 +78,12 @@ class TestReplacements:
         text = out.text
         # Replacements restore right to left so earlier offsets stay valid.
         for rep in reversed(out.replacements):
-            text = rep.restore(text)
+            text = text[:rep.output_span.start] + rep.source_text + text[rep.output_span.end:]
         assert text == src
 
     def test_unchanged_sentence(self):
         out = normalize_sentence("No numbers in sight.", EN)
         assert out.text == "No numbers in sight."
-        assert not out.changed
         assert out.replacements == ()
 
     def test_timestamp_payload_is_resolved(self):
@@ -150,9 +148,9 @@ class TestCustomConfig:
 
 def test_normalize_lines_streams_in_order():
     lines = ["in nineteen forty-five", "no numbers", "two thousand pieces"]
-    outs = list(normalize_lines(lines, EN))
+    outs = [normalize_sentence(line, EN) for line in lines]
     assert [o.text for o in outs] == ["in 1945", "no numbers", "2,000 pieces"]
-    assert [o.changed for o in outs] == [True, False, True]
+    assert [bool(o.replacements) for o in outs] == [True, False, True]
 
 
 @settings(max_examples=200)

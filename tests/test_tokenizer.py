@@ -26,7 +26,6 @@ def reference_tokenize(sentence):
             tokens.append(Token(
                 surface=surface,
                 folded=fold_german(surface),
-                index=len(tokens),
                 start=s,
                 end=e,
             ))
@@ -70,10 +69,6 @@ def test_folded_key():
     assert uhr.folded == "uhr"
     assert tokenize("Forty")[0].folded == "forty"
     assert tokenize("STRASSE Straße")[1].folded == "strasse"
-
-
-def test_indexes_are_sequential():
-    assert [t.index for t in tokenize("a b c.")] == [0, 1, 2, 3]
 
 
 @given(st.text(max_size=80))
@@ -124,9 +119,9 @@ def test_matches_peel_loop_on_any_text(text):
 
 def test_token_is_an_immutable_record():
     token = tokenize("Fünf")[0]
-    assert token == Token("Fünf", "fuenf", 0, 0, 4)
-    assert hash(token) == hash(Token("Fünf", "fuenf", 0, 0, 4))
-    assert repr(token) == "Token(surface='Fünf', folded='fuenf', index=0, start=0, end=4)"
+    assert token == Token("Fünf", "fuenf", 0, 4)
+    assert hash(token) == hash(Token("Fünf", "fuenf", 0, 4))
+    assert repr(token) == "Token(surface='Fünf', folded='fuenf', start=0, end=4)"
     with pytest.raises(AttributeError):
         token.surface = "Sechs"
     with pytest.raises(AttributeError):

@@ -1,5 +1,3 @@
-from decimal import Decimal
-
 import pytest
 
 from numitn.types import NumericValue, Span, TimeOfDay, PeriodHint
@@ -9,34 +7,22 @@ class TestNumericValue:
     def test_integer(self):
         v = NumericValue(1945)
         assert v.is_integer
-        assert v.as_int() == 1945
-        assert v.to_decimal() == Decimal("1945")
+        assert (v.mantissa, v.scale) == (1945, 0)
         assert v.digit_parts() == ("1945", "")
 
     def test_decimal(self):
         v = NumericValue(91, 1)
         assert not v.is_integer
-        assert v.to_decimal() == Decimal("9.1")
+        assert (v.mantissa, v.scale) == (91, 1)
         assert v.digit_parts() == ("9", "1")
 
     def test_fraction_smaller_than_one(self):
         assert NumericValue(5, 2).digit_parts() == ("0", "05")
 
-    def test_negative(self):
-        v = NumericValue(25, 1, negative=True)
-        assert v.to_decimal() == Decimal("-2.5")
-
-    def test_as_int_rejects_fractions(self):
-        with pytest.raises(ValueError):
-            NumericValue(15, 1).as_int()
-
     @pytest.mark.parametrize("mantissa,scale", [(-1, 0), (10**16, 0), (1, -1), (1, 7)])
     def test_validation(self, mantissa, scale):
         with pytest.raises(ValueError):
             NumericValue(mantissa, scale)
-
-    def test_from_int(self):
-        assert NumericValue.from_int(7) == NumericValue(7)
 
 
 class TestSpan:

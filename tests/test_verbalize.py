@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from numitn.classify import resolve_time
 from numitn.grammar import parse_cardinal, parse_clock_phrase
-from numitn.locales import DEFAULT_CURRENCIES, CurrencyUnit, get_locale
+from numitn.locales import DEFAULT_CONFIG, DEFAULT_CURRENCIES, CurrencyUnit
 from numitn.pipeline import normalize_sentence
 from numitn.tokenizer import tokenize
 from numitn.types import (
@@ -28,8 +28,8 @@ from numitn.verbalize import (
     year_styles,
 )
 
-EN = get_locale("en")
-DE = get_locale("de")
+EN = DEFAULT_CONFIG.locale("en")
+DE = DEFAULT_CONFIG.locale("de")
 
 
 def expr(expr_type, payload):
