@@ -1,52 +1,62 @@
-"""Context-driven typing of parsed spans and day-period resolution."""
+"""Choosing one reading per position, and finishing the chosen reading."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+from typing import Optional
+
 from .formatting import YEAR_MAX, YEAR_MIN
-from .lexicon import CLOCK_STYLES, HOUR_NOUNS, MINUTE_NOUNS, is_number_word, phrase_keys
-from .locales import CURRENCY_WORDS, DEFAULT_CURRENCY_CODE, Locale, MINOR_UNIT_WORDS
+from .lexicon import UNIT_STOPWORDS, YEAR_CUES, is_number_word
+from .locales import Locale
 from .tokenizer import Token
 from .types import (
     CandidateParse,
     ExpressionType,
-    MoneyAmount,
-    MoneyParse,
     ParsedExpression,
-    ParseKind,
     PeriodHint,
     QuantityAmount,
     Span,
     TimeOfDay,
 )
 
-# Words immediately left of a cardinal that signal a calendar year.
-YEAR_CUES = {
-    "en": {"in", "since", "year", "by", "from", "until"},
-    "de": {"seit", "jahr", "bis"},
-}
-
-_FUNCTION_WORDS = {
-    "en": {"a", "an", "and", "are", "as", "at", "be", "been", "but", "by",
-           "for", "from", "if", "in", "is", "it", "of", "oh", "on", "or",
-           "per", "point", "so", "than", "that", "the", "then", "this",
-           "until", "was", "were", "when", "while", "with"},
-    "de": {"aber", "als", "am", "an", "auf", "bei", "bis", "das", "dem",
-           "den", "der", "des", "die", "doch", "eine", "einem", "einen",
-           "einer", "fuer", "im", "in", "ist", "komma", "mit", "oder", "pro",
-           "seit", "sind", "so", "um", "und", "von", "war", "waren", "wenn",
-           "zu"},
-}
-# Function words and the words of clock phrases ("quarter past", "Uhr")
-# cannot serve as a quantity unit.
-_UNIT_STOPWORDS = {
-    language: words | {key for phrase in (HOUR_NOUNS[language], *MINUTE_NOUNS[language],
-                                          *(style.words for style in CLOCK_STYLES[language]))
-                       for key in phrase_keys(phrase)}
-    for language, words in _FUNCTION_WORDS.items()}
+# Rule 3 of ``choose``: among readings of one length, the higher rank wins.
+_TIE_RANK = {ExpressionType.CURRENCY: 3, ExpressionType.TIMESTAMP: 2,
+             ExpressionType.YEAR: 1, ExpressionType.QUANTITY: 0}
 
 _AM_HINTS = (PeriodHint.EXPLICIT_AM, PeriodHint.MORNING)
 _PM_HINTS = (PeriodHint.EXPLICIT_PM, PeriodHint.AFTERNOON, PeriodHint.EVENING,
              PeriodHint.NIGHT)
+
+
+def choose(readings: list[CandidateParse], tokens: list[Token],
+           language: str) -> Optional[CandidateParse]:
+    """Pick one of the readings the parsers built at one position, or None.
+
+    The rules apply in this order:
+    1. A bare hour-minute reading counts only when am/pm or a period phrase follows it.
+    2. The longest span wins.
+    3. On a tie, currency beats clock, clock beats year pair and a year pair
+       beats cardinal. Among readings of one kind, the first in parser order wins.
+    4. A cardinal in ``YEAR_MIN..YEAR_MAX`` is a year when a year cue comes
+       right before it. Otherwise it is a quantity.
+    """
+    best = None
+    best_key = None
+    for reading in readings:
+        if reading.bare and reading.value.period_hint is PeriodHint.UNSPECIFIED:
+            continue
+        # The readings share their first token, so the longest ends last.
+        key = (reading.span.end, _TIE_RANK[reading.expr_type])
+        if best_key is None or key > best_key:
+            best, best_key = reading, key
+    if best is None or best.expr_type is not ExpressionType.QUANTITY:
+        return best
+    value, before = best.value, best.span.start - 1
+    if (value.is_integer and best.magnitude_word is None
+            and YEAR_MIN <= value.mantissa <= YEAR_MAX
+            and before >= 0 and tokens[before].folded in YEAR_CUES[language]):
+        return replace(best, expr_type=ExpressionType.YEAR)
+    return best
 
 
 def resolve_time(t: TimeOfDay) -> TimeOfDay:
@@ -63,51 +73,28 @@ def resolve_time(t: TimeOfDay) -> TimeOfDay:
     return TimeOfDay(hour, t.minute, t.period_hint)
 
 
-def _currency_code(money: MoneyParse, locale: Locale) -> str:
-    if money.unit_word in MINOR_UNIT_WORDS:
-        return DEFAULT_CURRENCY_CODE[locale.language]
-    return CURRENCY_WORDS[locale.language][money.unit_word]
-
-
 def _unit_word_after(candidate: CandidateParse, tokens: list[Token], locale: Locale) -> str:
     i = candidate.span.end
     if i >= len(tokens) or not tokens[i].is_word:
         return ""
     key = tokens[i].folded
-    if any(ch.isdigit() for ch in key):
+    if any(map(str.isdigit, key)):
         return ""
-    if key in _UNIT_STOPWORDS[locale.language] or is_number_word(key, locale.language):
+    if key in UNIT_STOPWORDS[locale.language] or is_number_word(key, locale.language):
         return ""
     return tokens[i].surface
 
 
 def classify(candidate: CandidateParse, tokens: list[Token], locale: Locale) -> ParsedExpression:
-    """Assign an expression type to a candidate using its sentence context."""
-    if candidate.kind == ParseKind.CURRENCY:
-        money = candidate.value
-        payload = MoneyAmount(money.major, money.minor,
-                              _currency_code(money, locale),
-                              candidate.magnitude_word)
-        return ParsedExpression(candidate.span, ExpressionType.CURRENCY, payload)
-
-    if candidate.kind == ParseKind.CLOCK:
-        return ParsedExpression(candidate.span, ExpressionType.TIMESTAMP,
-                                candidate.value)
-
-    value = candidate.value
-    if (value.is_integer and candidate.magnitude_word is None
-            and YEAR_MIN <= value.mantissa <= YEAR_MAX):
-        cued = False
-        before = candidate.span.start - 1
-        if before >= 0:
-            cued = tokens[before].folded in YEAR_CUES[locale.language]
-        if cued or candidate.pair_reading:
-            return ParsedExpression(candidate.span, ExpressionType.YEAR,
-                                    value.mantissa)
-
-    unit_word = _unit_word_after(candidate, tokens, locale)
-    span = candidate.span
-    if unit_word:
-        span = Span(span.start, span.end + 1)
-    payload = QuantityAmount(value, unit_word, candidate.magnitude_word)
-    return ParsedExpression(span, ExpressionType.QUANTITY, payload)
+    """Finish a chosen reading: attach a quantity's unit word, put a time on the 24-hour clock."""
+    expr_type, span, payload = candidate.expr_type, candidate.span, candidate.value
+    if expr_type is ExpressionType.QUANTITY:
+        unit_word = _unit_word_after(candidate, tokens, locale)
+        if unit_word:
+            span = Span(span.start, span.end + 1)
+        payload = QuantityAmount(payload, unit_word, candidate.magnitude_word)
+    elif expr_type is ExpressionType.TIMESTAMP:
+        payload = resolve_time(payload)
+    elif expr_type is ExpressionType.YEAR:
+        payload = payload.mantissa
+    return ParsedExpression(span, expr_type, payload)

@@ -10,13 +10,13 @@ import random
 import re
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence, TypeVar
+from typing import Callable, Mapping, Sequence, TypeVar
 
 from .extract import LiteralMatch, extract_numeric_literals
 from .formatting import YEAR_MAX, YEAR_MIN
 from .grammar import scan_tokens
 from .lexicon import DE_MAGNITUDE_NAMES, EN_MAGNITUDE_WORDS
-from .locales import DEFAULT_CONFIG, CurrencyUnit, Locale
+from .locales import Locale
 from .manifest import ManifestError, ManifestRecord
 from .pipeline import normalize_text
 from .tokenizer import Token, tokenize
@@ -106,13 +106,11 @@ def build_timestamp_prompt(phrase: str, locale: Locale) -> str:
 # --- validation ---------------------------------------------------------------
 
 
-def validate_record(verbalized: str, converted: str, locale: Locale,
-                    currencies: Optional[dict[str, CurrencyUnit]] = None) -> bool:
+def validate_record(verbalized: str, converted: str, locale: Locale) -> bool:
     """Filter rule: the conversion must add literals and change nothing else."""
     if any(map(str.isdigit, verbalized)):
         return False
-    registry = currencies if currencies is not None else DEFAULT_CONFIG.currencies
-    literals = extract_numeric_literals(converted, locale, registry)
+    literals = extract_numeric_literals(converted, locale)
     if not literals:
         return False
     converted_rest = _surfaces_outside(tokenize(converted), literals)

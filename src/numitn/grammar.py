@@ -1,7 +1,8 @@
 """Number-word grammar: cardinals, clock phrases and currency phrases.
 
-All parse functions are pure, work on a token list starting at a given
-index and return the longest matching ``CandidateParse`` or ``None``.
+The parse functions are pure and free of context: each builds the readings
+(``CandidateParse``) that start at a given token, whatever surrounds them.
+``scan_tokens`` hands a position's readings to ``classify.choose``.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import re
 from typing import Callable, Optional
 
+from .classify import choose
 from .lexicon import (
     AND_KEYS,
     CLOCK_STYLES,
@@ -34,15 +36,15 @@ from .lexicon import (
     fold_german,
     phrase_keys,
 )
-from .locales import CURRENCY_WORDS, Locale, MINOR_UNIT_WORDS
+from .locales import CURRENCY_WORDS, DEFAULT_CURRENCY_CODE, Locale, MINOR_UNIT_WORDS
 from .tokenizer import Token
 from .types import (
     MAX_MANTISSA,
     MAX_SCALE,
     CandidateParse,
-    MoneyParse,
+    ExpressionType,
+    MoneyAmount,
     NumericValue,
-    ParseKind,
     PeriodHint,
     Span,
     TimeOfDay,
@@ -129,38 +131,28 @@ def _en_sub_thousand(tokens: list[Token], i: int) -> Optional[tuple[int, int]]:
     return None
 
 
-def _en_pair_reading(tokens: list[Token], at: int) -> Optional[tuple[int, int, bool]]:
-    """Two-digit-pair year forms; returns (value, end, true_pair_flag)."""
+def _en_pair_reading(tokens: list[Token], at: int) -> Optional[CandidateParse]:
+    """A year said as two pairs of digits ("nineteen forty-five", "nineteen oh five").
+
+    "nineteen hundred [forty-five]" is a compact cardinal, not a pair split,
+    so it is a cardinal reading.
+    """
     first = en_two_digit(_key(tokens, at))
     if first is None or not 11 <= first <= 20:
         return None
     nxt = _key(tokens, at + 1)
     if nxt == EN_HUNDRED:
-        # "nineteen hundred [forty-five]" is a compact cardinal, not a
-        # pair split, so year classification still needs a context cue.
         value, end = _en_hundreds(tokens, at + 1, first)
-        return value, end, False
+        return CandidateParse(Span(at, end), ExpressionType.QUANTITY, NumericValue(value))
     if nxt == EN_OH:
         unit = en_unit(_key(tokens, at + 2))
-        if unit:
-            return first * 100 + unit, at + 3, True
+        second = (unit, at + 3) if unit else None
+    else:
+        second = _en_two_digit_span(tokens, at + 1)
+    if second is None:
         return None
-    second = _en_two_digit_span(tokens, at + 1)
-    if second is not None:
-        return first * 100 + second[0], second[1], True
-    return None
-
-
-def _de_pair_style(tokens: list[Token], at: int, value: int, end: int) -> bool:
-    """Paired year compounds ("neunzehnhundertfünfundvierzig").
-
-    The plain cardinal for 1100..1999 goes through "tausend"; a hundert
-    compound with a nonzero tail is the year reading. Round hundreds
-    ("elfhundert") stay count-like and need a context cue.
-    """
-    if end != at + 1 or not 1100 <= value <= 1999 or value % 100 == 0:
-        return False
-    return DE_THOUSAND not in tokens[at].folded
+    return CandidateParse(Span(at, second[1]), ExpressionType.YEAR,
+                          NumericValue(first * 100 + second[0]))
 
 
 def _de_group(tokens: list[Token], i: int) -> Optional[tuple[int, int]]:
@@ -229,59 +221,44 @@ def _decimal_digits(tokens: list[Token], i: int, language: str) -> Optional[tupl
 
 
 def parse_cardinal(tokens: list[Token], at: int, locale: Locale) -> Optional[CandidateParse]:
-    """Longest cardinal (integer or decimal) starting at token ``at``."""
-    language = locale.language
-    candidates: list[CandidateParse] = []
+    """The cardinal reading (integer or decimal) starting at token ``at``.
 
-    de_pair = False
+    A German paired year compound is a year reading; the English year pairs
+    are ``_en_pair_reading``'s.
+    """
+    language = locale.language
     if language == "de":
         integer = _integer(tokens, at, _de_group, DE_MAGNITUDE_WORDS)
-        pair = None
-        if integer is not None and integer[2] is None:
-            de_pair = _de_pair_style(tokens, at, integer[0], integer[1])
     else:
         integer = _integer(tokens, at, _en_sub_thousand, EN_SCALES)
-        pair = _en_pair_reading(tokens, at)
-
-    if integer is not None:
-        value, end, sole = integer
-        if sole is not None:
-            scale, word = sole
-            candidates.append(CandidateParse(
-                Span(at, end), ParseKind.CARDINAL,
-                NumericValue(value // scale), magnitude_word=word))
-        else:
-            decimal = None
-            if _key(tokens, end) == POINT_KEYS[language]:
-                frac = _decimal_digits(tokens, end + 1, language)
-                if frac is not None:
-                    frac_value, ndigits, frac_end = frac
-                    mantissa = value * 10**ndigits + frac_value
-                    if mantissa <= MAX_MANTISSA:
-                        magnitude = None
-                        if _key(tokens, frac_end) in (DE_MAGNITUDE_WORDS if language == "de"
-                                                      else EN_MAGNITUDE_WORDS):
-                            magnitude = tokens[frac_end].surface
-                            frac_end += 1
-                        decimal = CandidateParse(
-                            Span(at, frac_end), ParseKind.CARDINAL,
-                            NumericValue(mantissa, ndigits), magnitude)
-            if decimal is not None:
-                candidates.append(decimal)
-            else:
-                candidates.append(CandidateParse(
-                    Span(at, end), ParseKind.CARDINAL, NumericValue(value),
-                    pair_reading=de_pair))
-
-    if pair is not None:
-        pair_value, pair_end, pair_flag = pair
-        candidates.append(CandidateParse(
-            Span(at, pair_end), ParseKind.CARDINAL, NumericValue(pair_value),
-            pair_reading=pair_flag))
-
-    if not candidates:
+    if integer is None:
         return None
-    return max(candidates, key=lambda c: len(c.span))
+    value, end, sole = integer
+    if sole is not None:
+        scale, word = sole
+        return CandidateParse(Span(at, end), ExpressionType.QUANTITY,
+                              NumericValue(value // scale), magnitude_word=word)
+    if _key(tokens, end) == POINT_KEYS[language]:
+        frac = _decimal_digits(tokens, end + 1, language)
+        if frac is not None:
+            frac_value, ndigits, frac_end = frac
+            mantissa = value * 10**ndigits + frac_value
+            if mantissa <= MAX_MANTISSA:
+                magnitude = None
+                if _key(tokens, frac_end) in (DE_MAGNITUDE_WORDS if language == "de"
+                                              else EN_MAGNITUDE_WORDS):
+                    magnitude = tokens[frac_end].surface
+                    frac_end += 1
+                return CandidateParse(Span(at, frac_end), ExpressionType.QUANTITY,
+                                      NumericValue(mantissa, ndigits), magnitude)
+    expr_type = ExpressionType.QUANTITY
+    # A hundert compound with a nonzero tail ("neunzehnhundertfünfundvierzig")
+    # is a year pair: the plain cardinal for 1100..1999 goes through
+    # "tausend", and round hundreds ("elfhundert") are cardinals.
+    if language == "de" and 1100 <= value <= 1999 and value % 100 \
+            and DE_THOUSAND not in tokens[at].folded:
+        expr_type = ExpressionType.YEAR
+    return CandidateParse(Span(at, end), expr_type, NumericValue(value))
 
 
 # --- clock phrases -----------------------------------------------------------
@@ -326,7 +303,7 @@ def _en_minute_words(tokens: list[Token], i: int) -> Optional[tuple[int, int]]:
 def _relative_minutes(tokens: list[Token], cardinal: Optional[CandidateParse],
                       language: str) -> Optional[tuple[int, int]]:
     """Leading minute count of "M [minutes] past/to H"; returns (end, M)."""
-    if cardinal is None or cardinal.magnitude_word or cardinal.pair_reading:
+    if cardinal is None or cardinal.magnitude_word:
         return None
     value = cardinal.value
     if not value.is_integer or not 1 <= value.mantissa <= 59:
@@ -348,8 +325,9 @@ def _period_lookahead(tokens: list[Token], i: int, language: str) -> Optional[Pe
 
 
 def _clock_candidate(tokens: list[Token], at: int, end: int, hour: int, minute: int,
-                     language: str, hint: Optional[PeriodHint] = None) -> CandidateParse:
-    """The clock phrase from ``at`` to ``end``.
+                     language: str, hint: Optional[PeriodHint] = None,
+                     bare: bool = False) -> CandidateParse:
+    """The clock reading from ``at`` to ``end``.
 
     Unless ``hint`` is given, an am/pm word after it joins it, else a period phrase sets it.
     """
@@ -359,11 +337,12 @@ def _clock_candidate(tokens: list[Token], at: int, end: int, hour: int, minute: 
             end += 1
         else:
             hint = _period_lookahead(tokens, end, language) or PeriodHint.UNSPECIFIED
-    return CandidateParse(Span(at, end), ParseKind.CLOCK, TimeOfDay(hour, minute, hint))
+    return CandidateParse(Span(at, end), ExpressionType.TIMESTAMP,
+                          TimeOfDay(hour, minute, hint), bare=bare)
 
 
 def _parse_hour_first_en(tokens: list[Token], at: int) -> list[CandidateParse]:
-    """Digit times, "H o'clock", "H pm", "H MM pm" and "H MM in the evening"."""
+    """Digit times with am/pm, "H o'clock", "H pm" and the bare "H MM" ("nine thirty")."""
     out: list[CandidateParse] = []
     key = _key(tokens, at)
     m = _DIGIT_AMPM_RE.match(key)
@@ -371,6 +350,7 @@ def _parse_hour_first_en(tokens: list[Token], at: int) -> list[CandidateParse]:
         out.append(_clock_candidate(tokens, at, at + 1, int(m.group(1)), int(m.group(2) or 0),
                                     "en", _MERIDIEMS["en"][m.group(3)]))
     m = _DIGIT_TIME_RE.match(key)
+    # "4:30 pm": the am/pm word is part of the reading.
     if m and int(m.group(1)) <= 23 and _meridiem(tokens, at + 1, "en") is not None:
         out.append(_clock_candidate(tokens, at, at + 1, int(m.group(1)), int(m.group(2)), "en"))
 
@@ -382,11 +362,8 @@ def _parse_hour_first_en(tokens: list[Token], at: int) -> list[CandidateParse]:
     if _meridiem(tokens, at + 1, "en") is not None:
         out.append(_clock_candidate(tokens, at, at + 1, hour, 0, "en"))
     minutes = _en_minute_words(tokens, at + 1)
-    # Bare hour-minute pairs need am/pm or a period phrase to outrank the
-    # year reading ("nineteen forty-five in the evening").
-    if minutes is not None and (_meridiem(tokens, minutes[1], "en") is not None
-                                or _period_lookahead(tokens, minutes[1], "en") is not None):
-        out.append(_clock_candidate(tokens, at, minutes[1], hour, minutes[0], "en"))
+    if minutes is not None:
+        out.append(_clock_candidate(tokens, at, minutes[1], hour, minutes[0], "en", bare=True))
     return out
 
 
@@ -445,29 +422,24 @@ def _parse_idioms(tokens: list[Token], at: int, cardinal: Optional[CandidatePars
 
 
 def parse_clock_phrase(tokens: list[Token], at: int, locale: Locale,
-                       cardinal: Optional[CandidateParse]) -> Optional[CandidateParse]:
-    """Longest spoken clock-time phrase starting at token ``at``.
+                       cardinal: Optional[CandidateParse]) -> Optional[list[CandidateParse]]:
+    """Every spoken clock-time reading starting at token ``at``, or None.
 
     ``cardinal`` is ``parse_cardinal(tokens, at, locale)``; the "M past H"
     forms read their minute count from it.
     """
     language = locale.language
-    candidates = (_parse_hour_first_de if language == "de" else _parse_hour_first_en)(tokens, at)
-    candidates += _parse_idioms(tokens, at, cardinal, language)
-    if not candidates:
-        return None
-    return max(candidates, key=lambda c: len(c.span))
+    readings = (_parse_hour_first_de if language == "de" else _parse_hour_first_en)(tokens, at)
+    readings += _parse_idioms(tokens, at, cardinal, language)
+    return readings or None
 
 
 # --- currency phrases --------------------------------------------------------
 
 
-def parse_currency_phrase(tokens: list[Token], cardinal: CandidateParse,
-                          locale: Locale) -> Optional[CandidateParse]:
-    """Currency amount phrase: "<amount> <unit> [and <cents> cents]".
-
-    ``cardinal`` is the amount, as ``parse_cardinal`` read it.
-    """
+def _currency_reading(tokens: list[Token], cardinal: CandidateParse,
+                      locale: Locale) -> Optional[CandidateParse]:
+    """"<amount> <unit> [and <cents> cents]" with ``cardinal`` as the amount."""
     language = locale.language
     at = cardinal.span.start
     value = cardinal.value
@@ -477,10 +449,11 @@ def parse_currency_phrase(tokens: list[Token], cardinal: CandidateParse,
         # Cents-only amount ("fifty cents" -> $0.50).
         if cardinal.magnitude_word or not value.is_integer or value.mantissa >= 100:
             return None
-        money = MoneyParse(NumericValue(0), value, unit)
-        return CandidateParse(Span(at, i + 1), ParseKind.CURRENCY, money)
+        money = MoneyAmount(NumericValue(0), value, DEFAULT_CURRENCY_CODE[language])
+        return CandidateParse(Span(at, i + 1), ExpressionType.CURRENCY, money)
 
-    if unit not in CURRENCY_WORDS[language]:
+    code = CURRENCY_WORDS[language].get(unit)
+    if code is None:
         return None
     if cardinal.magnitude_word is None and value.scale > 2:
         return None
@@ -496,9 +469,19 @@ def parse_currency_phrase(tokens: list[Token], cardinal: CandidateParse,
                     return None
                 minor = tail.value
                 end = after + 1
-    money = MoneyParse(value, minor, unit)
-    return CandidateParse(Span(at, end), ParseKind.CURRENCY, money,
-                          magnitude_word=cardinal.magnitude_word)
+    money = MoneyAmount(value, minor, code, cardinal.magnitude_word)
+    return CandidateParse(Span(at, end), ExpressionType.CURRENCY, money)
+
+
+def parse_currency_phrase(tokens: list[Token], cardinals: list[CandidateParse],
+                          locale: Locale) -> Optional[list[CandidateParse]]:
+    """Every currency reading whose amount is one of ``cardinals``, or None.
+
+    ``cardinals`` are the cardinal readings of one position.
+    """
+    readings = [reading for cardinal in cardinals
+                if (reading := _currency_reading(tokens, cardinal, locale)) is not None]
+    return readings or None
 
 
 # --- sentence scan -----------------------------------------------------------
@@ -521,12 +504,13 @@ def _can_start(token: Token, language: str) -> bool:
 
 
 def scan_tokens(tokens: list[Token], locale: Locale) -> list[CandidateParse]:
-    """Non-overlapping candidates, longest match, left to right.
+    """Non-overlapping chosen readings, left to right.
 
-    Ties on span length prefer currency over clock over cardinal. The
-    cardinal at each position is parsed once and shared: a currency phrase
-    starts with one, and the "M past H" clock forms count minutes with it.
-    Positions no parser can start from are skipped without parsing.
+    At each position the parsers build every reading they can (cardinal,
+    clock, then currency readings), and ``classify.choose`` picks one. The
+    cardinal readings of a position are parsed once and shared: a currency
+    phrase starts with one, and the "M past H" clock forms count minutes
+    with one. Positions no parser can start from are skipped without parsing.
     """
     out: list[CandidateParse] = []
     language = locale.language
@@ -537,10 +521,14 @@ def scan_tokens(tokens: list[Token], locale: Locale) -> list[CandidateParse]:
             i += 1
             continue
         cardinal = parse_cardinal(tokens, i, locale)
-        best = None if cardinal is None else parse_currency_phrase(tokens, cardinal, locale)
-        for candidate in (parse_clock_phrase(tokens, i, locale, cardinal), cardinal):
-            if candidate is not None and (best is None or len(candidate.span) > len(best.span)):
-                best = candidate
+        readings = parse_clock_phrase(tokens, i, locale, cardinal) or []
+        if cardinal is not None:
+            # A year pair starts with a two-digit word, which is a cardinal too.
+            pair = _en_pair_reading(tokens, i) if language == "en" else None
+            cardinals = [cardinal] if pair is None else [cardinal, pair]
+            currency = parse_currency_phrase(tokens, cardinals, locale) or []
+            readings = cardinals + readings + currency
+        best = choose(readings, tokens, language)
         if best is not None:
             out.append(best)
             i = best.span.end

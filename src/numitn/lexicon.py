@@ -333,3 +333,31 @@ HOUR_BEFORE_ONE = {"en": 12, "de": 0}
 
 def phrase_keys(phrase: str) -> tuple[str, ...]:
     return tuple(fold_german(word) for word in phrase.split())
+
+
+# --- context cues ------------------------------------------------------------
+
+# Words immediately left of a cardinal that make it a calendar year.
+YEAR_CUES = {
+    "en": {"in", "since", "year", "by", "from", "until"},
+    "de": {"seit", "jahr", "bis"},
+}
+
+_FUNCTION_WORDS = {
+    "en": {"a", "an", "and", "are", "as", "at", "be", "been", "but", "by",
+           "for", "from", "if", "in", "is", "it", "of", "oh", "on", "or",
+           "per", "point", "so", "than", "that", "the", "then", "this",
+           "until", "was", "were", "when", "while", "with"},
+    "de": {"aber", "als", "am", "an", "auf", "bei", "bis", "das", "dem",
+           "den", "der", "des", "die", "doch", "eine", "einem", "einen",
+           "einer", "fuer", "im", "in", "ist", "komma", "mit", "oder", "pro",
+           "seit", "sind", "so", "um", "und", "von", "war", "waren", "wenn",
+           "zu"},
+}
+# Function words and the words of clock phrases ("quarter past", "Uhr")
+# cannot serve as a quantity unit.
+UNIT_STOPWORDS = {
+    language: words | {key for phrase in (HOUR_NOUNS[language], *MINUTE_NOUNS[language],
+                                          *(style.words for style in CLOCK_STYLES[language]))
+                       for key in phrase_keys(phrase)}
+    for language, words in _FUNCTION_WORDS.items()}

@@ -2,16 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
-from .classify import classify, resolve_time
+from .classify import classify
 from .extract import extract_numeric_literals
 from .formatting import format_expression
 from .grammar import scan_tokens
-from .locales import DEFAULT_CONFIG, CurrencyUnit, Locale
+from .locales import DEFAULT_CURRENCIES, CurrencyUnit, Locale
 from .tokenizer import Token, tokenize
-from .types import ExpressionType, ParsedExpression, Span
+from .types import ParsedExpression, Span
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ def _char_range(tokens: list[Token], span: Span) -> tuple[int, int]:
 def normalize_sentence(sentence: str, locale: Locale,
                        currencies: Optional[dict[str, CurrencyUnit]] = None
                        ) -> NormalizationOutcome:
-    registry = currencies if currencies is not None else DEFAULT_CONFIG.currencies
+    registry = currencies if currencies is not None else DEFAULT_CURRENCIES
     tokens = tokenize(sentence)
     literals = extract_numeric_literals(sentence, locale, registry)
     parts: list[str] = []
@@ -53,8 +53,6 @@ def normalize_sentence(sentence: str, locale: Locale,
         if any(lit.span.start <= start and end <= lit.span.end for lit in literals):
             continue
         expr = classify(candidate, tokens, locale)
-        if expr.expr_type == ExpressionType.TIMESTAMP:
-            expr = replace(expr, payload=resolve_time(expr.payload))
         start, end = _char_range(tokens, expr.span)
         formatted = format_expression(expr, locale, registry)
         parts.append(sentence[cursor:start])

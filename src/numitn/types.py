@@ -29,12 +29,6 @@ class PeriodHint(Enum):
     UNSPECIFIED = "unspecified"
 
 
-class ParseKind(Enum):
-    CARDINAL = "cardinal"
-    CLOCK = "clock"
-    CURRENCY = "currency"
-
-
 @dataclass(frozen=True)
 class NumericValue:
     """Exact non-negative decimal number: mantissa * 10**-scale.
@@ -93,34 +87,29 @@ class Span:
 
 
 @dataclass(frozen=True)
-class MoneyParse:
-    """Raw currency phrase parse before locale resolution."""
-
-    major: NumericValue
-    minor: Optional[NumericValue]
-    # The unit token's folded key, as CURRENCY_WORDS and MINOR_UNIT_WORDS hold it.
-    unit_word: str
-
-
-@dataclass(frozen=True)
-class CandidateParse:
-    """One parsed number-word span found in a token stream."""
-
-    span: Span
-    kind: ParseKind
-    value: Union[NumericValue, TimeOfDay, MoneyParse]
-    magnitude_word: Optional[str] = None
-    pair_reading: bool = False
-
-
-@dataclass(frozen=True)
 class MoneyAmount:
-    """Classified currency payload; ``minor`` is None when no cents were spoken."""
+    """Currency payload; ``minor`` is None when no cents were spoken."""
 
     major: NumericValue
     minor: Optional[NumericValue]
     currency: str
     magnitude_word: Optional[str] = None
+
+
+@dataclass(frozen=True)
+class CandidateParse:
+    """One reading of a number-word span in a token stream.
+
+    ``value`` is a ``NumericValue`` for a year or a quantity, a ``TimeOfDay``
+    for a timestamp and a ``MoneyAmount`` for a currency. A ``bare`` reading
+    is a clock time said as an hour and a minute number alone ("nine thirty").
+    """
+
+    span: Span
+    expr_type: ExpressionType
+    value: Union[NumericValue, TimeOfDay, MoneyAmount]
+    magnitude_word: Optional[str] = None
+    bare: bool = False
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,19 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from numitn.classify import classify, resolve_time
+from numitn.classify import choose, classify, resolve_time
 from numitn.grammar import scan_tokens
 from numitn.locales import DEFAULT_CONFIG
 from numitn.tokenizer import tokenize
-from numitn.types import ExpressionType, PeriodHint, TimeOfDay
+from numitn.types import (
+    CandidateParse,
+    ExpressionType,
+    MoneyAmount,
+    NumericValue,
+    PeriodHint,
+    Span,
+    TimeOfDay,
+)
 
 EN = DEFAULT_CONFIG.locale("en")
 DE = DEFAULT_CONFIG.locale("de")
@@ -16,6 +24,88 @@ def classify_first(text, locale):
     cands = scan_tokens(tokens, locale)
     assert cands, text
     return classify(cands[0], tokens, locale)
+
+
+def reading(expr_type, end, start=1, mantissa=1945, hint=PeriodHint.EVENING, **fields):
+    """A reading of tokens ``start..end`` with a value of the right kind for ``expr_type``."""
+    value = {ExpressionType.CURRENCY: MoneyAmount(NumericValue(mantissa), None, "USD"),
+             ExpressionType.TIMESTAMP: TimeOfDay(19, 45, hint)}.get(
+        expr_type, NumericValue(mantissa))
+    return CandidateParse(Span(start, end), expr_type, value, **fields)
+
+
+class TestChoose:
+    """Each rule of ``choose`` on readings no sentence yields together today."""
+
+    TOKENS = tokenize("in nineteen forty-five in the evening")
+    ORDER = [ExpressionType.CURRENCY, ExpressionType.TIMESTAMP, ExpressionType.YEAR,
+             ExpressionType.QUANTITY]
+
+    def pick(self, *readings):
+        return choose(list(readings), self.TOKENS, "en")
+
+    def test_no_reading(self):
+        assert self.pick() is None
+
+    @pytest.mark.parametrize("shorter", ORDER)
+    @pytest.mark.parametrize("longer", ORDER)
+    def test_longest_wins_whatever_its_kind(self, shorter, longer):
+        long_one = reading(longer, 4, mantissa=7)
+        assert self.pick(reading(shorter, 3, mantissa=7), long_one) is long_one
+        assert self.pick(long_one, reading(shorter, 3, mantissa=7)) is long_one
+
+    @pytest.mark.parametrize("rank", range(3))
+    def test_tie_order(self, rank):
+        higher = reading(self.ORDER[rank], 3, mantissa=7)
+        lower = reading(self.ORDER[rank + 1], 3, mantissa=7)
+        assert self.pick(lower, higher) is higher
+        assert self.pick(higher, lower) is higher
+
+    @pytest.mark.parametrize("expr_type", ORDER)
+    def test_first_of_a_kind_wins_a_tie(self, expr_type):
+        first, second = reading(expr_type, 3, mantissa=7), reading(expr_type, 3, mantissa=8)
+        assert self.pick(first, second) is first
+
+    def test_bare_hour_minute_needs_a_period(self):
+        bare = reading(ExpressionType.TIMESTAMP, 3, bare=True)
+        unspecified = reading(ExpressionType.TIMESTAMP, 3, hint=PeriodHint.UNSPECIFIED, bare=True)
+        year = reading(ExpressionType.YEAR, 3)
+        assert self.pick(bare, year) is bare
+        assert self.pick(unspecified, year) is year
+        assert self.pick(unspecified) is None
+        # A shorter reading wins over a longer bare one that does not count.
+        quantity = reading(ExpressionType.QUANTITY, 2, mantissa=19)
+        assert self.pick(quantity, reading(ExpressionType.TIMESTAMP, 3,
+                                           hint=PeriodHint.UNSPECIFIED, bare=True)) is quantity
+        # Other clock readings count without a period.
+        clock = reading(ExpressionType.TIMESTAMP, 3, hint=PeriodHint.UNSPECIFIED)
+        assert self.pick(clock, year) is clock
+
+    def test_year_cue_types_the_chosen_cardinal(self):
+        chosen = self.pick(reading(ExpressionType.QUANTITY, 3))
+        assert chosen.expr_type == ExpressionType.YEAR
+        assert (chosen.span, chosen.value) == (Span(1, 3), NumericValue(1945))
+
+    @pytest.mark.parametrize("quantity", [
+        reading(ExpressionType.QUANTITY, 4, start=2),          # "forty-five": no cue before
+        reading(ExpressionType.QUANTITY, 3, mantissa=999),     # out of range
+        reading(ExpressionType.QUANTITY, 3, mantissa=2101),
+        reading(ExpressionType.QUANTITY, 3, mantissa=1945, magnitude_word="million"),
+        CandidateParse(Span(1, 3), ExpressionType.QUANTITY, NumericValue(19450, 1)),
+        reading(ExpressionType.QUANTITY, 1, start=0),          # nothing before
+    ])
+    def test_uncued_cardinal_stays_a_quantity(self, quantity):
+        assert self.pick(quantity) is quantity
+
+    def test_cue_types_only_the_chosen_cardinal(self):
+        # The cue does not make a cardinal rank as a year pair in a tie.
+        pair = reading(ExpressionType.YEAR, 3)
+        assert self.pick(reading(ExpressionType.QUANTITY, 3, mantissa=1950), pair) is pair
+
+    def test_year_range_ends_are_years(self):
+        for mantissa in (1000, 2100):
+            chosen = self.pick(reading(ExpressionType.QUANTITY, 3, mantissa=mantissa))
+            assert chosen.expr_type == ExpressionType.YEAR
 
 
 class TestYearCues:

@@ -9,7 +9,7 @@ tables, and includes phrases that do not parse today ("viertel nach 7",
 
 import hashlib
 
-from numitn.classify import resolve_time
+from numitn.classify import choose, resolve_time
 from numitn.grammar import parse_cardinal, parse_clock_phrase
 from numitn.lexicon import verbalize_cardinal
 from numitn.locales import DEFAULT_CONFIG
@@ -70,7 +70,8 @@ def _clock_lines(language):
     locale = LOCALES[language]
     for phrase in _grid(language):
         tokens = tokenize(phrase)
-        parse = parse_clock_phrase(tokens, 0, locale, parse_cardinal(tokens, 0, locale))
+        readings = parse_clock_phrase(tokens, 0, locale, parse_cardinal(tokens, 0, locale))
+        parse = choose(readings or [], tokens, language)
         if parse is None:
             yield f"{phrase}\t-"
             continue

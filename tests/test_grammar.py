@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from numitn.classify import choose
 from numitn.grammar import (
+    _en_pair_reading,
     parse_cardinal,
     parse_clock_phrase,
     parse_currency_phrase,
@@ -11,7 +13,7 @@ from numitn import lexicon
 from numitn.lexicon import fold_german, verbalize_cardinal
 from numitn.locales import CURRENCY_WORDS, DEFAULT_CONFIG, MINOR_UNIT_WORDS
 from numitn.tokenizer import tokenize
-from numitn.types import MoneyParse, NumericValue, ParseKind, PeriodHint
+from numitn.types import ExpressionType, MoneyAmount, NumericValue, PeriodHint, TimeOfDay
 
 EN = DEFAULT_CONFIG.locale("en")
 DE = DEFAULT_CONFIG.locale("de")
@@ -21,14 +23,27 @@ def cardinal(text, locale):
     return parse_cardinal(tokenize(text), 0, locale)
 
 
-def clock(text, locale):
+def pair(text):
+    return _en_pair_reading(tokenize(text), 0)
+
+
+def clock_readings(text, locale):
     tokens = tokenize(text)
     return parse_clock_phrase(tokens, 0, locale, parse_cardinal(tokens, 0, locale))
 
 
+def clock(text, locale):
+    """The clock reading the chooser picks among the clock readings."""
+    return choose(clock_readings(text, locale) or [], tokenize(text), locale.language)
+
+
 def money(text, locale):
     tokens = tokenize(text)
-    return parse_currency_phrase(tokens, parse_cardinal(tokens, 0, locale), locale)
+    readings = parse_currency_phrase(tokens, [parse_cardinal(tokens, 0, locale)], locale)
+    if readings is None:
+        return None
+    [reading] = readings
+    return reading
 
 
 class TestEnglishCardinals:
@@ -52,29 +67,46 @@ class TestEnglishCardinals:
         assert c.magnitude_word is None
 
     def test_pair_reading(self):
-        c = cardinal("nineteen forty-five", EN)
+        c = pair("nineteen forty-five")
         assert c.value == NumericValue(1945)
-        assert c.pair_reading
+        assert c.expr_type == ExpressionType.YEAR
+        # The cardinal reading at the same position stops after "nineteen".
+        assert cardinal("nineteen forty-five", EN).value == NumericValue(19)
 
     def test_pair_oh(self):
-        c = cardinal("nineteen oh five", EN)
+        c = pair("nineteen oh five")
         assert c.value == NumericValue(1905)
-        assert c.pair_reading
+        assert c.expr_type == ExpressionType.YEAR
 
     def test_pair_twenty_twenty_five(self):
-        c = cardinal("twenty twenty-five", EN)
+        c = pair("twenty twenty-five")
         assert c.value == NumericValue(2025)
-        assert c.pair_reading
+        assert c.expr_type == ExpressionType.YEAR
 
     def test_hundred_form_is_not_a_pair(self):
-        c = cardinal("nineteen hundred forty-five", EN)
+        c = pair("nineteen hundred forty-five")
         assert c.value == NumericValue(1945)
-        assert not c.pair_reading
+        assert c.expr_type == ExpressionType.QUANTITY
 
     def test_no_pair_below_eleven(self):
         c = cardinal("five three", EN)
         assert c.value == NumericValue(5)
         assert c.span.end == 1
+        assert pair("five three") is None
+
+    def test_every_pair_is_a_year_no_minute_count_takes(self):
+        # From 1101 up, so the 1..59 minute count of "M past H" rejects it.
+        firsts = [verbalize_cardinal(n, "en") for n in range(11, 21)]
+        seconds = [f"oh {verbalize_cardinal(n, 'en')}" for n in range(1, 10)]
+        seconds += [verbalize_cardinal(n, "en") for n in range(10, 100)]
+        seconds += [f"{verbalize_cardinal(n - n % 10, 'en')} {verbalize_cardinal(n % 10, 'en')}"
+                    for n in range(21, 100) if n % 10]
+        for first in firsts:
+            for second in seconds:
+                c = pair(f"{first} {second}")
+                assert c.expr_type == ExpressionType.YEAR, (first, second)
+                assert c.magnitude_word is None
+                assert 1101 <= c.value.mantissa <= 2099 and c.value.is_integer
 
     def test_decimal(self):
         c = cardinal("nine point one", EN)
@@ -145,8 +177,8 @@ class TestGermanCardinals:
         assert cardinal("zwei Millionen drei Milliarden", DE) is None
 
     def test_hundert_compound_with_tail_is_a_pair(self):
-        assert cardinal("neunzehnhundertfünfundvierzig", DE).pair_reading
-        assert cardinal("neunzehnhundertfünf", DE).pair_reading
+        assert cardinal("neunzehnhundertfünfundvierzig", DE).expr_type == ExpressionType.YEAR
+        assert cardinal("neunzehnhundertfünf", DE).expr_type == ExpressionType.YEAR
 
     @pytest.mark.parametrize("text", [
         "elfhundert",             # round hundreds stay count-like
@@ -154,7 +186,7 @@ class TestGermanCardinals:
         "zweitausend",
     ])
     def test_non_pair_compounds(self, text):
-        assert not cardinal(text, DE).pair_reading
+        assert cardinal(text, DE).expr_type == ExpressionType.QUANTITY
 
 
 class TestEnglishClock:
@@ -182,12 +214,15 @@ class TestEnglishClock:
         assert (t.hour, t.minute, t.period_hint) == (hour, minute, hint)
 
     def test_lookahead_period_is_not_consumed(self):
-        tokens = tokenize("quarter to eight in the evening")
-        c = parse_clock_phrase(tokens, 0, EN, parse_cardinal(tokens, 0, EN))
+        c = clock("quarter to eight in the evening", EN)
         assert c.value.period_hint == PeriodHint.EVENING
         assert c.span.end == 3
 
     def test_pair_time_needs_period_context(self):
+        # The parser reads the bare hour-minute time whatever follows it;
+        # the chooser keeps it only before am/pm or a period phrase.
+        [bare] = clock_readings("nineteen forty-five", EN)
+        assert bare.bare and bare.value == TimeOfDay(19, 45) and bare.span.end == 2
         assert clock("nineteen forty-five", EN) is None
         c = clock("nineteen forty-five in the evening", EN)
         assert (c.value.hour, c.value.minute) == (19, 45)
@@ -232,8 +267,7 @@ class TestGermanClock:
         assert (c.value.hour, c.value.minute) == (hour, minute)
 
     def test_uhr_token_is_consumed(self):
-        tokens = tokenize("15.45 Uhr war es.")
-        c = parse_clock_phrase(tokens, 0, DE, parse_cardinal(tokens, 0, DE))
+        c = clock("15.45 Uhr war es.", DE)
         assert c.span.end == 2
 
     def test_period_adverb_lookahead(self):
@@ -258,7 +292,7 @@ class TestGermanClock:
 class TestCurrency:
     def test_simple(self):
         c = money("fifty dollars", EN)
-        assert c.value == MoneyParse(NumericValue(50), None, "dollars")
+        assert c.value == MoneyAmount(NumericValue(50), None, "USD")
 
     def test_with_cents_tail(self):
         c = money("one thousand dollars and fifty cents", EN)
@@ -284,44 +318,52 @@ class TestCurrency:
 
     def test_magnitude_currency(self):
         c = money("nine point one million dollars", EN)
-        assert c.magnitude_word == "million"
+        assert c.value.magnitude_word == "million"
         assert c.value.major == NumericValue(91, 1)
 
     def test_pound_word(self):
         c = money("two hundred pounds", EN)
-        assert c.value.unit_word == "pounds"
+        assert c.value.currency == "GBP"
 
     def test_not_a_currency_unit(self):
         assert money("fifty pieces", EN) is None
+
+    def test_amount_from_the_year_pair(self):
+        tokens = tokenize("nineteen forty-five dollars")
+        cardinals = [parse_cardinal(tokens, 0, EN), _en_pair_reading(tokens, 0)]
+        [c] = parse_currency_phrase(tokens, cardinals, EN)
+        assert c.value == MoneyAmount(NumericValue(1945), None, "USD")
+        assert c.span.end == 3
 
 
 class TestScan:
     def test_german_spellings_scan_alike(self):
         cands = scan_tokens(tokenize("um fünf Uhr"), DE)
-        assert [c.kind for c in cands] == [ParseKind.CLOCK]
+        assert [c.expr_type for c in cands] == [ExpressionType.TIMESTAMP]
         assert scan_tokens(tokenize("um fuenf Uhr"), DE) == cands
         assert scan_tokens(tokenize("UM FÜNF UHR"), DE) == cands
 
     def test_german_cents_tail_in_scan(self):
         cands = scan_tokens(tokenize("fünfzig Euro und zwanzig Cent"), DE)
-        assert [c.kind for c in cands] == [ParseKind.CURRENCY]
+        assert [c.expr_type for c in cands] == [ExpressionType.CURRENCY]
         assert cands[0].value.major == NumericValue(50)
         assert cands[0].value.minor == NumericValue(20)
 
     def test_priority_currency_over_year(self):
         cands = scan_tokens(tokenize("nineteen forty-five dollars"), EN)
         assert len(cands) == 1
-        assert cands[0].kind == ParseKind.CURRENCY
+        assert cands[0].expr_type == ExpressionType.CURRENCY
 
     def test_clock_beats_pair_on_tie(self):
         cands = scan_tokens(tokenize("nineteen forty-five in the evening"), EN)
-        assert cands[0].kind == ParseKind.CLOCK
+        assert cands[0].expr_type == ExpressionType.TIMESTAMP
 
     def test_multiple_candidates_in_order(self):
         cands = scan_tokens(tokenize(
             "Pay fifty dollars at ten o'clock for two thousand pieces."), EN)
-        kinds = [c.kind for c in cands]
-        assert kinds == [ParseKind.CURRENCY, ParseKind.CLOCK, ParseKind.CARDINAL]
+        kinds = [c.expr_type for c in cands]
+        assert kinds == [ExpressionType.CURRENCY, ExpressionType.TIMESTAMP,
+                         ExpressionType.QUANTITY]
         starts = [c.span.start for c in cands]
         assert starts == sorted(starts)
 
@@ -339,10 +381,13 @@ def ungated_scan(tokens, locale):
     i = 0
     while i < len(tokens):
         cardinal = parse_cardinal(tokens, i, locale)
-        best = None if cardinal is None else parse_currency_phrase(tokens, cardinal, locale)
-        for candidate in (parse_clock_phrase(tokens, i, locale, cardinal), cardinal):
-            if candidate is not None and (best is None or len(candidate.span) > len(best.span)):
-                best = candidate
+        readings = parse_clock_phrase(tokens, i, locale, cardinal) or []
+        if cardinal is not None:
+            pair = _en_pair_reading(tokens, i) if locale.language == "en" else None
+            cardinals = [cardinal] if pair is None else [cardinal, pair]
+            currency = parse_currency_phrase(tokens, cardinals, locale) or []
+            readings = cardinals + readings + currency
+        best = choose(readings, tokens, locale.language)
         if best is not None:
             out.append(best)
             i = best.span.end

@@ -13,8 +13,7 @@ import hashlib
 import random
 
 from numitn import grammar, lexicon
-from numitn.classify import YEAR_CUES, _UNIT_STOPWORDS
-from numitn.lexicon import AND_KEYS, POINT_KEYS, fold_german
+from numitn.lexicon import AND_KEYS, POINT_KEYS, UNIT_STOPWORDS, YEAR_CUES, fold_german
 from numitn.locales import CURRENCY_WORDS, DEFAULT_CONFIG, MINOR_UNIT_WORDS
 from numitn.pipeline import normalize_text
 
@@ -34,7 +33,7 @@ def grammar_keys(language):
             *grammar._MINUTE_NOUNS[language], *grammar._MERIDIEMS[language],
             *_phrase_keys(grammar._IDIOMS[language]), *_phrase_keys(grammar._COUNTED[language]),
             *_phrase_keys(grammar._PERIODS[language]), *CURRENCY_WORDS[language],
-            *MINOR_UNIT_WORDS, *YEAR_CUES[language], *_UNIT_STOPWORDS[language]}
+            *MINOR_UNIT_WORDS, *YEAR_CUES[language], *UNIT_STOPWORDS[language]}
     if language == "de":
         return keys | {*lexicon._DE_UNITS, *lexicon._DE_TEENS, *lexicon._DE_TENS,
                        *lexicon.DE_MAGNITUDE_WORDS, *lexicon._DE_NUMBER_STARTS}

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from numitn.classify import resolve_time
+from numitn.classify import choose, resolve_time
 from numitn.grammar import parse_cardinal, parse_clock_phrase
 from numitn.locales import DEFAULT_CONFIG, DEFAULT_CURRENCIES, CurrencyUnit
 from numitn.pipeline import normalize_sentence
@@ -150,7 +150,8 @@ class TestTimeStyles:
         for style in applicable_time_styles(t, locale):
             words = verbalize_time(t, locale, style)
             tokens = tokenize(words)
-            c = parse_clock_phrase(tokens, 0, locale, parse_cardinal(tokens, 0, locale))
+            c = choose(parse_clock_phrase(tokens, 0, locale, parse_cardinal(tokens, 0, locale))
+                       or [], tokens, locale.language)
             assert c is not None, (words, style)
             back = resolve_time(c.value)
             assert (back.hour, back.minute) == (h, m), (words, style)
@@ -164,7 +165,8 @@ class TestEnumeration:
         assert len({phrase for phrase, _ in entries}) == 72
         for phrase, t in entries:
             tokens = tokenize(phrase)
-            c = parse_clock_phrase(tokens, 0, locale, parse_cardinal(tokens, 0, locale))
+            c = choose(parse_clock_phrase(tokens, 0, locale, parse_cardinal(tokens, 0, locale))
+                       or [], tokens, locale.language)
             assert c is not None, phrase
             assert (c.value.hour, c.value.minute) == (t.hour, t.minute), phrase
 
