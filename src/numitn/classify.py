@@ -8,7 +8,7 @@ from typing import Optional
 from .formatting import YEAR_MAX, YEAR_MIN
 from .lexicon import UNIT_STOPWORDS, YEAR_CUES, is_number_word
 from .locales import Locale
-from .tokenizer import Token
+from .tokenizer import Tokens
 from .types import (
     CandidateParse,
     ExpressionType,
@@ -28,7 +28,7 @@ _PM_HINTS = (PeriodHint.EXPLICIT_PM, PeriodHint.AFTERNOON, PeriodHint.EVENING,
              PeriodHint.NIGHT)
 
 
-def choose(readings: list[CandidateParse], tokens: list[Token],
+def choose(readings: list[CandidateParse], tokens: Tokens,
            language: str) -> Optional[CandidateParse]:
     """Pick one of the readings the parsers built at one position, or None.
 
@@ -54,7 +54,7 @@ def choose(readings: list[CandidateParse], tokens: list[Token],
     value, before = best.value, best.span.start - 1
     if (value.is_integer and best.magnitude_word is None
             and YEAR_MIN <= value.mantissa <= YEAR_MAX
-            and before >= 0 and tokens[before].folded in YEAR_CUES[language]):
+            and before >= 0 and tokens.keys[before] in YEAR_CUES[language]):
         return replace(best, expr_type=ExpressionType.YEAR)
     return best
 
@@ -73,19 +73,18 @@ def resolve_time(t: TimeOfDay) -> TimeOfDay:
     return TimeOfDay(hour, t.minute, t.period_hint)
 
 
-def _unit_word_after(candidate: CandidateParse, tokens: list[Token], locale: Locale) -> str:
+def _unit_word_after(candidate: CandidateParse, tokens: Tokens, locale: Locale) -> str:
     i = candidate.span.end
-    if i >= len(tokens) or not tokens[i].is_word:
+    if i >= len(tokens) or not any(map(str.isalnum, tokens.surfaces[i])):
         return ""
-    key = tokens[i].folded
-    if any(map(str.isdigit, key)):
+    key = tokens.keys[i]
+    if any(map(str.isdigit, key)) or key in UNIT_STOPWORDS[locale.language] \
+            or is_number_word(key, locale.language):
         return ""
-    if key in UNIT_STOPWORDS[locale.language] or is_number_word(key, locale.language):
-        return ""
-    return tokens[i].surface
+    return tokens.surfaces[i]
 
 
-def classify(candidate: CandidateParse, tokens: list[Token], locale: Locale) -> ParsedExpression:
+def classify(candidate: CandidateParse, tokens: Tokens, locale: Locale) -> ParsedExpression:
     """Finish a chosen reading: attach a quantity's unit word, put a time on the 24-hour clock."""
     expr_type, span, payload = candidate.expr_type, candidate.span, candidate.value
     if expr_type is ExpressionType.QUANTITY:

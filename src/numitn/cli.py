@@ -64,7 +64,7 @@ def _open_in(path: Optional[str]) -> Iterator[IO[str]]:
     if path in (None, "-"):
         yield sys.stdin
     else:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8", errors="surrogateescape") as handle:
             yield handle
 
 
@@ -73,7 +73,7 @@ def _open_out(path: Optional[str]) -> Iterator[IO[str]]:
     if path in (None, "-"):
         yield sys.stdout
     else:
-        with open(path, "w", encoding="utf-8") as handle:
+        with open(path, "w", encoding="utf-8", errors="surrogateescape") as handle:
             yield handle
 
 

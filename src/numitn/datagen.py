@@ -19,7 +19,7 @@ from .lexicon import DE_MAGNITUDE_NAMES, EN_MAGNITUDE_WORDS
 from .locales import Locale
 from .manifest import ManifestError, ManifestRecord
 from .pipeline import normalize_text
-from .tokenizer import Token, tokenize
+from .tokenizer import Tokens, tokenize
 from .types import (
     ExpressionType,
     MoneyAmount,
@@ -115,15 +115,14 @@ def validate_record(verbalized: str, converted: str, locale: Locale) -> bool:
         return False
     converted_rest = _surfaces_outside(tokenize(converted), literals)
     verbalized_tokens = tokenize(verbalized)
-    covered: set[int] = set()
-    for candidate in scan_tokens(verbalized_tokens, locale):
-        covered.update(range(candidate.span.start, candidate.span.end))
-    verbalized_rest = [t.surface for at, t in enumerate(verbalized_tokens)
-                       if at not in covered]
+    verbalized_rest = verbalized_tokens.surfaces[:]
+    # The candidates are disjoint and in order, so cutting from the last keeps indices.
+    for candidate in reversed(scan_tokens(verbalized_tokens, locale)):
+        del verbalized_rest[candidate.span.start:candidate.span.end]
     return verbalized_rest == converted_rest
 
 
-def _surfaces_outside(tokens: list[Token], literals: list[LiteralMatch]) -> list[str]:
+def _surfaces_outside(tokens: Tokens, literals: list[LiteralMatch]) -> list[str]:
     """Surfaces of the tokens that no literal covers, in one forward walk.
 
     The literal spans are sorted and disjoint, so only the first one that
@@ -132,11 +131,11 @@ def _surfaces_outside(tokens: list[Token], literals: list[LiteralMatch]) -> list
     out = []
     remaining = iter(literals)
     lit = next(remaining, None)
-    for t in tokens:
-        while lit is not None and lit.span.end <= t.start:
+    for surface, (start, end) in zip(tokens.surfaces, tokens.spans):
+        while lit is not None and lit.span.end <= start:
             lit = next(remaining, None)
-        if lit is None or not (lit.span.start <= t.start and t.end <= lit.span.end):
-            out.append(t.surface)
+        if lit is None or not (lit.span.start <= start and end <= lit.span.end):
+            out.append(surface)
     return out
 
 

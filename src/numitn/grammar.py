@@ -37,7 +37,7 @@ from .lexicon import (
     phrase_keys,
 )
 from .locales import CURRENCY_WORDS, DEFAULT_CURRENCY_CODE, Locale, MINOR_UNIT_WORDS
-from .tokenizer import Token
+from .tokenizer import Tokens
 from .types import (
     MAX_MANTISSA,
     MAX_SCALE,
@@ -84,16 +84,17 @@ _COUNTED = {language: _by_first_key((phrase_keys(s.words), s) for s in styles if
 _EN_START_WORDS = EN_NUMBER_WORDS.union(_IDIOMS["en"])
 
 
-def _key(tokens: list[Token], i: int) -> str:
+def _key(tokens: Tokens, i: int) -> str:
     # Every table key and digit pattern needs a letter or a digit, so neither
     # a punctuation token nor the empty key past the end matches one.
-    return tokens[i].folded if i < len(tokens) else ""
+    keys = tokens.keys
+    return keys[i] if i < len(keys) else ""
 
 
 # --- cardinals ---------------------------------------------------------------
 
 
-def _en_two_digit_span(tokens: list[Token], i: int) -> Optional[tuple[int, int]]:
+def _en_two_digit_span(tokens: Tokens, i: int) -> Optional[tuple[int, int]]:
     """Read 10..99 as one token or a tens + unit pair ("forty five")."""
     key = _key(tokens, i)
     tens = en_tens(key)
@@ -108,7 +109,7 @@ def _en_two_digit_span(tokens: list[Token], i: int) -> Optional[tuple[int, int]]
     return None
 
 
-def _en_hundreds(tokens: list[Token], at: int, head: int) -> tuple[int, int]:
+def _en_hundreds(tokens: Tokens, at: int, head: int) -> tuple[int, int]:
     """Value and end of "<head> hundred [tail]", where token ``at`` is "hundred"."""
     tail = _en_two_digit_span(tokens, at + 1)
     if tail is not None:
@@ -119,7 +120,7 @@ def _en_hundreds(tokens: list[Token], at: int, head: int) -> tuple[int, int]:
     return head * 100, at + 1
 
 
-def _en_sub_thousand(tokens: list[Token], i: int) -> Optional[tuple[int, int]]:
+def _en_sub_thousand(tokens: Tokens, i: int) -> Optional[tuple[int, int]]:
     unit = en_unit(_key(tokens, i))
     if unit is not None and unit >= 1 and _key(tokens, i + 1) == EN_HUNDRED:
         return _en_hundreds(tokens, i + 1, unit)
@@ -131,7 +132,7 @@ def _en_sub_thousand(tokens: list[Token], i: int) -> Optional[tuple[int, int]]:
     return None
 
 
-def _en_pair_reading(tokens: list[Token], at: int) -> Optional[CandidateParse]:
+def _en_pair_reading(tokens: Tokens, at: int) -> Optional[CandidateParse]:
     """A year said as two pairs of digits ("nineteen forty-five", "nineteen oh five").
 
     "nineteen hundred [forty-five]" is a compact cardinal, not a pair split,
@@ -155,14 +156,14 @@ def _en_pair_reading(tokens: list[Token], at: int) -> Optional[CandidateParse]:
                           NumericValue(first * 100 + second[0]))
 
 
-def _de_group(tokens: list[Token], i: int) -> Optional[tuple[int, int]]:
+def _de_group(tokens: Tokens, i: int) -> Optional[tuple[int, int]]:
     """A German cardinal group: one compound numeral token ("zweihundert")."""
     value = de_compound(_key(tokens, i))
     return None if value is None else (value, i + 1)
 
 
-def _integer(tokens: list[Token], at: int,
-             read_group: Callable[[list[Token], int], Optional[tuple[int, int]]],
+def _integer(tokens: Tokens, at: int,
+             read_group: Callable[[Tokens, int], Optional[tuple[int, int]]],
              scales: dict[str, int]) -> Optional[tuple[int, int, Optional[tuple[int, str]]]]:
     """Parse an integer cardinal from the groups ``read_group`` reads.
 
@@ -194,7 +195,7 @@ def _integer(tokens: list[Token], at: int,
             return None
         total += value * scale
         scale_groups.append(scale)
-        last_scale_surface = tokens[j].surface
+        last_scale_surface = tokens.surfaces[j]
         i = j + 1
     if i == at or _key(tokens, i) in scales:
         return None
@@ -204,7 +205,7 @@ def _integer(tokens: list[Token], at: int,
     return total, i, sole
 
 
-def _decimal_digits(tokens: list[Token], i: int, language: str) -> Optional[tuple[int, int, int]]:
+def _decimal_digits(tokens: Tokens, i: int, language: str) -> Optional[tuple[int, int, int]]:
     """Read up to MAX_SCALE individually spoken digits after the point."""
     value = 0
     count = 0
@@ -220,7 +221,7 @@ def _decimal_digits(tokens: list[Token], i: int, language: str) -> Optional[tupl
     return value, count, i
 
 
-def parse_cardinal(tokens: list[Token], at: int, locale: Locale) -> Optional[CandidateParse]:
+def parse_cardinal(tokens: Tokens, at: int, locale: Locale) -> Optional[CandidateParse]:
     """The cardinal reading (integer or decimal) starting at token ``at``.
 
     A German paired year compound is a year reading; the English year pairs
@@ -247,7 +248,7 @@ def parse_cardinal(tokens: list[Token], at: int, locale: Locale) -> Optional[Can
                 magnitude = None
                 if _key(tokens, frac_end) in (DE_MAGNITUDE_WORDS if language == "de"
                                               else EN_MAGNITUDE_WORDS):
-                    magnitude = tokens[frac_end].surface
+                    magnitude = tokens.surfaces[frac_end]
                     frac_end += 1
                 return CandidateParse(Span(at, frac_end), ExpressionType.QUANTITY,
                                       NumericValue(mantissa, ndigits), magnitude)
@@ -256,7 +257,7 @@ def parse_cardinal(tokens: list[Token], at: int, locale: Locale) -> Optional[Can
     # is a year pair: the plain cardinal for 1100..1999 goes through
     # "tausend", and round hundreds ("elfhundert") are cardinals.
     if language == "de" and 1100 <= value <= 1999 and value % 100 \
-            and DE_THOUSAND not in tokens[at].folded:
+            and DE_THOUSAND not in tokens.keys[at]:
         expr_type = ExpressionType.YEAR
     return CandidateParse(Span(at, end), expr_type, NumericValue(value))
 
@@ -264,18 +265,17 @@ def parse_cardinal(tokens: list[Token], at: int, locale: Locale) -> Optional[Can
 # --- clock phrases -----------------------------------------------------------
 
 
-def _meridiem(tokens: list[Token], i: int, language: str) -> Optional[PeriodHint]:
+def _meridiem(tokens: Tokens, i: int, language: str) -> Optional[PeriodHint]:
     """The hint of an am/pm word ("p.m." too) at token ``i``; German has none."""
     return _MERIDIEMS[language].get(_key(tokens, i).replace(".", ""))
 
 
-def _spells(tokens: list[Token], i: int, keys: tuple[str, ...]) -> bool:
+def _spells(tokens: Tokens, i: int, keys: list[str]) -> bool:
     # Every key holds a letter, so a punctuation token never equals one.
-    return i + len(keys) <= len(tokens) and all(
-        tokens[i + k].folded == key for k, key in enumerate(keys))
+    return tokens.keys[i:i + len(keys)] == keys
 
 
-def _clock_number(tokens: list[Token], i: int, language: str) -> Optional[int]:
+def _clock_number(tokens: Tokens, i: int, language: str) -> Optional[int]:
     """An hour or minute said as a number word or one or two digits.
 
     English number words start at one: "zero" is no hour.
@@ -288,7 +288,7 @@ def _clock_number(tokens: list[Token], i: int, language: str) -> Optional[int]:
     return value
 
 
-def _en_minute_words(tokens: list[Token], i: int) -> Optional[tuple[int, int]]:
+def _en_minute_words(tokens: Tokens, i: int) -> Optional[tuple[int, int]]:
     if _key(tokens, i) == EN_OH:
         unit = en_unit(_key(tokens, i + 1))
         if unit:
@@ -300,7 +300,7 @@ def _en_minute_words(tokens: list[Token], i: int) -> Optional[tuple[int, int]]:
     return None
 
 
-def _relative_minutes(tokens: list[Token], cardinal: Optional[CandidateParse],
+def _relative_minutes(tokens: Tokens, cardinal: Optional[CandidateParse],
                       language: str) -> Optional[tuple[int, int]]:
     """Leading minute count of "M [minutes] past/to H"; returns (end, M)."""
     if cardinal is None or cardinal.magnitude_word:
@@ -317,14 +317,14 @@ def _relative_minutes(tokens: list[Token], cardinal: Optional[CandidateParse],
     return None
 
 
-def _period_lookahead(tokens: list[Token], i: int, language: str) -> Optional[PeriodHint]:
+def _period_lookahead(tokens: Tokens, i: int, language: str) -> Optional[PeriodHint]:
     for keys, hint in _PERIODS[language].get(_key(tokens, i), ()):
         if _spells(tokens, i, keys):
             return hint
     return None
 
 
-def _clock_candidate(tokens: list[Token], at: int, end: int, hour: int, minute: int,
+def _clock_candidate(tokens: Tokens, at: int, end: int, hour: int, minute: int,
                      language: str, hint: Optional[PeriodHint] = None,
                      bare: bool = False) -> CandidateParse:
     """The clock reading from ``at`` to ``end``.
@@ -341,7 +341,7 @@ def _clock_candidate(tokens: list[Token], at: int, end: int, hour: int, minute: 
                           TimeOfDay(hour, minute, hint), bare=bare)
 
 
-def _parse_hour_first_en(tokens: list[Token], at: int) -> list[CandidateParse]:
+def _parse_hour_first_en(tokens: Tokens, at: int) -> list[CandidateParse]:
     """Digit times with am/pm, "H o'clock", "H pm" and the bare "H MM" ("nine thirty")."""
     out: list[CandidateParse] = []
     key = _key(tokens, at)
@@ -367,7 +367,7 @@ def _parse_hour_first_en(tokens: list[Token], at: int) -> list[CandidateParse]:
     return out
 
 
-def _parse_hour_first_de(tokens: list[Token], at: int) -> list[CandidateParse]:
+def _parse_hour_first_de(tokens: Tokens, at: int) -> list[CandidateParse]:
     """"H Uhr [M]" and "HH.MM Uhr"."""
     out: list[CandidateParse] = []
     if _key(tokens, at + 1) != _HOUR_NOUN["de"]:
@@ -388,7 +388,7 @@ def _parse_hour_first_de(tokens: list[Token], at: int) -> list[CandidateParse]:
     return out
 
 
-def _parse_idioms(tokens: list[Token], at: int, cardinal: Optional[CandidateParse],
+def _parse_idioms(tokens: Tokens, at: int, cardinal: Optional[CandidateParse],
                   language: str) -> list[CandidateParse]:
     """The styles that say words before the hour, as ``CLOCK_STYLES`` spells them.
 
@@ -409,7 +409,7 @@ def _parse_idioms(tokens: list[Token], at: int, cardinal: Optional[CandidatePars
             hour = _clock_number(tokens, hour_at, language)
             if hour is None or hour > 12 or (style.next_hour and hour == 0):
                 continue
-            if language == "de" and (hour == 0 or tokens[hour_at].folded[0].isdigit()):
+            if language == "de" and (hour == 0 or tokens.keys[hour_at][0].isdigit()):
                 # German says the hour in words and from one up.
                 continue
             minute = style.minute
@@ -421,7 +421,7 @@ def _parse_idioms(tokens: list[Token], at: int, cardinal: Optional[CandidatePars
     return out
 
 
-def parse_clock_phrase(tokens: list[Token], at: int, locale: Locale,
+def parse_clock_phrase(tokens: Tokens, at: int, locale: Locale,
                        cardinal: Optional[CandidateParse]) -> Optional[list[CandidateParse]]:
     """Every spoken clock-time reading starting at token ``at``, or None.
 
@@ -437,7 +437,7 @@ def parse_clock_phrase(tokens: list[Token], at: int, locale: Locale,
 # --- currency phrases --------------------------------------------------------
 
 
-def _currency_reading(tokens: list[Token], cardinal: CandidateParse,
+def _currency_reading(tokens: Tokens, cardinal: CandidateParse,
                       locale: Locale) -> Optional[CandidateParse]:
     """"<amount> <unit> [and <cents> cents]" with ``cardinal`` as the amount."""
     language = locale.language
@@ -473,7 +473,7 @@ def _currency_reading(tokens: list[Token], cardinal: CandidateParse,
     return CandidateParse(Span(at, end), ExpressionType.CURRENCY, money)
 
 
-def parse_currency_phrase(tokens: list[Token], cardinals: list[CandidateParse],
+def parse_currency_phrase(tokens: Tokens, cardinals: list[CandidateParse],
                           locale: Locale) -> Optional[list[CandidateParse]]:
     """Every currency reading whose amount is one of ``cardinals``, or None.
 
@@ -487,15 +487,14 @@ def parse_currency_phrase(tokens: list[Token], cardinals: list[CandidateParse],
 # --- sentence scan -----------------------------------------------------------
 
 
-def _can_start(token: Token, language: str) -> bool:
-    """Whether any parser can match from ``token``.
+def _can_start(key: str, language: str) -> bool:
+    """Whether any parser can match from a token with lookup key ``key``.
 
     Every parser reads its first token through ``_key`` and goes on only
     from a key that starts with a digit (the digit patterns are anchored on
     ``\\d``, a subset of ``str.isdigit``), a clock idiom's first word or a
     number word. The counted clock forms start from a cardinal.
     """
-    key = token.folded
     if key[0].isdigit():
         return True
     if language == "de":
@@ -503,7 +502,7 @@ def _can_start(token: Token, language: str) -> bool:
     return key in _EN_START_WORDS
 
 
-def scan_tokens(tokens: list[Token], locale: Locale) -> list[CandidateParse]:
+def scan_tokens(tokens: Tokens, locale: Locale) -> list[CandidateParse]:
     """Non-overlapping chosen readings, left to right.
 
     At each position the parsers build every reading they can (cardinal,
@@ -514,10 +513,11 @@ def scan_tokens(tokens: list[Token], locale: Locale) -> list[CandidateParse]:
     """
     out: list[CandidateParse] = []
     language = locale.language
+    keys = tokens.keys
     i = 0
-    n = len(tokens)
+    n = len(keys)
     while i < n:
-        if not _can_start(tokens[i], language):
+        if not _can_start(keys[i], language):
             i += 1
             continue
         cardinal = parse_cardinal(tokens, i, locale)

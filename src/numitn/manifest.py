@@ -99,12 +99,15 @@ def write_manifest(records: Iterable[ManifestRecord], path: str | Path) -> int:
 def iter_manifest_lines(
         path: str | Path) -> Iterator[tuple[int, ManifestRecord | ManifestError]]:
     """Each non-blank line's number with its record, or the error that line holds."""
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
+    with open(path, "rb") as handle:
+        for line_no, raw in enumerate(handle, start=1):
             try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
                 entry = ManifestRecord.from_obj(json.loads(line))
+            except UnicodeDecodeError as err:
+                entry = ManifestError(f"not UTF-8: {err}")
             except json.JSONDecodeError as err:
                 entry = ManifestError(f"invalid JSON: {err}")
             except ManifestError as err:

@@ -10,7 +10,7 @@ from .extract import extract_numeric_literals
 from .formatting import format_expression
 from .grammar import scan_tokens
 from .locales import DEFAULT_CURRENCIES, CurrencyUnit, Locale
-from .tokenizer import Token, tokenize
+from .tokenizer import Tokens, tokenize
 from .types import ParsedExpression, Span
 
 
@@ -31,8 +31,8 @@ class NormalizationOutcome:
     replacements: tuple[NormalizedExpression, ...]
 
 
-def _char_range(tokens: list[Token], span: Span) -> tuple[int, int]:
-    return tokens[span.start].start, tokens[span.end - 1].end
+def _char_range(tokens: Tokens, span: Span) -> tuple[int, int]:
+    return tokens.spans[span.start][0], tokens.spans[span.end - 1][1]
 
 
 def normalize_sentence(sentence: str, locale: Locale,

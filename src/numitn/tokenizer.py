@@ -1,4 +1,4 @@
-"""Whitespace tokenizer that splits sentence punctuation off word edges.
+"""Whitespace tokenizer that peels sentence punctuation off word edges into parallel lists.
 
 Interior punctuation stays attached, so "o'clock", "forty-five", "4:30pm"
 and "1.000,50€" each survive as a single token.
@@ -7,7 +7,7 @@ and "1.000,50€" each survive as a single token.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from dataclasses import dataclass
 
 from .lexicon import fold_german
 
@@ -18,30 +18,29 @@ _PEEL = set(".,!?;:\"()[]{}…«»„“”'’–—")
 _P = re.escape("".join(sorted(_PEEL)))
 # One peeled edge character, or a core that starts and ends outside _PEEL.
 _TOKEN_RE = re.compile(rf"[{_P}]|[^\s{_P}](?:\S*[^\s{_P}])?")
-# \w is str.isalnum() plus "_".
-_ALNUM_RE = re.compile(r"[^\W_]")
 
 
-class Token(NamedTuple):
-    surface: str
+@dataclass(slots=True)
+class Tokens:
+    surfaces: list[str]
     # Lowercase with umlauts and ß spelled out: the key every table lookup reads.
-    folded: str
-    start: int
-    end: int
+    keys: list[str]
+    spans: list[tuple[int, int]]
 
-    @property
-    def is_word(self) -> bool:
-        return _ALNUM_RE.search(self.surface) is not None
+    def __len__(self) -> int:
+        return len(self.surfaces)
 
 
-def tokenize(sentence: str) -> list[Token]:
+def tokenize(sentence: str) -> Tokens:
     """Split ``sentence`` into tokens that cover it losslessly.
 
     Concatenating the token surfaces with the original inter-token gaps
     reconstructs the input exactly.
     """
-    tokens: list[Token] = []
-    for match in _TOKEN_RE.finditer(sentence):
-        surface = match.group()
-        tokens.append(Token(surface, fold_german(surface), *match.span()))
-    return tokens
+    spans = [match.span() for match in _TOKEN_RE.finditer(sentence)]
+    surfaces = [sentence[start:end] for start, end in spans]
+    if sentence.isascii():
+        # ASCII lowercasing keeps every offset, and the fold maps only non-ASCII.
+        lowered = sentence.lower()
+        return Tokens(surfaces, [lowered[start:end] for start, end in spans], spans)
+    return Tokens(surfaces, list(map(fold_german, surfaces)), spans)

@@ -190,6 +190,14 @@ class TestQuantityUnits:
         if parsed.expr_type == ExpressionType.QUANTITY and text != "five point five percent":
             assert parsed.payload.unit_word == ""
 
+    @pytest.mark.parametrize("after,unit_word", [
+        ("Uhr", "Uhr"), ("x", "x"), ("!", ""), ("-$", ""), ("_", ""), ("²", ""), ("٣", ""),
+    ])
+    def test_a_unit_word_holds_a_letter_and_no_digit(self, after, unit_word):
+        # "_" is \w but no letter; "²" and "٣" are digits.
+        parsed = classify_first(f"two thousand {after}", EN)
+        assert parsed.payload.unit_word == unit_word
+
     def test_percent_is_a_unit(self):
         parsed = classify_first("five point five percent", EN)
         assert parsed.payload.unit_word == "percent"

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import numitn
 from numitn.cli import main
 from numitn.manifest import read_manifest
 
@@ -12,6 +17,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_process(*argv, stdin=b""):
+    """The CLI in a child process in UTF-8 mode, with bytes in and out."""
+    env = {**os.environ, "PYTHONUTF8": "1",
+           "PYTHONPATH": str(Path(numitn.__file__).resolve().parent.parent)}
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from numitn.cli import main; sys.exit(main())",
+         *argv], input=stdin, capture_output=True, env=env, check=False)
 
 
 class TestNormalize:
@@ -70,6 +84,25 @@ class TestNormalize:
         assert out == ""
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+
+class TestUndecodableBytes:
+    """A byte that is not UTF-8 passes through a file as it does through stdin."""
+
+    @pytest.mark.parametrize("command,data,expected", [
+        ("normalize", b"five\n\xff bad\nsix\n", b"5\n\xff bad\n6\n"),
+        ("verbalize", b"5\n\xff bad\n6\n", b"five\n\xff bad\nsix\n"),
+    ])
+    def test_file_and_stdin_give_the_same_bytes(self, tmp_path, command, data, expected):
+        src, dst = tmp_path / "in.txt", tmp_path / "out.txt"
+        src.write_bytes(data)
+        piped = run_process(command, "--locale", "en", stdin=data)
+        from_file = run_process(command, "--locale", "en", str(src))
+        to_file = run_process(command, "--locale", "en", str(src), "-o", str(dst))
+        assert (piped.returncode, piped.stdout, piped.stderr) == (0, expected, b"")
+        assert (from_file.returncode, from_file.stdout, from_file.stderr) == (0, expected, b"")
+        assert (to_file.returncode, to_file.stdout, to_file.stderr) == (0, b"", b"")
+        assert dst.read_bytes() == expected
 
 
 class TestVerbalize:
@@ -312,6 +345,40 @@ class TestGenSplitEval:
         assert err.endswith("\nline 5: fields must be strings: ['verbalized']\n")
         # Every kept record met its own hypothesis: a perfect score.
         assert out.splitlines()[1].split() == ["0.0"] + ["100.0"] * 5
+
+    def undecodable_manifest(self, tmp_path):
+        """Four records; one byte of line 2 is not UTF-8."""
+        lines = [json.dumps({"id": f"en-year-{i}", "locale": "en", "type": "year",
+                             "verbalized": f"in nineteen {word}", "formatted": f"in 19{n}",
+                             "expressions": [[f"19{n}", "year"]]}).encode("utf-8")
+                 for i, (word, n) in enumerate([("ten", 10), ("twelve", 12), ("fifteen", 15),
+                                                 ("twenty", 20)])]
+        lines[1] = lines[1].replace(b"twelve", b"tw\xfflve")
+        path = tmp_path / "manifest.jsonl"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        return path
+
+    def test_split_skips_a_line_that_is_not_utf8(self, tmp_path, capsys):
+        path = self.undecodable_manifest(tmp_path)
+        out_dir = tmp_path / "splits"
+        code, _, err = run(capsys, "split", "--manifest", str(path), "--out-dir", str(out_dir))
+        assert code == 1
+        assert err.startswith("line 2: not UTF-8: 'utf-8' codec can't decode byte 0xff")
+        assert "Traceback" not in err
+        ids = {r.id for name in ("train", "dev", "test")
+               for r in read_manifest(out_dir / f"{name}.jsonl")}
+        assert ids == {"en-year-0", "en-year-2", "en-year-3"}
+
+    def test_eval_skips_a_line_that_is_not_utf8_with_its_hypothesis(self, tmp_path, capsys):
+        path = self.undecodable_manifest(tmp_path)
+        hyp = tmp_path / "hyp.txt"
+        hyp.write_text("in 1910\nx\nin 1915\nin 1920\n", encoding="utf-8")
+        code, out, err = run(capsys, "eval", "--manifest", str(path), "--hypotheses", str(hyp))
+        assert code == 1
+        assert err.startswith("line 2: not UTF-8: ")
+        assert err.count("\n") == 1
+        # Every kept record met its own hypothesis: a perfect score.
+        assert out.splitlines()[1].split() == ["0.0", "100.0", "-", "-", "-", "100.0"]
 
     def test_split_needs_enough_groups(self, tmp_path, capsys):
         path = tmp_path / "tiny.jsonl"

@@ -425,7 +425,7 @@ def test_surfaces_outside_walks_as_the_any_rule(text, locale):
     # The forward walk keeps exactly the tokens no literal span contains.
     tokens = tokenize(text)
     literals = extract_numeric_literals(text, locale)
-    expected = [t.surface for t in tokens
-                if not any(lit.span.start <= t.start and t.end <= lit.span.end
+    expected = [surface for surface, (start, end) in zip(tokens.surfaces, tokens.spans)
+                if not any(lit.span.start <= start and end <= lit.span.end
                            for lit in literals)]
     assert _surfaces_outside(tokens, literals) == expected

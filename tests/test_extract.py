@@ -139,8 +139,8 @@ class TestContainsNumericExpression:
         locale = EN if code == "en" else DE
         # A digit literal, or a number word other than a bare German article.
         found = bool(extract_numeric_literals(text, locale)) or any(
-            token.folded not in (DE_EIN, DE_EINE) and is_number_word(token.folded, code)
-            for token in tokenize(text))
+            key not in (DE_EIN, DE_EINE) and is_number_word(key, code)
+            for key in tokenize(text).keys)
         assert found == expected
 
 

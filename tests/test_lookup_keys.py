@@ -1,7 +1,7 @@
-"""One lookup key per token: every table is read with ``Token.folded``.
+"""One lookup key per token: every table is read with ``Tokens.keys``.
 
-The grammar, ``classify`` and ``extract`` look each token up by its folded
-form alone, English number words and idiom openers included. That is
+The grammar and ``classify`` look each token up by its folded form
+alone, English number words and idiom openers included. That is
 sound for English because no such key can tell a folded token from a
 lowercase one, and sound for punctuation because no key is all
 punctuation. The tests here check both facts on the tables

@@ -146,6 +146,18 @@ class TestFiles:
         with pytest.raises(ManifestError, match=r":2: record"):
             read_manifest(path)
 
+    def test_a_line_that_is_not_utf8_is_an_error_of_that_line(self, tmp_path):
+        path = tmp_path / "manifest.jsonl"
+        line = record().to_json().encode("utf-8")
+        path.write_bytes(b"\n".join([line, line.replace(b"war", b"w\xe4r"), line]) + b"\n")
+        entries = list(manifest.iter_manifest_lines(path))
+        assert [line_no for line_no, _ in entries] == [1, 2, 3]
+        assert entries[0][1] == entries[2][1] == record()
+        assert isinstance(entries[1][1], ManifestError)
+        assert str(entries[1][1]).startswith("not UTF-8: 'utf-8' codec can't decode byte 0xe4")
+        with pytest.raises(ManifestError, match=r":2: not UTF-8"):
+            read_manifest(path)
+
     def test_iter_is_lazy(self, tmp_path):
         path = tmp_path / "manifest.jsonl"
         path.write_text(record().to_json() + "\nnot json\n", encoding="utf-8")

@@ -4,12 +4,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from numitn.lexicon import fold_german
-from numitn.tokenizer import _PEEL, Token, tokenize
+from numitn.tokenizer import _PEEL, Tokens, tokenize
 
 
 def reference_tokenize(sentence):
-    """Chunk on whitespace, then peel _PEEL characters off each edge one by one."""
-    tokens = []
+    """Chunk on whitespace, then peel _PEEL characters off each edge one by one.
+
+    Returns the surfaces, the folded keys and the spans, one entry per token.
+    """
+    surfaces, keys, spans = [], [], []
     for chunk in re.finditer(r"\S+", sentence):
         i, j = chunk.start(), chunk.end()
         lead = []
@@ -22,53 +25,39 @@ def reference_tokenize(sentence):
             j -= 1
         pieces = lead + ([(i, j)] if i < j else []) + list(reversed(trail))
         for s, e in pieces:
-            surface = sentence[s:e]
-            tokens.append(Token(
-                surface=surface,
-                folded=fold_german(surface),
-                start=s,
-                end=e,
-            ))
-    return tokens
-
-
-def reference_is_word(surface):
-    return any(ch.isalnum() for ch in surface)
+            surfaces.append(sentence[s:e])
+            keys.append(fold_german(sentence[s:e]))
+            spans.append((s, e))
+    return surfaces, keys, spans
 
 
 def test_keeps_interior_punctuation():
-    surfaces = [t.surface for t in tokenize("It's at 4:30pm, o'clock forty-five!")]
+    surfaces = tokenize("It's at 4:30pm, o'clock forty-five!").surfaces
     assert surfaces == ["It's", "at", "4:30pm", ",", "o'clock", "forty-five", "!"]
 
 
 def test_peels_nested_punctuation():
-    surfaces = [t.surface for t in tokenize('She said ("really?").')]
+    surfaces = tokenize('She said ("really?").').surfaces
     assert surfaces == ["She", "said", "(", '"', "really", "?", '"', ")", "."]
 
 
 def test_currency_symbols_stay_attached():
-    surfaces = [t.surface for t in tokenize("Costs $1,000.50 or 1.000,50€ today.")]
+    surfaces = tokenize("Costs $1,000.50 or 1.000,50€ today.").surfaces
     assert "$1,000.50" in surfaces
     assert "1.000,50€" in surfaces
 
 
 def test_offsets_point_into_source():
     text = "Um 15.45 Uhr, wirklich."
-    for token in tokenize(text):
-        assert text[token.start:token.end] == token.surface
-
-
-def test_word_flag():
-    tokens = tokenize("Uhr! ²-$ _ ٣")
-    assert [t.is_word for t in tokens] == [True, False, True, False, True]
+    tokens = tokenize(text)
+    assert [text[start:end] for start, end in tokens.spans] == tokens.surfaces
 
 
 def test_folded_key():
-    fuenf, uhr = tokenize("Fünfundzwanzig Uhr")
-    assert fuenf.folded == "fuenfundzwanzig"
-    assert uhr.folded == "uhr"
-    assert tokenize("Forty")[0].folded == "forty"
-    assert tokenize("STRASSE Straße")[1].folded == "strasse"
+    assert tokenize("Fünfundzwanzig Uhr").keys == ["fuenfundzwanzig", "uhr"]
+    assert tokenize("Forty").keys == ["forty"]
+    assert tokenize("STRASSE Straße").keys == ["strasse", "strasse"]
+    assert tokenize("GROẞ, Fünf").keys == ["gross", ",", "fuenf"]
 
 
 @given(st.text(max_size=80))
@@ -77,11 +66,11 @@ def test_reconstruction_from_offsets(text):
     tokens = tokenize(text)
     cursor = 0
     rebuilt = []
-    for token in tokens:
-        assert token.start >= cursor
-        rebuilt.append(text[cursor:token.start])
-        rebuilt.append(token.surface)
-        cursor = token.end
+    for surface, (start, end) in zip(tokens.surfaces, tokens.spans):
+        assert start >= cursor
+        rebuilt.append(text[cursor:start])
+        rebuilt.append(surface)
+        cursor = end
     rebuilt.append(text[cursor:])
     assert "".join(rebuilt) == text
 
@@ -91,20 +80,25 @@ def test_reconstruction_from_offsets(text):
 def test_single_word_is_one_token(word):
     tokens = tokenize(word)
     assert len(tokens) == 1
-    assert tokens[0].surface == word
+    assert tokens.surfaces == [word]
 
 
 # Dense in peel characters and the edge cases of \s and \w: Unicode spaces,
 # an information separator, "_", a superscript digit and non-Latin digits.
+# Σ lowercases by its context, and İ and ẞ change length when lowercased or folded.
 _EDGE_ALPHABET = st.sampled_from(
     sorted(_PEEL) + [" ", "\t", "\n", "\u00a0", "\u2009", "\u3000", "\x1c",
-                     "_", "²", "٣", "७", "a", "Z", "ß", "Ü", "9", "$", "€", "-", "/"])
+                     "_", "²", "٣", "७", "a", "Z", "ß", "Ü", "9", "$", "€", "-", "/",
+                     "Σ", "ς", "İ", "ẞ"])
 
 
 def _assert_matches_reference(text):
     tokens = tokenize(text)
-    assert tokens == reference_tokenize(text)
-    assert [t.is_word for t in tokens] == [reference_is_word(t.surface) for t in tokens]
+    surfaces, keys, spans = reference_tokenize(text)
+    assert tokens.surfaces == surfaces
+    assert tokens.keys == keys
+    assert tokens.spans == spans
+    assert len(tokens) == len(surfaces)
 
 
 @given(st.text(alphabet=_EDGE_ALPHABET, max_size=40))
@@ -117,12 +111,10 @@ def test_matches_peel_loop_on_any_text(text):
     _assert_matches_reference(text)
 
 
-def test_token_is_an_immutable_record():
-    token = tokenize("Fünf")[0]
-    assert token == Token("Fünf", "fuenf", 0, 4)
-    assert hash(token) == hash(Token("Fünf", "fuenf", 0, 4))
-    assert repr(token) == "Token(surface='Fünf', folded='fuenf', start=0, end=4)"
+def test_tokens_are_a_record_of_three_lists():
+    tokens = tokenize("Fünf")
+    assert tokens == Tokens(["Fünf"], ["fuenf"], [(0, 4)])
+    assert len(tokens) == 1
+    assert repr(tokens) == "Tokens(surfaces=['Fünf'], keys=['fuenf'], spans=[(0, 4)])"
     with pytest.raises(AttributeError):
-        token.surface = "Sechs"
-    with pytest.raises(AttributeError):
-        token.is_word = False
+        tokens.index = [0]
