@@ -19,7 +19,6 @@ from .types import (
     NumericValue,
     ParsedExpression,
     PeriodHint,
-    QuantityAmount,
     Span,
     TimeOfDay,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "NumericValue",
     "ParsedExpression",
     "PeriodHint",
-    "QuantityAmount",
     "Span",
     "TimeOfDay",
     "edit_distance",

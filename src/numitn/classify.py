@@ -2,22 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional
 
 from .formatting import YEAR_MAX, YEAR_MIN
 from .lexicon import UNIT_STOPWORDS, YEAR_CUES, is_number_word
 from .locales import Locale
 from .tokenizer import Tokens
-from .types import (
-    CandidateParse,
-    ExpressionType,
-    ParsedExpression,
-    PeriodHint,
-    QuantityAmount,
-    Span,
-    TimeOfDay,
-)
+from .types import ExpressionType, ParsedExpression, PeriodHint, Span, TimeOfDay
 
 # Rule 3 of ``choose``: among readings of one length, the higher rank wins.
 _TIE_RANK = {ExpressionType.CURRENCY: 3, ExpressionType.TIMESTAMP: 2,
@@ -28,8 +19,8 @@ _PM_HINTS = (PeriodHint.EXPLICIT_PM, PeriodHint.AFTERNOON, PeriodHint.EVENING,
              PeriodHint.NIGHT)
 
 
-def choose(readings: list[CandidateParse], tokens: Tokens,
-           language: str) -> Optional[CandidateParse]:
+def choose(readings: list[ParsedExpression], tokens: Tokens,
+           language: str) -> Optional[ParsedExpression]:
     """Pick one of the readings the parsers built at one position, or None.
 
     The rules apply in this order:
@@ -55,7 +46,7 @@ def choose(readings: list[CandidateParse], tokens: Tokens,
     if (value.is_integer and best.magnitude_word is None
             and YEAR_MIN <= value.mantissa <= YEAR_MAX
             and before >= 0 and tokens.keys[before] in YEAR_CUES[language]):
-        return replace(best, expr_type=ExpressionType.YEAR)
+        return ParsedExpression(best.span, ExpressionType.YEAR, value)
     return best
 
 
@@ -73,8 +64,8 @@ def resolve_time(t: TimeOfDay) -> TimeOfDay:
     return TimeOfDay(hour, t.minute, t.period_hint)
 
 
-def _unit_word_after(candidate: CandidateParse, tokens: Tokens, locale: Locale) -> str:
-    i = candidate.span.end
+def _unit_word_after(reading: ParsedExpression, tokens: Tokens, locale: Locale) -> str:
+    i = reading.span.end
     if i >= len(tokens) or not any(map(str.isalnum, tokens.surfaces[i])):
         return ""
     key = tokens.keys[i]
@@ -84,16 +75,19 @@ def _unit_word_after(candidate: CandidateParse, tokens: Tokens, locale: Locale) 
     return tokens.surfaces[i]
 
 
-def classify(candidate: CandidateParse, tokens: Tokens, locale: Locale) -> ParsedExpression:
-    """Finish a chosen reading: attach a quantity's unit word, put a time on the 24-hour clock."""
-    expr_type, span, payload = candidate.expr_type, candidate.span, candidate.value
-    if expr_type is ExpressionType.QUANTITY:
-        unit_word = _unit_word_after(candidate, tokens, locale)
+def classify(reading: ParsedExpression, tokens: Tokens, locale: Locale) -> ParsedExpression:
+    """Finish a chosen reading: attach a quantity's unit word, put a time on the 24-hour clock.
+
+    A reading that needs neither is returned as it is.
+    """
+    span, value = reading.span, reading.value
+    if reading.expr_type is ExpressionType.QUANTITY:
+        unit_word = _unit_word_after(reading, tokens, locale)
         if unit_word:
-            span = Span(span.start, span.end + 1)
-        payload = QuantityAmount(payload, unit_word, candidate.magnitude_word)
-    elif expr_type is ExpressionType.TIMESTAMP:
-        payload = resolve_time(payload)
-    elif expr_type is ExpressionType.YEAR:
-        payload = payload.mantissa
-    return ParsedExpression(span, expr_type, payload)
+            return ParsedExpression(Span(span.start, span.end + 1), ExpressionType.QUANTITY,
+                                    value, reading.magnitude_word, unit_word)
+    elif reading.expr_type is ExpressionType.TIMESTAMP:
+        time = resolve_time(value)
+        if time is not value:
+            return ParsedExpression(span, ExpressionType.TIMESTAMP, time, bare=reading.bare)
+    return reading

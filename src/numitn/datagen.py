@@ -25,7 +25,6 @@ from .types import (
     MoneyAmount,
     NumericValue,
     ParsedExpression,
-    QuantityAmount,
     Span,
     TimeOfDay,
 )
@@ -116,9 +115,9 @@ def validate_record(verbalized: str, converted: str, locale: Locale) -> bool:
     converted_rest = _surfaces_outside(tokenize(converted), literals)
     verbalized_tokens = tokenize(verbalized)
     verbalized_rest = verbalized_tokens.surfaces[:]
-    # The candidates are disjoint and in order, so cutting from the last keeps indices.
-    for candidate in reversed(scan_tokens(verbalized_tokens, locale)):
-        del verbalized_rest[candidate.span.start:candidate.span.end]
+    # The readings are disjoint and in order, so cutting from the last keeps indices.
+    for reading in reversed(scan_tokens(verbalized_tokens, locale)):
+        del verbalized_rest[reading.span.start:reading.span.end]
     return verbalized_rest == converted_rest
 
 
@@ -366,16 +365,17 @@ class RuleBasedTextGenerator(TextGenerator):
         language = self._locale.language
         code = rng.choice(("USD", "EUR", "GBP")) if language == "en" else "EUR"
         shape = rng.randrange(3)
+        word = None
         if shape == 0:
             major = rng.randint(1, 999)
             word = self._magnitude_word(major)
-            money = MoneyAmount(NumericValue(major), None, code, word)
+            money = MoneyAmount(NumericValue(major), None, code)
         elif shape == 1:
             money = MoneyAmount(NumericValue(rng.randint(1, 9999)),
                                 NumericValue(rng.randint(1, 99)), code)
         else:
             money = MoneyAmount(NumericValue(rng.randint(1, 9999)), None, code)
-        expr = ParsedExpression(Span(0, 1), ExpressionType.CURRENCY, money)
+        expr = ParsedExpression(Span(0, 1), ExpressionType.CURRENCY, money, word)
         return verbalize_value(expr, self._locale)
 
     def _quantity_phrase(self) -> str:
@@ -391,8 +391,7 @@ class RuleBasedTextGenerator(TextGenerator):
             major = rng.randint(2, 999)
             value = NumericValue(major)
             word = self._magnitude_word(major)
-        expr = ParsedExpression(Span(0, 1), ExpressionType.QUANTITY,
-                                QuantityAmount(value, "", word))
+        expr = ParsedExpression(Span(0, 1), ExpressionType.QUANTITY, value, word)
         return verbalize_value(expr, self._locale)
 
     def _magnitude_word(self, count: int) -> str:

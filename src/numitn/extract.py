@@ -6,7 +6,6 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from typing import Optional
 
 from .formatting import YEAR_MAX, YEAR_MIN
 from .lexicon import DE_MAGNITUDE_NAMES, EN_MAGNITUDE_WORDS
@@ -90,15 +89,14 @@ def _build_patterns(language: str, separator: str, decimal_mark: str, placement:
 
 
 def extract_numeric_literals(text: str, locale: Locale,
-                             currencies: Optional[dict[str, CurrencyUnit]] = None
+                             currencies: dict[str, CurrencyUnit] = DEFAULT_CURRENCIES
                              ) -> list[LiteralMatch]:
     """All formatted numeric literals, left to right, non-overlapping."""
     if not _DIGIT_RE.search(text):
         return []
-    registry = currencies if currencies is not None else DEFAULT_CURRENCIES
     patterns = _build_patterns(locale.language, locale.thousands_separator,
                                locale.decimal_mark, locale.currency_placement,
-                               tuple([u.symbol for u in registry.values()]))
+                               tuple([u.symbol for u in currencies.values()]))
     raw: list[tuple[int, int, int, ExpressionType, str]] = []
     for priority, expr_type, pattern in patterns:
         for m in pattern.finditer(text):

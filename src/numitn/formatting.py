@@ -5,14 +5,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .locales import CurrencyUnit, DEFAULT_CURRENCIES, Locale
-from .types import (
-    ExpressionType,
-    MoneyAmount,
-    NumericValue,
-    ParsedExpression,
-    QuantityAmount,
-    TimeOfDay,
-)
+from .types import ExpressionType, NumericValue, ParsedExpression, TimeOfDay
 
 YEAR_MIN = 1000
 YEAR_MAX = 2100
@@ -90,17 +83,14 @@ def format_quantity(value: NumericValue, unit_word: str,
 
 
 def format_expression(expr: ParsedExpression, locale: Locale,
-                      currencies: Optional[dict[str, CurrencyUnit]] = None) -> str:
+                      currencies: dict[str, CurrencyUnit] = DEFAULT_CURRENCIES) -> str:
     """Dispatch a classified expression to its type-specific formatter."""
-    registry = currencies if currencies is not None else DEFAULT_CURRENCIES
-    if expr.expr_type == ExpressionType.YEAR:
-        return format_year(expr.payload)
-    if expr.expr_type == ExpressionType.TIMESTAMP:
-        return format_time(expr.payload)
-    if expr.expr_type == ExpressionType.CURRENCY:
-        money: MoneyAmount = expr.payload
-        return format_currency(money.major, money.minor, registry[money.currency],
-                               money.magnitude_word, locale)
-    quantity: QuantityAmount = expr.payload
-    return format_quantity(quantity.value, quantity.unit_word,
-                           quantity.magnitude_word, locale)
+    expr_type, value = expr.expr_type, expr.value
+    if expr_type is ExpressionType.YEAR:
+        return format_year(value.mantissa)
+    if expr_type is ExpressionType.TIMESTAMP:
+        return format_time(value)
+    if expr_type is ExpressionType.CURRENCY:
+        return format_currency(value.major, value.minor, currencies[value.currency],
+                               expr.magnitude_word, locale)
+    return format_quantity(value, expr.unit_word, expr.magnitude_word, locale)

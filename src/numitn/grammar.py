@@ -1,8 +1,8 @@
 """Number-word grammar: cardinals, clock phrases and currency phrases.
 
 The parse functions are pure and free of context: each builds the readings
-(``CandidateParse``) that start at a given token, whatever surrounds them.
-``scan_tokens`` hands a position's readings to ``classify.choose``.
+that start at a given token, whatever surrounds them, as ``ParsedExpression``
+records. ``scan_tokens`` hands a position's readings to ``classify.choose``.
 """
 
 from __future__ import annotations
@@ -41,10 +41,10 @@ from .tokenizer import Tokens
 from .types import (
     MAX_MANTISSA,
     MAX_SCALE,
-    CandidateParse,
     ExpressionType,
     MoneyAmount,
     NumericValue,
+    ParsedExpression,
     PeriodHint,
     Span,
     TimeOfDay,
@@ -132,7 +132,7 @@ def _en_sub_thousand(tokens: Tokens, i: int) -> Optional[tuple[int, int]]:
     return None
 
 
-def _en_pair_reading(tokens: Tokens, at: int) -> Optional[CandidateParse]:
+def _en_pair_reading(tokens: Tokens, at: int) -> Optional[ParsedExpression]:
     """A year said as two pairs of digits ("nineteen forty-five", "nineteen oh five").
 
     "nineteen hundred [forty-five]" is a compact cardinal, not a pair split,
@@ -144,7 +144,7 @@ def _en_pair_reading(tokens: Tokens, at: int) -> Optional[CandidateParse]:
     nxt = _key(tokens, at + 1)
     if nxt == EN_HUNDRED:
         value, end = _en_hundreds(tokens, at + 1, first)
-        return CandidateParse(Span(at, end), ExpressionType.QUANTITY, NumericValue(value))
+        return ParsedExpression(Span(at, end), ExpressionType.QUANTITY, NumericValue(value))
     if nxt == EN_OH:
         unit = en_unit(_key(tokens, at + 2))
         second = (unit, at + 3) if unit else None
@@ -152,8 +152,8 @@ def _en_pair_reading(tokens: Tokens, at: int) -> Optional[CandidateParse]:
         second = _en_two_digit_span(tokens, at + 1)
     if second is None:
         return None
-    return CandidateParse(Span(at, second[1]), ExpressionType.YEAR,
-                          NumericValue(first * 100 + second[0]))
+    return ParsedExpression(Span(at, second[1]), ExpressionType.YEAR,
+                            NumericValue(first * 100 + second[0]))
 
 
 def _de_group(tokens: Tokens, i: int) -> Optional[tuple[int, int]]:
@@ -221,7 +221,7 @@ def _decimal_digits(tokens: Tokens, i: int, language: str) -> Optional[tuple[int
     return value, count, i
 
 
-def parse_cardinal(tokens: Tokens, at: int, locale: Locale) -> Optional[CandidateParse]:
+def parse_cardinal(tokens: Tokens, at: int, locale: Locale) -> Optional[ParsedExpression]:
     """The cardinal reading (integer or decimal) starting at token ``at``.
 
     A German paired year compound is a year reading; the English year pairs
@@ -237,8 +237,8 @@ def parse_cardinal(tokens: Tokens, at: int, locale: Locale) -> Optional[Candidat
     value, end, sole = integer
     if sole is not None:
         scale, word = sole
-        return CandidateParse(Span(at, end), ExpressionType.QUANTITY,
-                              NumericValue(value // scale), magnitude_word=word)
+        return ParsedExpression(Span(at, end), ExpressionType.QUANTITY,
+                                NumericValue(value // scale), magnitude_word=word)
     if _key(tokens, end) == POINT_KEYS[language]:
         frac = _decimal_digits(tokens, end + 1, language)
         if frac is not None:
@@ -250,8 +250,8 @@ def parse_cardinal(tokens: Tokens, at: int, locale: Locale) -> Optional[Candidat
                                               else EN_MAGNITUDE_WORDS):
                     magnitude = tokens.surfaces[frac_end]
                     frac_end += 1
-                return CandidateParse(Span(at, frac_end), ExpressionType.QUANTITY,
-                                      NumericValue(mantissa, ndigits), magnitude)
+                return ParsedExpression(Span(at, frac_end), ExpressionType.QUANTITY,
+                                        NumericValue(mantissa, ndigits), magnitude)
     expr_type = ExpressionType.QUANTITY
     # A hundert compound with a nonzero tail ("neunzehnhundertfünfundvierzig")
     # is a year pair: the plain cardinal for 1100..1999 goes through
@@ -259,7 +259,7 @@ def parse_cardinal(tokens: Tokens, at: int, locale: Locale) -> Optional[Candidat
     if language == "de" and 1100 <= value <= 1999 and value % 100 \
             and DE_THOUSAND not in tokens.keys[at]:
         expr_type = ExpressionType.YEAR
-    return CandidateParse(Span(at, end), expr_type, NumericValue(value))
+    return ParsedExpression(Span(at, end), expr_type, NumericValue(value))
 
 
 # --- clock phrases -----------------------------------------------------------
@@ -300,7 +300,7 @@ def _en_minute_words(tokens: Tokens, i: int) -> Optional[tuple[int, int]]:
     return None
 
 
-def _relative_minutes(tokens: Tokens, cardinal: Optional[CandidateParse],
+def _relative_minutes(tokens: Tokens, cardinal: Optional[ParsedExpression],
                       language: str) -> Optional[tuple[int, int]]:
     """Leading minute count of "M [minutes] past/to H"; returns (end, M)."""
     if cardinal is None or cardinal.magnitude_word:
@@ -324,9 +324,9 @@ def _period_lookahead(tokens: Tokens, i: int, language: str) -> Optional[PeriodH
     return None
 
 
-def _clock_candidate(tokens: Tokens, at: int, end: int, hour: int, minute: int,
-                     language: str, hint: Optional[PeriodHint] = None,
-                     bare: bool = False) -> CandidateParse:
+def _clock_reading(tokens: Tokens, at: int, end: int, hour: int, minute: int,
+                   language: str, hint: Optional[PeriodHint] = None,
+                   bare: bool = False) -> ParsedExpression:
     """The clock reading from ``at`` to ``end``.
 
     Unless ``hint`` is given, an am/pm word after it joins it, else a period phrase sets it.
@@ -337,59 +337,59 @@ def _clock_candidate(tokens: Tokens, at: int, end: int, hour: int, minute: int,
             end += 1
         else:
             hint = _period_lookahead(tokens, end, language) or PeriodHint.UNSPECIFIED
-    return CandidateParse(Span(at, end), ExpressionType.TIMESTAMP,
-                          TimeOfDay(hour, minute, hint), bare=bare)
+    return ParsedExpression(Span(at, end), ExpressionType.TIMESTAMP,
+                            TimeOfDay(hour, minute, hint), bare=bare)
 
 
-def _parse_hour_first_en(tokens: Tokens, at: int) -> list[CandidateParse]:
+def _parse_hour_first_en(tokens: Tokens, at: int) -> list[ParsedExpression]:
     """Digit times with am/pm, "H o'clock", "H pm" and the bare "H MM" ("nine thirty")."""
-    out: list[CandidateParse] = []
+    out: list[ParsedExpression] = []
     key = _key(tokens, at)
     m = _DIGIT_AMPM_RE.match(key)
     if m and int(m.group(1)) <= 23:
-        out.append(_clock_candidate(tokens, at, at + 1, int(m.group(1)), int(m.group(2) or 0),
-                                    "en", _MERIDIEMS["en"][m.group(3)]))
+        out.append(_clock_reading(tokens, at, at + 1, int(m.group(1)), int(m.group(2) or 0),
+                                  "en", _MERIDIEMS["en"][m.group(3)]))
     m = _DIGIT_TIME_RE.match(key)
     # "4:30 pm": the am/pm word is part of the reading.
     if m and int(m.group(1)) <= 23 and _meridiem(tokens, at + 1, "en") is not None:
-        out.append(_clock_candidate(tokens, at, at + 1, int(m.group(1)), int(m.group(2)), "en"))
+        out.append(_clock_reading(tokens, at, at + 1, int(m.group(1)), int(m.group(2)), "en"))
 
     hour = _clock_number(tokens, at, "en")
     if hour is None or hour > 23:
         return out
     if _key(tokens, at + 1) == _HOUR_NOUN["en"]:
-        out.append(_clock_candidate(tokens, at, at + 2, hour, 0, "en"))
+        out.append(_clock_reading(tokens, at, at + 2, hour, 0, "en"))
     if _meridiem(tokens, at + 1, "en") is not None:
-        out.append(_clock_candidate(tokens, at, at + 1, hour, 0, "en"))
+        out.append(_clock_reading(tokens, at, at + 1, hour, 0, "en"))
     minutes = _en_minute_words(tokens, at + 1)
     if minutes is not None:
-        out.append(_clock_candidate(tokens, at, minutes[1], hour, minutes[0], "en", bare=True))
+        out.append(_clock_reading(tokens, at, minutes[1], hour, minutes[0], "en", bare=True))
     return out
 
 
-def _parse_hour_first_de(tokens: Tokens, at: int) -> list[CandidateParse]:
+def _parse_hour_first_de(tokens: Tokens, at: int) -> list[ParsedExpression]:
     """"H Uhr [M]" and "HH.MM Uhr"."""
-    out: list[CandidateParse] = []
+    out: list[ParsedExpression] = []
     if _key(tokens, at + 1) != _HOUR_NOUN["de"]:
         return out
 
     hour = _clock_number(tokens, at, "de")
     if hour is not None and hour <= 23:
         i = at + 2
-        out.append(_clock_candidate(tokens, at, i, hour, 0, "de"))
+        out.append(_clock_reading(tokens, at, i, hour, 0, "de"))
         minute = _clock_number(tokens, i, "de")
         if minute is not None and minute <= 59:
-            out.append(_clock_candidate(tokens, at, i + 1, hour, minute, "de"))
+            out.append(_clock_reading(tokens, at, i + 1, hour, minute, "de"))
 
     m = _DIGIT_TIME_RE.match(_key(tokens, at))
     if m and int(m.group(1)) <= 23:
         # "15.45 Uhr" or "15:45 Uhr": reformat and drop the Uhr token.
-        out.append(_clock_candidate(tokens, at, at + 2, int(m.group(1)), int(m.group(2)), "de"))
+        out.append(_clock_reading(tokens, at, at + 2, int(m.group(1)), int(m.group(2)), "de"))
     return out
 
 
-def _parse_idioms(tokens: Tokens, at: int, cardinal: Optional[CandidateParse],
-                  language: str) -> list[CandidateParse]:
+def _parse_idioms(tokens: Tokens, at: int, cardinal: Optional[ParsedExpression],
+                  language: str) -> list[ParsedExpression]:
     """The styles that say words before the hour, as ``CLOCK_STYLES`` spells them.
 
     A fixed idiom starts at ``at`` ("quarter past seven", "halb acht"); a
@@ -400,7 +400,7 @@ def _parse_idioms(tokens: Tokens, at: int, cardinal: Optional[CandidateParse],
     counted = _relative_minutes(tokens, cardinal, language)
     if counted is not None:
         starts.append((*counted, _COUNTED[language]))
-    out: list[CandidateParse] = []
+    out: list[ParsedExpression] = []
     for i, count, idioms in starts:
         for keys, style in idioms.get(_key(tokens, i), ()):
             if not _spells(tokens, i, keys):
@@ -417,12 +417,13 @@ def _parse_idioms(tokens: Tokens, at: int, cardinal: Optional[CandidateParse],
                 minute = 60 - count if style.next_hour else count
             if style.next_hour:
                 hour = hour - 1 or HOUR_BEFORE_ONE[language]
-            out.append(_clock_candidate(tokens, at, hour_at + 1, hour, minute, language))
+            out.append(_clock_reading(tokens, at, hour_at + 1, hour, minute, language))
     return out
 
 
 def parse_clock_phrase(tokens: Tokens, at: int, locale: Locale,
-                       cardinal: Optional[CandidateParse]) -> Optional[list[CandidateParse]]:
+                       cardinal: Optional[ParsedExpression]
+                       ) -> Optional[list[ParsedExpression]]:
     """Every spoken clock-time reading starting at token ``at``, or None.
 
     ``cardinal`` is ``parse_cardinal(tokens, at, locale)``; the "M past H"
@@ -437,8 +438,8 @@ def parse_clock_phrase(tokens: Tokens, at: int, locale: Locale,
 # --- currency phrases --------------------------------------------------------
 
 
-def _currency_reading(tokens: Tokens, cardinal: CandidateParse,
-                      locale: Locale) -> Optional[CandidateParse]:
+def _currency_reading(tokens: Tokens, cardinal: ParsedExpression,
+                      locale: Locale) -> Optional[ParsedExpression]:
     """"<amount> <unit> [and <cents> cents]" with ``cardinal`` as the amount."""
     language = locale.language
     at = cardinal.span.start
@@ -450,7 +451,7 @@ def _currency_reading(tokens: Tokens, cardinal: CandidateParse,
         if cardinal.magnitude_word or not value.is_integer or value.mantissa >= 100:
             return None
         money = MoneyAmount(NumericValue(0), value, DEFAULT_CURRENCY_CODE[language])
-        return CandidateParse(Span(at, i + 1), ExpressionType.CURRENCY, money)
+        return ParsedExpression(Span(at, i + 1), ExpressionType.CURRENCY, money)
 
     code = CURRENCY_WORDS[language].get(unit)
     if code is None:
@@ -469,12 +470,12 @@ def _currency_reading(tokens: Tokens, cardinal: CandidateParse,
                     return None
                 minor = tail.value
                 end = after + 1
-    money = MoneyAmount(value, minor, code, cardinal.magnitude_word)
-    return CandidateParse(Span(at, end), ExpressionType.CURRENCY, money)
+    return ParsedExpression(Span(at, end), ExpressionType.CURRENCY,
+                            MoneyAmount(value, minor, code), cardinal.magnitude_word)
 
 
-def parse_currency_phrase(tokens: Tokens, cardinals: list[CandidateParse],
-                          locale: Locale) -> Optional[list[CandidateParse]]:
+def parse_currency_phrase(tokens: Tokens, cardinals: list[ParsedExpression],
+                          locale: Locale) -> Optional[list[ParsedExpression]]:
     """Every currency reading whose amount is one of ``cardinals``, or None.
 
     ``cardinals`` are the cardinal readings of one position.
@@ -502,7 +503,7 @@ def _can_start(key: str, language: str) -> bool:
     return key in _EN_START_WORDS
 
 
-def scan_tokens(tokens: Tokens, locale: Locale) -> list[CandidateParse]:
+def scan_tokens(tokens: Tokens, locale: Locale) -> list[ParsedExpression]:
     """Non-overlapping chosen readings, left to right.
 
     At each position the parsers build every reading they can (cardinal,
@@ -511,7 +512,7 @@ def scan_tokens(tokens: Tokens, locale: Locale) -> list[CandidateParse]:
     phrase starts with one, and the "M past H" clock forms count minutes
     with one. Positions no parser can start from are skipped without parsing.
     """
-    out: list[CandidateParse] = []
+    out: list[ParsedExpression] = []
     language = locale.language
     keys = tokens.keys
     i = 0

@@ -99,12 +99,6 @@ class LocaleConfig:
         except KeyError:
             raise KeyError(f"unknown locale: {code!r}") from None
 
-    def currency(self, code: str) -> CurrencyUnit:
-        try:
-            return self.currencies[code]
-        except KeyError:
-            raise KeyError(f"unknown currency: {code!r}") from None
-
 
 DEFAULT_CONFIG = LocaleConfig(dict(DEFAULT_LOCALES), dict(DEFAULT_CURRENCIES))
 

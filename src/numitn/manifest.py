@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
@@ -23,9 +24,10 @@ class ManifestError(ValueError):
 class ManifestRecord:
     """One corpus sentence pair plus its synthesis bookkeeping.
 
-    The spoken side must be digit-free and every expression surface must
-    occur in the formatted side; both are enforced on construction so a
-    manifest on disk can be trusted after a plain read.
+    The spoken side must be digit-free, every expression surface must occur
+    in the formatted side and every string must encode as UTF-8 (a lone
+    surrogate does not); all are enforced on construction so a manifest on
+    disk can be trusted after a plain read and written back whole.
     """
 
     id: str
@@ -53,6 +55,14 @@ class ManifestRecord:
                 raise ManifestError(
                     f"record {self.id}: expression {surface!r} missing from "
                     f"formatted text {self.formatted!r}")
+        try:
+            "".join([self.id, self.locale, self.type, self.verbalized, self.formatted,
+                     str(self.audio), str(self.voice),
+                     *chain.from_iterable(self.expressions)]).encode("utf-8")
+        except UnicodeEncodeError as err:
+            bad = err.object[err.start:err.end]
+            raise ManifestError(
+                f"record {self.id}: {bad!r} is not UTF-8 ({err.reason})") from None
 
     def surfaces(self) -> tuple[str, ...]:
         return tuple(surface for surface, _ in self.expressions)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .classify import classify
 from .extract import extract_numeric_literals
@@ -36,25 +35,24 @@ def _char_range(tokens: Tokens, span: Span) -> tuple[int, int]:
 
 
 def normalize_sentence(sentence: str, locale: Locale,
-                       currencies: Optional[dict[str, CurrencyUnit]] = None
+                       currencies: dict[str, CurrencyUnit] = DEFAULT_CURRENCIES
                        ) -> NormalizationOutcome:
-    registry = currencies if currencies is not None else DEFAULT_CURRENCIES
     tokens = tokenize(sentence)
-    literals = extract_numeric_literals(sentence, locale, registry)
+    literals = extract_numeric_literals(sentence, locale, currencies)
     parts: list[str] = []
     produced: list[NormalizedExpression] = []
     cursor = 0
     out_len = 0
-    for candidate in scan_tokens(tokens, locale):
-        start, end = _char_range(tokens, candidate.span)
-        # Already-formatted literals stay untouched; a candidate only
+    for reading in scan_tokens(tokens, locale):
+        start, end = _char_range(tokens, reading.span)
+        # Already-formatted literals stay untouched; a reading only
         # proceeds when it covers more text than the digit match itself
         # ("15.45 Uhr", "4:30 pm").
         if any(lit.span.start <= start and end <= lit.span.end for lit in literals):
             continue
-        expr = classify(candidate, tokens, locale)
+        expr = classify(reading, tokens, locale)
         start, end = _char_range(tokens, expr.span)
-        formatted = format_expression(expr, locale, registry)
+        formatted = format_expression(expr, locale, currencies)
         parts.append(sentence[cursor:start])
         out_len += start - cursor
         parts.append(formatted)
@@ -72,5 +70,5 @@ def normalize_sentence(sentence: str, locale: Locale,
 
 
 def normalize_text(sentence: str, locale: Locale,
-                   currencies: Optional[dict[str, CurrencyUnit]] = None) -> str:
+                   currencies: dict[str, CurrencyUnit] = DEFAULT_CURRENCIES) -> str:
     return normalize_sentence(sentence, locale, currencies).text

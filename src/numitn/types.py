@@ -1,4 +1,8 @@
-"""Core value types shared by the grammar, formatter and pipeline layers."""
+"""Core value types shared by every layer.
+
+``ParsedExpression`` is the one record of a numeric expression, from the
+grammar's readings to the formatter and the verbalizer.
+"""
 
 from __future__ import annotations
 
@@ -88,42 +92,29 @@ class Span:
 
 @dataclass(frozen=True)
 class MoneyAmount:
-    """Currency payload; ``minor`` is None when no cents were spoken."""
+    """Currency value; ``minor`` is None when no cents were spoken."""
 
     major: NumericValue
     minor: Optional[NumericValue]
     currency: str
-    magnitude_word: Optional[str] = None
 
 
 @dataclass(frozen=True)
-class CandidateParse:
-    """One reading of a number-word span in a token stream.
+class ParsedExpression:
+    """One numeric expression, from the grammar's readings to the verbalizer.
 
+    The grammar builds every reading of a span as one of these,
+    ``classify.choose`` picks one and ``classify.classify`` finishes it.
     ``value`` is a ``NumericValue`` for a year or a quantity, a ``TimeOfDay``
-    for a timestamp and a ``MoneyAmount`` for a currency. A ``bare`` reading
-    is a clock time said as an hour and a minute number alone ("nine thirty").
+    for a timestamp and a ``MoneyAmount`` for a currency. ``magnitude_word``
+    is the spoken scale of a currency or quantity ("million"), and
+    ``unit_word`` the word a quantity counts ("users"). A ``bare`` reading is
+    a clock time said as an hour and a minute number alone ("nine thirty").
     """
 
     span: Span
     expr_type: ExpressionType
     value: Union[NumericValue, TimeOfDay, MoneyAmount]
     magnitude_word: Optional[str] = None
-    bare: bool = False
-
-
-@dataclass(frozen=True)
-class QuantityAmount:
-    value: NumericValue
     unit_word: str = ""
-    magnitude_word: Optional[str] = None
-
-
-Payload = Union[int, TimeOfDay, MoneyAmount, QuantityAmount]
-
-
-@dataclass(frozen=True)
-class ParsedExpression:
-    span: Span
-    expr_type: ExpressionType
-    payload: Payload
+    bare: bool = False

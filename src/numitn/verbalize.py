@@ -45,7 +45,6 @@ from .types import (
     NumericValue,
     ParsedExpression,
     PeriodHint,
-    QuantityAmount,
     Span,
     TimeOfDay,
 )
@@ -206,17 +205,17 @@ def _count_words(value: NumericValue, language: str,
     return verbalize_decimal(value, language)
 
 
-def _currency_words(money: MoneyAmount, locale: Locale) -> str:
+def _currency_words(money: MoneyAmount, magnitude_word: Optional[str], locale: Locale) -> str:
     language = locale.language
     if (money.currency, language) not in CURRENCY_SPOKEN:
         raise ValueError(f"no {language!r} words for currency {money.currency!r}")
     singular, plural = CURRENCY_SPOKEN[(money.currency, language)]
-    one = money.major.is_integer and money.major.mantissa == 1 and not money.magnitude_word
+    one = money.major.is_integer and money.major.mantissa == 1 and not magnitude_word
     # "ein Euro", never "eins Euro".
     out = DE_EIN if one and language == "de" else \
-        _count_words(money.major, language, money.magnitude_word)
-    if money.magnitude_word:
-        out += f" {money.magnitude_word}"
+        _count_words(money.major, language, magnitude_word)
+    if magnitude_word:
+        out += f" {magnitude_word}"
     out += f" {singular if one else plural}"
     if money.minor is not None:
         cents = money.minor.mantissa
@@ -231,30 +230,30 @@ def verbalize_value(expr: ParsedExpression, locale: Locale,
                     rng: Optional[random.Random] = None) -> str:
     """Render a classified expression back into spoken number words."""
     language = locale.language
-    if expr.expr_type == ExpressionType.YEAR:
-        style = None if rng is None else rng.choice(year_styles(expr.payload, language))
-        return verbalize_year(expr.payload, language, style)
-    if expr.expr_type == ExpressionType.TIMESTAMP:
-        return verbalize_time(expr.payload, locale, rng=rng)
-    if expr.expr_type == ExpressionType.CURRENCY:
-        return _currency_words(expr.payload, locale)
-    quantity: QuantityAmount = expr.payload
-    out = _count_words(quantity.value, language, quantity.magnitude_word)
-    if quantity.magnitude_word:
-        out += f" {quantity.magnitude_word}"
-    if quantity.unit_word:
-        out += f" {quantity.unit_word}"
+    expr_type, value = expr.expr_type, expr.value
+    if expr_type is ExpressionType.YEAR:
+        year = value.mantissa
+        style = None if rng is None else rng.choice(year_styles(year, language))
+        return verbalize_year(year, language, style)
+    if expr_type is ExpressionType.TIMESTAMP:
+        return verbalize_time(value, locale, rng=rng)
+    if expr_type is ExpressionType.CURRENCY:
+        return _currency_words(value, expr.magnitude_word, locale)
+    out = _count_words(value, language, expr.magnitude_word)
+    if expr.magnitude_word:
+        out += f" {expr.magnitude_word}"
+    if expr.unit_word:
+        out += f" {expr.unit_word}"
     return out
 
 
 def verbalize_line(line: str, locale: Locale,
                    rng: Optional[random.Random] = None,
-                   currencies: Optional[dict[str, CurrencyUnit]] = None) -> str:
+                   currencies: dict[str, CurrencyUnit] = DEFAULT_CURRENCIES) -> str:
     """Replace every formatted literal in a line with number words."""
-    registry = currencies if currencies is not None else DEFAULT_CURRENCIES
     out = line
-    for lit in reversed(extract_numeric_literals(line, locale, registry)):
-        expr = parse_literal(lit.text, lit.guessed_type, locale, registry)
+    for lit in reversed(extract_numeric_literals(line, locale, currencies)):
+        expr = parse_literal(lit.text, lit.guessed_type, locale, currencies)
         words = verbalize_value(expr, locale, rng=rng)
         out = out[: lit.span.start] + words + out[lit.span.end:]
     return out
@@ -266,19 +265,18 @@ _TRAILING_WORD_RE = re.compile(r"\s(\S+)$")
 
 
 def parse_literal(text: str, expr_type: ExpressionType, locale: Locale,
-                  currencies: Optional[dict[str, CurrencyUnit]] = None) -> ParsedExpression:
-    """Build an expression payload from an already-formatted literal."""
-    registry = currencies if currencies is not None else DEFAULT_CURRENCIES
+                  currencies: dict[str, CurrencyUnit] = DEFAULT_CURRENCIES) -> ParsedExpression:
+    """Read an already-formatted literal back into an expression."""
     span = Span(0, 1)
     if expr_type == ExpressionType.YEAR:
-        return ParsedExpression(span, expr_type, int(text))
+        return ParsedExpression(span, expr_type, NumericValue(int(text)))
     if expr_type == ExpressionType.TIMESTAMP:
         hour, _, minute = text.partition(":")
         return ParsedExpression(span, expr_type, TimeOfDay(int(hour), int(minute)))
 
     body = text
     currency_code = None
-    found = [(code, unit.symbol) for code, unit in registry.items()
+    found = [(code, unit.symbol) for code, unit in currencies.items()
              if unit.symbol and unit.symbol in text]
     if found:
         # The longest symbol, as the extractor matches them: "US$" before
@@ -295,18 +293,15 @@ def parse_literal(text: str, expr_type: ExpressionType, locale: Locale,
     if expr_type == ExpressionType.CURRENCY:
         code = currency_code or "USD"
         if magnitude or value.scale == 0:
-            return ParsedExpression(span, expr_type,
-                                    MoneyAmount(value if magnitude else NumericValue(value.mantissa),
-                                                None, code, magnitude))
+            return ParsedExpression(span, expr_type, MoneyAmount(value, None, code), magnitude)
         # Split as format_currency joins: the fraction counts minor units.
-        digits = registry[code].minor_unit_digits
+        digits = currencies[code].minor_unit_digits
         if value.scale > digits:
             raise ValueError(f"{text!r} has more than {digits} fraction digits for {code}")
         major, minor = divmod(value.mantissa * 10**(digits - value.scale), 10**digits)
         return ParsedExpression(span, expr_type,
                                 MoneyAmount(NumericValue(major), NumericValue(minor), code))
-    return ParsedExpression(span, expr_type,
-                            QuantityAmount(value, "", magnitude))
+    return ParsedExpression(span, expr_type, value, magnitude)
 
 
 def _parse_number(body: str, locale: Locale) -> NumericValue:

@@ -4,12 +4,13 @@ from hypothesis import given, strategies as st
 from numitn.classify import choose, classify, resolve_time
 from numitn.grammar import scan_tokens
 from numitn.locales import DEFAULT_CONFIG
+from numitn.pipeline import normalize_sentence
 from numitn.tokenizer import tokenize
 from numitn.types import (
-    CandidateParse,
     ExpressionType,
     MoneyAmount,
     NumericValue,
+    ParsedExpression,
     PeriodHint,
     Span,
     TimeOfDay,
@@ -31,7 +32,7 @@ def reading(expr_type, end, start=1, mantissa=1945, hint=PeriodHint.EVENING, **f
     value = {ExpressionType.CURRENCY: MoneyAmount(NumericValue(mantissa), None, "USD"),
              ExpressionType.TIMESTAMP: TimeOfDay(19, 45, hint)}.get(
         expr_type, NumericValue(mantissa))
-    return CandidateParse(Span(start, end), expr_type, value, **fields)
+    return ParsedExpression(Span(start, end), expr_type, value, **fields)
 
 
 class TestChoose:
@@ -91,7 +92,7 @@ class TestChoose:
         reading(ExpressionType.QUANTITY, 3, mantissa=999),     # out of range
         reading(ExpressionType.QUANTITY, 3, mantissa=2101),
         reading(ExpressionType.QUANTITY, 3, mantissa=1945, magnitude_word="million"),
-        CandidateParse(Span(1, 3), ExpressionType.QUANTITY, NumericValue(19450, 1)),
+        ParsedExpression(Span(1, 3), ExpressionType.QUANTITY, NumericValue(19450, 1)),
         reading(ExpressionType.QUANTITY, 1, start=0),          # nothing before
     ])
     def test_uncued_cardinal_stays_a_quantity(self, quantity):
@@ -131,13 +132,13 @@ class TestYearCues:
     def test_pair_reading_alone_suffices(self):
         parsed = classify_first("nineteen forty-five", EN)
         assert parsed.expr_type == ExpressionType.YEAR
-        assert parsed.payload == 1945
+        assert parsed.value == NumericValue(1945)
 
     def test_german_bare_adverbial_year(self):
         # "Der Krieg endete neunzehnhundertfünfundvierzig": no preposition.
         parsed = classify_first("neunzehnhundertfünfundvierzig", DE)
         assert parsed.expr_type == ExpressionType.YEAR
-        assert parsed.payload == 1945
+        assert parsed.value == NumericValue(1945)
 
     def test_german_round_hundreds_need_a_cue(self):
         assert classify_first("elfhundert", DE).expr_type == ExpressionType.QUANTITY
@@ -167,16 +168,16 @@ class TestQuantityUnits:
         cands = scan_tokens(tokens, EN)
         parsed = classify(cands[0], tokens, EN)
         assert parsed.expr_type == ExpressionType.QUANTITY
-        assert parsed.payload.unit_word == "pieces"
+        assert parsed.unit_word == "pieces"
         assert parsed.span.end == 3
 
     def test_german_unit_word(self):
         parsed = classify_first("zweitausend Teile kamen an", DE)
-        assert parsed.payload.unit_word == "Teile"
+        assert parsed.unit_word == "Teile"
 
     def test_unit_preserves_surface_case(self):
         parsed = classify_first("drei Schachteln", DE)
-        assert parsed.payload.unit_word == "Schachteln"
+        assert parsed.unit_word == "Schachteln"
 
     @pytest.mark.parametrize("text,locale_code", [
         ("two thousand and more", "en"),
@@ -188,7 +189,7 @@ class TestQuantityUnits:
         locale = EN if locale_code == "en" else DE
         parsed = classify_first(text, locale)
         if parsed.expr_type == ExpressionType.QUANTITY and text != "five point five percent":
-            assert parsed.payload.unit_word == ""
+            assert parsed.unit_word == ""
 
     @pytest.mark.parametrize("after,unit_word", [
         ("Uhr", "Uhr"), ("x", "x"), ("!", ""), ("-$", ""), ("_", ""), ("²", ""), ("٣", ""),
@@ -196,16 +197,16 @@ class TestQuantityUnits:
     def test_a_unit_word_holds_a_letter_and_no_digit(self, after, unit_word):
         # "_" is \w but no letter; "²" and "٣" are digits.
         parsed = classify_first(f"two thousand {after}", EN)
-        assert parsed.payload.unit_word == unit_word
+        assert parsed.unit_word == unit_word
 
     def test_percent_is_a_unit(self):
         parsed = classify_first("five point five percent", EN)
-        assert parsed.payload.unit_word == "percent"
+        assert parsed.unit_word == "percent"
 
     def test_magnitude_word_carries_through(self):
         parsed = classify_first("nine point one million users", EN)
-        assert parsed.payload.magnitude_word == "million"
-        assert parsed.payload.unit_word == "users"
+        assert parsed.magnitude_word == "million"
+        assert parsed.unit_word == "users"
 
 
 class TestCurrencyClassification:
@@ -221,11 +222,60 @@ class TestCurrencyClassification:
         locale = DE if "ü" in text else EN
         parsed = classify_first(text, locale)
         assert parsed.expr_type == ExpressionType.CURRENCY
-        assert parsed.payload.currency == code
+        assert parsed.value.currency == code
 
     def test_magnitude_survives(self):
         parsed = classify_first("nine point one million dollars", EN)
-        assert parsed.payload.magnitude_word == "million"
+        assert parsed.magnitude_word == "million"
+
+
+def finished(text, locale):
+    """The expression ``normalize_sentence`` made of the first number in ``text``."""
+    return normalize_sentence(text, locale).replacements[0].expression
+
+
+class TestFinishedRecord:
+    """The whole record each type leaves ``classify`` with."""
+
+    @pytest.mark.parametrize("text,locale,expected", [
+        ("in nineteen forty-five", EN,
+         ParsedExpression(Span(1, 3), ExpressionType.YEAR, NumericValue(1945))),
+        ("seit neunzehnhundertfünfundvierzig", DE,
+         ParsedExpression(Span(1, 2), ExpressionType.YEAR, NumericValue(1945))),
+        ("seven thirty pm", EN,
+         ParsedExpression(Span(0, 3), ExpressionType.TIMESTAMP,
+                          TimeOfDay(19, 30, PeriodHint.EXPLICIT_PM), bare=True)),
+        ("viertel vor acht abends", DE,
+         ParsedExpression(Span(0, 3), ExpressionType.TIMESTAMP,
+                          TimeOfDay(19, 45, PeriodHint.EVENING))),
+        ("twenty dollars and five cents", EN,
+         ParsedExpression(Span(0, 5), ExpressionType.CURRENCY,
+                          MoneyAmount(NumericValue(20), NumericValue(5), "USD"))),
+        ("nine point one million dollars", EN,
+         ParsedExpression(Span(0, 5), ExpressionType.CURRENCY,
+                          MoneyAmount(NumericValue(91, 1), None, "USD"), "million")),
+        ("nine point one million users", EN,
+         ParsedExpression(Span(0, 5), ExpressionType.QUANTITY, NumericValue(91, 1),
+                          "million", "users")),
+        ("zwei Millionen Nutzer", DE,
+         ParsedExpression(Span(0, 3), ExpressionType.QUANTITY, NumericValue(2),
+                          "Millionen", "Nutzer")),
+        ("two thousand", EN,
+         ParsedExpression(Span(0, 2), ExpressionType.QUANTITY, NumericValue(2000))),
+    ])
+    def test_record(self, text, locale, expected):
+        assert finished(text, locale) == expected
+
+    @pytest.mark.parametrize("text,locale", [
+        ("in nineteen forty-five", EN),
+        ("quarter past seven", EN),
+        ("fifty dollars", EN),
+        ("two thousand", EN),
+    ])
+    def test_a_reading_with_nothing_to_finish_is_returned_as_is(self, text, locale):
+        tokens = tokenize(text)
+        chosen = scan_tokens(tokens, locale)[0]
+        assert classify(chosen, tokens, locale) is chosen
 
 
 class TestResolveTime:

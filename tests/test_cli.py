@@ -8,7 +8,7 @@ import pytest
 
 import numitn
 from numitn.cli import main
-from numitn.manifest import read_manifest
+from numitn.manifest import ManifestError, ManifestRecord, read_manifest
 
 from test_locales import MALFORMED_CONFIGS
 
@@ -346,13 +346,18 @@ class TestGenSplitEval:
         # Every kept record met its own hypothesis: a perfect score.
         assert out.splitlines()[1].split() == ["0.0"] + ["100.0"] * 5
 
+    @staticmethod
+    def year_lines():
+        """Four year records as JSON lines; line 2 says "twelve"."""
+        return [json.dumps({"id": f"en-year-{i}", "locale": "en", "type": "year",
+                            "verbalized": f"in nineteen {word}", "formatted": f"in 19{n}",
+                            "expressions": [[f"19{n}", "year"]]})
+                for i, (word, n) in enumerate([("ten", 10), ("twelve", 12), ("fifteen", 15),
+                                                ("twenty", 20)])]
+
     def undecodable_manifest(self, tmp_path):
         """Four records; one byte of line 2 is not UTF-8."""
-        lines = [json.dumps({"id": f"en-year-{i}", "locale": "en", "type": "year",
-                             "verbalized": f"in nineteen {word}", "formatted": f"in 19{n}",
-                             "expressions": [[f"19{n}", "year"]]}).encode("utf-8")
-                 for i, (word, n) in enumerate([("ten", 10), ("twelve", 12), ("fifteen", 15),
-                                                 ("twenty", 20)])]
+        lines = [line.encode("utf-8") for line in self.year_lines()]
         lines[1] = lines[1].replace(b"twelve", b"tw\xfflve")
         path = tmp_path / "manifest.jsonl"
         path.write_bytes(b"\n".join(lines) + b"\n")
@@ -379,6 +384,57 @@ class TestGenSplitEval:
         assert err.count("\n") == 1
         # Every kept record met its own hypothesis: a perfect score.
         assert out.splitlines()[1].split() == ["0.0", "100.0", "-", "-", "-", "100.0"]
+
+    def lone_surrogate_manifest(self, tmp_path):
+        """Four records; line 2 says a lone surrogate as a JSON escape."""
+        lines = self.year_lines()
+        lines[1] = lines[1].replace("twelve", "tw\\udcfflve")
+        path = tmp_path / "manifest.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path
+
+    def test_split_skips_a_record_with_a_lone_surrogate(self, tmp_path, capsys):
+        path = self.lone_surrogate_manifest(tmp_path)
+        out_dir = tmp_path / "splits"
+        code, _, err = run(capsys, "split", "--manifest", str(path), "--out-dir", str(out_dir))
+        assert code == 1
+        assert err.startswith(
+            "line 2: record en-year-1: '\\udcff' is not UTF-8 (surrogates not allowed)\n")
+        assert "Traceback" not in err
+        ids = {r.id for name in ("train", "dev", "test")
+               for r in read_manifest(out_dir / f"{name}.jsonl")}
+        assert ids == {"en-year-0", "en-year-2", "en-year-3"}
+
+    def test_eval_skips_a_record_with_a_lone_surrogate_with_its_hypothesis(self, tmp_path,
+                                                                           capsys):
+        path = self.lone_surrogate_manifest(tmp_path)
+        hyp = tmp_path / "hyp.txt"
+        hyp.write_text("in 1910\nx\nin 1915\nin 1920\n", encoding="utf-8")
+        code, out, err = run(capsys, "eval", "--manifest", str(path), "--hypotheses", str(hyp))
+        assert code == 1
+        assert err.startswith("line 2: record en-year-1: '\\udcff' is not UTF-8")
+        assert err.count("\n") == 1
+        assert out.splitlines()[1].split() == ["0.0", "100.0", "-", "-", "-", "100.0"]
+
+    @pytest.mark.parametrize("field", ["id", "verbalized", "formatted", "voice", "surface"])
+    def test_record_strings_must_encode_as_utf8(self, field):
+        def record(text):
+            obj = {"id": "a", "locale": "en", "type": "year", "verbalized": "in the year",
+                   "formatted": "in 1910 the year", "expressions": [["1910", "year"]],
+                   "voice": None}
+            if field == "surface":
+                obj["formatted"] += f" {text}"
+                obj["expressions"].append([text, "year"])
+            else:
+                obj[field] = f"{obj[field] or ''}{text}"
+            return ManifestRecord.from_obj(obj)
+
+        # A surrogate pair in JSON is one character, here an emoji.
+        emoji = json.loads('"\\ud83d\\ude00"')
+        assert emoji == "\U0001F600"
+        record(emoji)
+        with pytest.raises(ManifestError, match="is not UTF-8"):
+            record(json.loads('"\\udcff"'))
 
     def test_split_needs_enough_groups(self, tmp_path, capsys):
         path = tmp_path / "tiny.jsonl"

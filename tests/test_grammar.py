@@ -318,7 +318,7 @@ class TestCurrency:
 
     def test_magnitude_currency(self):
         c = money("nine point one million dollars", EN)
-        assert c.value.magnitude_word == "million"
+        assert c.magnitude_word == "million"
         assert c.value.major == NumericValue(91, 1)
 
     def test_pound_word(self):

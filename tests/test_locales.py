@@ -47,7 +47,7 @@ def test_default_currencies():
 
 def test_config_lookup():
     assert DEFAULT_CONFIG.locale("de").language == "de"
-    assert DEFAULT_CONFIG.currency("USD").symbol == "$"
+    assert DEFAULT_CONFIG.currencies["USD"].symbol == "$"
     assert "€" in {unit.symbol for unit in DEFAULT_CONFIG.currencies.values()}
 
 
@@ -61,8 +61,8 @@ def test_load_config_merges_over_presets(tmp_path):
     assert cfg.locale("en").thousands_separator == " "
     assert cfg.locale("en").decimal_mark == "."
     assert cfg.locale("de").thousands_separator == "."
-    assert cfg.currency("CHF") == CurrencyUnit("CHF", "₣", 2)
-    assert cfg.currency("USD").symbol == "$"
+    assert cfg.currencies["CHF"] == CurrencyUnit("CHF", "₣", 2)
+    assert cfg.currencies["USD"].symbol == "$"
 
 
 def test_load_config_rejects_bad_convention(tmp_path):

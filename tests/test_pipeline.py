@@ -88,7 +88,7 @@ class TestReplacements:
 
     def test_timestamp_payload_is_resolved(self):
         out = normalize_sentence("at quarter to eight in the evening", EN)
-        t = out.replacements[0].expression.payload
+        t = out.replacements[0].expression.value
         assert (t.hour, t.minute) == (19, 45)
 
 

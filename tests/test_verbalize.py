@@ -13,7 +13,6 @@ from numitn.types import (
     MoneyAmount,
     NumericValue,
     ParsedExpression,
-    QuantityAmount,
     Span,
     TimeOfDay,
 )
@@ -32,8 +31,8 @@ EN = DEFAULT_CONFIG.locale("en")
 DE = DEFAULT_CONFIG.locale("de")
 
 
-def expr(expr_type, payload):
-    return ParsedExpression(Span(0, 1), expr_type, payload)
+def expr(expr_type, value, *fields):
+    return ParsedExpression(Span(0, 1), expr_type, value, *fields)
 
 
 class TestYears:
@@ -184,31 +183,30 @@ class TestCurrencyWords:
     ])
     def test_phrases(self, major, minor, code, magnitude, locale, words):
         money = MoneyAmount(NumericValue(major),
-                            None if minor is None else NumericValue(minor),
-                            code, magnitude)
+                            None if minor is None else NumericValue(minor), code)
         loc = EN if locale == "en" else DE
-        assert verbalize_value(expr(ExpressionType.CURRENCY, money), loc) == words
+        assert verbalize_value(expr(ExpressionType.CURRENCY, money, magnitude), loc) == words
 
     def test_decimal_magnitude(self):
-        money = MoneyAmount(NumericValue(91, 1), None, "USD", "million")
-        got = verbalize_value(expr(ExpressionType.CURRENCY, money), EN)
+        money = MoneyAmount(NumericValue(91, 1), None, "USD")
+        got = verbalize_value(expr(ExpressionType.CURRENCY, money, "million"), EN)
         assert got == "nine point one million dollars"
 
 
 class TestQuantityWords:
     def test_with_unit(self):
-        q = QuantityAmount(NumericValue(2000), "pieces", None)
-        assert verbalize_value(expr(ExpressionType.QUANTITY, q), EN) == \
+        q = expr(ExpressionType.QUANTITY, NumericValue(2000), None, "pieces")
+        assert verbalize_value(q, EN) == \
             "two thousand pieces"
 
     def test_german_magnitude_article(self):
-        q = QuantityAmount(NumericValue(1), "Nutzer", "Million")
-        assert verbalize_value(expr(ExpressionType.QUANTITY, q), DE) == \
+        q = expr(ExpressionType.QUANTITY, NumericValue(1), "Million", "Nutzer")
+        assert verbalize_value(q, DE) == \
             "eine Million Nutzer"
 
     def test_decimal(self):
-        q = QuantityAmount(NumericValue(55, 1), "Prozent", None)
-        assert verbalize_value(expr(ExpressionType.QUANTITY, q), DE) == \
+        q = expr(ExpressionType.QUANTITY, NumericValue(55, 1), None, "Prozent")
+        assert verbalize_value(q, DE) == \
             "fünf Komma fünf Prozent"
 
 
@@ -271,21 +269,21 @@ class TestLineRewrites:
 class TestParseLiteral:
     def test_year(self):
         parsed = parse_literal("1945", ExpressionType.YEAR, EN)
-        assert parsed.payload == 1945
+        assert parsed.value == NumericValue(1945)
 
     def test_time(self):
         parsed = parse_literal("19:45", ExpressionType.TIMESTAMP, EN)
-        assert parsed.payload == TimeOfDay(19, 45)
+        assert parsed.value == TimeOfDay(19, 45)
 
     def test_currency_with_cents(self):
         parsed = parse_literal("$1,000.50", ExpressionType.CURRENCY, EN)
-        assert parsed.payload.major == NumericValue(1000)
-        assert parsed.payload.minor == NumericValue(50)
-        assert parsed.payload.currency == "USD"
+        assert parsed.value.major == NumericValue(1000)
+        assert parsed.value.minor == NumericValue(50)
+        assert parsed.value.currency == "USD"
 
     def test_currency_whole(self):
         parsed = parse_literal("$1,945", ExpressionType.CURRENCY, EN)
-        assert parsed.payload.minor is None
+        assert parsed.value.minor is None
 
     @pytest.mark.parametrize("text,locale,major,minor", [
         ("$1.5", EN, 1, 50), ("$1.05", EN, 1, 5), ("$0.5", EN, 0, 50),
@@ -293,13 +291,13 @@ class TestParseLiteral:
     ])
     def test_currency_fraction_is_minor_units(self, text, locale, major, minor):
         parsed = parse_literal(text, ExpressionType.CURRENCY, locale)
-        assert (parsed.payload.major, parsed.payload.minor) == \
+        assert (parsed.value.major, parsed.value.minor) == \
             (NumericValue(major), NumericValue(minor))
 
     def test_currency_minor_unit_digits_from_registry(self):
         registry = {**DEFAULT_CURRENCIES, "BHD": CurrencyUnit("BHD", "BD", 3)}
         parsed = parse_literal("BD1.5", ExpressionType.CURRENCY, EN, registry)
-        assert (parsed.payload.major, parsed.payload.minor) == (NumericValue(1), NumericValue(500))
+        assert (parsed.value.major, parsed.value.minor) == (NumericValue(1), NumericValue(500))
         with pytest.raises(ValueError, match="more than 3 fraction digits"):
             parse_literal("BD1.5055", ExpressionType.CURRENCY, EN, registry)
 
@@ -310,37 +308,37 @@ class TestParseLiteral:
 
     def test_currency_suffix_symbol(self):
         parsed = parse_literal("1.000,50€", ExpressionType.CURRENCY, DE)
-        assert parsed.payload.currency == "EUR"
-        assert parsed.payload.minor == NumericValue(50)
+        assert parsed.value.currency == "EUR"
+        assert parsed.value.minor == NumericValue(50)
 
     def test_longest_symbol_wins(self):
         registry = {**DEFAULT_CURRENCIES, "AUD": CurrencyUnit("AUD", "A$")}
         parsed = parse_literal("A$5", ExpressionType.CURRENCY, EN, registry)
-        assert parsed.payload.currency == "AUD"
-        assert parsed.payload.major == NumericValue(5)
+        assert parsed.value.currency == "AUD"
+        assert parsed.value.major == NumericValue(5)
 
     def test_longest_symbol_present_wins_over_registry_order(self):
         registry = {"USD": CurrencyUnit("USD", "$"), "XUS": CurrencyUnit("XUS", "US$")}
         parsed = parse_literal("US$5", ExpressionType.CURRENCY, EN, registry)
-        assert parsed.payload.currency == "XUS"
-        assert parsed.payload.major == NumericValue(5)
+        assert parsed.value.currency == "XUS"
+        assert parsed.value.major == NumericValue(5)
 
     @pytest.mark.parametrize("codes", [("USD", "AUD"), ("AUD", "USD")])
     def test_equal_symbols_take_the_first_in_registry_order(self, codes):
         registry = {code: CurrencyUnit(code, "$") for code in codes}
         parsed = parse_literal("$5", ExpressionType.CURRENCY, EN, registry)
-        assert parsed.payload.currency == codes[0]
+        assert parsed.value.currency == codes[0]
 
     def test_currency_magnitude(self):
         parsed = parse_literal("$9.1 million", ExpressionType.CURRENCY, EN)
-        assert parsed.payload.major == NumericValue(91, 1)
-        assert parsed.payload.magnitude_word == "million"
+        assert parsed.value.major == NumericValue(91, 1)
+        assert parsed.magnitude_word == "million"
 
     def test_quantity_magnitude(self):
         parsed = parse_literal("9,1 Millionen", ExpressionType.QUANTITY, DE)
-        assert parsed.payload.value == NumericValue(91, 1)
-        assert parsed.payload.magnitude_word == "Millionen"
+        assert parsed.value == NumericValue(91, 1)
+        assert parsed.magnitude_word == "Millionen"
 
     def test_quantity_plain(self):
         parsed = parse_literal("2,000", ExpressionType.QUANTITY, EN)
-        assert parsed.payload.value == NumericValue(2000)
+        assert parsed.value == NumericValue(2000)
