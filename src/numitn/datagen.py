@@ -1,7 +1,10 @@
 """Three-step corpus generation: sentences, audio, conversions.
 
 All client calls run in order on the calling thread, so a stateful mock
-stays reproducible. Audio is synthesized but not written anywhere.
+stays reproducible. Audio is synthesized but not written anywhere. The
+offline text client answers the conversion step from the values it drew,
+so the normalizer does not run here; ``validate_record`` still filters
+every reply, as it must for a real LLM.
 """
 
 from __future__ import annotations
@@ -10,15 +13,14 @@ import random
 import re
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence, TypeVar
+from typing import Callable, Mapping, Optional, Sequence, TypeVar
 
 from .extract import LiteralMatch, extract_numeric_literals
-from .formatting import YEAR_MAX, YEAR_MIN
+from .formatting import YEAR_MAX, YEAR_MIN, format_expression, format_time, format_year
 from .grammar import scan_tokens
 from .lexicon import DE_MAGNITUDE_NAMES, EN_MAGNITUDE_WORDS
 from .locales import Locale
 from .manifest import ManifestError, ManifestRecord
-from .pipeline import normalize_text
 from .tokenizer import Tokens, tokenize
 from .types import (
     ExpressionType,
@@ -31,7 +33,7 @@ from .types import (
 from .verbalize import (
     applicable_time_styles,
     enumerate_timestamp_phrasings,
-    verbalize_time,
+    time_words,
     verbalize_value,
     verbalize_year,
     year_styles,
@@ -105,20 +107,23 @@ def build_timestamp_prompt(phrase: str, locale: Locale) -> str:
 # --- validation ---------------------------------------------------------------
 
 
-def validate_record(verbalized: str, converted: str, locale: Locale) -> bool:
-    """Filter rule: the conversion must add literals and change nothing else."""
+def validate_record(verbalized: str, converted: str, locale: Locale) -> list[LiteralMatch]:
+    """Filter rule: the conversion must add literals and change nothing else.
+
+    Returns the literals of ``converted`` when the pair passes, else ``[]``.
+    """
     if any(map(str.isdigit, verbalized)):
-        return False
+        return []
     literals = extract_numeric_literals(converted, locale)
     if not literals:
-        return False
+        return []
     converted_rest = _surfaces_outside(tokenize(converted), literals)
     verbalized_tokens = tokenize(verbalized)
     verbalized_rest = verbalized_tokens.surfaces[:]
     # The readings are disjoint and in order, so cutting from the last keeps indices.
     for reading in reversed(scan_tokens(verbalized_tokens, locale)):
         del verbalized_rest[reading.span.start:reading.span.end]
-    return verbalized_rest == converted_rest
+    return literals if verbalized_rest == converted_rest else []
 
 
 def _surfaces_outside(tokens: Tokens, literals: list[LiteralMatch]) -> list[str]:
@@ -315,9 +320,11 @@ _PROMPT_NOUN_TYPES = {noun: t for t, noun in PROMPT_NOUNS.items()}
 class RuleBasedTextGenerator(TextGenerator):
     """Offline stand-in for the LLM steps, built on the library itself.
 
-    Understands the three prompt shapes this module produces and answers
-    them with the verbalizer (step 1) or the normalizer (step 3), so a
-    fully deterministic corpus can be generated without any service.
+    Understands the three prompt shapes this module produces. Step 1 draws
+    a value and says it with the verbalizer; step 3 answers each sentence
+    with its gold line, the carrier holding the drawn value's written form,
+    so the normalizer never decides what a generated sentence means. A
+    sentence this generator did not produce cannot be converted.
     """
 
     def __init__(self, locale: Locale, seed: int = 0,
@@ -325,6 +332,8 @@ class RuleBasedTextGenerator(TextGenerator):
         super().__init__(config)
         self._locale = locale
         self._rng = random.Random(seed)
+        self._gold: dict[str, str] = {}
+        self._sweep_gold: Optional[dict[str, str]] = None
 
     def complete(self, prompt: str) -> str:
         m = _SENTENCE_PROMPT_RE.match(prompt)
@@ -334,33 +343,49 @@ class RuleBasedTextGenerator(TextGenerator):
                              for _ in range(int(m.group(1))))
         m = _TIMESTAMP_PROMPT_RE.match(prompt)
         if m:
-            carrier = self._rng.choice(
-                _CARRIERS[(self._locale.language, ExpressionType.TIMESTAMP)])
-            return carrier.format(m.group(2))
+            if self._sweep_gold is None:
+                self._sweep_gold = {phrase: format_time(t) for phrase, t
+                                    in enumerate_timestamp_phrasings(self._locale)}
+            phrase = m.group(2)
+            return self._sentence(ExpressionType.TIMESTAMP,
+                                  (phrase, self._sweep_gold.get(phrase)))
         m = _CONVERSION_PROMPT_RE.match(prompt)
         if m:
-            return "\n".join(normalize_text(line, self._locale)
-                             for line in m.group(2).splitlines())
+            try:
+                return "\n".join(self._gold[line] for line in m.group(2).splitlines())
+            except KeyError as err:
+                raise ValueError(
+                    f"not a sentence this generator produced: {err.args[0]!r}") from None
         raise ValueError(f"unrecognized prompt: {prompt!r}")
 
-    def _sentence(self, expr_type: ExpressionType) -> str:
+    def _sentence(self, expr_type: ExpressionType,
+                  said: Optional[tuple[str, Optional[str]]] = None) -> str:
+        """A carrier filled with a (spoken, written) pair, drawn unless ``said``
+        gives it; the carrier filled with the written side is kept as gold."""
         carrier = self._rng.choice(_CARRIERS[(self._locale.language, expr_type)])
-        return carrier.format(self._phrase(expr_type))
+        spoken, written = said or self._phrase(expr_type)
+        sentence = carrier.format(spoken)
+        if written is not None:
+            self._gold[sentence] = carrier.format(written)
+        return sentence
 
-    def _phrase(self, expr_type: ExpressionType) -> str:
+    def _phrase(self, expr_type: ExpressionType) -> tuple[str, str]:
+        """A drawn value said in words, and written as the normalizer writes it."""
         rng = self._rng
-        language = self._locale.language
+        locale = self._locale
         if expr_type == ExpressionType.YEAR:
             year = rng.randint(YEAR_MIN, YEAR_MAX)
-            return verbalize_year(year, language, rng.choice(year_styles(year, language)))
+            style = rng.choice(year_styles(year, locale.language))
+            return verbalize_year(year, locale.language, style), format_year(year)
         if expr_type == ExpressionType.TIMESTAMP:
             t = TimeOfDay(rng.randint(0, 23), rng.randint(0, 59))
-            return verbalize_time(t, self._locale, rng.choice(applicable_time_styles(t, self._locale)))
-        if expr_type == ExpressionType.CURRENCY:
-            return self._money_phrase()
-        return self._quantity_phrase()
+            phrase, period = time_words(t, locale, rng.choice(applicable_time_styles(t, locale)))
+            # A spoken day period stays after the written time: "17:40 in the afternoon".
+            return phrase + period, format_time(t) + period
+        expr = self._money() if expr_type == ExpressionType.CURRENCY else self._quantity()
+        return verbalize_value(expr, locale), format_expression(expr, locale)
 
-    def _money_phrase(self) -> str:
+    def _money(self) -> ParsedExpression:
         rng = self._rng
         language = self._locale.language
         code = rng.choice(("USD", "EUR", "GBP")) if language == "en" else "EUR"
@@ -375,10 +400,9 @@ class RuleBasedTextGenerator(TextGenerator):
                                 NumericValue(rng.randint(1, 99)), code)
         else:
             money = MoneyAmount(NumericValue(rng.randint(1, 9999)), None, code)
-        expr = ParsedExpression(Span(0, 1), ExpressionType.CURRENCY, money, word)
-        return verbalize_value(expr, self._locale)
+        return ParsedExpression(Span(0, 1), ExpressionType.CURRENCY, money, word)
 
-    def _quantity_phrase(self) -> str:
+    def _quantity(self) -> ParsedExpression:
         rng = self._rng
         shape = rng.randrange(3)
         if shape == 0:
@@ -391,8 +415,7 @@ class RuleBasedTextGenerator(TextGenerator):
             major = rng.randint(2, 999)
             value = NumericValue(major)
             word = self._magnitude_word(major)
-        expr = ParsedExpression(Span(0, 1), ExpressionType.QUANTITY, value, word)
-        return verbalize_value(expr, self._locale)
+        return ParsedExpression(Span(0, 1), ExpressionType.QUANTITY, value, word)
 
     def _magnitude_word(self, count: int) -> str:
         rng = self._rng
@@ -524,10 +547,10 @@ def run_generation(plan: GenerationPlan, textgen: TextGenerator,
         for at, (sentence, line, (voice, seconds)) in enumerate(
                 zip(sentences, lines, voiced), start=first):
             formatted = line.strip()
-            if not validate_record(sentence, formatted, locale):
+            literals = validate_record(sentence, formatted, locale)
+            if not literals:
                 discarded += 1
                 continue
-            literals = extract_numeric_literals(formatted, locale)
             audio_seconds += seconds
             try:
                 records.append(ManifestRecord(

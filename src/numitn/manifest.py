@@ -85,12 +85,17 @@ class ManifestRecord:
         mistyped = [name for name in _FIELD_ORDER[:5] if not isinstance(obj[name], str)]
         if mistyped:
             raise ManifestError(f"fields must be strings: {mistyped}")
+        mistyped = [name for name in _FIELD_ORDER[6:]
+                    if not isinstance(obj.get(name), (str, type(None)))]
+        if mistyped:
+            raise ManifestError(f"fields must be strings or null: {mistyped}")
         data = dict(obj)
         raw = data["expressions"]
-        if not isinstance(raw, list) or any(not isinstance(pair, list) or len(pair) != 2
-                                            for pair in raw):
-            raise ManifestError("expressions must be [surface, type] pairs")
-        data["expressions"] = tuple((str(s), str(t)) for s, t in raw)
+        if not isinstance(raw, list) or not all(
+                isinstance(pair, list) and len(pair) == 2
+                and isinstance(pair[0], str) and isinstance(pair[1], str) for pair in raw):
+            raise ManifestError("expressions must be [surface, type] pairs of strings")
+        data["expressions"] = tuple((s, t) for s, t in raw)
         return cls(**data)
 
 

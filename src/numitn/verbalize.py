@@ -160,8 +160,9 @@ def _time_phrase(t: TimeOfDay, style: ClockStyle, language: str) -> str:
     return f"{face} {oh}{en_two_digit_words(m)} {meridiem}"
 
 
-def verbalize_time(t: TimeOfDay, locale: Locale, style: Optional[str] = None,
-                   rng: Optional[random.Random] = None) -> str:
+def time_words(t: TimeOfDay, locale: Locale, style: Optional[str] = None,
+               rng: Optional[random.Random] = None) -> tuple[str, str]:
+    """``t`` said in a style, and the day-period phrase said after it ("" if none)."""
     styles = _STYLES_BY_MINUTE[locale.language, t.hour == 12][t.minute]
     if style is None:
         chosen = rng.choice(styles) if rng is not None else styles[0]
@@ -169,8 +170,14 @@ def verbalize_time(t: TimeOfDay, locale: Locale, style: Optional[str] = None,
         chosen = next((s for s in styles if s.name == style), None)
         if chosen is None:
             raise ValueError(f"style {style!r} cannot express {t.hour}:{t.minute:02d}")
-    phrase = _time_phrase(t, chosen, locale.language)
-    return phrase + _period_suffix(t.hour, locale.language) if chosen.period else phrase
+    period = _period_suffix(t.hour, locale.language) if chosen.period else ""
+    return _time_phrase(t, chosen, locale.language), period
+
+
+def verbalize_time(t: TimeOfDay, locale: Locale, style: Optional[str] = None,
+                   rng: Optional[random.Random] = None) -> str:
+    phrase, period = time_words(t, locale, style, rng)
+    return phrase + period
 
 
 def enumerate_timestamp_phrasings(locale: Locale) -> list[tuple[str, TimeOfDay]]:

@@ -416,6 +416,41 @@ class TestGenSplitEval:
         assert err.count("\n") == 1
         assert out.splitlines()[1].split() == ["0.0", "100.0", "-", "-", "-", "100.0"]
 
+    MISTYPED = [("voice", ["x"], "fields must be strings or null: ['voice']"),
+                ("audio", 5, "fields must be strings or null: ['audio']"),
+                ("expressions", [[1912, "year"]],
+                 "expressions must be [surface, type] pairs of strings")]
+
+    def mistyped_manifest(self, tmp_path, field, value):
+        """Four records; line 2's ``field`` holds ``value``."""
+        lines = self.year_lines()
+        lines[1] = json.dumps({**json.loads(lines[1]), field: value})
+        path = tmp_path / "manifest.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("field,value,reason", MISTYPED)
+    def test_split_skips_a_mistyped_optional_field_or_pair(self, tmp_path, capsys,
+                                                          field, value, reason):
+        path = self.mistyped_manifest(tmp_path, field, value)
+        out_dir = tmp_path / "splits"
+        code, _, err = run(capsys, "split", "--manifest", str(path), "--out-dir", str(out_dir))
+        assert code == 1
+        assert err.startswith(f"line 2: {reason}\nSubset")
+        ids = {r.id for name in ("train", "dev", "test")
+               for r in read_manifest(out_dir / f"{name}.jsonl")}
+        assert ids == {"en-year-0", "en-year-2", "en-year-3"}
+
+    @pytest.mark.parametrize("field,value,reason", MISTYPED)
+    def test_eval_skips_a_mistyped_optional_field_or_pair(self, tmp_path, capsys,
+                                                         field, value, reason):
+        path = self.mistyped_manifest(tmp_path, field, value)
+        hyp = tmp_path / "hyp.txt"
+        hyp.write_text("in 1910\nx\nin 1915\nin 1920\n", encoding="utf-8")
+        code, out, err = run(capsys, "eval", "--manifest", str(path), "--hypotheses", str(hyp))
+        assert (code, err) == (1, f"line 2: {reason}\n")
+        assert out.splitlines()[1].split() == ["0.0", "100.0", "-", "-", "-", "100.0"]
+
     @pytest.mark.parametrize("field", ["id", "verbalized", "formatted", "voice", "surface"])
     def test_record_strings_must_encode_as_utf8(self, field):
         def record(text):

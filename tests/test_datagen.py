@@ -30,6 +30,7 @@ from numitn.manifest import ManifestRecord
 from numitn.pipeline import normalize_text
 from numitn.tokenizer import tokenize
 from numitn.types import ExpressionType
+from numitn.verbalize import enumerate_timestamp_phrasings
 
 EN = DEFAULT_CONFIG.locale("en")
 DE = DEFAULT_CONFIG.locale("de")
@@ -102,6 +103,25 @@ class TestValidateRecord:
         assert validate_record(
             "Pay fifty dollars at ten o'clock for two thousand pieces.",
             "Pay $50 at 10:00 for 2,000 pieces.", EN)
+
+    @pytest.mark.parametrize("verbalized,converted,locale", [
+        ("Pay fifty dollars at ten o'clock for two thousand pieces.",
+         "Pay $50 at 10:00 for 2,000 pieces.", EN),
+        ("Es kostet eintausend Euro und fünfzig Cent.", "Es kostet 1.000,50€.", DE),
+    ])
+    def test_accepted_pair_returns_its_literals(self, verbalized, converted, locale):
+        literals = validate_record(verbalized, converted, locale)
+        assert literals
+        assert literals == extract_numeric_literals(converted, locale)
+
+    @pytest.mark.parametrize("verbalized,converted", [
+        ("The war ended in 1945.", "The war ended in 1945."),  # digits in the spoken side
+        ("The war ended in nineteen forty-five.", "The war ended then."),  # no literal
+        ("The war ended in nineteen forty-five.", "The conflict ended in 1945."),  # edited
+        ("The war finally ended in nineteen forty-five.", "The war ended in 1945."),  # dropped
+    ])
+    def test_each_rejection_returns_no_literals(self, verbalized, converted):
+        assert validate_record(verbalized, converted, EN) == []
 
 
 def make_record(rid, surfaces, formatted=None):
@@ -193,15 +213,92 @@ class TestRuleBasedGenerator:
         for line in lines:
             assert not any(ch.isdigit() for ch in line)
 
-    def test_conversion_restores_digits(self):
+    # Checked by hand: each sentence says the value its gold line writes.
+    SENTENCE_GOLD = {
+        "en": [
+            ("The family moved abroad in one thousand one hundred twenty-nine.",
+             "The family moved abroad in 1129."),
+            ("The treaty was signed in two thousand fourteen.",
+             "The treaty was signed in 2014."),
+            ("Doors open at twenty-four minutes past eight in the evening.",
+             "Doors open at 20:24 in the evening."),
+            ("The meeting starts at three oh one pm.", "The meeting starts at 15:01."),
+            ("He donated seven hundred thirteen billion pounds last spring.",
+             "He donated £713 billion last spring."),
+            ("The invoice came to six hundred six million pounds.",
+             "The invoice came to £606 million."),
+            ("We walked twenty-three thousand four hundred eight kilometers together.",
+             "We walked 23,408 kilometers together."),
+            ("They ordered five hundred fifty-six million boxes for the fair.",
+             "They ordered 556 million boxes for the fair."),
+        ],
+        "de": [
+            ("Seit eintausendeinhundertneunundzwanzig wohnt sie in der Stadt.",
+             "Seit 1129 wohnt sie in der Stadt."),
+            ("Der Vertrag wurde im Jahr zweitausendvierzehn unterzeichnet.",
+             "Der Vertrag wurde im Jahr 2014 unterzeichnet."),
+            ("Die Türen öffnen um vierundzwanzig Minuten nach acht abends.",
+             "Die Türen öffnen um 20:24 abends."),
+            ("Das Treffen beginnt um fünfzehn Uhr eins.", "Das Treffen beginnt um 15:01."),
+            ("Sie zahlten fünfunddreißig Euro für die Reparatur.",
+             "Sie zahlten 35€ für die Reparatur."),
+            ("Sie zahlten dreitausendsiebenhundertneunundvierzig Euro und "
+             "sechsundsiebzig Cent für die Reparatur.",
+             "Sie zahlten 3.749,76€ für die Reparatur."),
+            ("Das Lager fasst fünfzig Komma drei Kisten.", "Das Lager fasst 50,3 Kisten."),
+            ("Das Lager fasst sechshunderteinundachtzigtausendeinhundert Kisten.",
+             "Das Lager fasst 681.100 Kisten."),
+        ],
+    }
+
+    @pytest.mark.parametrize("locale", [EN, DE], ids=["en", "de"])
+    def test_sentences_convert_to_their_value_gold(self, locale):
+        gen = RuleBasedTextGenerator(locale, seed=1)
+        sentences = []
+        for expr_type in ExpressionType:
+            sentences += gen.complete(build_sentence_prompt(
+                SentencePromptSpec(2, expr_type, locale))).splitlines()
+        converted = gen.complete(build_conversion_prompt(ExpressionType.YEAR) + "\n"
+                                 + "\n".join(sentences)).splitlines()
+        assert list(zip(sentences, converted)) == self.SENTENCE_GOLD[locale.language]
+
+    def test_sweep_phrase_converts_to_its_time(self):
         gen = RuleBasedTextGenerator(EN, seed=1)
-        sentences = ["The treaty was signed in nineteen forty-five.",
-                     "The ticket costs fifty dollars."]
-        prompt = build_conversion_prompt(ExpressionType.YEAR) + "\n" + \
-            "\n".join(sentences)
-        lines = gen.complete(prompt).splitlines()
-        assert lines == ["The treaty was signed in 1945.",
-                         "The ticket costs $50."]
+        sentence = gen.complete(build_timestamp_prompt("quarter to one", EN))
+        converted = gen.complete(build_conversion_prompt(ExpressionType.TIMESTAMP)
+                                 + "\n" + sentence)
+        assert converted == sentence.replace("quarter to one", "12:45")
+
+    def test_unknown_sentence_is_not_converted(self):
+        gen = RuleBasedTextGenerator(EN, seed=1)
+        prompt = build_conversion_prompt(ExpressionType.YEAR) + \
+            "\nThe treaty was signed in nineteen forty-five."
+        with pytest.raises(ValueError, match="not a sentence this generator produced"):
+            gen.complete(prompt)
+        # Neither is a sweep prompt's sentence when its phrase is no sweep phrase.
+        sentence = gen.complete(build_timestamp_prompt("nine thirty", EN))
+        with pytest.raises(ValueError, match="not a sentence this generator produced"):
+            gen.complete(build_conversion_prompt(ExpressionType.TIMESTAMP) + "\n" + sentence)
+
+    @pytest.mark.parametrize("locale", [EN, DE], ids=["en", "de"])
+    def test_gold_agrees_with_the_normalizer(self, locale):
+        # The gold comes from the drawn value, not from normalize_text, so
+        # this is an agreement between two independent writers.
+        gen = RuleBasedTextGenerator(locale, seed=15)
+        for expr_type in ExpressionType:
+            sentences = gen.complete(build_sentence_prompt(
+                SentencePromptSpec(2_000, expr_type, locale))).splitlines()
+            gold = gen.complete(build_conversion_prompt(expr_type) + "\n"
+                                + "\n".join(sentences)).splitlines()
+            assert len(sentences) == len(gold) == 2_000
+            assert [(s, normalize_text(s, locale)) for s in sentences] == \
+                list(zip(sentences, gold))
+        sweep = [gen.complete(build_timestamp_prompt(phrase, locale))
+                 for phrase, _ in enumerate_timestamp_phrasings(locale)]
+        gold = gen.complete(build_conversion_prompt(ExpressionType.TIMESTAMP) + "\n"
+                            + "\n".join(sweep)).splitlines()
+        assert len(sweep) == len(gold) >= 72
+        assert [(s, normalize_text(s, locale)) for s in sweep] == list(zip(sweep, gold))
 
     def test_timestamp_prompt_embeds_phrase(self):
         gen = RuleBasedTextGenerator(DE, seed=1)
@@ -262,6 +359,24 @@ class FlakyGenerator(TextGenerator):
         if prompt not in self._failed:
             self._failed.add(prompt)
             raise RuntimeError("transient")
+        return self._inner.complete(prompt)
+
+
+class ForeignSentenceGenerator(TextGenerator):
+    """Answers its first sentence prompt with a sentence the rule-based
+    generator never produced, and passes every other prompt through."""
+
+    FOREIGN = "The treaty was signed in nineteen forty-five."
+
+    def __init__(self, locale):
+        super().__init__()
+        self._inner = RuleBasedTextGenerator(locale, seed=5)
+        self._replaced = False
+
+    def complete(self, prompt):
+        if prompt.startswith("Generate") and not self._replaced:
+            self._replaced = True
+            return self.FOREIGN
         return self._inner.complete(prompt)
 
 
@@ -335,6 +450,18 @@ class TestRunGeneration:
         plan = self.plan(counts={ExpressionType.YEAR: 1})
         with pytest.raises(GenerationError):
             run_generation(plan, FailingGenerator(), MockSpeechSynthesizer())
+
+    def test_unknown_sentence_counts_as_conversion_failure(self):
+        plan = self.plan(counts={ExpressionType.YEAR: 2}, batch_size=1)
+        records, stats = run_generation(plan, ForeignSentenceGenerator(EN),
+                                        MockSpeechSynthesizer())
+        assert stats.failures == (
+            "conversion failed: not a sentence this generator produced: "
+            f"{ForeignSentenceGenerator.FOREIGN!r}",)
+        assert stats.sentences_generated == 2
+        assert stats.accepted == len(records) == 1
+        assert stats.discarded == 0
+        assert records[0].verbalized != ForeignSentenceGenerator.FOREIGN
 
     def test_retries_cover_transient_faults(self):
         plan = self.plan(counts={ExpressionType.YEAR: 2})

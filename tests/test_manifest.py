@@ -118,6 +118,29 @@ class TestSerialization:
         with pytest.raises(ManifestError, match=rf"fields must be strings: \['{field}'\]"):
             ManifestRecord.from_obj(obj)
 
+    @pytest.mark.parametrize("field,value", [("audio", 5), ("voice", ["x"]),
+                                             ("audio", {}), ("voice", False)])
+    def test_optional_field_must_be_string_or_null(self, field, value):
+        obj = {**json.loads(record().to_json()), field: value}
+        with pytest.raises(ManifestError,
+                           match=rf"fields must be strings or null: \['{field}'\]"):
+            ManifestRecord.from_obj(obj)
+
+    def test_optional_fields_may_be_null_or_absent(self):
+        obj = json.loads(record(voice="alpha").to_json())
+        assert obj["audio"] is None
+        assert ManifestRecord.from_obj(obj).voice == "alpha"
+        del obj["audio"], obj["voice"]
+        assert ManifestRecord.from_obj(obj) == record()
+
+    @pytest.mark.parametrize("pair", [[5, "year"], ["1945", None], [1945, 1945],
+                                      ["1945", ["year"]]])
+    def test_pair_elements_must_be_strings(self, pair):
+        # Not coerced with str(): [5, "year"] is no record, not a "5" surface.
+        obj = {**json.loads(record().to_json()), "expressions": [["1945", "year"], pair]}
+        with pytest.raises(ManifestError, match=r"\[surface, type\] pairs of strings"):
+            ManifestRecord.from_obj(obj)
+
 
 class TestFiles:
     def test_write_read_round_trip(self, tmp_path):
