@@ -13,7 +13,7 @@ import random
 import re
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence, TypeVar
+from typing import Mapping, Optional, Sequence
 
 from .extract import LiteralMatch, extract_numeric_literals
 from .formatting import YEAR_MAX, YEAR_MIN, format_expression, format_time, format_year
@@ -206,24 +206,19 @@ def split_disjoint(records: Sequence[ManifestRecord], spec: SplitSpec
 
 @dataclass(frozen=True)
 class ClientConfig:
-    """``max_retries`` bounds retries of each text call. ``max_concurrency``
-    is validated but unused: every call runs on the calling thread. It is
-    kept only because the benchmark's ``corpus`` workload passes it."""
+    """Synthesis client settings. ``max_concurrency`` is validated but
+    unused: every call runs on the calling thread. It is kept only because
+    the benchmark's ``corpus`` workload passes it. Text calls are not
+    retried: a failed call is recorded once in ``GenerationStats.failures``."""
 
     max_concurrency: int = 4
-    max_retries: int = 2
 
     def __post_init__(self) -> None:
         if self.max_concurrency < 1:
             raise ValueError("max_concurrency must be at least 1")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
 
 
 class TextGenerator(ABC):
-    def __init__(self, config: ClientConfig = ClientConfig()) -> None:
-        self.config = config
-
     @abstractmethod
     def complete(self, prompt: str) -> str:
         ...
@@ -327,9 +322,7 @@ class RuleBasedTextGenerator(TextGenerator):
     sentence this generator did not produce cannot be converted.
     """
 
-    def __init__(self, locale: Locale, seed: int = 0,
-                 config: ClientConfig = ClientConfig()) -> None:
-        super().__init__(config)
+    def __init__(self, locale: Locale, seed: int = 0) -> None:
         self._locale = locale
         self._rng = random.Random(seed)
         self._gold: dict[str, str] = {}
@@ -459,18 +452,6 @@ class GenerationStats:
 
 _ENUM_PREFIX_RE = re.compile(r"^\s*(?:\d+[.)]\s+|[-*•]\s+)")
 
-T = TypeVar("T")
-
-
-def _with_retries(call: Callable[[], T], retries: int) -> T:
-    last: Exception
-    for _ in range(retries + 1):
-        try:
-            return call()
-        except Exception as err:
-            last = err
-    raise last
-
 
 def run_generation(plan: GenerationPlan, textgen: TextGenerator,
                    synthesizer: SpeechSynthesizer
@@ -499,8 +480,7 @@ def run_generation(plan: GenerationPlan, textgen: TextGenerator,
     for expr_type, prompt, expected in requests:
         prompts_issued += 1
         try:
-            reply = _with_retries(lambda: textgen.complete(prompt),
-                                  textgen.config.max_retries)
+            reply = textgen.complete(prompt)
         except Exception as err:
             failures.append(f"sentence prompt failed: {err}")
             continue
@@ -534,8 +514,7 @@ def run_generation(plan: GenerationPlan, textgen: TextGenerator,
         prompt = build_conversion_prompt(expr_type) + "\n" + "\n".join(sentences)
         prompts_issued += 1
         try:
-            reply = _with_retries(lambda: textgen.complete(prompt),
-                                  textgen.config.max_retries)
+            reply = textgen.complete(prompt)
             lines = reply.splitlines()
             if len(lines) != len(sentences):
                 raise ValueError(

@@ -8,7 +8,7 @@ records. ``scan_tokens`` hands a position's readings to ``classify.choose``.
 from __future__ import annotations
 
 import re
-from typing import Callable, Optional
+from typing import Optional
 
 from .classify import choose
 from .lexicon import (
@@ -16,10 +16,11 @@ from .lexicon import (
     CLOCK_STYLES,
     DE_MAGNITUDE_WORDS,
     DE_THOUSAND,
-    EN_HUNDRED,
+    EN_DIGIT_PAIRS,
+    EN_GROUPS,
     EN_MAGNITUDE_WORDS,
     EN_NUMBER_WORDS,
-    EN_OH,
+    EN_PAIR_HUNDREDS,
     EN_SCALES,
     HOUR_BEFORE_ONE,
     HOUR_NOUNS,
@@ -30,9 +31,6 @@ from .lexicon import (
     POINT_KEYS,
     de_compound,
     digit_value,
-    en_tens,
-    en_two_digit,
-    en_unit,
     fold_german,
     phrase_keys,
 )
@@ -80,8 +78,26 @@ _IDIOMS = {language: _by_first_key((phrase_keys(s.words), s) for s in styles
            for language, styles in CLOCK_STYLES.items()}
 _COUNTED = {language: _by_first_key((phrase_keys(s.words), s) for s in styles if s.counted)
             for language, styles in CLOCK_STYLES.items()}
+
+
+# A spelling table, the length of its longest key per first key, and the
+# keys its spellings have second.
+_Spellings = tuple[dict[tuple[str, ...], int], dict[str, int], set[str]]
+
+
+def _by_longest(table: dict[tuple[str, ...], int]) -> _Spellings:
+    """``table`` with the length of its longest key per first key and its second keys."""
+    # Shortest first, so the longest key of each first key is written last.
+    by_length = sorted(table, key=len)
+    return (table, {keys[0]: len(keys) for keys in by_length},
+            {keys[1] for keys in by_length if len(keys) > 1})
+
+
+_EN_GROUPS = _by_longest(EN_GROUPS)
+_EN_PAIR_HUNDREDS = _by_longest(EN_PAIR_HUNDREDS)
+_EN_DIGIT_PAIRS = _by_longest(EN_DIGIT_PAIRS)
 # English words a parser can start from: a number word or an idiom opener.
-_EN_START_WORDS = EN_NUMBER_WORDS.union(_IDIOMS["en"])
+_EN_START_WORDS = {*EN_NUMBER_WORDS, *_IDIOMS["en"]}
 
 
 def _key(tokens: Tokens, i: int) -> str:
@@ -94,41 +110,20 @@ def _key(tokens: Tokens, i: int) -> str:
 # --- cardinals ---------------------------------------------------------------
 
 
-def _en_two_digit_span(tokens: Tokens, i: int) -> Optional[tuple[int, int]]:
-    """Read 10..99 as one token or a tens + unit pair ("forty five")."""
-    key = _key(tokens, i)
-    tens = en_tens(key)
-    if tens is not None:
-        unit = en_unit(_key(tokens, i + 1))
-        if unit:
-            return tens + unit, i + 2
-        return tens, i + 1
-    value = en_two_digit(key)
-    if value is not None:
-        return value, i + 1
-    return None
-
-
-def _en_hundreds(tokens: Tokens, at: int, head: int) -> tuple[int, int]:
-    """Value and end of "<head> hundred [tail]", where token ``at`` is "hundred"."""
-    tail = _en_two_digit_span(tokens, at + 1)
-    if tail is not None:
-        return head * 100 + tail[0], tail[1]
-    unit = en_unit(_key(tokens, at + 1))
-    if unit:
-        return head * 100 + unit, at + 2
-    return head * 100, at + 1
-
-
-def _en_sub_thousand(tokens: Tokens, i: int) -> Optional[tuple[int, int]]:
-    unit = en_unit(_key(tokens, i))
-    if unit is not None and unit >= 1 and _key(tokens, i + 1) == EN_HUNDRED:
-        return _en_hundreds(tokens, i + 1, unit)
-    two = _en_two_digit_span(tokens, i)
-    if two is not None:
-        return two
-    if unit is not None:
-        return unit, i + 1
+def _spelled(tokens: Tokens, i: int, spellings: _Spellings) -> Optional[tuple[int, int]]:
+    """Value and end of the longest spelling that starts at token ``i``."""
+    keys = tokens.keys
+    if i >= len(keys):
+        return None
+    table, longest, seconds = spellings
+    n = min(longest.get(keys[i], 0), len(keys) - i)
+    if n > 1 and keys[i + 1] not in seconds:
+        n = 1
+    while n:
+        value = table.get(tuple(keys[i:i + n]))
+        if value is not None:
+            return value, i + n
+        n -= 1
     return None
 
 
@@ -138,50 +133,49 @@ def _en_pair_reading(tokens: Tokens, at: int) -> Optional[ParsedExpression]:
     "nineteen hundred [forty-five]" is a compact cardinal, not a pair split,
     so it is a cardinal reading.
     """
-    first = en_two_digit(_key(tokens, at))
+    first = EN_NUMBER_WORDS.get(_key(tokens, at))
     if first is None or not 11 <= first <= 20:
         return None
-    nxt = _key(tokens, at + 1)
-    if nxt == EN_HUNDRED:
-        value, end = _en_hundreds(tokens, at + 1, first)
+    hundreds = _spelled(tokens, at, _EN_PAIR_HUNDREDS)
+    if hundreds is not None:
+        value, end = hundreds
         return ParsedExpression(Span(at, end), ExpressionType.QUANTITY, NumericValue(value))
-    if nxt == EN_OH:
-        unit = en_unit(_key(tokens, at + 2))
-        second = (unit, at + 3) if unit else None
-    else:
-        second = _en_two_digit_span(tokens, at + 1)
+    second = _spelled(tokens, at + 1, _EN_DIGIT_PAIRS)
     if second is None:
         return None
     return ParsedExpression(Span(at, second[1]), ExpressionType.YEAR,
                             NumericValue(first * 100 + second[0]))
 
 
-def _de_group(tokens: Tokens, i: int) -> Optional[tuple[int, int]]:
-    """A German cardinal group: one compound numeral token ("zweihundert")."""
-    value = de_compound(_key(tokens, i))
-    return None if value is None else (value, i + 1)
+def _group(tokens: Tokens, i: int, language: str) -> Optional[tuple[int, int]]:
+    """Value and end of a cardinal group at token ``i``: one German compound
+    numeral token ("zweihundert") or the longest English spelling of 0..999."""
+    if language == "de":
+        value = de_compound(_key(tokens, i))
+        return None if value is None else (value, i + 1)
+    return _spelled(tokens, i, _EN_GROUPS)
 
 
 def _integer(tokens: Tokens, at: int,
-             read_group: Callable[[Tokens, int], Optional[tuple[int, int]]],
-             scales: dict[str, int]) -> Optional[tuple[int, int, Optional[tuple[int, str]]]]:
-    """Parse an integer cardinal from the groups ``read_group`` reads.
+             language: str) -> Optional[tuple[int, int, Optional[tuple[int, str]]]]:
+    """Parse an integer cardinal from the groups ``_group`` reads.
 
-    Every group but a bare last one is 1..999 and followed by a word of
-    ``scales``, the scales decreasing.
+    Every group but a bare last one is 1..999 and followed by a scale word
+    ("thousand", "Millionen"), the scales decreasing.
 
     Returns (value, end, sole_magnitude) where sole_magnitude is
     (scale, surface) when the whole parse is one "<n> million/Millionen"
     group. A dangling or non-decreasing scale word makes the phrase
     malformed and the parse absent.
     """
+    scales = DE_MAGNITUDE_WORDS if language == "de" else EN_SCALES
     total = 0
     scale_groups: list[int] = []
     last_scale_surface = ""
     bare_tail = False
     i = at
     while True:
-        group = read_group(tokens, i)
+        group = _group(tokens, i, language)
         if group is None:
             break
         value, j = group
@@ -228,10 +222,7 @@ def parse_cardinal(tokens: Tokens, at: int, locale: Locale) -> Optional[ParsedEx
     are ``_en_pair_reading``'s.
     """
     language = locale.language
-    if language == "de":
-        integer = _integer(tokens, at, _de_group, DE_MAGNITUDE_WORDS)
-    else:
-        integer = _integer(tokens, at, _en_sub_thousand, EN_SCALES)
+    integer = _integer(tokens, at, language)
     if integer is None:
         return None
     value, end, sole = integer
@@ -281,23 +272,11 @@ def _clock_number(tokens: Tokens, i: int, language: str) -> Optional[int]:
     English number words start at one: "zero" is no hour.
     """
     key = _key(tokens, i)
-    value = de_compound(key) if language == "de" else en_unit(key) or en_two_digit(key)
+    value = de_compound(key) if language == "de" else EN_NUMBER_WORDS.get(key) or None
     if value is None:
         m = _TWO_DIGITS_RE.match(key)
         value = int(m.group(1)) if m else None
     return value
-
-
-def _en_minute_words(tokens: Tokens, i: int) -> Optional[tuple[int, int]]:
-    if _key(tokens, i) == EN_OH:
-        unit = en_unit(_key(tokens, i + 1))
-        if unit:
-            return unit, i + 2
-        return None
-    two = _en_two_digit_span(tokens, i)
-    if two is not None and two[0] <= 59:
-        return two
-    return None
 
 
 def _relative_minutes(tokens: Tokens, cardinal: Optional[ParsedExpression],
@@ -361,8 +340,9 @@ def _parse_hour_first_en(tokens: Tokens, at: int) -> list[ParsedExpression]:
         out.append(_clock_reading(tokens, at, at + 2, hour, 0, "en"))
     if _meridiem(tokens, at + 1, "en") is not None:
         out.append(_clock_reading(tokens, at, at + 1, hour, 0, "en"))
-    minutes = _en_minute_words(tokens, at + 1)
-    if minutes is not None:
+    # A minute word is 10..59 or "oh" and a digit ("nine oh five").
+    minutes = _spelled(tokens, at + 1, _EN_DIGIT_PAIRS)
+    if minutes is not None and minutes[0] <= 59:
         out.append(_clock_reading(tokens, at, minutes[1], hour, minutes[0], "en", bare=True))
     return out
 

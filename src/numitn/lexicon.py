@@ -7,6 +7,14 @@ transliterations like "fuenfundvierzig" still parse. No English spelling
 holds ß, an umlaut, "ss", "ae", "oe" or "ue", so there the folded key is
 the lowercase word.
 
+Cardinals are read from spelling tables built at import, one per language,
+that map each spelling of a group 0..999 to its value. An English key is
+the tuple of a spelling's token keys ("five hundred forty-five", also
+"forty five" spaced), and the grammar reads the longest one at a token. A
+German key is a folded compound fragment ("neunzehnhundertfuenf");
+``de_compound`` splits a token on "tausend" and looks up both halves. A
+new spelling is one more table row.
+
 The clock tables spell each language's time styles ("quarter past",
 "halb", the counted "minutes to"), its clock nouns, am/pm words and
 day-period phrases. The clock parser, the verbalizer and the timestamp
@@ -59,16 +67,8 @@ AND_KEYS = {language: fold_german(word) for language, word in AND_WORDS.items()}
 _DE_HUNDRED, DE_THOUSAND, _DE_AND = "hundert", "tausend", AND_WORDS["de"]
 
 _EN_UNITS = {name: n for n, name in enumerate(_EN_UNIT_NAMES[:10])}
-_EN_TEENS = {name: n for n, name in enumerate(_EN_UNIT_NAMES) if n >= 10}
-_EN_TENS = {name: 10 * n for n, name in enumerate(_EN_TENS_NAMES) if name}
 EN_SCALES = {name: value for value, name in _EN_SCALE_NAMES}
 EN_MAGNITUDE_WORDS = tuple(name for value, name in _EN_SCALE_NAMES if value >= 10**6)
-# Single tokens naming 10..99: teens, tens and "<tens>-<unit>" ("forty-five").
-_EN_TWO_DIGIT = {**_EN_TEENS, **_EN_TENS,
-                 **{f"{tens}-{unit}": t + u for tens, t in _EN_TENS.items()
-                    for unit, u in _EN_UNITS.items() if u}}
-# The tokens ``en_unit`` or ``en_two_digit`` read: one lookup tests a word.
-EN_NUMBER_WORDS = frozenset({*_EN_UNITS, *_EN_TWO_DIGIT})
 
 _DE_UNITS = {fold_german(name): n for n, name in enumerate(_DE_UNIT_NAMES[:10])}
 _DE_UNITS.update({DE_EIN: 1, DE_EINE: 1})
@@ -76,86 +76,10 @@ _DE_TEENS = {fold_german(name): n for n, name in enumerate(_DE_UNIT_NAMES) if n 
 _DE_TENS = {fold_german(name): 10 * n for n, name in enumerate(_DE_TENS_NAMES) if name}
 DE_MAGNITUDE_WORDS = {fold_german(form): value
                       for value, *forms in DE_MAGNITUDE_NAMES for form in forms}
-# Every folded key ``de_compound`` accepts starts with one of these:
-# each branch either finds the key in a table or reads a head before "und",
-# "hundert" or "tausend", and an empty head leaves the key starting with
-# "hundert" or "tausend".
+# Every folded key ``de_compound`` accepts starts with one of these: each
+# key of ``DE_GROUPS`` starts with a unit, teen or tens word or with
+# "hundert", and a compound may start with "tausend".
 _DE_NUMBER_STARTS = (*_DE_UNITS, *_DE_TEENS, *_DE_TENS, _DE_HUNDRED, DE_THOUSAND)
-
-
-def en_unit(word: str) -> Optional[int]:
-    return _EN_UNITS.get(word)
-
-
-def en_two_digit(word: str) -> Optional[int]:
-    """Value of a single token naming 10..99 ("fifteen", "forty", "forty-five")."""
-    return _EN_TWO_DIGIT.get(word)
-
-
-def en_tens(word: str) -> Optional[int]:
-    return _EN_TENS.get(word)
-
-
-def _de_under_hundred(text: str) -> Optional[int]:
-    if not text:
-        return None
-    if text in _DE_TEENS:
-        return _DE_TEENS[text]
-    if text in _DE_TENS:
-        return _DE_TENS[text]
-    if text in _DE_UNITS:
-        return _DE_UNITS[text]
-    # "fuenfundvierzig": unit before "und", tens after.
-    head, _, tail = text.rpartition(_DE_AND)
-    if head:
-        unit = _DE_UNITS.get(head)
-        tens = _DE_TENS.get(tail)
-        if unit and tens is not None:
-            return tens + unit
-    return None
-
-
-def _de_under_thousand(text: str) -> Optional[int]:
-    if not text:
-        return None
-    head, found, rest = text.partition(_DE_HUNDRED)
-    if not found:
-        return _de_under_hundred(text)
-    # Prefixes up to 19 cover year-style forms like "neunzehnhundert".
-    hundreds = _de_under_hundred(head or DE_EIN)
-    if hundreds is None or not 1 <= hundreds <= 19:
-        return None
-    if not rest:
-        return hundreds * 100
-    tail = _de_under_hundred(rest.removeprefix(_DE_AND))
-    if tail is None:
-        return None
-    return hundreds * 100 + tail
-
-
-def de_compound(text: str) -> Optional[int]:
-    """Value of one folded German compound numeral ("zweitausendfuenf")."""
-    if not text.startswith(_DE_NUMBER_STARTS):
-        return None
-    head, found, rest = text.partition(DE_THOUSAND)
-    if not found:
-        return _de_under_thousand(text)
-    thousands = _de_under_thousand(head or DE_EIN)
-    if thousands is None or thousands == 0:
-        return None
-    if not rest:
-        return thousands * 1000
-    tail = _de_under_thousand(rest.removeprefix(_DE_AND))
-    if tail is None:
-        return None
-    return thousands * 1000 + tail
-
-
-def is_number_word(key: str, language: str) -> bool:
-    """Whether a folded key is a number, scale or magnitude word."""
-    if language == "de":
-        return key in DE_MAGNITUDE_WORDS or de_compound(key) is not None
-    return key in EN_NUMBER_WORDS or key in EN_SCALES or key == EN_HUNDRED
 
 
 def en_two_digit_words(n: int) -> str:
@@ -246,6 +170,81 @@ def verbalize_cardinal(n: int, language: str) -> str:
     if language == "de":
         return _verbalize_de(n)
     return _verbalize_en(n)
+
+
+# --- spelling tables ---------------------------------------------------------
+
+# Each table maps a spelling of a cardinal group to its value, so the parsers
+# read a group by lookup and read back every spelling the verbalizer writes.
+# English spellings are tuples of token keys. 0..99 is the verbalizer's word
+# ("forty-five") or the same spaced ("forty five").
+_EN_UNDER_HUNDRED = {(en_two_digit_words(n),): n for n in range(100)}
+_EN_UNDER_HUNDRED.update({tuple(word.split("-")): n
+                          for (word,), n in _EN_UNDER_HUNDRED.items() if "-" in word})
+_EN_HUNDRED_TAILS = {(): 0, **{keys: n for keys, n in _EN_UNDER_HUNDRED.items() if n}}
+
+
+def _en_hundreds(heads: range) -> dict[tuple[str, ...], int]:
+    """"<head> hundred [tail]" for each head, as the verbalizer says hundreds."""
+    prefixes = {(en_two_digit_words(head), EN_HUNDRED): 100 * head for head in heads}
+    return {prefix + tail: hundreds + n for prefix, hundreds in prefixes.items()
+            for tail, n in _EN_HUNDRED_TAILS.items()}
+
+
+# English groups 0..999. A parser reads the longest spelling at a token,
+# which is at most four keys ("five hundred forty five").
+EN_GROUPS = {**_EN_UNDER_HUNDRED, **_en_hundreds(range(1, 10))}
+# "nineteen hundred [forty-five]": the hundreds heads 11..20 that years and
+# amounts are said in.
+EN_PAIR_HUNDREDS = _en_hundreds(range(11, 21))
+# Two digits said as one number, as the second half of a year pair or a
+# minute: 10..99 or "oh" and a digit ("nineteen oh five").
+EN_DIGIT_PAIRS = {**{keys: n for keys, n in _EN_UNDER_HUNDRED.items() if n >= 10},
+                  **{(EN_OH, en_two_digit_words(n)): n for n in range(1, 10)}}
+# The single tokens naming 0..99, with their values; every English spelling
+# starts with one.
+EN_NUMBER_WORDS = {keys[0]: n for keys, n in _EN_UNDER_HUNDRED.items() if len(keys) == 1}
+
+_DE_UNDER_HUNDRED = {**_DE_UNITS, **_DE_TEENS, **_DE_TENS,
+                     **{unit + _DE_AND + tens: u + t for unit, u in _DE_UNITS.items() if u
+                        for tens, t in _DE_TENS.items()}}
+_DE_HUNDREDS = {head + _DE_HUNDRED: 100 * h
+                for head, h in {"": 1, **_DE_UNDER_HUNDRED}.items() if 1 <= h <= 19}
+_DE_HUNDRED_TAILS = {"": 0, **{and_word + key: n for key, n in _DE_UNDER_HUNDRED.items()
+                               for and_word in ("", _DE_AND)}}
+# German groups as folded compound fragments: 0..99 ("fuenfundvierzig"), and
+# "<head>hundert[und]<tail>" whose head is 1..19 or left out
+# ("neunzehnhundertfuenf", "hundertundeins").
+DE_GROUPS = {**_DE_UNDER_HUNDRED,
+             **{head + tail: hundreds + n for head, hundreds in _DE_HUNDREDS.items()
+                for tail, n in _DE_HUNDRED_TAILS.items()}}
+
+
+def de_compound(text: str) -> Optional[int]:
+    """Value of one folded German compound numeral ("zweitausendfuenf").
+
+    The part before "tausend" (one if empty) and the part after it, less a
+    leading "und", are each a key of ``DE_GROUPS``.
+    """
+    if not text.startswith(_DE_NUMBER_STARTS):
+        return None
+    head, found, rest = text.partition(DE_THOUSAND)
+    if not found:
+        return DE_GROUPS.get(text)
+    thousands = DE_GROUPS.get(head or DE_EIN)
+    if not thousands:
+        return None
+    if not rest:
+        return thousands * 1000
+    tail = DE_GROUPS.get(rest.removeprefix(_DE_AND))
+    return None if tail is None else thousands * 1000 + tail
+
+
+def is_number_word(key: str, language: str) -> bool:
+    """Whether a folded key is a number, scale or magnitude word."""
+    if language == "de":
+        return key in DE_MAGNITUDE_WORDS or de_compound(key) is not None
+    return key in EN_NUMBER_WORDS or key in EN_SCALES or key == EN_HUNDRED
 
 
 # Spoken digit strings use "oh" for zero ("one oh five"); the parser

@@ -1,7 +1,12 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from numitn.classify import choose
+from numitn import grammar
 from numitn.grammar import (
     _en_pair_reading,
     parse_cardinal,
@@ -13,7 +18,9 @@ from numitn import lexicon
 from numitn.lexicon import fold_german, verbalize_cardinal
 from numitn.locales import CURRENCY_WORDS, DEFAULT_CONFIG, MINOR_UNIT_WORDS
 from numitn.tokenizer import tokenize
-from numitn.types import ExpressionType, MoneyAmount, NumericValue, PeriodHint, TimeOfDay
+from numitn.types import (
+    ExpressionType, MoneyAmount, NumericValue, PeriodHint, Span, TimeOfDay,
+)
 
 EN = DEFAULT_CONFIG.locale("en")
 DE = DEFAULT_CONFIG.locale("de")
@@ -396,10 +403,24 @@ def ungated_scan(tokens, locale):
     return out
 
 
-_EN_TENS = sorted(lexicon._EN_TENS)
+# English number words, spelled here rather than read from the lexicon.
+EN_UNITS = {word: n for n, word in enumerate(
+    "zero one two three four five six seven eight nine".split())}
+EN_TEENS = {word: n for n, word in enumerate(
+    "ten eleven twelve thirteen fourteen fifteen sixteen seventeen eighteen nineteen".split(),
+    start=10)}
+EN_TENS = {word: 10 * n for n, word in enumerate(
+    "twenty thirty forty fifty sixty seventy eighty ninety".split(), start=2)}
+EN_HYPHENATED = {f"{tens}-{unit}": t + u for tens, t in EN_TENS.items()
+                 for unit, u in EN_UNITS.items() if u}
+# The single words naming 10..99.
+EN_TWO_DIGIT = {**EN_TEENS, **EN_TENS, **EN_HYPHENATED}
+
+_EN_TENS = sorted(EN_TENS)
 _LEXICON_WORDS = sorted({
-    *lexicon._EN_UNITS, *lexicon._EN_TEENS, *lexicon._EN_TENS, *lexicon.EN_SCALES,
-    "hundred", *lexicon._DE_UNITS, *lexicon._DE_TEENS, *lexicon._DE_TENS,
+    *EN_UNITS, *EN_TEENS, *EN_TENS, *lexicon.EN_SCALES,
+    # The German group keys without "und" (or "hundert") are the single words.
+    "hundred", *(key for key in lexicon.DE_GROUPS if "und" not in key),
     *lexicon.DE_MAGNITUDE_WORDS, "hundert", "tausend",
 })
 _SPELLINGS = [str, fold_german, str.capitalize, str.upper]
@@ -428,7 +449,7 @@ def _spoken(low, high, languages):
 _WORD = st.one_of(
     st.sampled_from(_LEXICON_WORDS),
     st.builds("{}-{}".format, st.sampled_from(_EN_TENS + ["ten", "nineteen"]),
-              st.sampled_from(sorted(lexicon._EN_UNITS))),
+              st.sampled_from(sorted(EN_UNITS))),
     _spoken(0, 2_999_999, ["de"]),
     _spoken(1, 12, ["en", "de"]),
     st.sampled_from(_CLOCK_WORDS),
@@ -464,3 +485,118 @@ def test_cardinal_round_trip(n, code):
                  "Million": 10**6, "Millionen": 10**6,
                  "Milliarde": 10**9, "Milliarden": 10**9}[c.magnitude_word]
         assert c.value.mantissa * scale == n * 10**c.value.scale
+
+
+# The English readers the spelling tables replaced, kept as references. They
+# read the word tables above, so they share no code with the lexicon's tables.
+
+
+def _at(keys, i):
+    return keys[i] if i < len(keys) else ""
+
+
+def old_en_two_digit_span(keys, i):
+    """Read 10..99 as one token or a tens + unit pair ("forty five")."""
+    key = _at(keys, i)
+    if key in EN_TENS:
+        unit = EN_UNITS.get(_at(keys, i + 1))
+        if unit:
+            return EN_TENS[key] + unit, i + 2
+        return EN_TENS[key], i + 1
+    value = EN_TWO_DIGIT.get(key)
+    return None if value is None else (value, i + 1)
+
+
+def old_en_hundreds(keys, at, head):
+    """Value and end of "<head> hundred [tail]", where token ``at`` is "hundred"."""
+    tail = old_en_two_digit_span(keys, at + 1)
+    if tail is not None:
+        return head * 100 + tail[0], tail[1]
+    unit = EN_UNITS.get(_at(keys, at + 1))
+    if unit:
+        return head * 100 + unit, at + 2
+    return head * 100, at + 1
+
+
+def old_en_sub_thousand(keys, i):
+    unit = EN_UNITS.get(_at(keys, i))
+    if unit is not None and unit >= 1 and _at(keys, i + 1) == "hundred":
+        return old_en_hundreds(keys, i + 1, unit)
+    two = old_en_two_digit_span(keys, i)
+    if two is not None:
+        return two
+    if unit is not None:
+        return unit, i + 1
+    return None
+
+
+def old_en_digit_pair(keys, i):
+    """A pair's second half or a minute: 10..99, or "oh" and a digit."""
+    if _at(keys, i) == "oh":
+        unit = EN_UNITS.get(_at(keys, i + 1))
+        return (unit, i + 2) if unit else None
+    return old_en_two_digit_span(keys, i)
+
+
+def old_en_pair_reading(keys, at):
+    """(type, value, end) of "nineteen forty-five" or "nineteen hundred [tail]"."""
+    first = EN_TWO_DIGIT.get(_at(keys, at))
+    if first is None or not 11 <= first <= 20:
+        return None
+    if _at(keys, at + 1) == "hundred":
+        return (ExpressionType.QUANTITY, *old_en_hundreds(keys, at + 1, first))
+    second = old_en_digit_pair(keys, at + 1)
+    if second is None:
+        return None
+    return ExpressionType.YEAR, first * 100 + second[0], second[1]
+
+
+def test_every_english_spelling_reads_as_the_old_readers_read_it():
+    assert len(lexicon.EN_GROUPS) == len(lexicon.EN_PAIR_HUNDREDS) == 1_720
+    for keys, value in lexicon.EN_GROUPS.items():
+        assert old_en_sub_thousand(keys, 0) == (value, len(keys)), keys
+    for keys, value in lexicon.EN_PAIR_HUNDREDS.items():
+        assert old_en_pair_reading(keys, 0) == (ExpressionType.QUANTITY, value, len(keys)), keys
+    for keys, value in lexicon.EN_DIGIT_PAIRS.items():
+        assert old_en_digit_pair(keys, 0) == (value, len(keys)), keys
+
+
+# Number words, their neighbours in a group, and words that end one.
+_EN_GROUP_WORDS = sorted({*EN_UNITS, *EN_TEENS, *EN_TENS, "forty-five", "twenty-one",
+                          "ninety-nine", "forty-zero", "ten-five", "hundred", "thousand",
+                          "oh", "and", "x", "5"})
+
+
+@settings(max_examples=2000)
+@given(st.lists(st.sampled_from(_EN_GROUP_WORDS), min_size=1, max_size=6))
+def test_english_tables_read_as_the_old_readers(words):
+    tokens = tokenize(" ".join(words))
+    for i in range(len(tokens)):
+        assert grammar._group(tokens, i, "en") == old_en_sub_thousand(tokens.keys, i)
+        pair = _en_pair_reading(tokens, i)
+        got = None if pair is None else (pair.expr_type, pair.value.mantissa, pair.span.end)
+        assert got == old_en_pair_reading(tokens.keys, i)
+        minute = old_en_digit_pair(tokens.keys, i)
+        if minute is not None and minute[0] <= 59:
+            [bare] = [r for r in clock_readings("nine " + " ".join(words[i:]), EN) if r.bare]
+            assert (bare.value.minute, bare.span.end) == (minute[0], minute[1] - i + 1)
+
+
+def _load_benchmark_spellers():
+    """``perfbench/inputs.py``, whose number spellers import nothing from ``numitn``."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("benchmark_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up by name.
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("locale", [EN, DE], ids=["en", "de"])
+def test_cardinals_read_the_benchmark_spellers(locale):
+    spell = getattr(_load_benchmark_spellers(), f"{locale.language}_int")
+    for n in [*range(1, 10_000), *range(10_007, 1_000_000, 997), 999_999]:
+        tokens = tokenize(spell(n))
+        c = parse_cardinal(tokens, 0, locale)
+        assert (c.value, c.span) == (NumericValue(n), Span(0, len(tokens))), spell(n)

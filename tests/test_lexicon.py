@@ -9,9 +9,7 @@ from numitn.lexicon import (
     de_two_digit_words,
     digit_value,
     digit_words,
-    en_two_digit,
     en_two_digit_words,
-    en_unit,
     fold_german,
     is_number_word,
     verbalize_cardinal,
@@ -65,12 +63,9 @@ CURRENCIES = [
 
 class TestGoldenWords:
     def test_english_parse_tables(self):
-        for word, value in EN_UNITS.items():
-            assert en_unit(word) == value, word
-        for word, value in EN_TWO_DIGIT.items():
-            assert en_two_digit(word) == value, word
-        assert {**lexicon._EN_UNITS, **lexicon._EN_TEENS, **lexicon._EN_TENS} == \
-            {**EN_UNITS, **EN_TWO_DIGIT}
+        words = {keys[0]: value for keys, value in lexicon.EN_GROUPS.items()
+                 if len(keys) == 1 and "-" not in keys[0]}
+        assert words == {**EN_UNITS, **EN_TWO_DIGIT}
         assert lexicon.EN_SCALES == EN_SCALES
         assert sorted(lexicon.EN_MAGNITUDE_WORDS) == ["billion", "million"]
 
@@ -86,7 +81,8 @@ class TestGoldenWords:
             assert de_compound(key) == value, key
         for word, value in DE_ARTICLES.items():
             assert de_compound(word) == value
-        assert {**lexicon._DE_UNITS, **lexicon._DE_TEENS, **lexicon._DE_TENS} == \
+        # The group keys without "und" (and so without "hundert") are single words.
+        assert {key: value for key, value in lexicon.DE_GROUPS.items() if "und" not in key} == \
             {**{key: value for _, key, value in DE_NUMBERS}, **DE_ARTICLES}
         for spelling, key, value in DE_MAGNITUDES:
             assert fold_german(spelling) == key
@@ -164,9 +160,10 @@ class TestEnglishWords:
         assert "and" not in verbalize_cardinal(123456789, "en").split()
 
     def test_two_digit_lookup(self):
-        assert en_two_digit("forty-five") == 45
-        assert en_two_digit("eleven") == 11
-        assert en_two_digit("hundred") is None
+        assert lexicon.EN_GROUPS[("forty-five",)] == 45
+        assert lexicon.EN_GROUPS[("forty", "five")] == 45
+        assert lexicon.EN_GROUPS[("eleven",)] == 11
+        assert ("hundred",) not in lexicon.EN_GROUPS
 
     def test_number_word_detection(self):
         assert is_number_word("seventeen", "en")
@@ -267,18 +264,72 @@ def test_negative_rejected():
         verbalize_cardinal(-1, "en")
 
 
+# The German reader the spelling table replaced, kept as a reference. It
+# reads its own word tables, so it shares no code with ``DE_GROUPS``.
+DE_UNITS = {**{key: value for _, key, value in DE_NUMBERS if value < 10}, **DE_ARTICLES}
+DE_TEENS = {key: value for _, key, value in DE_NUMBERS if 10 <= value < 20}
+DE_TENS = {key: value for _, key, value in DE_NUMBERS if value >= 20}
+
+
+def old_de_under_hundred(text):
+    if not text:
+        return None
+    for table in (DE_TEENS, DE_TENS, DE_UNITS):
+        if text in table:
+            return table[text]
+    # "fuenfundvierzig": unit before "und", tens after.
+    head, _, tail = text.rpartition("und")
+    if head:
+        unit = DE_UNITS.get(head)
+        tens = DE_TENS.get(tail)
+        if unit and tens is not None:
+            return tens + unit
+    return None
+
+
+def old_de_under_thousand(text):
+    if not text:
+        return None
+    head, found, rest = text.partition("hundert")
+    if not found:
+        return old_de_under_hundred(text)
+    # Prefixes up to 19 cover year-style forms like "neunzehnhundert".
+    hundreds = old_de_under_hundred(head or "ein")
+    if hundreds is None or not 1 <= hundreds <= 19:
+        return None
+    if not rest:
+        return hundreds * 100
+    tail = old_de_under_hundred(rest.removeprefix("und"))
+    return None if tail is None else hundreds * 100 + tail
+
+
 def ungated_de_compound(text):
-    """``lexicon.de_compound`` without its start-word gate, as a reference."""
+    """``lexicon.de_compound`` as the old reader read it, without its start-word gate."""
     head, found, rest = text.partition("tausend")
     if not found:
-        return lexicon._de_under_thousand(text)
-    thousands = lexicon._de_under_thousand(head or "ein")
+        return old_de_under_thousand(text)
+    thousands = old_de_under_thousand(head or "ein")
     if not thousands:
         return None
     if not rest:
         return thousands * 1000
-    tail = lexicon._de_under_thousand(rest.removeprefix("und"))
+    tail = old_de_under_thousand(rest.removeprefix("und"))
     return None if tail is None else thousands * 1000 + tail
+
+
+def test_every_german_group_reads_as_the_old_reader_reads_it():
+    assert len(lexicon.DE_GROUPS) == 5_332
+    for key, value in lexicon.DE_GROUPS.items():
+        assert old_de_under_thousand(key) == value, key
+
+
+@pytest.mark.parametrize("word,value", [
+    # Forms the verbalizer never writes that the old reader read.
+    ("einsundzwanzig", 21), ("einshundert", 100), ("hundertnull", 100),
+    ("hundertundeins", 101), ("neunzehnhundertneunundneunzigtausend", 1_999_000),
+])
+def test_german_forms_the_verbalizer_never_writes(word, value):
+    assert de_compound(word) == ungated_de_compound(word) == value
 
 
 # German number morphemes, "und", and junk that shares their letters.
@@ -292,6 +343,7 @@ _DE_MORPHEMES = sorted({*(key for _, key, _ in DE_NUMBERS), "ein", "eine", "hund
 @example("tausendundeins")
 @example("einhundert")
 @example("einundzwanzigtausend")
+@example("zehnhunderteinetausendundnull")
 def test_german_start_gate_rejects_only_keys_no_branch_accepts(text):
     assert lexicon.de_compound(text) == ungated_de_compound(text)
 
@@ -309,12 +361,13 @@ def old_en_two_digit(word):
 _EN_PIECES = [*EN_UNITS, *EN_TWO_DIGIT, "hundred", "thousand", "oh", "x", ""]
 
 
-def test_en_number_words_are_the_words_en_unit_or_en_two_digit_read():
+def test_en_number_words_are_the_single_word_spellings():
     # Every join of up to three pieces with "-": "forty-zero", "-five",
     # "forty-five-six", "ten-five" and the like.
     words = {"-".join(parts) for n in (1, 2, 3) for parts in product(_EN_PIECES, repeat=n)}
     for word in words:
-        old = word in EN_UNITS or old_en_two_digit(word) is not None
-        assert (word in lexicon.EN_NUMBER_WORDS) == old, word
-        assert en_two_digit(word) == old_en_two_digit(word), word
-        assert is_number_word(word, "en") == (old or word == "hundred" or word in EN_SCALES), word
+        old = EN_UNITS.get(word, old_en_two_digit(word))
+        assert lexicon.EN_NUMBER_WORDS.get(word) == old, word
+        assert lexicon.EN_GROUPS.get((word,)) == old, word
+        assert is_number_word(word, "en") == (old is not None or word == "hundred"
+                                              or word in EN_SCALES), word

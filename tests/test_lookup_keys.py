@@ -35,10 +35,10 @@ def grammar_keys(language):
             *_phrase_keys(grammar._PERIODS[language]), *CURRENCY_WORDS[language],
             *MINOR_UNIT_WORDS, *YEAR_CUES[language], *UNIT_STOPWORDS[language]}
     if language == "de":
-        return keys | {*lexicon._DE_UNITS, *lexicon._DE_TEENS, *lexicon._DE_TENS,
-                       *lexicon.DE_MAGNITUDE_WORDS, *lexicon._DE_NUMBER_STARTS}
-    return keys | {*lexicon.EN_NUMBER_WORDS, *lexicon.EN_SCALES, lexicon.EN_HUNDRED,
-                   lexicon.EN_OH}
+        return keys | {*lexicon.DE_GROUPS, *lexicon.DE_MAGNITUDE_WORDS,
+                       *lexicon._DE_NUMBER_STARTS}
+    spellings = (*lexicon.EN_GROUPS, *lexicon.EN_PAIR_HUNDREDS, *lexicon.EN_DIGIT_PAIRS)
+    return keys | {key for spelling in spellings for key in spelling} | {*lexicon.EN_SCALES}
 
 
 def english_word_keys():
