@@ -15,6 +15,7 @@ from .lexicon import (
     AND_KEYS,
     CLOCK_STYLES,
     DE_MAGNITUDE_WORDS,
+    DE_NUMBER_STARTS,
     DE_THOUSAND,
     EN_DIGIT_PAIRS,
     EN_GROUPS,
@@ -468,19 +469,23 @@ def parse_currency_phrase(tokens: Tokens, cardinals: list[ParsedExpression],
 # --- sentence scan -----------------------------------------------------------
 
 
-def _can_start(key: str, language: str) -> bool:
-    """Whether any parser can match from a token with lookup key ``key``.
+def _starts(keys: list[str], language: str) -> list[int]:
+    """The indices of the keys any parser can match from.
 
     Every parser reads its first token through ``_key`` and goes on only
     from a key that starts with a digit (the digit patterns are anchored on
     ``\\d``, a subset of ``str.isdigit``), a clock idiom's first word or a
-    number word. The counted clock forms start from a cardinal.
+    number word. The counted clock forms start from a cardinal. A German
+    key that starts with no numeral word is turned away before
+    ``de_compound`` is called.
     """
-    if key[0].isdigit():
-        return True
     if language == "de":
-        return key in _IDIOMS["de"] or de_compound(key) is not None
-    return key in _EN_START_WORDS
+        idioms = _IDIOMS["de"]
+        return [i for i, key in enumerate(keys)
+                if key[0].isdigit() or key in idioms
+                or key.startswith(DE_NUMBER_STARTS) and de_compound(key) is not None]
+    words = _EN_START_WORDS
+    return [i for i, key in enumerate(keys) if key in words or key[0].isdigit()]
 
 
 def scan_tokens(tokens: Tokens, locale: Locale) -> list[ParsedExpression]:
@@ -490,16 +495,13 @@ def scan_tokens(tokens: Tokens, locale: Locale) -> list[ParsedExpression]:
     clock, then currency readings), and ``classify.choose`` picks one. The
     cardinal readings of a position are parsed once and shared: a currency
     phrase starts with one, and the "M past H" clock forms count minutes
-    with one. Positions no parser can start from are skipped without parsing.
+    with one. Only the positions ``_starts`` lists are parsed.
     """
     out: list[ParsedExpression] = []
     language = locale.language
-    keys = tokens.keys
-    i = 0
-    n = len(keys)
-    while i < n:
-        if not _can_start(keys[i], language):
-            i += 1
+    end = 0
+    for i in _starts(tokens.keys, language):
+        if i < end:
             continue
         cardinal = parse_cardinal(tokens, i, locale)
         readings = parse_clock_phrase(tokens, i, locale, cardinal) or []
@@ -512,7 +514,5 @@ def scan_tokens(tokens: Tokens, locale: Locale) -> list[ParsedExpression]:
         best = choose(readings, tokens, language)
         if best is not None:
             out.append(best)
-            i = best.span.end
-        else:
-            i += 1
+            end = best.span.end
     return out

@@ -79,7 +79,7 @@ DE_MAGNITUDE_WORDS = {fold_german(form): value
 # Every folded key ``de_compound`` accepts starts with one of these: each
 # key of ``DE_GROUPS`` starts with a unit, teen or tens word or with
 # "hundert", and a compound may start with "tausend".
-_DE_NUMBER_STARTS = (*_DE_UNITS, *_DE_TEENS, *_DE_TENS, _DE_HUNDRED, DE_THOUSAND)
+DE_NUMBER_STARTS = (*_DE_UNITS, *_DE_TEENS, *_DE_TENS, _DE_HUNDRED, DE_THOUSAND)
 
 
 def en_two_digit_words(n: int) -> str:
@@ -226,7 +226,7 @@ def de_compound(text: str) -> Optional[int]:
     The part before "tausend" (one if empty) and the part after it, less a
     leading "und", are each a key of ``DE_GROUPS``.
     """
-    if not text.startswith(_DE_NUMBER_STARTS):
+    if not text.startswith(DE_NUMBER_STARTS):
         return None
     head, found, rest = text.partition(DE_THOUSAND)
     if not found:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .classify import classify
@@ -34,16 +35,18 @@ def _char_range(tokens: Tokens, span: Span) -> tuple[int, int]:
     return tokens.spans[span.start][0], tokens.spans[span.end - 1][1]
 
 
-def normalize_sentence(sentence: str, locale: Locale,
-                       currencies: dict[str, CurrencyUnit] = DEFAULT_CURRENCIES
-                       ) -> NormalizationOutcome:
+def _rewrites(sentence: str, locale: Locale, currencies: dict[str, CurrencyUnit]
+              ) -> Iterator[tuple[int, int, ParsedExpression, str]]:
+    """(start, end, expression, formatted) for each replacement, left to right.
+
+    ``start`` and ``end`` are character offsets into ``sentence``.
+    """
     tokens = tokenize(sentence)
+    readings = scan_tokens(tokens, locale)
+    if not readings:
+        return
     literals = extract_numeric_literals(sentence, locale, currencies)
-    parts: list[str] = []
-    produced: list[NormalizedExpression] = []
-    cursor = 0
-    out_len = 0
-    for reading in scan_tokens(tokens, locale):
+    for reading in readings:
         start, end = _char_range(tokens, reading.span)
         # Already-formatted literals stay untouched; a reading only
         # proceeds when it covers more text than the digit match itself
@@ -52,7 +55,18 @@ def normalize_sentence(sentence: str, locale: Locale,
             continue
         expr = classify(reading, tokens, locale)
         start, end = _char_range(tokens, expr.span)
-        formatted = format_expression(expr, locale, currencies)
+        yield start, end, expr, format_expression(expr, locale, currencies)
+
+
+def normalize_sentence(sentence: str, locale: Locale,
+                       currencies: dict[str, CurrencyUnit] = DEFAULT_CURRENCIES
+                       ) -> NormalizationOutcome:
+    """``normalize_text`` with a record of each replacement, in both texts' offsets."""
+    parts: list[str] = []
+    produced: list[NormalizedExpression] = []
+    cursor = 0
+    out_len = 0
+    for start, end, expr, formatted in _rewrites(sentence, locale, currencies):
         parts.append(sentence[cursor:start])
         out_len += start - cursor
         parts.append(formatted)
@@ -71,4 +85,10 @@ def normalize_sentence(sentence: str, locale: Locale,
 
 def normalize_text(sentence: str, locale: Locale,
                    currencies: dict[str, CurrencyUnit] = DEFAULT_CURRENCIES) -> str:
-    return normalize_sentence(sentence, locale, currencies).text
+    parts: list[str] = []
+    cursor = 0
+    for start, end, _, formatted in _rewrites(sentence, locale, currencies):
+        parts += sentence[cursor:start], formatted
+        cursor = end
+    parts.append(sentence[cursor:])
+    return "".join(parts)

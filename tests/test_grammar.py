@@ -468,6 +468,92 @@ def test_scan_gate_skips_only_positions_no_parser_starts(locale, words):
     assert scan_tokens(tokens, locale) == ungated_scan(tokens, locale)
 
 
+# --- the start list ------------------------------------------------------------
+# The parsers are the oracle: wherever one of them reads something, the start
+# list ``scan_tokens`` visits must hold that index.
+
+
+def parser_reads_at(tokens, i, locale):
+    cardinal = parse_cardinal(tokens, i, locale)
+    return (cardinal is not None
+            or parse_clock_phrase(tokens, i, locale, cardinal) is not None
+            or locale.language == "en" and _en_pair_reading(tokens, i) is not None)
+
+
+def missed_starts(text, locale):
+    """The token indices of ``text`` a parser reads from and the start list leaves out."""
+    tokens = tokenize(text)
+    starts = set(grammar._starts(tokens.keys, locale.language))
+    return [i for i in range(len(tokens))
+            if i not in starts and parser_reads_at(tokens, i, locale)]
+
+
+def _idiom_windows(language, hour):
+    """Each clock idiom that opens a phrase, said before ``hour``."""
+    return [" ".join(keys + [hour])
+            for entries in grammar._IDIOMS[language].values() for keys, _ in entries]
+
+
+# Second tokens that complete a reading: clock nouns, am/pm, scales, the
+# decimal point, a digit word, minute nouns, counted idiom words and units.
+_EN_FOLLOWERS = ["o'clock", "pm", "p.m.", "hundred", "thousand", "million", "point",
+                 "five", "forty-five", "oh", "minutes", "past", "to", "dollars", "cents"]
+_DE_FOLLOWERS = ["uhr", "komma", "millionen", "fuenf", "minuten", "nach", "vor", "euro"]
+_GATE_DIGITS = ["7", "12", "23", "0", "2024", "4:30", "15.45", "15:45", "7pm", "4:30pm",
+                "7am", "٣"]
+
+
+def _en_window_keys():
+    return sorted({*lexicon.EN_NUMBER_WORDS, *(keys[0] for keys in lexicon.EN_GROUPS),
+                   *(keys[0] for keys in lexicon.EN_PAIR_HUNDREDS),
+                   *grammar._IDIOMS["en"], *lexicon.EN_SCALES, "hundred", "oh"})
+
+
+def _de_window_keys():
+    return sorted({*lexicon.DE_GROUPS, *grammar._IDIOMS["de"], "tausend"})
+
+
+def _de_thousands():
+    """"tausend" compounds around every group: too many to pair with followers too."""
+    groups = sorted(lexicon.DE_GROUPS)
+    return [*(f"{head}tausend{tail}" for head in ("", *groups) for tail in ("", "und", "eins")),
+            *(f"zweitausend{tail}" for tail in groups)]
+
+
+@pytest.mark.parametrize("locale", [EN, DE], ids=["en", "de"])
+def test_start_list_admits_every_lexicon_key_a_parser_reads(locale):
+    if locale.language == "en":
+        keys, alone, followers, hour = _en_window_keys(), [], _EN_FOLLOWERS, "seven"
+    else:
+        keys, alone, followers, hour = _de_window_keys(), _de_thousands(), _DE_FOLLOWERS, "acht"
+    windows = [*keys, *alone, *_GATE_DIGITS, *_idiom_windows(locale.language, hour)]
+    windows += [f"{key} {follower}" for key in (*keys, *_GATE_DIGITS) for follower in followers]
+    read = 0
+    for text in windows:
+        assert missed_starts(text, locale) == [], text
+        read += parser_reads_at(tokenize(text), 0, locale)
+    # The oracle is not vacuous: most windows start a reading, idioms included.
+    assert read > len(windows) // 2
+    assert all(parser_reads_at(tokenize(text), 0, locale)
+               for text in _idiom_windows(locale.language, hour))
+
+
+_FOLD_FRAGMENTS = [*lexicon.DE_NUMBER_STARTS, "und", "s", "n", "e", "er", "mal", "x"]
+_FOLDED_WORD = st.one_of(
+    st.text(alphabet="abcdefghijklmnopqrstuvwxyzäöüß0123456789:.'-", min_size=1, max_size=12),
+    st.lists(st.sampled_from(_FOLD_FRAGMENTS), min_size=1, max_size=4).map("".join),
+    st.sampled_from(_en_window_keys() + _EN_FOLLOWERS + _DE_FOLLOWERS + _GATE_DIGITS),
+).map(fold_german)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(words=st.lists(_FOLDED_WORD, min_size=1, max_size=6))
+def test_start_list_admits_every_folded_word_a_parser_reads(words):
+    text = " ".join(words)
+    assert missed_starts(text, EN) == []
+    assert missed_starts(text, DE) == []
+
+
 @settings(max_examples=300)
 @given(st.integers(min_value=0, max_value=99_999_999),
        st.sampled_from(["en", "de"]))

@@ -36,7 +36,7 @@ def grammar_keys(language):
             *MINOR_UNIT_WORDS, *YEAR_CUES[language], *UNIT_STOPWORDS[language]}
     if language == "de":
         return keys | {*lexicon.DE_GROUPS, *lexicon.DE_MAGNITUDE_WORDS,
-                       *lexicon._DE_NUMBER_STARTS}
+                       *lexicon.DE_NUMBER_STARTS}
     spellings = (*lexicon.EN_GROUPS, *lexicon.EN_PAIR_HUNDREDS, *lexicon.EN_DIGIT_PAIRS)
     return keys | {key for spelling in spellings for key in spelling} | {*lexicon.EN_SCALES}
 

@@ -1,9 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from numitn.locales import DEFAULT_CONFIG, load_locale_config
 from numitn.pipeline import normalize_sentence, normalize_text
 from numitn.types import ExpressionType
+from test_lookup_keys import _grid
 
 EN = DEFAULT_CONFIG.locale("en")
 DE = DEFAULT_CONFIG.locale("de")
@@ -153,11 +156,52 @@ def test_normalize_lines_streams_in_order():
     assert [bool(o.replacements) for o in outs] == [True, False, True]
 
 
+# --- normalize_text and normalize_sentence join their lines apart ----------------
+
+
+def _both(text, locale):
+    """``normalize_text`` and ``normalize_sentence(...).text``, or the error each raised."""
+    out = []
+    for normalize in (normalize_text, lambda t, loc: normalize_sentence(t, loc).text):
+        try:
+            out.append(normalize(text, locale))
+        except ValueError as err:
+            out.append(f"ValueError: {err}")
+    return out
+
+
+# Readings inside or around a digit literal, lines with no number, and "".
+EDGE_LINES = {
+    "en": ["at 4:30 pm", "at 4:30", "It is 19:45 already.", "$5 or five dollars",
+           "From 19:45 until quarter to nine.", "We shipped 2,000 pieces.",
+           "No numbers in sight.", "to be or not", "", "   "],
+    "de": ["um 15.45 Uhr", "Es ist 15:45 Uhr.", "fünf Euro oder 5€",
+           "Die Rechnung lautet auf 1.000,50€.", "ein paar Leute", "Zweifel und achten",
+           "", "   "],
+}
+
+
+def test_text_is_the_sentence_outcome_text():
+    # The grid of the normalize pin in test_lookup_keys, drawn from its seed.
+    rng = random.Random(20240917)
+    for code in ("en", "de"):
+        locale = DEFAULT_CONFIG.locale(code)
+        lines = [*EDGE_LINES[code], *_grid(code, rng, 600)]
+        changed = 0
+        for line in lines:
+            text, sentence = _both(line, locale)
+            assert text == sentence, line
+            changed += text != line
+        assert 200 < changed < len(lines)
+    assert _both("um 15.45 Uhr", DE) == ["um 15:45", "um 15:45"]
+    assert _both("$5 or five dollars", EN) == ["$5 or $5", "$5 or $5"]
+
+
 @settings(max_examples=200)
 @given(st.text(alphabet=st.characters(codec="ascii"), max_size=80))
 def test_normalization_never_crashes(text):
-    normalize_text(text, EN)
-    normalize_text(text, DE)
+    for locale in (EN, DE):
+        assert normalize_text(text, locale) == normalize_sentence(text, locale).text
 
 
 @settings(max_examples=150)
