@@ -6,6 +6,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
+from typing import Optional
 
 from .formatting import YEAR_MAX, YEAR_MIN
 from .lexicon import DE_MAGNITUDE_NAMES, EN_MAGNITUDE_WORDS
@@ -39,10 +40,14 @@ _WORD_START = r"(?<!\w\d)"
 
 
 def _number_pattern(separator: str, decimal_mark: str, edge: str) -> str:
-    """A grouped or plain number, with ``edge`` written after its first digit."""
+    """A grouped or plain number, with ``edge`` written after its first digit.
+
+    Group ``int`` holds the integer part after its first digit, so it also
+    marks where the number starts, and ``frac`` the fraction digits.
+    """
     sep = re.escape(separator)
     mark = re.escape(decimal_mark)
-    return rf"\d{edge}(?:\d{{0,2}}(?:{sep}\d{{3}})+|\d*)(?:{mark}\d+)?"
+    return rf"\d{edge}(?P<int>\d{{0,2}}(?:{sep}\d{{3}})+|\d*)(?:{mark}(?P<frac>\d+))?"
 
 
 def _magnitude_pattern(language: str) -> str:
@@ -52,7 +57,7 @@ def _magnitude_pattern(language: str) -> str:
         words = EN_MAGNITUDE_WORDS
     # Longest first, so "Millionen" is tried before "Million".
     alternation = "|".join(re.escape(w) for w in sorted(words, key=len, reverse=True))
-    return rf"(?:\s(?i:{alternation}))?"
+    return rf"(?:\s(?i:(?P<mag>{alternation})))?"
 
 
 # An hour of 0-23 then ":MM"; the branches after the first digit read it.
@@ -76,42 +81,71 @@ def _build_patterns(language: str, separator: str, decimal_mark: str, placement:
     escaped = sorted((re.escape(s) for s in symbols if s), key=len, reverse=True)
     if escaped:
         # An alternation, not a character class, so "US$" matches whole
-        # and its letters do not match on their own.
-        symbol = "(?:" + "|".join(escaped) + ")"
+        # and its letters do not match on their own. A prefix symbol ends
+        # where group ``int`` starts, less the first digit.
+        symbol = "|".join(escaped)
         if placement == "prefix":
-            money = rf"{symbol}{number}{magnitude}\b"
+            money = rf"(?:{symbol}){number}{magnitude}\b"
         else:
-            money = rf"{word_number}{magnitude}{symbol}"
+            money = rf"{word_number}{magnitude}(?P<sym>{symbol})"
         patterns.append((ExpressionType.CURRENCY, re.compile(money)))
     patterns.append((ExpressionType.TIMESTAMP, _TIMESTAMP_RE))
     patterns.append((ExpressionType.QUANTITY, re.compile(rf"{word_number}{magnitude}\b")))
     return tuple((_PRIORITY[t], t, pattern) for t, pattern in patterns)
 
 
+def _locale_patterns(locale: Locale, currencies: dict[str, CurrencyUnit]
+                     ) -> tuple[tuple[int, ExpressionType, re.Pattern[str]], ...]:
+    return _build_patterns(locale.language, locale.thousands_separator,
+                           locale.decimal_mark, locale.currency_placement,
+                           tuple([u.symbol for u in currencies.values()]))
+
+
+def scan_literals(text: str, locale: Locale,
+                  currencies: dict[str, CurrencyUnit]
+                  ) -> list[tuple[ExpressionType, re.Match[str]]]:
+    """(type, match) of every formatted literal, left to right, non-overlapping.
+
+    A match's named groups are the parts of its literal: ``int`` and
+    ``frac`` of the number, ``mag`` the magnitude word and ``sym`` a
+    suffix currency symbol.
+    """
+    if not _DIGIT_RE.search(text):
+        return []
+    raw: list[tuple[int, int, int, ExpressionType, re.Match[str]]] = []
+    for priority, expr_type, pattern in _locale_patterns(locale, currencies):
+        for m in pattern.finditer(text):
+            raw.append((m.start(), priority, -m.end(), expr_type, m))
+    raw.sort(key=_SORT_KEY)
+    kept: list[tuple[ExpressionType, re.Match[str]]] = []
+    last_end = -1
+    for start, _, neg_end, expr_type, m in raw:
+        end = -neg_end
+        if start < last_end:
+            continue
+        if expr_type is ExpressionType.QUANTITY and _YEAR_GUESS_RE.match(surface := m.group()) \
+                and YEAR_MIN <= int(surface) <= YEAR_MAX:
+            expr_type = ExpressionType.YEAR
+        kept.append((expr_type, m))
+        last_end = end
+    return kept
+
+
+def match_literal(text: str, expr_type: ExpressionType, locale: Locale,
+                  currencies: dict[str, CurrencyUnit]
+                  ) -> Optional[re.Match[str]]:
+    """``text`` matched whole as a literal of ``expr_type`` (a year as a quantity)."""
+    if expr_type is ExpressionType.YEAR:
+        expr_type = ExpressionType.QUANTITY
+    for _, pattern_type, pattern in _locale_patterns(locale, currencies):
+        if pattern_type is expr_type:
+            return pattern.fullmatch(text)
+    return None
+
+
 def extract_numeric_literals(text: str, locale: Locale,
                              currencies: dict[str, CurrencyUnit] = DEFAULT_CURRENCIES
                              ) -> list[LiteralMatch]:
     """All formatted numeric literals, left to right, non-overlapping."""
-    if not _DIGIT_RE.search(text):
-        return []
-    patterns = _build_patterns(locale.language, locale.thousands_separator,
-                               locale.decimal_mark, locale.currency_placement,
-                               tuple([u.symbol for u in currencies.values()]))
-    raw: list[tuple[int, int, int, ExpressionType, str]] = []
-    for priority, expr_type, pattern in patterns:
-        for m in pattern.finditer(text):
-            raw.append((m.start(), priority, -m.end(), expr_type, m.group()))
-    raw.sort(key=_SORT_KEY)
-    kept: list[LiteralMatch] = []
-    last_end = -1
-    for start, _, neg_end, expr_type, surface in raw:
-        end = -neg_end
-        if start < last_end:
-            continue
-        if expr_type == ExpressionType.QUANTITY and _YEAR_GUESS_RE.match(surface) \
-                and YEAR_MIN <= int(surface) <= YEAR_MAX:
-            expr_type = ExpressionType.YEAR
-        kept.append(LiteralMatch(Span(start, end), surface, expr_type))
-        last_end = end
-    return kept
-
+    return [LiteralMatch(Span(m.start(), m.end()), m.group(), expr_type)
+            for expr_type, m in scan_literals(text, locale, currencies)]

@@ -10,7 +10,7 @@ import random
 import re
 from typing import Optional
 
-from .extract import extract_numeric_literals
+from .extract import match_literal, scan_literals
 from .lexicon import (
     AND_WORDS,
     CLOCK_STYLES,
@@ -258,62 +258,67 @@ def verbalize_line(line: str, locale: Locale,
                    rng: Optional[random.Random] = None,
                    currencies: dict[str, CurrencyUnit] = DEFAULT_CURRENCIES) -> str:
     """Replace every formatted literal in a line with number words."""
-    out = line
-    for lit in reversed(extract_numeric_literals(line, locale, currencies)):
-        expr = parse_literal(lit.text, lit.guessed_type, locale, currencies)
-        words = verbalize_value(expr, locale, rng=rng)
-        out = out[: lit.span.start] + words + out[lit.span.end:]
-    return out
+    literals = scan_literals(line, locale, currencies)
+    if not literals:
+        return line
+    # Right to left, the order in which the literals draw from ``rng``.
+    parts = []
+    end = len(line)
+    for expr_type, m in reversed(literals):
+        expr = _read_literal(expr_type, m, locale, currencies)
+        parts += line[m.end():end], verbalize_value(expr, locale, rng=rng)
+        end = m.start()
+    parts.append(line[:end])
+    parts.reverse()
+    return "".join(parts)
 
 
 # --- formatted-literal parsing (CLI inverse) ----------------------------------
 
-_TRAILING_WORD_RE = re.compile(r"\s(\S+)$")
+# A literal read back is no span of a parse.
+_NO_SPAN = Span(0, 1)
 
 
 def parse_literal(text: str, expr_type: ExpressionType, locale: Locale,
                   currencies: dict[str, CurrencyUnit] = DEFAULT_CURRENCIES) -> ParsedExpression:
-    """Read an already-formatted literal back into an expression."""
-    span = Span(0, 1)
-    if expr_type == ExpressionType.YEAR:
-        return ParsedExpression(span, expr_type, NumericValue(int(text)))
-    if expr_type == ExpressionType.TIMESTAMP:
-        hour, _, minute = text.partition(":")
-        return ParsedExpression(span, expr_type, TimeOfDay(int(hour), int(minute)))
+    """Read an already-formatted literal back into an expression.
 
-    body = text
-    currency_code = None
-    found = [(code, unit.symbol) for code, unit in currencies.items()
-             if unit.symbol and unit.symbol in text]
-    if found:
-        # The longest symbol, as the extractor matches them: "US$" before
-        # "$"; on a tie, the first in registry order.
-        currency_code, symbol = max(found, key=lambda item: len(item[1]))
-        body = text.replace(symbol, "").strip()
-    magnitude = None
-    m = _TRAILING_WORD_RE.search(body)
-    if m and not any(map(str.isdigit, m.group(1))):
-        magnitude = m.group(1)
-        body = body[: m.start()]
-    value = _parse_number(body, locale)
-
-    if expr_type == ExpressionType.CURRENCY:
-        code = currency_code or "USD"
-        if magnitude or value.scale == 0:
-            return ParsedExpression(span, expr_type, MoneyAmount(value, None, code), magnitude)
-        # Split as format_currency joins: the fraction counts minor units.
-        digits = currencies[code].minor_unit_digits
-        if value.scale > digits:
-            raise ValueError(f"{text!r} has more than {digits} fraction digits for {code}")
-        major, minor = divmod(value.mantissa * 10**(digits - value.scale), 10**digits)
-        return ParsedExpression(span, expr_type,
-                                MoneyAmount(NumericValue(major), NumericValue(minor), code))
-    return ParsedExpression(span, expr_type, value, magnitude)
+    ``text`` must match whole the extractor's pattern for ``expr_type``.
+    """
+    m = match_literal(text, expr_type, locale, currencies)
+    if m is None:
+        raise ValueError(f"{text!r} is not a {expr_type.value} literal")
+    return _read_literal(expr_type, m, locale, currencies)
 
 
-def _parse_number(body: str, locale: Locale) -> NumericValue:
-    body = body.strip().replace(locale.thousands_separator, "")
-    int_part, _, frac_part = body.partition(locale.decimal_mark)
-    if frac_part:
-        return NumericValue(int(int_part + frac_part), len(frac_part))
-    return NumericValue(int(int_part))
+def _read_literal(expr_type: ExpressionType, m: re.Match[str], locale: Locale,
+                  currencies: dict[str, CurrencyUnit]) -> ParsedExpression:
+    """The expression an extractor match spells, read from the match's groups."""
+    if expr_type is ExpressionType.YEAR:
+        return ParsedExpression(_NO_SPAN, expr_type, NumericValue(int(m.group())))
+    if expr_type is ExpressionType.TIMESTAMP:
+        text = m.group()
+        return ParsedExpression(_NO_SPAN, expr_type, TimeOfDay(int(text[:-3]), int(text[-2:])))
+    line = m.string
+    # The first digit comes just before group "int".
+    number_start = m.start("int") - 1
+    integer = line[number_start:m.end("int")].replace(locale.thousands_separator, "")
+    frac = m["frac"]
+    value = NumericValue(int(integer + frac), len(frac)) if frac else NumericValue(int(integer))
+    magnitude = m["mag"]
+    if expr_type is not ExpressionType.CURRENCY:
+        return ParsedExpression(_NO_SPAN, expr_type, value, magnitude)
+
+    symbol = line[m.start():number_start] if locale.currency_placement == "prefix" \
+        else m["sym"]
+    # On a symbol shared by several codes, the first in registry order.
+    code, unit = next(item for item in currencies.items() if item[1].symbol == symbol)
+    if magnitude or not frac:
+        return ParsedExpression(_NO_SPAN, expr_type, MoneyAmount(value, None, code), magnitude)
+    # Split as format_currency joins: the fraction counts minor units.
+    digits = unit.minor_unit_digits
+    if value.scale > digits:
+        raise ValueError(f"{m.group()!r} has more than {digits} fraction digits for {code}")
+    major, minor = divmod(value.mantissa * 10**(digits - value.scale), 10**digits)
+    return ParsedExpression(_NO_SPAN, expr_type,
+                            MoneyAmount(NumericValue(major), NumericValue(minor), code))

@@ -133,6 +133,22 @@ class TestVerbalize:
         assert a == b
         assert "19:45" not in a
 
+    @pytest.mark.parametrize("locale,line,words", [
+        ("de", "Es kostet 5 Millionen€.", "Es kostet fünf Millionen Euro."),
+        ("de", "Es sind 5 Millionen.", "Es sind fünf Millionen."),
+        ("en", "It cost $5 Million.", "It cost five Million dollars."),
+        ("en", "They are 5 Million strong.", "They are five Million strong."),
+    ])
+    def test_config_symbol_inside_a_magnitude_word(self, tmp_path, capsys, locale, line, words):
+        # "Mi" is the currency symbol the literal's pattern did not match.
+        config = tmp_path / "cfg.json"
+        config.write_text('{"currencies": {"XMI": {"symbol": "Mi"}}}', encoding="utf-8")
+        src = tmp_path / "in.txt"
+        src.write_text(line + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "verbalize", "--locale", locale,
+                             "--config", str(config), str(src))
+        assert (code, out, err) == (0, words + "\n", "")
+
 
 class TestExtract:
     def test_tsv_lines(self, tmp_path, capsys):

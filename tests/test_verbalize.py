@@ -1,10 +1,13 @@
 import random
+import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from numitn.classify import choose, resolve_time
+from numitn.extract import extract_numeric_literals, scan_literals
 from numitn.grammar import parse_cardinal, parse_clock_phrase
+from numitn.lexicon import DE_MAGNITUDE_NAMES, EN_MAGNITUDE_WORDS
 from numitn.locales import DEFAULT_CONFIG, DEFAULT_CURRENCIES, CurrencyUnit
 from numitn.pipeline import normalize_sentence
 from numitn.tokenizer import tokenize
@@ -25,7 +28,10 @@ from numitn.verbalize import (
     verbalize_value,
     verbalize_year,
     year_styles,
+    _read_literal,
 )
+
+from test_extract import _REGISTRIES
 
 EN = DEFAULT_CONFIG.locale("en")
 DE = DEFAULT_CONFIG.locale("de")
@@ -259,6 +265,18 @@ class TestLineRewrites:
         assert verbalize_line("It cost US$9 and S5 here", EN, currencies=registry) \
             == "It cost nine dollars and S5 here"
 
+    @pytest.mark.parametrize("line,locale,words", [
+        ("Es kostet 5 Millionen€.", DE, "Es kostet fünf Millionen Euro."),
+        ("Es sind 5 Millionen.", DE, "Es sind fünf Millionen."),
+        ("It cost $5 Million.", EN, "It cost five Million dollars."),
+        ("They are 5 Million strong.", EN, "They are five Million strong."),
+    ])
+    def test_symbol_inside_a_magnitude_word(self, line, locale, words):
+        # The symbol is the one the literal's pattern matched, not any
+        # registry symbol the literal happens to contain.
+        registry = {**DEFAULT_CURRENCIES, "XMI": CurrencyUnit("XMI", "Mi")}
+        assert verbalize_line(line, locale, currencies=registry) == words
+
     def test_rng_is_deterministic(self):
         line = "See you at 19:45."
         a = verbalize_line(line, EN, rng=random.Random(3))
@@ -342,3 +360,112 @@ class TestParseLiteral:
     def test_quantity_plain(self):
         parsed = parse_literal("2,000", ExpressionType.QUANTITY, EN)
         assert parsed.value == NumericValue(2000)
+
+
+# --- the reader against the literal parser it replaced -------------------------
+
+_REF_TRAILING_WORD_RE = re.compile(r"\s(\S+)$")
+
+
+def _reference_symbol(text, currencies):
+    """(code, symbol) of the longest registry symbol anywhere in ``text``, or None."""
+    found = [(code, unit.symbol) for code, unit in currencies.items()
+             if unit.symbol and unit.symbol in text]
+    # On a tie, the first in registry order.
+    return max(found, key=lambda item: len(item[1])) if found else None
+
+
+def _reference_number(body, locale):
+    body = body.strip().replace(locale.thousands_separator, "")
+    int_part, _, frac_part = body.partition(locale.decimal_mark)
+    if frac_part:
+        return NumericValue(int(int_part + frac_part), len(frac_part))
+    return NumericValue(int(int_part))
+
+
+def reference_parse_literal(text, expr_type, locale, currencies=DEFAULT_CURRENCIES):
+    """The literal parser ``verbalize_line`` used before it read the extractor's
+    groups: it parses the literal's text again, whatever pattern matched it."""
+    span = Span(0, 1)
+    if expr_type == ExpressionType.YEAR:
+        return ParsedExpression(span, expr_type, NumericValue(int(text)))
+    if expr_type == ExpressionType.TIMESTAMP:
+        hour, _, minute = text.partition(":")
+        return ParsedExpression(span, expr_type, TimeOfDay(int(hour), int(minute)))
+    body = text
+    currency_code = None
+    picked = _reference_symbol(text, currencies)
+    if picked:
+        currency_code, symbol = picked
+        body = text.replace(symbol, "").strip()
+    magnitude = None
+    m = _REF_TRAILING_WORD_RE.search(body)
+    if m and not any(map(str.isdigit, m.group(1))):
+        magnitude = m.group(1)
+        body = body[: m.start()]
+    value = _reference_number(body, locale)
+    if expr_type == ExpressionType.CURRENCY:
+        code = currency_code or "USD"
+        if magnitude or value.scale == 0:
+            return ParsedExpression(span, expr_type, MoneyAmount(value, None, code), magnitude)
+        digits = currencies[code].minor_unit_digits
+        if value.scale > digits:
+            raise ValueError(f"{text!r} has more than {digits} fraction digits for {code}")
+        major, minor = divmod(value.mantissa * 10**(digits - value.scale), 10**digits)
+        return ParsedExpression(span, expr_type,
+                                MoneyAmount(NumericValue(major), NumericValue(minor), code))
+    return ParsedExpression(span, expr_type, value, magnitude)
+
+
+def _outcome(read):
+    try:
+        return read()
+    except ValueError as error:
+        return f"ValueError: {error}"
+
+
+def _matched_symbol(text, expr_type, locale, currencies):
+    """The registry symbol a currency literal starts (prefix) or ends (suffix) with."""
+    if expr_type is not ExpressionType.CURRENCY:
+        return None
+    edge = str.startswith if locale.currency_placement == "prefix" else str.endswith
+    return max((u.symbol for u in currencies.values() if u.symbol and edge(text, u.symbol)),
+               key=len)
+
+
+_MAGNITUDE_WORDS = [*EN_MAGNITUDE_WORDS, *(form for _, *forms in DE_MAGNITUDE_NAMES
+                                             for form in forms)]
+_PIECES = ["0", "1", "5", "9", "19", "45", "2024", "1234567", "٣", ",", ".", ":", " ",
+           "$", "€", "£", "US$", "A$", "BD", "Mi", "a", "million", "Million", "billion",
+           "Millionen", "Milliarde", "Milliarden"]
+_READER_REGISTRIES = _REGISTRIES + [
+    {**DEFAULT_CURRENCIES, "BHD": CurrencyUnit("BHD", "BD", 3),
+     "XMI": CurrencyUnit("XMI", "Mi"), "XEU": CurrencyUnit("XEU", "€")}]
+
+
+@settings(max_examples=1000)
+@given(text=st.lists(st.sampled_from(_PIECES), max_size=10).map("".join),
+       locale=st.sampled_from([EN, DE]), currencies=st.sampled_from(_READER_REGISTRIES))
+@example(text="It cost $5 Million.", locale=EN, currencies=_READER_REGISTRIES[-1])
+@example(text="BD1.5055 and BD1.5", locale=EN, currencies=_READER_REGISTRIES[-1])
+@example(text="1.000,505€ 19:45", locale=DE, currencies=DEFAULT_CURRENCIES)
+@example(text="A$1,000.5 million", locale=EN, currencies=_REGISTRIES[1])
+@example(text="12345678901234567", locale=EN, currencies=DEFAULT_CURRENCIES)
+@example(text="$1.1234567", locale=EN, currencies=DEFAULT_CURRENCIES)
+@example(text="0:00, 7:05, 23:59 and ٣:٣٠", locale=DE, currencies=DEFAULT_CURRENCIES)
+def test_reader_matches_the_reference_parser(text, locale, currencies):
+    for literal, (expr_type, m) in zip(extract_numeric_literals(text, locale, currencies),
+                                       scan_literals(text, locale, currencies), strict=True):
+        assert (literal.text, literal.guessed_type) == (m.group(), expr_type)
+        expected = _outcome(lambda: reference_parse_literal(literal.text, expr_type,
+                                                            locale, currencies))
+        picked = _reference_symbol(literal.text, currencies)
+        matched = _matched_symbol(literal.text, expr_type, locale, currencies)
+        if picked and (picked[1] != matched or literal.text.count(matched) > 1):
+            # The reference read a symbol inside the magnitude word: one the
+            # pattern did not match, or the matched one a second time.
+            assert any(picked[1] in word for word in _MAGNITUDE_WORDS)
+            continue
+        assert _outcome(lambda: _read_literal(expr_type, m, locale, currencies)) == expected
+        assert _outcome(lambda: parse_literal(literal.text, expr_type, locale,
+                                              currencies)) == expected
