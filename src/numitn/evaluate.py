@@ -72,16 +72,30 @@ def _round1(value: Decimal) -> Decimal:
 
 
 def literal_present(hypothesis: str, surface: str) -> bool:
-    """Substring match with non-alphanumeric neighbours on both sides."""
+    """Whether ``surface`` stands whole in ``hypothesis``.
+
+    A match fails when a neighbour continues it: a letter or digit, or a
+    ``.``, ``,`` or ``:`` with a digit on its far side, so "1,000" is not
+    in "$1,000,000" nor "5" in "5.5". Sentence punctuation after the
+    literal still ends it, as in "in 1945." and "In 1945, the war".
+    """
     at = hypothesis.find(surface)
     while at != -1:
-        before_ok = at == 0 or not hypothesis[at - 1].isalnum()
         end = at + len(surface)
-        after_ok = end == len(hypothesis) or not hypothesis[end].isalnum()
-        if before_ok and after_ok:
+        if not (_continues(hypothesis, at - 1, -1) or _continues(hypothesis, end, 1)):
             return True
         at = hypothesis.find(surface, at + 1)
     return False
+
+
+def _continues(text: str, i: int, step: int) -> bool:
+    """Whether ``text[i]``, beside a match, joins it to a longer word or number."""
+    if not 0 <= i < len(text):
+        return False
+    if text[i].isalnum():
+        return True
+    far = i + step
+    return text[i] in ".,:" and 0 <= far < len(text) and text[far].isdigit()
 
 
 def evaluate(items: Iterable[EvalItem]) -> EvalReport:

@@ -29,6 +29,16 @@ class TestLiteralPresent:
         ("nothing here", "1945", False),
         # Later occurrence can satisfy the match when the first is embedded.
         ("x19:45 then 19:45.", "19:45", True),
+        # A ".", "," or ":" with a digit beyond it continues the number.
+        ("$1,000,000", "1,000", False),
+        ("5.5", "5", False),
+        ("19:45:30", "19:45", False),
+        ("1.000.000€", "1.000", False),
+        ("2.5 million", "2", False),
+        ("In 1945, the war", "1945", True),
+        ("in 1945.", "1945", True),
+        ("Meet at 19:45: bring the map", "19:45", True),
+        ("pay 5.5 or 5 now", "5", True),
     ])
     def test_table(self, hypothesis, surface, expected):
         assert literal_present(hypothesis, surface) is expected
@@ -52,6 +62,12 @@ class TestEvaluate:
         # insertion over 11 reference tokens total.
         assert report.wer_distance == 2
         assert report.wer_tokens == 11
+
+    def test_literal_inside_longer_number_is_missed(self):
+        items = [EvalItem("pay $1,000", "pay $1,000,000",
+                          (("1,000", ExpressionType.QUANTITY),))]
+        report = evaluate(items)
+        assert report.counts[ExpressionType.QUANTITY] == TypeCount(0, 1)
 
     def test_empty(self):
         report = evaluate([])

@@ -57,6 +57,12 @@ class TestConstruction:
         with pytest.raises(ManifestError):
             record(formatted="Value 19450 stands.", expressions=(("1945", "year"),))
 
+    def test_surface_inside_longer_number_rejected(self):
+        # "1,000" inside "$1,000,000" is part of the longer amount.
+        with pytest.raises(ManifestError, match="missing from"):
+            record(type="currency", formatted="It cost $1,000,000.",
+                   expressions=(("1,000", "quantity"),))
+
     def test_multiple_expressions(self):
         rec = record(
             formatted="Pay $50 at 19:45.",

@@ -105,6 +105,46 @@ class TestAgainstReference:
             assert edit_distance(tokens, partner) == expected
             assert edit_distance(partner, tokens) == expected
 
+    # ``edit_distance`` strips the tokens both sides share at their start
+    # and end before the bit-parallel core runs on what is left.
+    @pytest.mark.parametrize("alphabet_size", [1, 2, 3, 50])
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_shared_ends(self, alphabet_size, data):
+        tokens = st.sampled_from([f"w{k}" for k in range(alphabet_size)])
+        prefix = data.draw(st.lists(tokens, max_size=70))
+        suffix = data.draw(st.lists(tokens, max_size=70))
+        a = prefix + data.draw(st.lists(tokens, max_size=80)) + suffix
+        b = prefix + data.draw(st.lists(tokens, max_size=80)) + suffix
+        expected = reference_distance(a, b)
+        assert edit_distance(a, b) == expected
+        assert edit_distance(b, a) == expected
+
+    @pytest.mark.parametrize("length", BOUNDARY_LENGTHS)
+    @pytest.mark.parametrize("alphabet_size", [1, 3, 50])
+    def test_prefix_or_suffix_of_the_other(self, length, alphabet_size):
+        tokens = seeded_tokens(length, alphabet_size, seed=length)
+        half = length // 2
+        for partner in (tokens[:half], tokens[half:], tokens[:-1], tokens[1:]):
+            expected = reference_distance(tokens, partner)
+            assert edit_distance(tokens, partner) == expected
+            assert edit_distance(partner, tokens) == expected
+
+    @pytest.mark.parametrize("length", BOUNDARY_LENGTHS)
+    @pytest.mark.parametrize("alphabet_size", [1, 3, 50])
+    def test_middle_after_shared_ends(self, length, alphabet_size):
+        # Distinct markers end each middle, so the longer one left after
+        # the trim is exactly ``length`` tokens, on a digit boundary.
+        head = seeded_tokens(100, alphabet_size, seed=-length)
+        tail = seeded_tokens(37, alphabet_size, seed=-length - 1)
+        body = seeded_tokens(length, alphabet_size, seed=length)
+        middle = ["<", *body[1:-1], ">"][:length]
+        other = ["[", *perturbed(body, seed=length)[1:length - 1], "]"][:length]
+        a, b = head + middle + tail, head + other + tail
+        expected = reference_distance(a, b)
+        assert edit_distance(a, b) == expected
+        assert edit_distance(b, a) == expected
+
     @pytest.mark.parametrize("length", BOUNDARY_LENGTHS)
     def test_one_side_empty(self, length):
         tokens = seeded_tokens(length, 3, seed=length)
