@@ -1,10 +1,12 @@
 """Three-step corpus generation: sentences, audio, conversions.
 
-All client calls run in order on the calling thread, so a stateful mock
-stays reproducible. Audio is synthesized but not written anywhere. The
-offline text client answers the conversion step from the values it drew,
-so the normalizer does not run here; ``validate_record`` still filters
-every reply, as it must for a real LLM.
+Each sentence prompt is finished before the next is asked: its sentences
+are synthesized, its batch is converted and the replies are filtered into
+records. All client calls run in that order on the calling thread, so a
+stateful mock stays reproducible. Audio is synthesized but not written
+anywhere. The offline text client answers the conversion step from the
+values it drew, so the normalizer does not run here; ``validate_record``
+still filters every reply, as it must for a real LLM.
 """
 
 from __future__ import annotations
@@ -13,30 +15,21 @@ import random
 import re
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .extract import LiteralMatch, extract_numeric_literals
-from .formatting import YEAR_MAX, YEAR_MIN, format_expression, format_time, format_year
+from .formatting import YEAR_MAX, YEAR_MIN, format_expression, format_time
 from .grammar import scan_tokens
 from .lexicon import DE_MAGNITUDE_NAMES, EN_MAGNITUDE_WORDS
 from .locales import Locale
 from .manifest import ManifestError, ManifestRecord
 from .tokenizer import Tokens, tokenize
-from .types import (
-    ExpressionType,
-    MoneyAmount,
-    NumericValue,
-    ParsedExpression,
-    Span,
-    TimeOfDay,
-)
+from .types import NO_SPAN, ExpressionType, MoneyAmount, NumericValue, ParsedExpression, TimeOfDay
 from .verbalize import (
     applicable_time_styles,
     enumerate_timestamp_phrasings,
     time_words,
     verbalize_value,
-    verbalize_year,
-    year_styles,
 )
 
 PROMPT_NOUNS = {
@@ -54,17 +47,6 @@ DEFAULT_VOICES = ("alloy", "echo", "nova", "onyx")
 
 class GenerationError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class SentencePromptSpec:
-    n: int
-    expr_type: ExpressionType
-    locale: Locale
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("a prompt must request at least one sentence")
 
 
 @dataclass(frozen=True)
@@ -86,10 +68,11 @@ def _marker(locale: Locale) -> str:
     return "German " if locale.language == "de" else ""
 
 
-def build_sentence_prompt(spec: SentencePromptSpec) -> str:
-    noun = PROMPT_NOUNS[spec.expr_type]
-    return (f"Generate {spec.n} diverse {_marker(spec.locale)}sentences "
-            f"containing a {noun} written down using number words. "
+def build_sentence_prompt(n: int, expr_type: ExpressionType, locale: Locale) -> str:
+    if n < 1:
+        raise ValueError("a prompt must request at least one sentence")
+    return (f"Generate {n} diverse {_marker(locale)}sentences "
+            f"containing a {PROMPT_NOUNS[expr_type]} written down using number words. "
             f"{ANTI_ENUMERATION}")
 
 
@@ -248,15 +231,15 @@ class MockSpeechSynthesizer(SpeechSynthesizer):
 # --- rule-based text client -----------------------------------------------
 
 
+_NOUNS = "|".join(map(re.escape, PROMPT_NOUNS.values()))
 _SENTENCE_PROMPT_RE = re.compile(
-    r"^Generate (\d+) diverse (German )?sentences containing a "
-    r"(year|timestamp|currency amount|quantity) written down using number words\.")
+    rf"^Generate (\d+) diverse (German )?sentences containing a "
+    rf"({_NOUNS}) written down using number words\.")
 _TIMESTAMP_PROMPT_RE = re.compile(
     r"^Generate a (German )?sentence containing the timestamp (.+) "
     r"written down using number words\.")
 _CONVERSION_PROMPT_RE = re.compile(
-    r"^Convert the (year|timestamp|currency amount|quantity) in the sentences "
-    r"to numeric literals\.\n(.*)$", re.DOTALL)
+    rf"^Convert the ({_NOUNS}) in the sentences to numeric literals\.\n(.*)$", re.DOTALL)
 
 _CARRIERS = {
     ("en", ExpressionType.YEAR): (
@@ -326,22 +309,19 @@ class RuleBasedTextGenerator(TextGenerator):
         self._locale = locale
         self._rng = random.Random(seed)
         self._gold: dict[str, str] = {}
-        self._sweep_gold: Optional[dict[str, str]] = None
+        self._sweep_times = dict(enumerate_timestamp_phrasings(locale))
 
     def complete(self, prompt: str) -> str:
         m = _SENTENCE_PROMPT_RE.match(prompt)
         if m:
             expr_type = _PROMPT_NOUN_TYPES[m.group(3)]
-            return "\n".join(self._sentence(expr_type)
-                             for _ in range(int(m.group(1))))
+            return "\n".join(self._sentence(expr_type) for _ in range(int(m.group(1))))
         m = _TIMESTAMP_PROMPT_RE.match(prompt)
         if m:
-            if self._sweep_gold is None:
-                self._sweep_gold = {phrase: format_time(t) for phrase, t
-                                    in enumerate_timestamp_phrasings(self._locale)}
             phrase = m.group(2)
+            t = self._sweep_times.get(phrase)
             return self._sentence(ExpressionType.TIMESTAMP,
-                                  (phrase, self._sweep_gold.get(phrase)))
+                                  (phrase, None if t is None else format_time(t)))
         m = _CONVERSION_PROMPT_RE.match(prompt)
         if m:
             try:
@@ -366,56 +346,43 @@ class RuleBasedTextGenerator(TextGenerator):
         """A drawn value said in words, and written as the normalizer writes it."""
         rng = self._rng
         locale = self._locale
-        if expr_type == ExpressionType.YEAR:
-            year = rng.randint(YEAR_MIN, YEAR_MAX)
-            style = rng.choice(year_styles(year, locale.language))
-            return verbalize_year(year, locale.language, style), format_year(year)
         if expr_type == ExpressionType.TIMESTAMP:
             t = TimeOfDay(rng.randint(0, 23), rng.randint(0, 59))
             phrase, period = time_words(t, locale, rng.choice(applicable_time_styles(t, locale)))
             # A spoken day period stays after the written time: "17:40 in the afternoon".
             return phrase + period, format_time(t) + period
-        expr = self._money() if expr_type == ExpressionType.CURRENCY else self._quantity()
-        return verbalize_value(expr, locale), format_expression(expr, locale)
+        if expr_type == ExpressionType.YEAR:
+            expr = ParsedExpression(NO_SPAN, expr_type,
+                                    NumericValue(rng.randint(YEAR_MIN, YEAR_MAX)))
+        else:
+            expr = self._money() if expr_type == ExpressionType.CURRENCY else self._quantity()
+        return verbalize_value(expr, locale, rng), format_expression(expr, locale)
 
     def _money(self) -> ParsedExpression:
+        """A whole amount with a magnitude word, one with cents, or a plain whole one."""
         rng = self._rng
-        language = self._locale.language
-        code = rng.choice(("USD", "EUR", "GBP")) if language == "en" else "EUR"
+        code = rng.choice(("USD", "EUR", "GBP")) if self._locale.language == "en" else "EUR"
         shape = rng.randrange(3)
-        word = None
-        if shape == 0:
-            major = rng.randint(1, 999)
-            word = self._magnitude_word(major)
-            money = MoneyAmount(NumericValue(major), None, code)
-        elif shape == 1:
-            money = MoneyAmount(NumericValue(rng.randint(1, 9999)),
-                                NumericValue(rng.randint(1, 99)), code)
-        else:
-            money = MoneyAmount(NumericValue(rng.randint(1, 9999)), None, code)
-        return ParsedExpression(Span(0, 1), ExpressionType.CURRENCY, money, word)
+        major = rng.randint(1, 999 if shape == 0 else 9999)
+        word = self._magnitude_word(major) if shape == 0 else None
+        minor = NumericValue(rng.randint(1, 99)) if shape == 1 else None
+        return ParsedExpression(NO_SPAN, ExpressionType.CURRENCY,
+                                MoneyAmount(NumericValue(major), minor, code), word)
 
     def _quantity(self) -> ParsedExpression:
+        """A whole count, a count with one decimal, or a count with a magnitude word."""
         rng = self._rng
         shape = rng.randrange(3)
-        if shape == 0:
-            value = NumericValue(rng.randint(2, 999999))
-            word = None
-        elif shape == 1:
-            value = NumericValue(rng.randint(2, 9999), 1)
-            word = None
-        else:
-            major = rng.randint(2, 999)
-            value = NumericValue(major)
-            word = self._magnitude_word(major)
-        return ParsedExpression(Span(0, 1), ExpressionType.QUANTITY, value, word)
+        major = rng.randint(2, (999999, 9999, 999)[shape])
+        word = self._magnitude_word(major) if shape == 2 else None
+        return ParsedExpression(NO_SPAN, ExpressionType.QUANTITY,
+                                NumericValue(major, 1 if shape == 1 else 0), word)
 
     def _magnitude_word(self, count: int) -> str:
-        rng = self._rng
         if self._locale.language == "de":
-            _, singular, plural = rng.choice(DE_MAGNITUDE_NAMES)
+            _, singular, plural = self._rng.choice(DE_MAGNITUDE_NAMES)
             return singular if count == 1 else plural
-        return rng.choice(EN_MAGNITUDE_WORDS)
+        return self._rng.choice(EN_MAGNITUDE_WORDS)
 
 
 # --- the pipeline -------------------------------------------------------------
@@ -447,37 +414,34 @@ class GenerationStats:
     discarded: int
     failures: tuple[str, ...]
     audio_seconds: float
-    per_type: Mapping[str, int]
 
 
 _ENUM_PREFIX_RE = re.compile(r"^\s*(?:\d+[.)]\s+|[-*•]\s+)")
 
 
+def _sentence_requests(plan: GenerationPlan) -> Iterator[tuple[ExpressionType, str, int]]:
+    """Each sentence prompt in order, with its type and how many sentences it asks for."""
+    for expr_type, count in plan.counts.items():
+        for done in range(0, count, plan.batch_size):
+            take = min(plan.batch_size, count - done)
+            yield expr_type, build_sentence_prompt(take, expr_type, plan.locale), take
+    if plan.sweep_timestamp_phrasings:
+        for phrase, _ in enumerate_timestamp_phrasings(plan.locale):
+            yield ExpressionType.TIMESTAMP, build_timestamp_prompt(phrase, plan.locale), 1
+
+
 def run_generation(plan: GenerationPlan, textgen: TextGenerator,
                    synthesizer: SpeechSynthesizer
                    ) -> tuple[list[ManifestRecord], GenerationStats]:
-    """Steps: prompt sentences, then per batch synthesize, convert, filter."""
+    """One pass: per sentence prompt, ask, synthesize, convert the batch, filter."""
     locale = plan.locale
     rng = random.Random(plan.seed)
     failures: list[str] = []
-    prompts_issued = 0
-
-    # Step 1: collect (type, sentence) pairs batch by batch.
-    batches: list[tuple[ExpressionType, list[str]]] = []
-    requests: list[tuple[ExpressionType, str, int]] = []
-    for expr_type, count in plan.counts.items():
-        remaining = count
-        while remaining > 0:
-            take = min(plan.batch_size, remaining)
-            prompt = build_sentence_prompt(SentencePromptSpec(take, expr_type, locale))
-            requests.append((expr_type, prompt, take))
-            remaining -= take
-    if plan.sweep_timestamp_phrasings:
-        for phrase, _ in enumerate_timestamp_phrasings(locale):
-            requests.append((ExpressionType.TIMESTAMP,
-                             build_timestamp_prompt(phrase, locale), 1))
-
-    for expr_type, prompt, expected in requests:
+    records: list[ManifestRecord] = []
+    prompts_issued = generated = discarded = 0
+    audio_seconds = 0.0
+    for expr_type, prompt, expected in _sentence_requests(plan):
+        # Step 1: the batch's sentences.
         prompts_issued += 1
         try:
             reply = textgen.complete(prompt)
@@ -485,15 +449,7 @@ def run_generation(plan: GenerationPlan, textgen: TextGenerator,
             failures.append(f"sentence prompt failed: {err}")
             continue
         sentences = [_ENUM_PREFIX_RE.sub("", line).strip()
-                     for line in reply.splitlines() if line.strip()]
-        batches.append((expr_type, sentences[:expected]))
-
-    records: list[ManifestRecord] = []
-    generated = 0
-    discarded = 0
-    per_type: dict[str, int] = {}
-    audio_seconds = 0.0
-    for expr_type, sentences in batches:
+                     for line in reply.splitlines() if line.strip()][:expected]
         if not sentences:
             continue
         # Ids count every generated sentence, converted or not.
@@ -511,11 +467,10 @@ def run_generation(plan: GenerationPlan, textgen: TextGenerator,
             voiced.append((voice, seconds))
 
         # Step 3: one conversion call for the batch.
-        prompt = build_conversion_prompt(expr_type) + "\n" + "\n".join(sentences)
         prompts_issued += 1
         try:
-            reply = textgen.complete(prompt)
-            lines = reply.splitlines()
+            lines = textgen.complete(build_conversion_prompt(expr_type) + "\n"
+                                     + "\n".join(sentences)).splitlines()
             if len(lines) != len(sentences):
                 raise ValueError(
                     f"conversion returned {len(lines)} lines for {len(sentences)} sentences")
@@ -544,18 +499,10 @@ def run_generation(plan: GenerationPlan, textgen: TextGenerator,
                 ))
             except ManifestError as err:
                 failures.append(str(err))
-                continue
-            per_type[expr_type.value] = per_type.get(expr_type.value, 0) + 1
 
-    stats = GenerationStats(
-        prompts_issued=prompts_issued,
-        sentences_generated=generated,
-        accepted=len(records),
-        discarded=discarded,
-        failures=tuple(failures),
-        audio_seconds=audio_seconds,
-        per_type=per_type,
-    )
+    stats = GenerationStats(prompts_issued=prompts_issued, sentences_generated=generated,
+                            accepted=len(records), discarded=discarded,
+                            failures=tuple(failures), audio_seconds=audio_seconds)
     if prompts_issued and not records and failures and not discarded:
         raise GenerationError(
             f"all records failed ({len(failures)} errors); first: {failures[0]}")
@@ -564,9 +511,8 @@ def run_generation(plan: GenerationPlan, textgen: TextGenerator,
 
 def corpus_statistics(splits: Mapping[str, Sequence[ManifestRecord]]) -> str:
     """Utterance counts per subset, one row each."""
-    rows = [("Subset", "Utterances")]
-    for name, records in splits.items():
-        rows.append((name, str(len(records))))
+    rows = [("Subset", "Utterances")] + [(name, str(len(records)))
+                                         for name, records in splits.items()]
     widths = [max(len(row[col]) for row in rows) for col in range(2)]
     return "\n".join("  ".join(cell.ljust(width) for cell, width
                                in zip(row, widths)).rstrip() for row in rows)

@@ -103,11 +103,20 @@ class LocaleConfig:
 DEFAULT_CONFIG = LocaleConfig(dict(DEFAULT_LOCALES), dict(DEFAULT_CURRENCIES))
 
 
+# The fields a config entry may set, by section; "code" is the entry's key.
+_CONFIG_FIELDS = {"locales": {f.name for f in fields(Locale)},
+                  "currencies": {f.name for f in fields(CurrencyUnit)} - {"code"}}
+
+
 def _section(raw: dict, name: str) -> dict:
-    """The config's ``name`` section: each code mapped to a JSON object."""
+    """The config's ``name`` section: each code mapped to a JSON object of known fields."""
     section = raw.get(name, {})
     if not isinstance(section, dict) or not all(isinstance(e, dict) for e in section.values()):
         raise ValueError(f"{name!r} must map each code to a JSON object")
+    for code, entry in section.items():
+        unknown = sorted(set(entry) - _CONFIG_FIELDS[name])
+        if unknown:
+            raise ValueError(f"{name!r} entry {code!r}: unknown fields {unknown}")
     return section
 
 
@@ -123,6 +132,9 @@ def load_locale_config(path: Union[str, Path]) -> LocaleConfig:
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(raw, dict):
         raise ValueError("locale config must be a JSON object")
+    unknown = sorted(set(raw) - set(_CONFIG_FIELDS))
+    if unknown:
+        raise ValueError(f"unknown config sections {unknown}")
     locales = dict(DEFAULT_LOCALES)
     for code, entry in _section(raw, "locales").items():
         base = locales.get(code)

@@ -102,13 +102,9 @@ class ManifestRecord:
 _FIELD_NAMES = frozenset(f.name for f in fields(ManifestRecord))
 
 
-def write_manifest(records: Iterable[ManifestRecord], path: str | Path) -> int:
-    count = 0
+def write_manifest(records: Iterable[ManifestRecord], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(record.to_json() + "\n")
-            count += 1
-    return count
+        handle.writelines(record.to_json() + "\n" for record in records)
 
 
 def iter_manifest_lines(
@@ -130,12 +126,11 @@ def iter_manifest_lines(
             yield line_no, entry
 
 
-def iter_manifest(path: str | Path) -> Iterator[ManifestRecord]:
+def read_manifest(path: str | Path) -> list[ManifestRecord]:
+    """Every record, or a ``ManifestError`` naming the first line that holds none."""
+    records = []
     for line_no, entry in iter_manifest_lines(path):
         if isinstance(entry, ManifestError):
             raise ManifestError(f"{path}:{line_no}: {entry}") from entry
-        yield entry
-
-
-def read_manifest(path: str | Path) -> list[ManifestRecord]:
-    return list(iter_manifest(path))
+        records.append(entry)
+    return records

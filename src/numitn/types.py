@@ -90,6 +90,10 @@ class Span:
         return self.end - self.start
 
 
+# The span of an expression not read from tokens: a drawn value or a written literal.
+NO_SPAN = Span(0, 1)
+
+
 @dataclass(frozen=True)
 class MoneyAmount:
     """Currency value; ``minor`` is None when no cents were spoken."""

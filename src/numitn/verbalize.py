@@ -40,12 +40,12 @@ from .locales import (
     Locale,
 )
 from .types import (
+    NO_SPAN,
     ExpressionType,
     MoneyAmount,
     NumericValue,
     ParsedExpression,
     PeriodHint,
-    Span,
     TimeOfDay,
 )
 
@@ -180,16 +180,8 @@ def verbalize_time(t: TimeOfDay, locale: Locale, style: Optional[str] = None,
     return phrase + period
 
 
-def enumerate_timestamp_phrasings(locale: Locale) -> list[tuple[str, TimeOfDay]]:
-    """Every style but hour-minute, said for every hour 1..12.
-
-    Each entry pairs the phrase with the time it parses to before period
-    resolution, e.g. EN hour one: "one o'clock", "quarter past one",
-    "half past one", "quarter to one", "two minutes past one",
-    "two minutes to one". The counted styles count two minutes.
-    """
-    language = locale.language
-    out: list[tuple[str, TimeOfDay]] = []
+def _timestamp_phrasings(language: str) -> tuple[tuple[str, TimeOfDay], ...]:
+    out = []
     for hour in range(1, 13):
         for style in CLOCK_STYLES[language]:
             minute = (58 if style.next_hour else 2) if style.counted else style.minute
@@ -198,7 +190,22 @@ def enumerate_timestamp_phrasings(locale: Locale) -> list[tuple[str, TimeOfDay]]
             t = TimeOfDay(hour - 1 or HOUR_BEFORE_ONE[language] if style.next_hour else hour,
                           minute)
             out.append((_time_phrase(t, style, language), t))
-    return out
+    return tuple(out)
+
+
+# Built once per language; a tuple, so no caller can change what the next one reads.
+_TIMESTAMP_PHRASINGS = {language: _timestamp_phrasings(language) for language in CLOCK_STYLES}
+
+
+def enumerate_timestamp_phrasings(locale: Locale) -> tuple[tuple[str, TimeOfDay], ...]:
+    """Every style but hour-minute, said for every hour 1..12.
+
+    Each entry pairs the phrase with the time it parses to before period
+    resolution, e.g. EN hour one: "one o'clock", "quarter past one",
+    "half past one", "quarter to one", "two minutes past one",
+    "two minutes to one". The counted styles count two minutes.
+    """
+    return _TIMESTAMP_PHRASINGS[locale.language]
 
 
 # --- currency and quantities ------------------------------------------------
@@ -275,9 +282,6 @@ def verbalize_line(line: str, locale: Locale,
 
 # --- formatted-literal parsing (CLI inverse) ----------------------------------
 
-# A literal read back is no span of a parse.
-_NO_SPAN = Span(0, 1)
-
 
 def parse_literal(text: str, expr_type: ExpressionType, locale: Locale,
                   currencies: dict[str, CurrencyUnit] = DEFAULT_CURRENCIES) -> ParsedExpression:
@@ -295,10 +299,10 @@ def _read_literal(expr_type: ExpressionType, m: re.Match[str], locale: Locale,
                   currencies: dict[str, CurrencyUnit]) -> ParsedExpression:
     """The expression an extractor match spells, read from the match's groups."""
     if expr_type is ExpressionType.YEAR:
-        return ParsedExpression(_NO_SPAN, expr_type, NumericValue(int(m.group())))
+        return ParsedExpression(NO_SPAN, expr_type, NumericValue(int(m.group())))
     if expr_type is ExpressionType.TIMESTAMP:
         text = m.group()
-        return ParsedExpression(_NO_SPAN, expr_type, TimeOfDay(int(text[:-3]), int(text[-2:])))
+        return ParsedExpression(NO_SPAN, expr_type, TimeOfDay(int(text[:-3]), int(text[-2:])))
     line = m.string
     # The first digit comes just before group "int".
     number_start = m.start("int") - 1
@@ -307,18 +311,18 @@ def _read_literal(expr_type: ExpressionType, m: re.Match[str], locale: Locale,
     value = NumericValue(int(integer + frac), len(frac)) if frac else NumericValue(int(integer))
     magnitude = m["mag"]
     if expr_type is not ExpressionType.CURRENCY:
-        return ParsedExpression(_NO_SPAN, expr_type, value, magnitude)
+        return ParsedExpression(NO_SPAN, expr_type, value, magnitude)
 
     symbol = line[m.start():number_start] if locale.currency_placement == "prefix" \
         else m["sym"]
     # On a symbol shared by several codes, the first in registry order.
     code, unit = next(item for item in currencies.items() if item[1].symbol == symbol)
     if magnitude or not frac:
-        return ParsedExpression(_NO_SPAN, expr_type, MoneyAmount(value, None, code), magnitude)
+        return ParsedExpression(NO_SPAN, expr_type, MoneyAmount(value, None, code), magnitude)
     # Split as format_currency joins: the fraction counts minor units.
     digits = unit.minor_unit_digits
     if value.scale > digits:
         raise ValueError(f"{m.group()!r} has more than {digits} fraction digits for {code}")
     major, minor = divmod(value.mantissa * 10**(digits - value.scale), 10**digits)
-    return ParsedExpression(_NO_SPAN, expr_type,
+    return ParsedExpression(NO_SPAN, expr_type,
                             MoneyAmount(NumericValue(major), NumericValue(minor), code))

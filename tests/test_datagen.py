@@ -11,7 +11,6 @@ from numitn.datagen import (
     GenerationPlan,
     MockSpeechSynthesizer,
     RuleBasedTextGenerator,
-    SentencePromptSpec,
     SplitSpec,
     SynthesisResult,
     TextGenerator,
@@ -38,14 +37,12 @@ DE = DEFAULT_CONFIG.locale("de")
 
 class TestPrompts:
     def test_sentence_prompt_en(self):
-        got = build_sentence_prompt(
-            SentencePromptSpec(3, ExpressionType.TIMESTAMP, EN))
+        got = build_sentence_prompt(3, ExpressionType.TIMESTAMP, EN)
         assert got == ("Generate 3 diverse sentences containing a timestamp "
                        "written down using number words. " + ANTI_ENUMERATION)
 
     def test_sentence_prompt_de_marker(self):
-        got = build_sentence_prompt(
-            SentencePromptSpec(1, ExpressionType.CURRENCY, DE))
+        got = build_sentence_prompt(1, ExpressionType.CURRENCY, DE)
         assert "diverse German sentences" in got
         assert "currency amount" in got
 
@@ -67,7 +64,7 @@ class TestPrompts:
 
     def test_zero_sentences_rejected(self):
         with pytest.raises(ValueError):
-            SentencePromptSpec(0, ExpressionType.YEAR, EN)
+            build_sentence_prompt(0, ExpressionType.YEAR, EN)
 
     def test_empty_phrase_rejected(self):
         with pytest.raises(ValueError):
@@ -204,8 +201,7 @@ class TestClients:
 class TestRuleBasedGenerator:
     def test_sentence_batch(self):
         gen = RuleBasedTextGenerator(EN, seed=1)
-        prompt = build_sentence_prompt(
-            SentencePromptSpec(5, ExpressionType.YEAR, EN))
+        prompt = build_sentence_prompt(5, ExpressionType.YEAR, EN)
         lines = gen.complete(prompt).splitlines()
         assert len(lines) == 5
         for line in lines:
@@ -254,8 +250,7 @@ class TestRuleBasedGenerator:
         gen = RuleBasedTextGenerator(locale, seed=1)
         sentences = []
         for expr_type in ExpressionType:
-            sentences += gen.complete(build_sentence_prompt(
-                SentencePromptSpec(2, expr_type, locale))).splitlines()
+            sentences += gen.complete(build_sentence_prompt(2, expr_type, locale)).splitlines()
         converted = gen.complete(build_conversion_prompt(ExpressionType.YEAR) + "\n"
                                  + "\n".join(sentences)).splitlines()
         assert list(zip(sentences, converted)) == self.SENTENCE_GOLD[locale.language]
@@ -284,8 +279,7 @@ class TestRuleBasedGenerator:
         # this is an agreement between two independent writers.
         gen = RuleBasedTextGenerator(locale, seed=15)
         for expr_type in ExpressionType:
-            sentences = gen.complete(build_sentence_prompt(
-                SentencePromptSpec(2_000, expr_type, locale))).splitlines()
+            sentences = gen.complete(build_sentence_prompt(2_000, expr_type, locale)).splitlines()
             gold = gen.complete(build_conversion_prompt(expr_type) + "\n"
                                 + "\n".join(sentences)).splitlines()
             assert len(sentences) == len(gold) == 2_000
@@ -309,8 +303,7 @@ class TestRuleBasedGenerator:
             RuleBasedTextGenerator(EN).complete("What is the weather?")
 
     def test_seeded_determinism(self):
-        prompt = build_sentence_prompt(
-            SentencePromptSpec(8, ExpressionType.CURRENCY, EN))
+        prompt = build_sentence_prompt(8, ExpressionType.CURRENCY, EN)
         a = RuleBasedTextGenerator(EN, seed=9).complete(prompt)
         b = RuleBasedTextGenerator(EN, seed=9).complete(prompt)
         assert a == b
@@ -378,6 +371,29 @@ class ForeignSentenceGenerator(TextGenerator):
             self._replaced = True
             return self.FOREIGN
         return self._inner.complete(prompt)
+
+
+class RecordingGenerator(TextGenerator):
+    """Logs each (prompt, reply) in call order, the reply None for a failed
+    call, and fails the calls whose numbers (from 1) are in ``fail``."""
+
+    def __init__(self, locale, fail=()):
+        super().__init__()
+        self._inner = RuleBasedTextGenerator(locale, seed=7)
+        self.fail = set(fail)
+        self.calls = []
+
+    def complete(self, prompt):
+        self.calls.append((prompt, None))
+        if len(self.calls) in self.fail:
+            raise RuntimeError("backend down")
+        reply = self._inner.complete(prompt)
+        self.calls[-1] = (prompt, reply)
+        return reply
+
+    def kinds(self):
+        return ["conversion" if prompt.startswith("Convert") else "sentence"
+                for prompt, _ in self.calls]
 
 
 class RecordingSynthesizer(MockSpeechSynthesizer):
@@ -470,6 +486,28 @@ class TestRunGeneration:
         assert stats.failures == ("sentence prompt failed: transient",)
         assert textgen.calls == stats.prompts_issued == 3
         assert stats.accepted == len(records) == 1
+
+    def test_each_batch_is_converted_before_the_next_is_asked(self):
+        textgen = RecordingGenerator(EN)
+        plan = self.plan(counts={ExpressionType.YEAR: 3, ExpressionType.QUANTITY: 2},
+                         batch_size=2, sweep_timestamp_phrasings=True)
+        _, stats = run_generation(plan, textgen, MockSpeechSynthesizer())
+        # Sentence prompts: 2 for the years, 1 for the quantities, 1 per sweep phrasing.
+        assert textgen.kinds() == ["sentence", "conversion"] * (3 + 72)
+        # Each conversion carries the sentences of the reply just before it.
+        for (_, reply), (conversion, _) in zip(textgen.calls[::2], textgen.calls[1::2]):
+            assert conversion.splitlines()[1:] == reply.splitlines()
+        assert stats.prompts_issued == len(textgen.calls)
+
+    def test_a_failed_sentence_prompt_issues_no_conversion(self):
+        textgen = RecordingGenerator(EN, fail={3})
+        plan = self.plan(counts={ExpressionType.YEAR: 6}, batch_size=2)
+        records, stats = run_generation(plan, textgen, MockSpeechSynthesizer())
+        assert textgen.kinds() == ["sentence", "conversion", "sentence",
+                                   "sentence", "conversion"]
+        assert stats.failures == ("sentence prompt failed: backend down",)
+        assert stats.prompts_issued == len(textgen.calls) == 5
+        assert stats.sentences_generated == stats.accepted == len(records) == 4
 
     def test_sweep_covers_all_phrasings(self):
         plan = GenerationPlan(locale=DE, sweep_timestamp_phrasings=True, seed=1)

@@ -86,6 +86,9 @@ MALFORMED_CONFIGS = [
     {"locales": {"en-x": {"language": "en", "decimal_mark": 7}}},
     {"locales": {"en-x": {"language": "en", "thousands_separator": None}}},
     {"locales": {"en-x": {"language": "en", "decimal_mark": ""}}},
+    {"currency": {"INR": {"symbol": "₹"}}},
+    {"currencies": {"INR": {"symbl": "₹"}}},
+    {"locales": {"en": {"thousand_separator": " "}}},
 ]
 
 
@@ -95,6 +98,25 @@ def test_load_config_rejects_malformed(tmp_path, raw):
     path.write_text(json.dumps(raw), encoding="utf-8")
     with pytest.raises(ValueError):
         load_locale_config(path)
+
+
+@pytest.mark.parametrize("raw,named", [
+    ({"currency": {"INR": {"symbol": "₹"}}, "locales": {}}, "'currency'"),
+    ({"currencies": {"INR": {"symbl": "₹", "minor_unit_digits": 2}}}, "'INR'.*'symbl'"),
+    ({"currencies": {"INR": {"code": "INR", "symbol": "₹"}}}, "'code'"),
+    ({"locales": {"en": {"thousand_separator": " "}}}, "'en'.*'thousand_separator'"),
+], ids=["section", "currency field", "currency code", "locale field"])
+def test_load_config_names_an_unknown_key(tmp_path, raw, named):
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    with pytest.raises(ValueError, match=named):
+        load_locale_config(path)
+
+
+def test_load_config_accepts_an_empty_object(tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text("{}\n", encoding="utf-8")
+    assert load_locale_config(path) == DEFAULT_CONFIG
 
 
 def test_load_config_rejects_language_without_grammar(tmp_path):

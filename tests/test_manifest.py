@@ -7,7 +7,6 @@ from numitn import manifest
 from numitn.manifest import (
     ManifestError,
     ManifestRecord,
-    iter_manifest,
     read_manifest,
     write_manifest,
 )
@@ -152,7 +151,7 @@ class TestFiles:
     def test_write_read_round_trip(self, tmp_path):
         path = tmp_path / "manifest.jsonl"
         records = [record(), record(id="en-year-00002")]
-        assert write_manifest(records, path) == 2
+        write_manifest(records, path)
         assert read_manifest(path) == records
 
     def test_blank_lines_skipped(self, tmp_path):
@@ -186,11 +185,3 @@ class TestFiles:
         assert str(entries[1][1]).startswith("not UTF-8: 'utf-8' codec can't decode byte 0xe4")
         with pytest.raises(ManifestError, match=r":2: not UTF-8"):
             read_manifest(path)
-
-    def test_iter_is_lazy(self, tmp_path):
-        path = tmp_path / "manifest.jsonl"
-        path.write_text(record().to_json() + "\nnot json\n", encoding="utf-8")
-        it = iter_manifest(path)
-        assert next(it).id == "en-year-00001"
-        with pytest.raises(ManifestError):
-            next(it)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 
@@ -174,6 +175,13 @@ class TestEnumeration:
                        or [], tokens, locale.language)
             assert c is not None, phrase
             assert (c.value.hour, c.value.minute) == (t.hour, t.minute), phrase
+
+    @pytest.mark.parametrize("locale", [EN, DE], ids=["en", "de"])
+    def test_one_shared_table_no_caller_can_change(self, locale):
+        entries = enumerate_timestamp_phrasings(locale)
+        assert entries is enumerate_timestamp_phrasings(
+            dataclasses.replace(locale, thousands_separator=" "))
+        assert isinstance(entries, tuple) and all(isinstance(e, tuple) for e in entries)
 
 
 class TestCurrencyWords:
