@@ -21,10 +21,17 @@ from .extract import LiteralMatch, extract_numeric_literals
 from .formatting import YEAR_MAX, YEAR_MIN, format_expression, format_time
 from .grammar import scan_tokens
 from .lexicon import DE_MAGNITUDE_NAMES, EN_MAGNITUDE_WORDS
-from .locales import Locale
+from .locales import DEFAULT_LOCALES, Locale
 from .manifest import ManifestError, ManifestRecord
 from .tokenizer import Tokens, tokenize
-from .types import NO_SPAN, ExpressionType, MoneyAmount, NumericValue, ParsedExpression, TimeOfDay
+from .types import (
+    NO_SPAN,
+    ExpressionType,
+    MoneyAmount,
+    NumericValue,
+    ParsedExpression,
+    TimeOfDay,
+)
 from .verbalize import (
     applicable_time_styles,
     enumerate_timestamp_phrasings,
@@ -71,8 +78,9 @@ def _marker(locale: Locale) -> str:
 def build_sentence_prompt(n: int, expr_type: ExpressionType, locale: Locale) -> str:
     if n < 1:
         raise ValueError("a prompt must request at least one sentence")
+    noun = PROMPT_NOUNS[expr_type]
     return (f"Generate {n} diverse {_marker(locale)}sentences "
-            f"containing a {PROMPT_NOUNS[expr_type]} written down using number words. "
+            f"containing a {noun} written down using number words. "
             f"{ANTI_ENUMERATION}")
 
 
@@ -233,13 +241,14 @@ class MockSpeechSynthesizer(SpeechSynthesizer):
 
 _NOUNS = "|".join(map(re.escape, PROMPT_NOUNS.values()))
 _SENTENCE_PROMPT_RE = re.compile(
-    rf"^Generate (\d+) diverse (German )?sentences containing a "
+    r"^Generate (\d+) diverse (German )?sentences containing a "
     rf"({_NOUNS}) written down using number words\.")
 _TIMESTAMP_PROMPT_RE = re.compile(
     r"^Generate a (German )?sentence containing the timestamp (.+) "
     r"written down using number words\.")
 _CONVERSION_PROMPT_RE = re.compile(
-    rf"^Convert the ({_NOUNS}) in the sentences to numeric literals\.\n(.*)$", re.DOTALL)
+    rf"^Convert the ({_NOUNS}) in the sentences "
+    r"to numeric literals\.\n(.*)$", re.DOTALL)
 
 _CARRIERS = {
     ("en", ExpressionType.YEAR): (
@@ -294,6 +303,11 @@ _CARRIERS = {
 
 _PROMPT_NOUN_TYPES = {noun: t for t, noun in PROMPT_NOUNS.items()}
 
+# Each sweep phrase's written time, by language, read from the one sweep table.
+_SWEEP_GOLD = {locale.language: {phrase: format_time(t) for phrase, t
+                                 in enumerate_timestamp_phrasings(locale)}
+               for locale in DEFAULT_LOCALES.values()}
+
 
 class RuleBasedTextGenerator(TextGenerator):
     """Offline stand-in for the LLM steps, built on the library itself.
@@ -309,19 +323,18 @@ class RuleBasedTextGenerator(TextGenerator):
         self._locale = locale
         self._rng = random.Random(seed)
         self._gold: dict[str, str] = {}
-        self._sweep_times = dict(enumerate_timestamp_phrasings(locale))
 
     def complete(self, prompt: str) -> str:
         m = _SENTENCE_PROMPT_RE.match(prompt)
         if m:
             expr_type = _PROMPT_NOUN_TYPES[m.group(3)]
-            return "\n".join(self._sentence(expr_type) for _ in range(int(m.group(1))))
+            return "\n".join(self._sentence(expr_type)
+                             for _ in range(int(m.group(1))))
         m = _TIMESTAMP_PROMPT_RE.match(prompt)
         if m:
             phrase = m.group(2)
-            t = self._sweep_times.get(phrase)
             return self._sentence(ExpressionType.TIMESTAMP,
-                                  (phrase, None if t is None else format_time(t)))
+                                  (phrase, _SWEEP_GOLD[self._locale.language].get(phrase)))
         m = _CONVERSION_PROMPT_RE.match(prompt)
         if m:
             try:
@@ -359,30 +372,43 @@ class RuleBasedTextGenerator(TextGenerator):
         return verbalize_value(expr, locale, rng), format_expression(expr, locale)
 
     def _money(self) -> ParsedExpression:
-        """A whole amount with a magnitude word, one with cents, or a plain whole one."""
         rng = self._rng
-        code = rng.choice(("USD", "EUR", "GBP")) if self._locale.language == "en" else "EUR"
+        language = self._locale.language
+        code = rng.choice(("USD", "EUR", "GBP")) if language == "en" else "EUR"
         shape = rng.randrange(3)
-        major = rng.randint(1, 999 if shape == 0 else 9999)
-        word = self._magnitude_word(major) if shape == 0 else None
-        minor = NumericValue(rng.randint(1, 99)) if shape == 1 else None
-        return ParsedExpression(NO_SPAN, ExpressionType.CURRENCY,
-                                MoneyAmount(NumericValue(major), minor, code), word)
+        word = None
+        if shape == 0:
+            major = rng.randint(1, 999)
+            word = self._magnitude_word(major)
+            money = MoneyAmount(NumericValue(major), None, code)
+        elif shape == 1:
+            money = MoneyAmount(NumericValue(rng.randint(1, 9999)),
+                                NumericValue(rng.randint(1, 99)), code)
+        else:
+            money = MoneyAmount(NumericValue(rng.randint(1, 9999)), None, code)
+        return ParsedExpression(NO_SPAN, ExpressionType.CURRENCY, money, word)
 
     def _quantity(self) -> ParsedExpression:
-        """A whole count, a count with one decimal, or a count with a magnitude word."""
         rng = self._rng
         shape = rng.randrange(3)
-        major = rng.randint(2, (999999, 9999, 999)[shape])
-        word = self._magnitude_word(major) if shape == 2 else None
-        return ParsedExpression(NO_SPAN, ExpressionType.QUANTITY,
-                                NumericValue(major, 1 if shape == 1 else 0), word)
+        if shape == 0:
+            value = NumericValue(rng.randint(2, 999999))
+            word = None
+        elif shape == 1:
+            value = NumericValue(rng.randint(2, 9999), 1)
+            word = None
+        else:
+            major = rng.randint(2, 999)
+            value = NumericValue(major)
+            word = self._magnitude_word(major)
+        return ParsedExpression(NO_SPAN, ExpressionType.QUANTITY, value, word)
 
     def _magnitude_word(self, count: int) -> str:
+        rng = self._rng
         if self._locale.language == "de":
-            _, singular, plural = self._rng.choice(DE_MAGNITUDE_NAMES)
+            _, singular, plural = rng.choice(DE_MAGNITUDE_NAMES)
             return singular if count == 1 else plural
-        return self._rng.choice(EN_MAGNITUDE_WORDS)
+        return rng.choice(EN_MAGNITUDE_WORDS)
 
 
 # --- the pipeline -------------------------------------------------------------
@@ -437,8 +463,10 @@ def run_generation(plan: GenerationPlan, textgen: TextGenerator,
     locale = plan.locale
     rng = random.Random(plan.seed)
     failures: list[str] = []
+    prompts_issued = 0
     records: list[ManifestRecord] = []
-    prompts_issued = generated = discarded = 0
+    generated = 0
+    discarded = 0
     audio_seconds = 0.0
     for expr_type, prompt, expected in _sentence_requests(plan):
         # Step 1: the batch's sentences.
@@ -467,10 +495,11 @@ def run_generation(plan: GenerationPlan, textgen: TextGenerator,
             voiced.append((voice, seconds))
 
         # Step 3: one conversion call for the batch.
+        prompt = build_conversion_prompt(expr_type) + "\n" + "\n".join(sentences)
         prompts_issued += 1
         try:
-            lines = textgen.complete(build_conversion_prompt(expr_type) + "\n"
-                                     + "\n".join(sentences)).splitlines()
+            reply = textgen.complete(prompt)
+            lines = reply.splitlines()
             if len(lines) != len(sentences):
                 raise ValueError(
                     f"conversion returned {len(lines)} lines for {len(sentences)} sentences")
@@ -500,9 +529,14 @@ def run_generation(plan: GenerationPlan, textgen: TextGenerator,
             except ManifestError as err:
                 failures.append(str(err))
 
-    stats = GenerationStats(prompts_issued=prompts_issued, sentences_generated=generated,
-                            accepted=len(records), discarded=discarded,
-                            failures=tuple(failures), audio_seconds=audio_seconds)
+    stats = GenerationStats(
+        prompts_issued=prompts_issued,
+        sentences_generated=generated,
+        accepted=len(records),
+        discarded=discarded,
+        failures=tuple(failures),
+        audio_seconds=audio_seconds,
+    )
     if prompts_issued and not records and failures and not discarded:
         raise GenerationError(
             f"all records failed ({len(failures)} errors); first: {failures[0]}")
@@ -511,8 +545,9 @@ def run_generation(plan: GenerationPlan, textgen: TextGenerator,
 
 def corpus_statistics(splits: Mapping[str, Sequence[ManifestRecord]]) -> str:
     """Utterance counts per subset, one row each."""
-    rows = [("Subset", "Utterances")] + [(name, str(len(records)))
-                                         for name, records in splits.items()]
+    rows = [("Subset", "Utterances")]
+    for name, records in splits.items():
+        rows.append((name, str(len(records))))
     widths = [max(len(row[col]) for row in rows) for col in range(2)]
     return "\n".join("  ".join(cell.ljust(width) for cell, width
                                in zip(row, widths)).rstrip() for row in rows)

@@ -102,9 +102,13 @@ class ManifestRecord:
 _FIELD_NAMES = frozenset(f.name for f in fields(ManifestRecord))
 
 
-def write_manifest(records: Iterable[ManifestRecord], path: str | Path) -> None:
+def write_manifest(records: Iterable[ManifestRecord], path: str | Path) -> int:
+    count = 0
     with open(path, "w", encoding="utf-8") as handle:
-        handle.writelines(record.to_json() + "\n" for record in records)
+        for record in records:
+            handle.write(record.to_json() + "\n")
+            count += 1
+    return count
 
 
 def iter_manifest_lines(

@@ -151,7 +151,7 @@ class TestFiles:
     def test_write_read_round_trip(self, tmp_path):
         path = tmp_path / "manifest.jsonl"
         records = [record(), record(id="en-year-00002")]
-        write_manifest(records, path)
+        assert write_manifest(records, path) == 2
         assert read_manifest(path) == records
 
     def test_blank_lines_skipped(self, tmp_path):
