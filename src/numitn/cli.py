@@ -3,37 +3,25 @@
 Data goes to standard output, diagnostics to standard error. Exit codes:
 0 success, 1 operational error (or a line that failed and was reported
 as "line N: reason"), 2 misaligned inputs or a usage error.
+
+Each subcommand imports the modules it runs, so a call loads only what
+its subcommand needs. The normalizer and the literal extractor are
+imported here, where tests replace them by name.
 """
 
 from __future__ import annotations
 
-import argparse
-import random
 import sys
 from contextlib import contextmanager
 from itertools import zip_longest
-from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Optional
+from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
-from .datagen import (
-    DEFAULT_VOICES,
-    GenerationError,
-    GenerationPlan,
-    MockSpeechSynthesizer,
-    RuleBasedTextGenerator,
-    SplitSpec,
-    corpus_statistics,
-    run_generation,
-    split_disjoint,
-)
-from .evaluate import EvalItem, evaluate, render_report
 from .extract import extract_numeric_literals
 from .locales import DEFAULT_CONFIG, Locale, LocaleConfig, load_locale_config
-from .manifest import ManifestError, iter_manifest_lines, write_manifest
 from .pipeline import normalize_text
-from .types import ExpressionType
-from .verbalize import verbalize_line
-from .wer import GuardConfig, guard
+
+if TYPE_CHECKING:
+    import argparse
 
 
 class MisalignedInputs(RuntimeError):
@@ -120,6 +108,10 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
 
 
 def _cmd_verbalize(args: argparse.Namespace) -> int:
+    import random
+
+    from .verbalize import verbalize_line
+
     cfg, locale = _locale(args)
     rng = random.Random(args.seed)
     return _each_line(args, lambda _, line: verbalize_line(line, locale, rng, cfg.currencies) + "\n")
@@ -138,6 +130,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     A bad record is reported as "line N: reason" and skipped with its
     hypothesis line, so the rest stay paired; the exit status is then 1.
     """
+    from .evaluate import EvalItem, evaluate, render_report
+    from .manifest import ManifestError, iter_manifest_lines
+    from .types import ExpressionType
+
     cfg = _config(args)
     status = 0
     with _open_in(args.hypotheses) as handle:
@@ -167,6 +163,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_guard(args: argparse.Namespace) -> int:
+    from .wer import GuardConfig, guard
+
     config = GuardConfig(args.threshold)
     with _open_in(args.source) as src, _open_in(args.rewritten) as rew:
         pairs = _paired(_stripped(src), _stripped(rew), "rewritten file", "source")
@@ -180,6 +178,17 @@ def _cmd_guard(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    from .datagen import (
+        DEFAULT_VOICES,
+        GenerationError,
+        GenerationPlan,
+        MockSpeechSynthesizer,
+        RuleBasedTextGenerator,
+        run_generation,
+    )
+    from .manifest import write_manifest
+    from .types import ExpressionType
+
     _, locale = _locale(args)
     counts = {
         ExpressionType.YEAR: args.years,
@@ -197,7 +206,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     )
     textgen = RuleBasedTextGenerator(locale, args.seed)
     synthesizer = MockSpeechSynthesizer()
-    records, stats = run_generation(plan, textgen, synthesizer)
+    try:
+        records, stats = run_generation(plan, textgen, synthesizer)
+    except GenerationError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     if args.out:
         write_manifest(records, args.out)
     else:
@@ -213,6 +226,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_split(args: argparse.Namespace) -> int:
     """Split the manifest; a line that holds no record is reported and left out."""
+    from pathlib import Path
+
+    from .datagen import SplitSpec, corpus_statistics, split_disjoint
+    from .manifest import ManifestError, iter_manifest_lines, write_manifest
+
     records, status = [], 0
     for line_no, entry in iter_manifest_lines(args.manifest):
         if isinstance(entry, ManifestError):
@@ -232,6 +250,8 @@ def _cmd_split(args: argparse.Namespace) -> int:
 
 
 def _parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="numitn",
         description="Normalize, verbalize and evaluate numeric expressions.")
@@ -309,7 +329,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except MisalignedInputs as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, GenerationError) as err:
+    except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, fields
-from pathlib import Path
-from typing import Union
 
 from .lexicon import fold_german
 
@@ -120,7 +119,7 @@ def _section(raw: dict, name: str) -> dict:
     return section
 
 
-def load_locale_config(path: Union[str, Path]) -> LocaleConfig:
+def load_locale_config(path: str | os.PathLike[str]) -> LocaleConfig:
     """Read a JSON config with optional "locales" and "currencies" sections.
 
     File entries are merged over the built-in presets, e.g.::
@@ -129,7 +128,8 @@ def load_locale_config(path: Union[str, Path]) -> LocaleConfig:
                                "decimal_mark": ".", "currency_placement": "prefix"}},
          "currencies": {"INR": {"symbol": "₹", "minor_unit_digits": 2}}}
     """
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    with open(path, encoding="utf-8") as handle:
+        raw = json.load(handle)
     if not isinstance(raw, dict):
         raise ValueError("locale config must be a JSON object")
     unknown = sorted(set(raw) - set(_CONFIG_FIELDS))

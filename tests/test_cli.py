@@ -19,10 +19,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+SRC = str(Path(numitn.__file__).resolve().parent.parent)
+
+
 def run_process(*argv, stdin=b""):
     """The CLI in a child process in UTF-8 mode, with bytes in and out."""
-    env = {**os.environ, "PYTHONUTF8": "1",
-           "PYTHONPATH": str(Path(numitn.__file__).resolve().parent.parent)}
+    env = {**os.environ, "PYTHONUTF8": "1", "PYTHONPATH": SRC}
     return subprocess.run(
         [sys.executable, "-c", "import sys; from numitn.cli import main; sys.exit(main())",
          *argv], input=stdin, capture_output=True, env=env, check=False)
@@ -175,6 +177,10 @@ class TestGuard:
         assert out.splitlines() == ["the cat sat on the hat", "one two"]
         assert "line 1: kept wer=0.167" in err
         assert "line 2: reverted wer=2.000" in err
+        # A fresh interpreter, which imports the guard only when it runs,
+        # writes the same bytes.
+        done = run_process("guard", str(src), str(rew))
+        assert (done.returncode, done.stdout, done.stderr) == (code, out.encode(), err.encode())
 
     def test_threshold_flag(self, tmp_path, capsys):
         src = tmp_path / "src.txt"
@@ -291,6 +297,44 @@ class TestGenSplitEval:
                            "--hypotheses", str(hyp), "--normalize-before-wer")
         assert code == 0
         assert out.splitlines()[1].split()[0] == "0.0"
+
+    def test_gen_failure_is_one_error_line(self, capsys, monkeypatch):
+        from numitn import datagen
+
+        def fail(plan, textgen, synthesizer):
+            raise datagen.GenerationError("all records failed (1 errors); first: boom")
+
+        monkeypatch.setattr(datagen, "run_generation", fail)
+        code, out, err = run(capsys, "gen", "--locale", "en", "--years", "1")
+        assert (code, out) == (1, "")
+        assert err == "error: all records failed (1 errors); first: boom\n"
+
+    def test_gen_split_eval_in_fresh_processes(self, tmp_path, capsys):
+        """Each corpus command imports what it runs: a cold child writes
+        what this process, which has every module loaded, writes."""
+        path = self.gen_manifest(tmp_path / "warm", capsys)
+        cold = tmp_path / "cold.jsonl"
+        done = run_process("gen", "--locale", "en", "--years", "6", "--timestamps", "6",
+                           "--currencies", "6", "--quantities", "6", "--seed", "3",
+                           "--out", str(cold))
+        assert done.returncode == 0 and done.stderr.startswith(b"prompts=")
+        assert cold.read_bytes() == path.read_bytes()
+
+        out_dir = tmp_path / "splits"
+        done = run_process("split", "--manifest", str(cold), "--out-dir", str(out_dir),
+                           "--seed", "5")
+        assert done.returncode == 0 and b"Utterances" in done.stderr
+        test = out_dir / "test.jsonl"
+        records = read_manifest(test)
+        assert records
+        hyp = tmp_path / "hyp.txt"
+        hyp.write_text("".join(r.verbalized + "\n" for r in records), encoding="utf-8")
+        argv = ("eval", "--manifest", str(test), "--hypotheses", str(hyp),
+                "--normalize-before-wer")
+        done = run_process(*argv)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout.decode().splitlines()[1].split()[0] == "0.0"
+        assert done.stdout.decode() == run(capsys, *argv)[1]
 
     def test_eval_misaligned_exits_2(self, tmp_path, capsys):
         path = self.gen_manifest(tmp_path, capsys)
@@ -634,3 +678,25 @@ class TestParser:
     def test_command_required(self, capsys):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestImports:
+    """Importing the package or the CLI loads only what every command needs."""
+
+    @staticmethod
+    def loaded_after(statement):
+        code = f"import sys\nsys.path.insert(0, {SRC!r})\n{statement}\nprint(*sys.modules)"
+        done = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True,
+                              text=True, check=True)
+        return set(done.stdout.split())
+
+    def test_package_loads_no_submodule(self):
+        loaded = self.loaded_after("import numitn")
+        assert "numitn" in loaded
+        assert {name for name in loaded if name.startswith("numitn.")} == set()
+
+    def test_cli_leaves_the_corpus_guard_and_verbalize_modules_unloaded(self):
+        loaded = self.loaded_after("import numitn.cli")
+        assert {"numitn.cli", "numitn.pipeline", "numitn.extract"} <= loaded
+        assert loaded.isdisjoint({"numitn.datagen", "numitn.manifest", "numitn.evaluate",
+                                  "numitn.wer", "numitn.verbalize", "decimal"})
