@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .formatting import YEAR_MAX, YEAR_MIN
 from .lexicon import UNIT_STOPWORDS, YEAR_CUES, is_number_word
 from .locales import Locale
@@ -20,7 +18,7 @@ _PM_HINTS = (PeriodHint.EXPLICIT_PM, PeriodHint.AFTERNOON, PeriodHint.EVENING,
 
 
 def choose(readings: list[ParsedExpression], tokens: Tokens,
-           language: str) -> Optional[ParsedExpression]:
+           language: str) -> ParsedExpression | None:
     """Pick one of the readings the parsers built at one position, or None.
 
     The rules apply in this order:

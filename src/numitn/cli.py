@@ -12,16 +12,14 @@ imported here, where tests replace them by name.
 from __future__ import annotations
 
 import sys
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
+from io import TextIOBase
 from itertools import zip_longest
-from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 from .extract import extract_numeric_literals
 from .locales import DEFAULT_CONFIG, Locale, LocaleConfig, load_locale_config
 from .pipeline import normalize_text
-
-if TYPE_CHECKING:
-    import argparse
 
 
 class MisalignedInputs(RuntimeError):
@@ -48,7 +46,7 @@ def _locale(args: argparse.Namespace) -> tuple[LocaleConfig, Locale]:
 
 
 @contextmanager
-def _open_in(path: Optional[str]) -> Iterator[IO[str]]:
+def _open_in(path: str | None) -> Iterator[TextIOBase]:
     if path in (None, "-"):
         yield sys.stdin
     else:
@@ -57,7 +55,7 @@ def _open_in(path: Optional[str]) -> Iterator[IO[str]]:
 
 
 @contextmanager
-def _open_out(path: Optional[str]) -> Iterator[IO[str]]:
+def _open_out(path: str | None) -> Iterator[TextIOBase]:
     if path in (None, "-"):
         yield sys.stdout
     else:
@@ -65,7 +63,7 @@ def _open_out(path: Optional[str]) -> Iterator[IO[str]]:
             yield handle
 
 
-def _stripped(handle: IO[str]) -> Iterator[str]:
+def _stripped(handle: TextIOBase) -> Iterator[str]:
     for line in handle:
         yield line.rstrip("\n")
 
@@ -322,7 +320,7 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)

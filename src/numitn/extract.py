@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from operator import itemgetter
-from typing import Optional
 
 from .formatting import YEAR_MAX, YEAR_MIN
 from .lexicon import DE_MAGNITUDE_NAMES, EN_MAGNITUDE_WORDS
@@ -25,11 +24,10 @@ _PRIORITY = {ExpressionType.CURRENCY: 0, ExpressionType.TIMESTAMP: 1,
 _SORT_KEY = itemgetter(0, 1, 2)
 
 
-@dataclass(frozen=True)
-class LiteralMatch:
-    span: Span
-    text: str
-    guessed_type: ExpressionType
+class LiteralMatch(namedtuple("LiteralMatch", "span text guessed_type")):
+    """A formatted literal: its char ``Span``, its text and the ``ExpressionType`` guessed."""
+
+    __slots__ = ()
 
 
 # "\b" before a digit, written after that first digit: the lookbehind fails
@@ -70,8 +68,9 @@ def _build_patterns(language: str, separator: str, decimal_mark: str, placement:
                     ) -> tuple[tuple[int, ExpressionType, re.Pattern[str]], ...]:
     """(priority, type, pattern) for a locale's conventions and currency ``symbols``.
 
-    Keyed on strings, not on the ``Locale``, whose dataclass hash runs in
-    Python on every call.
+    Keyed on strings, so a key holds exactly what the patterns are built
+    from: the locale's four fields and the currency symbols (the currency
+    dict itself cannot be hashed).
     """
     number = _number_pattern(separator, decimal_mark, "")
     word_number = _number_pattern(separator, decimal_mark, _WORD_START)
@@ -133,7 +132,7 @@ def scan_literals(text: str, locale: Locale,
 
 def match_literal(text: str, expr_type: ExpressionType, locale: Locale,
                   currencies: dict[str, CurrencyUnit]
-                  ) -> Optional[re.Match[str]]:
+                  ) -> re.Match[str] | None:
     """``text`` matched whole as a literal of ``expr_type`` (a year as a quantity)."""
     if expr_type is ExpressionType.YEAR:
         expr_type = ExpressionType.QUANTITY

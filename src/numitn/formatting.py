@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .locales import CurrencyUnit, DEFAULT_CURRENCIES, Locale
 from .types import ExpressionType, NumericValue, ParsedExpression, TimeOfDay
 
@@ -48,8 +46,8 @@ def _place_symbol(body: str, symbol: str, locale: Locale) -> str:
     return symbol + body
 
 
-def format_currency(major: NumericValue, minor: Optional[NumericValue],
-                    unit: CurrencyUnit, magnitude_word: Optional[str],
+def format_currency(major: NumericValue, minor: NumericValue | None,
+                    unit: CurrencyUnit, magnitude_word: str | None,
                     locale: Locale) -> str:
     """Render a currency amount; cents only when spoken ("$0", "$1,000.50")."""
     if magnitude_word:
@@ -72,7 +70,7 @@ def format_currency(major: NumericValue, minor: Optional[NumericValue],
 
 
 def format_quantity(value: NumericValue, unit_word: str,
-                    magnitude_word: Optional[str], locale: Locale) -> str:
+                    magnitude_word: str | None, locale: Locale) -> str:
     """Render a counted amount: "2,000 pieces", "9.1 million", "7"."""
     out = _decimal_string(value, locale)
     if magnitude_word:

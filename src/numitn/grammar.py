@@ -8,7 +8,6 @@ records. ``scan_tokens`` hands a position's readings to ``classify.choose``.
 from __future__ import annotations
 
 import re
-from typing import Optional
 
 from .classify import choose
 from .lexicon import (
@@ -111,7 +110,7 @@ def _key(tokens: Tokens, i: int) -> str:
 # --- cardinals ---------------------------------------------------------------
 
 
-def _spelled(tokens: Tokens, i: int, spellings: _Spellings) -> Optional[tuple[int, int]]:
+def _spelled(tokens: Tokens, i: int, spellings: _Spellings) -> tuple[int, int] | None:
     """Value and end of the longest spelling that starts at token ``i``."""
     keys = tokens.keys
     if i >= len(keys):
@@ -128,7 +127,7 @@ def _spelled(tokens: Tokens, i: int, spellings: _Spellings) -> Optional[tuple[in
     return None
 
 
-def _en_pair_reading(tokens: Tokens, at: int) -> Optional[ParsedExpression]:
+def _en_pair_reading(tokens: Tokens, at: int) -> ParsedExpression | None:
     """A year said as two pairs of digits ("nineteen forty-five", "nineteen oh five").
 
     "nineteen hundred [forty-five]" is a compact cardinal, not a pair split,
@@ -148,7 +147,7 @@ def _en_pair_reading(tokens: Tokens, at: int) -> Optional[ParsedExpression]:
                             NumericValue(first * 100 + second[0]))
 
 
-def _group(tokens: Tokens, i: int, language: str) -> Optional[tuple[int, int]]:
+def _group(tokens: Tokens, i: int, language: str) -> tuple[int, int] | None:
     """Value and end of a cardinal group at token ``i``: one German compound
     numeral token ("zweihundert") or the longest English spelling of 0..999."""
     if language == "de":
@@ -158,7 +157,7 @@ def _group(tokens: Tokens, i: int, language: str) -> Optional[tuple[int, int]]:
 
 
 def _integer(tokens: Tokens, at: int,
-             language: str) -> Optional[tuple[int, int, Optional[tuple[int, str]]]]:
+             language: str) -> tuple[int, int, tuple[int, str] | None] | None:
     """Parse an integer cardinal from the groups ``_group`` reads.
 
     Every group but a bare last one is 1..999 and followed by a scale word
@@ -200,7 +199,7 @@ def _integer(tokens: Tokens, at: int,
     return total, i, sole
 
 
-def _decimal_digits(tokens: Tokens, i: int, language: str) -> Optional[tuple[int, int, int]]:
+def _decimal_digits(tokens: Tokens, i: int, language: str) -> tuple[int, int, int] | None:
     """Read up to MAX_SCALE individually spoken digits after the point."""
     value = 0
     count = 0
@@ -216,7 +215,7 @@ def _decimal_digits(tokens: Tokens, i: int, language: str) -> Optional[tuple[int
     return value, count, i
 
 
-def parse_cardinal(tokens: Tokens, at: int, locale: Locale) -> Optional[ParsedExpression]:
+def parse_cardinal(tokens: Tokens, at: int, locale: Locale) -> ParsedExpression | None:
     """The cardinal reading (integer or decimal) starting at token ``at``.
 
     A German paired year compound is a year reading; the English year pairs
@@ -257,7 +256,7 @@ def parse_cardinal(tokens: Tokens, at: int, locale: Locale) -> Optional[ParsedEx
 # --- clock phrases -----------------------------------------------------------
 
 
-def _meridiem(tokens: Tokens, i: int, language: str) -> Optional[PeriodHint]:
+def _meridiem(tokens: Tokens, i: int, language: str) -> PeriodHint | None:
     """The hint of an am/pm word ("p.m." too) at token ``i``; German has none."""
     return _MERIDIEMS[language].get(_key(tokens, i).replace(".", ""))
 
@@ -267,7 +266,7 @@ def _spells(tokens: Tokens, i: int, keys: list[str]) -> bool:
     return tokens.keys[i:i + len(keys)] == keys
 
 
-def _clock_number(tokens: Tokens, i: int, language: str) -> Optional[int]:
+def _clock_number(tokens: Tokens, i: int, language: str) -> int | None:
     """An hour or minute said as a number word or one or two digits.
 
     English number words start at one: "zero" is no hour.
@@ -280,8 +279,8 @@ def _clock_number(tokens: Tokens, i: int, language: str) -> Optional[int]:
     return value
 
 
-def _relative_minutes(tokens: Tokens, cardinal: Optional[ParsedExpression],
-                      language: str) -> Optional[tuple[int, int]]:
+def _relative_minutes(tokens: Tokens, cardinal: ParsedExpression | None,
+                      language: str) -> tuple[int, int] | None:
     """Leading minute count of "M [minutes] past/to H"; returns (end, M)."""
     if cardinal is None or cardinal.magnitude_word:
         return None
@@ -297,7 +296,7 @@ def _relative_minutes(tokens: Tokens, cardinal: Optional[ParsedExpression],
     return None
 
 
-def _period_lookahead(tokens: Tokens, i: int, language: str) -> Optional[PeriodHint]:
+def _period_lookahead(tokens: Tokens, i: int, language: str) -> PeriodHint | None:
     for keys, hint in _PERIODS[language].get(_key(tokens, i), ()):
         if _spells(tokens, i, keys):
             return hint
@@ -305,7 +304,7 @@ def _period_lookahead(tokens: Tokens, i: int, language: str) -> Optional[PeriodH
 
 
 def _clock_reading(tokens: Tokens, at: int, end: int, hour: int, minute: int,
-                   language: str, hint: Optional[PeriodHint] = None,
+                   language: str, hint: PeriodHint | None = None,
                    bare: bool = False) -> ParsedExpression:
     """The clock reading from ``at`` to ``end``.
 
@@ -369,7 +368,7 @@ def _parse_hour_first_de(tokens: Tokens, at: int) -> list[ParsedExpression]:
     return out
 
 
-def _parse_idioms(tokens: Tokens, at: int, cardinal: Optional[ParsedExpression],
+def _parse_idioms(tokens: Tokens, at: int, cardinal: ParsedExpression | None,
                   language: str) -> list[ParsedExpression]:
     """The styles that say words before the hour, as ``CLOCK_STYLES`` spells them.
 
@@ -403,8 +402,8 @@ def _parse_idioms(tokens: Tokens, at: int, cardinal: Optional[ParsedExpression],
 
 
 def parse_clock_phrase(tokens: Tokens, at: int, locale: Locale,
-                       cardinal: Optional[ParsedExpression]
-                       ) -> Optional[list[ParsedExpression]]:
+                       cardinal: ParsedExpression | None
+                       ) -> list[ParsedExpression] | None:
     """Every spoken clock-time reading starting at token ``at``, or None.
 
     ``cardinal`` is ``parse_cardinal(tokens, at, locale)``; the "M past H"
@@ -420,7 +419,7 @@ def parse_clock_phrase(tokens: Tokens, at: int, locale: Locale,
 
 
 def _currency_reading(tokens: Tokens, cardinal: ParsedExpression,
-                      locale: Locale) -> Optional[ParsedExpression]:
+                      locale: Locale) -> ParsedExpression | None:
     """"<amount> <unit> [and <cents> cents]" with ``cardinal`` as the amount."""
     language = locale.language
     at = cardinal.span.start
@@ -440,7 +439,7 @@ def _currency_reading(tokens: Tokens, cardinal: ParsedExpression,
     if cardinal.magnitude_word is None and value.scale > 2:
         return None
     end = i + 1
-    minor: Optional[NumericValue] = None
+    minor: NumericValue | None = None
     if cardinal.magnitude_word is None and value.is_integer \
             and _key(tokens, end) == AND_KEYS[language]:
         tail = parse_cardinal(tokens, end + 1, locale)
@@ -456,7 +455,7 @@ def _currency_reading(tokens: Tokens, cardinal: ParsedExpression,
 
 
 def parse_currency_phrase(tokens: Tokens, cardinals: list[ParsedExpression],
-                          locale: Locale) -> Optional[list[ParsedExpression]]:
+                          locale: Locale) -> list[ParsedExpression] | None:
     """Every currency reading whose amount is one of ``cardinals``, or None.
 
     ``cardinals`` are the cardinal readings of one position.

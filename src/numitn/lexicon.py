@@ -23,7 +23,7 @@ sweep all read them, so a new phrasing is one table entry.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from collections import namedtuple
 
 from .types import PeriodHint
 
@@ -220,7 +220,7 @@ DE_GROUPS = {**_DE_UNDER_HUNDRED,
                 for tail, n in _DE_HUNDRED_TAILS.items()}}
 
 
-def de_compound(text: str) -> Optional[int]:
+def de_compound(text: str) -> int | None:
     """Value of one folded German compound numeral ("zweitausendfuenf").
 
     The part before "tausend" (one if empty) and the part after it, less a
@@ -259,7 +259,7 @@ def digit_words(digits: str, language: str) -> str:
     return " ".join(names[int(d)] for d in digits)
 
 
-def digit_value(key: str, language: str) -> Optional[int]:
+def digit_value(key: str, language: str) -> int | None:
     """The digit a folded key names when digits are read one by one."""
     if language == "de":
         return None if key == DE_EINE else _DE_UNITS.get(key)
@@ -274,7 +274,8 @@ def digit_value(key: str, language: str) -> Optional[int]:
 MAX_COUNTED_MINUTE = 29
 
 
-class ClockStyle(NamedTuple):
+class ClockStyle(namedtuple("ClockStyle", "name words minute next_hour period",
+                            defaults=("", None, False, True))):
     """One way to say a time of day; ``words`` come before the hour, if any.
 
     ``minute`` is None for a counted style ("five minutes past") and for
@@ -283,11 +284,7 @@ class ClockStyle(NamedTuple):
     day-period phrase; the others say am/pm or use the 24-hour clock.
     """
 
-    name: str
-    words: str = ""
-    minute: Optional[int] = None
-    next_hour: bool = False
-    period: bool = True
+    __slots__ = ()
 
     @property
     def counted(self) -> bool:

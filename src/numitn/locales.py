@@ -4,49 +4,53 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, fields
+from collections import namedtuple
 
 from .lexicon import fold_german
+from .types import make_through_new
 
 _PLACEMENTS = ("prefix", "suffix")
 # Languages the grammar, classifier and verbalizer have tables for.
 _LANGUAGES = ("en", "de")
 
 
-@dataclass(frozen=True)
-class Locale:
-    language: str
-    thousands_separator: str
-    decimal_mark: str
-    currency_placement: str
+class Locale(namedtuple("Locale", "language thousands_separator decimal_mark currency_placement")):
+    __slots__ = ()
+    _make = classmethod(make_through_new)
 
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            if not isinstance(getattr(self, f.name), str):
-                raise ValueError(f"{f.name} must be a string")
-        if not self.decimal_mark:
+    def __new__(cls, language: str, thousands_separator: str, decimal_mark: str,
+                currency_placement: str) -> Locale:
+        self = tuple.__new__(cls, (language, thousands_separator, decimal_mark,
+                                   currency_placement))
+        for name, value in zip(cls._fields, self):
+            if not isinstance(value, str):
+                raise ValueError(f"{name} must be a string")
+        if not decimal_mark:
             raise ValueError("decimal mark must not be empty")
-        if self.thousands_separator == self.decimal_mark:
+        if thousands_separator == decimal_mark:
             raise ValueError("thousands separator and decimal mark must differ")
-        if self.currency_placement not in _PLACEMENTS:
+        if any(map(str.isdigit, thousands_separator + decimal_mark)):
+            # A digit mark would be read as part of the number it splits.
+            raise ValueError("thousands separator and decimal mark must not hold a digit")
+        if currency_placement not in _PLACEMENTS:
             raise ValueError(f"currency placement must be one of {_PLACEMENTS}")
-        if self.language not in _LANGUAGES:
-            raise ValueError(f"language must be one of {_LANGUAGES}, not {self.language!r}")
+        if language not in _LANGUAGES:
+            raise ValueError(f"language must be one of {_LANGUAGES}, not {language!r}")
+        return self
 
 
-@dataclass(frozen=True)
-class CurrencyUnit:
-    code: str
-    symbol: str
-    minor_unit_digits: int = 2
+class CurrencyUnit(namedtuple("CurrencyUnit", "code symbol minor_unit_digits")):
+    __slots__ = ()
+    _make = classmethod(make_through_new)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.symbol, str):
+    def __new__(cls, code: str, symbol: str, minor_unit_digits: int = 2) -> CurrencyUnit:
+        if not isinstance(symbol, str):
             raise ValueError("symbol must be a string")
-        if not isinstance(self.minor_unit_digits, int) or isinstance(self.minor_unit_digits, bool):
+        if not isinstance(minor_unit_digits, int) or isinstance(minor_unit_digits, bool):
             raise ValueError("minor_unit_digits must be an integer")
-        if self.minor_unit_digits < 0:
+        if minor_unit_digits < 0:
             raise ValueError("minor_unit_digits must be non-negative")
+        return tuple.__new__(cls, (code, symbol, minor_unit_digits))
 
 
 EN = Locale("en", thousands_separator=",", decimal_mark=".", currency_placement="prefix")
@@ -85,12 +89,10 @@ CURRENCY_WORDS: dict[str, dict[str, str]] = {
     for language in _LANGUAGES}
 
 
-@dataclass(frozen=True)
-class LocaleConfig:
-    """Resolved locale/currency registry, possibly extended via a config file."""
+class LocaleConfig(namedtuple("LocaleConfig", "locales currencies")):
+    """Codes to ``Locale`` and ``CurrencyUnit`` records, possibly extended via a config file."""
 
-    locales: dict[str, Locale]
-    currencies: dict[str, CurrencyUnit]
+    __slots__ = ()
 
     def locale(self, code: str) -> Locale:
         try:
@@ -103,8 +105,8 @@ DEFAULT_CONFIG = LocaleConfig(dict(DEFAULT_LOCALES), dict(DEFAULT_CURRENCIES))
 
 
 # The fields a config entry may set, by section; "code" is the entry's key.
-_CONFIG_FIELDS = {"locales": {f.name for f in fields(Locale)},
-                  "currencies": {f.name for f in fields(CurrencyUnit)} - {"code"}}
+_CONFIG_FIELDS = {"locales": set(Locale._fields),
+                  "currencies": set(CurrencyUnit._fields) - {"code"}}
 
 
 def _section(raw: dict, name: str) -> dict:

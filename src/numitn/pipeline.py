@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .classify import classify
 from .extract import extract_numeric_literals
@@ -14,21 +14,17 @@ from .tokenizer import Tokens, tokenize
 from .types import ParsedExpression, Span
 
 
-@dataclass(frozen=True)
-class NormalizedExpression:
-    """One replacement made while normalizing a sentence."""
+class NormalizedExpression(namedtuple(
+        "NormalizedExpression", "expression source_span source_text formatted output_span")):
+    """One replacement made while normalizing a sentence, with its spans in both texts."""
 
-    expression: ParsedExpression
-    source_span: Span
-    source_text: str
-    formatted: str
-    output_span: Span
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class NormalizationOutcome:
-    text: str
-    replacements: tuple[NormalizedExpression, ...]
+class NormalizationOutcome(namedtuple("NormalizationOutcome", "text replacements")):
+    """The normalized ``text`` and a tuple of its ``NormalizedExpression`` replacements."""
+
+    __slots__ = ()
 
 
 def _char_range(tokens: Tokens, span: Span) -> tuple[int, int]:

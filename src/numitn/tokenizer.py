@@ -7,7 +7,6 @@ and "1.000,50€" each survive as a single token.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .lexicon import fold_german
 
@@ -20,15 +19,25 @@ _P = re.escape("".join(sorted(_PEEL)))
 _TOKEN_RE = re.compile(rf"[{_P}]|[^\s{_P}](?:\S*[^\s{_P}])?")
 
 
-@dataclass(slots=True)
 class Tokens:
-    surfaces: list[str]
-    # Lowercase with umlauts and ß spelled out: the key every table lookup reads.
-    keys: list[str]
-    spans: list[tuple[int, int]]
+    """Parallel lists of surfaces, keys and char spans; ``len`` counts tokens."""
+
+    __slots__ = ("surfaces", "keys", "spans")
+
+    def __init__(self, surfaces: list[str], keys: list[str],
+                 spans: list[tuple[int, int]]) -> None:
+        # Keys are lowercase with umlauts and ß spelled out: what every table lookup reads.
+        self.surfaces, self.keys, self.spans = surfaces, keys, spans
 
     def __len__(self) -> int:
         return len(self.surfaces)
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is Tokens and (self.surfaces, self.keys, self.spans) == (
+            other.surfaces, other.keys, other.spans)
+
+    def __repr__(self) -> str:
+        return f"Tokens(surfaces={self.surfaces!r}, keys={self.keys!r}, spans={self.spans!r})"
 
 
 def tokenize(sentence: str) -> Tokens:

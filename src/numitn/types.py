@@ -6,9 +6,9 @@ grammar's readings to the formatter and the verbalizer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from enum import Enum
-from typing import Optional, Union
 
 MAX_MANTISSA = 10**15
 MAX_SCALE = 6
@@ -33,22 +33,27 @@ class PeriodHint(Enum):
     UNSPECIFIED = "unspecified"
 
 
-@dataclass(frozen=True)
-class NumericValue:
+def make_through_new(cls: type, fields: Iterable) -> tuple:
+    """A checked record's ``_make`` (and ``_replace``): the named tuple's own skips ``__new__``."""
+    return cls(*fields)
+
+
+class NumericValue(namedtuple("NumericValue", "mantissa scale")):
     """Exact non-negative decimal number: mantissa * 10**-scale.
 
     The mantissa carries all spoken digits; the scale counts digits after
     the decimal point ("nine point one" -> mantissa 91, scale 1).
     """
 
-    mantissa: int
-    scale: int = 0
+    __slots__ = ()
+    _make = classmethod(make_through_new)
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.mantissa <= MAX_MANTISSA:
-            raise ValueError(f"mantissa out of range: {self.mantissa}")
-        if not 0 <= self.scale <= MAX_SCALE:
-            raise ValueError(f"scale out of range: {self.scale}")
+    def __new__(cls, mantissa: int, scale: int = 0) -> NumericValue:
+        if not 0 <= mantissa <= MAX_MANTISSA:
+            raise ValueError(f"mantissa out of range: {mantissa}")
+        if not 0 <= scale <= MAX_SCALE:
+            raise ValueError(f"scale out of range: {scale}")
+        return tuple.__new__(cls, (mantissa, scale))
 
     @property
     def is_integer(self) -> bool:
@@ -62,29 +67,29 @@ class NumericValue:
         return digits, ""
 
 
-@dataclass(frozen=True)
-class TimeOfDay:
-    hour: int
-    minute: int
-    period_hint: PeriodHint = PeriodHint.UNSPECIFIED
+class TimeOfDay(namedtuple("TimeOfDay", "hour minute period_hint")):
+    __slots__ = ()
+    _make = classmethod(make_through_new)
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.hour <= 23:
-            raise ValueError(f"hour out of range: {self.hour}")
-        if not 0 <= self.minute <= 59:
-            raise ValueError(f"minute out of range: {self.minute}")
+    def __new__(cls, hour: int, minute: int,
+                period_hint: PeriodHint = PeriodHint.UNSPECIFIED) -> TimeOfDay:
+        if not 0 <= hour <= 23:
+            raise ValueError(f"hour out of range: {hour}")
+        if not 0 <= minute <= 59:
+            raise ValueError(f"minute out of range: {minute}")
+        return tuple.__new__(cls, (hour, minute, period_hint))
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(namedtuple("Span", "start end")):
     """Half-open index range; token indices in parses, char offsets in matches."""
 
-    start: int
-    end: int
+    __slots__ = ()
+    _make = classmethod(make_through_new)
 
-    def __post_init__(self) -> None:
-        if self.start < 0 or self.end < self.start:
-            raise ValueError(f"bad span: {self.start}..{self.end}")
+    def __new__(cls, start: int, end: int) -> Span:
+        if start < 0 or end < start:
+            raise ValueError(f"bad span: {start}..{end}")
+        return tuple.__new__(cls, (start, end))
 
     def __len__(self) -> int:
         return self.end - self.start
@@ -94,31 +99,24 @@ class Span:
 NO_SPAN = Span(0, 1)
 
 
-@dataclass(frozen=True)
-class MoneyAmount:
-    """Currency value; ``minor`` is None when no cents were spoken."""
+class MoneyAmount(namedtuple("MoneyAmount", "major minor currency")):
+    """Currency value in ``NumericValue`` parts; ``minor`` is None when no cents were spoken."""
 
-    major: NumericValue
-    minor: Optional[NumericValue]
-    currency: str
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ParsedExpression:
+class ParsedExpression(namedtuple("ParsedExpression",
+                                  "span expr_type value magnitude_word unit_word bare",
+                                  defaults=(None, "", False))):
     """One numeric expression, from the grammar's readings to the verbalizer.
 
     The grammar builds every reading of a span as one of these,
     ``classify.choose`` picks one and ``classify.classify`` finishes it.
     ``value`` is a ``NumericValue`` for a year or a quantity, a ``TimeOfDay``
     for a timestamp and a ``MoneyAmount`` for a currency. ``magnitude_word``
-    is the spoken scale of a currency or quantity ("million"), and
+    is the spoken scale of a currency or quantity ("million"), or None, and
     ``unit_word`` the word a quantity counts ("users"). A ``bare`` reading is
     a clock time said as an hour and a minute number alone ("nine thirty").
     """
 
-    span: Span
-    expr_type: ExpressionType
-    value: Union[NumericValue, TimeOfDay, MoneyAmount]
-    magnitude_word: Optional[str] = None
-    unit_word: str = ""
-    bare: bool = False
+    __slots__ = ()

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import random
 import re
-from typing import Optional
 
 from .extract import match_literal, scan_literals
 from .lexicon import (
@@ -67,7 +66,7 @@ def year_styles(year: int, language: str) -> tuple[str, ...]:
     return ("pair", "cardinal") if 1100 <= year <= 2099 else ("cardinal",)
 
 
-def verbalize_year(year: int, language: str, style: Optional[str] = None) -> str:
+def verbalize_year(year: int, language: str, style: str | None = None) -> str:
     styles = year_styles(year, language)
     style = style or styles[0]
     if style not in styles:
@@ -160,8 +159,8 @@ def _time_phrase(t: TimeOfDay, style: ClockStyle, language: str) -> str:
     return f"{face} {oh}{en_two_digit_words(m)} {meridiem}"
 
 
-def time_words(t: TimeOfDay, locale: Locale, style: Optional[str] = None,
-               rng: Optional[random.Random] = None) -> tuple[str, str]:
+def time_words(t: TimeOfDay, locale: Locale, style: str | None = None,
+               rng: random.Random | None = None) -> tuple[str, str]:
     """``t`` said in a style, and the day-period phrase said after it ("" if none)."""
     styles = _STYLES_BY_MINUTE[locale.language, t.hour == 12][t.minute]
     if style is None:
@@ -174,8 +173,8 @@ def time_words(t: TimeOfDay, locale: Locale, style: Optional[str] = None,
     return _time_phrase(t, chosen, locale.language), period
 
 
-def verbalize_time(t: TimeOfDay, locale: Locale, style: Optional[str] = None,
-                   rng: Optional[random.Random] = None) -> str:
+def verbalize_time(t: TimeOfDay, locale: Locale, style: str | None = None,
+                   rng: random.Random | None = None) -> str:
     phrase, period = time_words(t, locale, style, rng)
     return phrase + period
 
@@ -212,14 +211,14 @@ def enumerate_timestamp_phrasings(locale: Locale) -> tuple[tuple[str, TimeOfDay]
 
 
 def _count_words(value: NumericValue, language: str,
-                 magnitude_word: Optional[str]) -> str:
+                 magnitude_word: str | None) -> str:
     # "eine Million", never "eins Million".
     if magnitude_word and language == "de" and value.is_integer and value.mantissa == 1:
         return DE_EINE
     return verbalize_decimal(value, language)
 
 
-def _currency_words(money: MoneyAmount, magnitude_word: Optional[str], locale: Locale) -> str:
+def _currency_words(money: MoneyAmount, magnitude_word: str | None, locale: Locale) -> str:
     language = locale.language
     if (money.currency, language) not in CURRENCY_SPOKEN:
         raise ValueError(f"no {language!r} words for currency {money.currency!r}")
@@ -241,7 +240,7 @@ def _currency_words(money: MoneyAmount, magnitude_word: Optional[str], locale: L
 
 
 def verbalize_value(expr: ParsedExpression, locale: Locale,
-                    rng: Optional[random.Random] = None) -> str:
+                    rng: random.Random | None = None) -> str:
     """Render a classified expression back into spoken number words."""
     language = locale.language
     expr_type, value = expr.expr_type, expr.value
@@ -262,7 +261,7 @@ def verbalize_value(expr: ParsedExpression, locale: Locale,
 
 
 def verbalize_line(line: str, locale: Locale,
-                   rng: Optional[random.Random] = None,
+                   rng: random.Random | None = None,
                    currencies: dict[str, CurrencyUnit] = DEFAULT_CURRENCIES) -> str:
     """Replace every formatted literal in a line with number words."""
     literals = scan_literals(line, locale, currencies)

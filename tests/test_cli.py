@@ -700,3 +700,18 @@ class TestImports:
         assert {"numitn.cli", "numitn.pipeline", "numitn.extract"} <= loaded
         assert loaded.isdisjoint({"numitn.datagen", "numitn.manifest", "numitn.evaluate",
                                   "numitn.wer", "numitn.verbalize", "decimal"})
+
+    @pytest.mark.parametrize("call", [
+        "from numitn.pipeline import normalize_text\n"
+        "normalize_text('it cost five dollars in nineteen ninety', locale, cfg.currencies)",
+        "import random\nfrom numitn.verbalize import verbalize_line\n"
+        "verbalize_line('It cost $5.50 at 7:30 in 1990.', locale, random.Random(0), cfg.currencies)",
+    ], ids=["normalize", "verbalize"])
+    def test_a_line_command_loads_neither_typing_nor_dataclasses(self, tmp_path, call):
+        config = tmp_path / "c.json"
+        config.write_text('{"locales": {"en-gb": {"language": "en"}}}', encoding="utf-8")
+        loaded = self.loaded_after(
+            "import numitn.cli\nfrom numitn.locales import load_locale_config\n"
+            f"cfg = load_locale_config({str(config)!r})\nlocale = cfg.locale('en-gb')\n{call}")
+        assert "numitn.locales" in loaded
+        assert loaded.isdisjoint({"typing", "dataclasses", "inspect"})

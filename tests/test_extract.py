@@ -1,4 +1,3 @@
-import dataclasses
 import re
 
 import pytest
@@ -274,7 +273,7 @@ def test_symbols_are_escaped_before_they_are_sorted():
 def test_every_pattern_starts_with_a_digit_class_or_the_symbols(locale, placement):
     # The regex engine skips ahead in C only to a first literal or character
     # class; a leading "\b" or lookbehind would try a match at every character.
-    locale = dataclasses.replace(locale, currency_placement=placement)
+    locale = locale._replace(currency_placement=placement)
     symbols = ("$", "US$", "€")
     for _, expr_type, pattern in _patterns(locale, symbols):
         prefix = r"(?:US\$|\$|€)" if expr_type == ExpressionType.CURRENCY \

@@ -28,6 +28,13 @@ def test_separator_must_differ_from_mark():
         Locale("xx", ",", ",", "prefix")
 
 
+@pytest.mark.parametrize("separator,mark", [("5", "."), (",", "5"), (" ", "0,"), ("\u0665", ".")])
+def test_separator_and_mark_hold_no_digit(separator, mark):
+    # With "5" as the separator, 2,500 would be written "25500", as 25,500 is.
+    with pytest.raises(ValueError, match="digit"):
+        Locale("en", separator, mark, "prefix")
+
+
 def test_placement_validated():
     with pytest.raises(ValueError):
         Locale("xx", ",", ".", "around")
@@ -74,7 +81,8 @@ def test_load_config_rejects_bad_convention(tmp_path):
 
 
 # Config files that must be rejected when they load: a section or entry
-# that is not a JSON object, a field of the wrong type, an empty decimal mark.
+# that is not a JSON object, a field of the wrong type, an empty decimal mark,
+# a separator or mark that holds a digit.
 MALFORMED_CONFIGS = [
     {"locales": []},
     {"locales": {"x": "de"}},
@@ -86,6 +94,8 @@ MALFORMED_CONFIGS = [
     {"locales": {"en-x": {"language": "en", "decimal_mark": 7}}},
     {"locales": {"en-x": {"language": "en", "thousands_separator": None}}},
     {"locales": {"en-x": {"language": "en", "decimal_mark": ""}}},
+    {"locales": {"en": {"thousands_separator": "5"}}},
+    {"locales": {"en-x": {"language": "en", "decimal_mark": "5"}}},
     {"currency": {"INR": {"symbol": "₹"}}},
     {"currencies": {"INR": {"symbl": "₹"}}},
     {"locales": {"en": {"thousand_separator": " "}}},

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import re
 
@@ -180,7 +179,7 @@ class TestEnumeration:
     def test_one_shared_table_no_caller_can_change(self, locale):
         entries = enumerate_timestamp_phrasings(locale)
         assert entries is enumerate_timestamp_phrasings(
-            dataclasses.replace(locale, thousands_separator=" "))
+            locale._replace(thousands_separator=" "))
         assert isinstance(entries, tuple) and all(isinstance(e, tuple) for e in entries)
 
 
