@@ -229,6 +229,7 @@ def _cmd_split(args: argparse.Namespace) -> int:
     from .datagen import SplitSpec, corpus_statistics, split_disjoint
     from .manifest import ManifestError, iter_manifest_lines, write_manifest
 
+    spec = SplitSpec(args.train, args.dev, args.test, args.seed)
     records, status = [], 0
     for line_no, entry in iter_manifest_lines(args.manifest):
         if isinstance(entry, ManifestError):
@@ -236,7 +237,6 @@ def _cmd_split(args: argparse.Namespace) -> int:
             status = 1
         else:
             records.append(entry)
-    spec = SplitSpec(args.train, args.dev, args.test, args.seed)
     train, dev, test = split_disjoint(records, spec)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -11,11 +11,12 @@ still filters every reply, as it must for a real LLM.
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional, Sequence
+from collections import namedtuple
+from collections.abc import Iterator, Mapping, Sequence
 
 from .extract import LiteralMatch, extract_numeric_literals
 from .formatting import YEAR_MAX, YEAR_MIN, format_expression, format_time
@@ -25,12 +26,14 @@ from .locales import DEFAULT_LOCALES, Locale
 from .manifest import ManifestError, ManifestRecord
 from .tokenizer import Tokens, tokenize
 from .types import (
+    NO_COUNTS,
     NO_SPAN,
     ExpressionType,
     MoneyAmount,
     NumericValue,
     ParsedExpression,
     TimeOfDay,
+    make_through_new,
 )
 from .verbalize import (
     applicable_time_styles,
@@ -56,19 +59,19 @@ class GenerationError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    train: float
-    dev: float
-    test: float
-    seed: int = 0
+class SplitSpec(namedtuple("SplitSpec", "train dev test seed")):
+    __slots__ = ()
+    _make = classmethod(make_through_new)
 
-    def __post_init__(self) -> None:
-        ratios = (self.train, self.dev, self.test)
+    def __new__(cls, train: float, dev: float, test: float, seed: int = 0) -> SplitSpec:
+        ratios = (train, dev, test)
+        if not all(map(math.isfinite, ratios)):
+            raise ValueError("split ratios must be finite")
         if any(r <= 0 for r in ratios):
             raise ValueError("split ratios must be positive")
         if abs(sum(ratios) - 1.0) > 1e-9:
             raise ValueError("split ratios must sum to 1")
+        return tuple.__new__(cls, (train, dev, test, seed))
 
 
 def _marker(locale: Locale) -> str:
@@ -195,18 +198,19 @@ def split_disjoint(records: Sequence[ManifestRecord], spec: SplitSpec
 # --- client interfaces --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClientConfig:
+class ClientConfig(namedtuple("ClientConfig", "max_concurrency")):
     """Synthesis client settings. ``max_concurrency`` is validated but
     unused: every call runs on the calling thread. It is kept only because
     the benchmark's ``corpus`` workload passes it. Text calls are not
     retried: a failed call is recorded once in ``GenerationStats.failures``."""
 
-    max_concurrency: int = 4
+    __slots__ = ()
+    _make = classmethod(make_through_new)
 
-    def __post_init__(self) -> None:
-        if self.max_concurrency < 1:
+    def __new__(cls, max_concurrency: int = 4) -> ClientConfig:
+        if max_concurrency < 1:
             raise ValueError("max_concurrency must be at least 1")
+        return tuple.__new__(cls, (max_concurrency,))
 
 
 class TextGenerator(ABC):
@@ -215,9 +219,8 @@ class TextGenerator(ABC):
         ...
 
 
-@dataclass(frozen=True)
-class SynthesisResult:
-    duration_seconds: float
+class SynthesisResult(namedtuple("SynthesisResult", "duration_seconds")):
+    __slots__ = ()
 
 
 class SpeechSynthesizer(ABC):
@@ -345,7 +348,7 @@ class RuleBasedTextGenerator(TextGenerator):
         raise ValueError(f"unrecognized prompt: {prompt!r}")
 
     def _sentence(self, expr_type: ExpressionType,
-                  said: Optional[tuple[str, Optional[str]]] = None) -> str:
+                  said: tuple[str, str | None] | None = None) -> str:
         """A carrier filled with a (spoken, written) pair, drawn unless ``said``
         gives it; the carrier filled with the written side is kept as gold."""
         carrier = self._rng.choice(_CARRIERS[(self._locale.language, expr_type)])
@@ -414,32 +417,30 @@ class RuleBasedTextGenerator(TextGenerator):
 # --- the pipeline -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GenerationPlan:
-    locale: Locale
-    counts: Mapping[ExpressionType, int] = field(default_factory=dict)
-    sweep_timestamp_phrasings: bool = False
-    batch_size: int = 5
-    voices: tuple[str, ...] = DEFAULT_VOICES
-    seed: int = 0
+class GenerationPlan(namedtuple(
+        "GenerationPlan", "locale counts sweep_timestamp_phrasings batch_size voices seed")):
+    """What to generate: sentences per ``ExpressionType`` in ``counts`` and the sweep."""
 
-    def __post_init__(self) -> None:
-        if self.batch_size < 1:
+    __slots__ = ()
+    _make = classmethod(make_through_new)
+
+    def __new__(cls, locale: Locale, counts: Mapping[ExpressionType, int] = NO_COUNTS,
+                sweep_timestamp_phrasings: bool = False, batch_size: int = 5,
+                voices: tuple[str, ...] = DEFAULT_VOICES, seed: int = 0) -> GenerationPlan:
+        if batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        if not self.voices:
+        if not voices:
             raise ValueError("at least one voice is required")
-        if any(c < 0 for c in self.counts.values()):
+        if any(c < 0 for c in counts.values()):
             raise ValueError("counts must be non-negative")
+        return tuple.__new__(cls, (locale, counts, sweep_timestamp_phrasings, batch_size,
+                                   voices, seed))
 
 
-@dataclass(frozen=True)
-class GenerationStats:
-    prompts_issued: int
-    sentences_generated: int
-    accepted: int
-    discarded: int
-    failures: tuple[str, ...]
-    audio_seconds: float
+class GenerationStats(namedtuple(
+        "GenerationStats",
+        "prompts_issued sentences_generated accepted discarded failures audio_seconds")):
+    __slots__ = ()
 
 
 _ENUM_PREFIX_RE = re.compile(r"^\s*(?:\d+[.)]\s+|[-*•]\s+)")

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Iterable
 from decimal import Decimal, ROUND_HALF_UP
-from typing import Iterable, Mapping, Optional
 
-from .types import ExpressionType
+from .extract import literal_present
+from .types import NO_COUNTS, ExpressionType
 from .wer import edit_distance
 
 _COLUMNS = (
@@ -23,39 +24,37 @@ _TSV_FIELDS = ("wer_distance", "wer_tokens",
                "quantities_correct", "quantities_total")
 
 
-@dataclass(frozen=True)
-class TypeCount:
-    correct: int = 0
-    total: int = 0
+class TypeCount(namedtuple("TypeCount", "correct total", defaults=(0, 0))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EvalItem:
-    reference: str
-    hypothesis: str
-    expected: tuple[tuple[str, ExpressionType], ...] = ()
+class EvalItem(namedtuple("EvalItem", "reference hypothesis expected", defaults=((),))):
+    """A reference line, its hypothesis and the (surface, ``ExpressionType``) pairs expected."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    """Raw tallies; every percentage is derived on demand."""
+class EvalReport(namedtuple("EvalReport", "wer_distance wer_tokens counts",
+                            defaults=(0, 0, NO_COUNTS))):
+    """Raw tallies; every percentage is derived on demand.
 
-    wer_distance: int = 0
-    wer_tokens: int = 0
-    counts: Mapping[ExpressionType, TypeCount] = field(default_factory=dict)
+    ``counts`` maps an ``ExpressionType`` to its ``TypeCount``.
+    """
+
+    __slots__ = ()
 
     @property
     def wer(self) -> float:
         return self.wer_distance / max(self.wer_tokens, 1)
 
-    def accuracy(self, expr_type: ExpressionType) -> Optional[Decimal]:
+    def accuracy(self, expr_type: ExpressionType) -> Decimal | None:
         count = self.counts.get(expr_type)
         if count is None or count.total == 0:
             return None
         return _percent(count.correct, count.total)
 
     @property
-    def average_accuracy(self) -> Optional[Decimal]:
+    def average_accuracy(self) -> Decimal | None:
         ratios = [Decimal(c.correct * 100) / Decimal(c.total)
                   for c in self.counts.values() if c.total]
         if not ratios:
@@ -69,33 +68,6 @@ def _percent(numerator: int, denominator: int) -> Decimal:
 
 def _round1(value: Decimal) -> Decimal:
     return value.quantize(Decimal("0.1"), rounding=ROUND_HALF_UP)
-
-
-def literal_present(hypothesis: str, surface: str) -> bool:
-    """Whether ``surface`` stands whole in ``hypothesis``.
-
-    A match fails when a neighbour continues it: a letter or digit, or a
-    ``.``, ``,`` or ``:`` with a digit on its far side, so "1,000" is not
-    in "$1,000,000" nor "5" in "5.5". Sentence punctuation after the
-    literal still ends it, as in "in 1945." and "In 1945, the war".
-    """
-    at = hypothesis.find(surface)
-    while at != -1:
-        end = at + len(surface)
-        if not (_continues(hypothesis, at - 1, -1) or _continues(hypothesis, end, 1)):
-            return True
-        at = hypothesis.find(surface, at + 1)
-    return False
-
-
-def _continues(text: str, i: int, step: int) -> bool:
-    """Whether ``text[i]``, beside a match, joins it to a longer word or number."""
-    if not 0 <= i < len(text):
-        return False
-    if text[i].isalnum():
-        return True
-    far = i + step
-    return text[i] in ".,:" and 0 <= far < len(text) and text[far].isdigit()
 
 
 def evaluate(items: Iterable[EvalItem]) -> EvalReport:

@@ -148,3 +148,30 @@ def extract_numeric_literals(text: str, locale: Locale,
     """All formatted numeric literals, left to right, non-overlapping."""
     return [LiteralMatch(Span(m.start(), m.end()), m.group(), expr_type)
             for expr_type, m in scan_literals(text, locale, currencies)]
+
+
+def literal_present(hypothesis: str, surface: str) -> bool:
+    """Whether ``surface`` stands whole in ``hypothesis``.
+
+    A match fails when a neighbour continues it: a letter or digit, or a
+    ``.``, ``,`` or ``:`` with a digit on its far side, so "1,000" is not
+    in "$1,000,000" nor "5" in "5.5". Sentence punctuation after the
+    literal still ends it, as in "in 1945." and "In 1945, the war".
+    """
+    at = hypothesis.find(surface)
+    while at != -1:
+        end = at + len(surface)
+        if not (_continues(hypothesis, at - 1, -1) or _continues(hypothesis, end, 1)):
+            return True
+        at = hypothesis.find(surface, at + 1)
+    return False
+
+
+def _continues(text: str, i: int, step: int) -> bool:
+    """Whether ``text[i]``, beside a match, joins it to a longer word or number."""
+    if not 0 <= i < len(text):
+        return False
+    if text[i].isalnum():
+        return True
+    far = i + step
+    return text[i] in ".,:" and 0 <= far < len(text) and text[far].isdigit()

@@ -3,16 +3,14 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+import os
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from itertools import chain
-from pathlib import Path
-from typing import Iterable, Iterator, Optional
 
-from .evaluate import literal_present
-from .types import ExpressionType
+from .extract import literal_present
+from .types import ExpressionType, make_through_new
 
-_FIELD_ORDER = ("id", "locale", "type", "verbalized", "formatted",
-                "expressions", "audio", "voice")
 _TYPE_VALUES = {t.value for t in ExpressionType}
 
 
@@ -20,72 +18,70 @@ class ManifestError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ManifestRecord:
+class ManifestRecord(namedtuple(
+        "ManifestRecord", "id locale type verbalized formatted expressions audio voice")):
     """One corpus sentence pair plus its synthesis bookkeeping.
 
-    The spoken side must be digit-free, every expression surface must occur
-    in the formatted side and every string must encode as UTF-8 (a lone
-    surrogate does not); all are enforced on construction so a manifest on
-    disk can be trusted after a plain read and written back whole.
+    ``expressions`` holds (surface, type value) pairs of strings; ``audio``
+    and ``voice`` may be None. The spoken side must be digit-free, every
+    expression surface must occur in the formatted side and every string
+    must encode as UTF-8 (a lone surrogate does not); all are enforced on
+    construction so a manifest on disk can be trusted after a plain read
+    and written back whole.
     """
 
-    id: str
-    locale: str
-    type: str
-    verbalized: str
-    formatted: str
-    expressions: tuple[tuple[str, str], ...]
-    audio: Optional[str] = None
-    voice: Optional[str] = None
+    __slots__ = ()
+    _make = classmethod(make_through_new)
 
-    def __post_init__(self) -> None:
-        if self.type not in _TYPE_VALUES:
-            raise ManifestError(f"record {self.id}: unknown type {self.type!r}")
-        if any(map(str.isdigit, self.verbalized)):
+    def __new__(cls, id: str, locale: str, type: str, verbalized: str, formatted: str,
+                expressions: tuple[tuple[str, str], ...], audio: str | None = None,
+                voice: str | None = None) -> ManifestRecord:
+        if type not in _TYPE_VALUES:
+            raise ManifestError(f"record {id}: unknown type {type!r}")
+        if any(map(str.isdigit, verbalized)):
             raise ManifestError(
-                f"record {self.id}: verbalized text contains digits: {self.verbalized!r}")
-        if not self.expressions:
-            raise ManifestError(f"record {self.id}: no expressions listed")
-        for surface, expr_type in self.expressions:
+                f"record {id}: verbalized text contains digits: {verbalized!r}")
+        if not expressions:
+            raise ManifestError(f"record {id}: no expressions listed")
+        for surface, expr_type in expressions:
             if expr_type not in _TYPE_VALUES:
                 raise ManifestError(
-                    f"record {self.id}: unknown expression type {expr_type!r}")
-            if not literal_present(self.formatted, surface):
+                    f"record {id}: unknown expression type {expr_type!r}")
+            if not literal_present(formatted, surface):
                 raise ManifestError(
-                    f"record {self.id}: expression {surface!r} missing from "
-                    f"formatted text {self.formatted!r}")
+                    f"record {id}: expression {surface!r} missing from "
+                    f"formatted text {formatted!r}")
         try:
-            "".join([self.id, self.locale, self.type, self.verbalized, self.formatted,
-                     str(self.audio), str(self.voice),
-                     *chain.from_iterable(self.expressions)]).encode("utf-8")
+            "".join([id, locale, type, verbalized, formatted, str(audio), str(voice),
+                     *chain.from_iterable(expressions)]).encode("utf-8")
         except UnicodeEncodeError as err:
             bad = err.object[err.start:err.end]
             raise ManifestError(
-                f"record {self.id}: {bad!r} is not UTF-8 ({err.reason})") from None
+                f"record {id}: {bad!r} is not UTF-8 ({err.reason})") from None
+        return tuple.__new__(cls, (id, locale, type, verbalized, formatted, expressions,
+                                   audio, voice))
 
     def surfaces(self) -> tuple[str, ...]:
         return tuple(surface for surface, _ in self.expressions)
 
     def to_json(self) -> str:
-        payload = {name: getattr(self, name) for name in _FIELD_ORDER}
-        payload["expressions"] = [list(pair) for pair in self.expressions]
-        return json.dumps(payload, ensure_ascii=False)
+        # JSON writes the ``expressions`` tuples as lists.
+        return json.dumps(self._asdict(), ensure_ascii=False)
 
     @classmethod
-    def from_obj(cls, obj: object) -> "ManifestRecord":
+    def from_obj(cls, obj: object) -> ManifestRecord:
         if not isinstance(obj, dict):
             raise ManifestError(f"expected an object, got {type(obj).__name__}")
         extra = set(obj) - _FIELD_NAMES
         if extra:
             raise ManifestError(f"unknown fields: {sorted(extra)}")
-        missing = [name for name in _FIELD_ORDER[:6] if name not in obj]
+        missing = [name for name in cls._fields[:6] if name not in obj]
         if missing:
             raise ManifestError(f"missing fields: {missing}")
-        mistyped = [name for name in _FIELD_ORDER[:5] if not isinstance(obj[name], str)]
+        mistyped = [name for name in cls._fields[:5] if not isinstance(obj[name], str)]
         if mistyped:
             raise ManifestError(f"fields must be strings: {mistyped}")
-        mistyped = [name for name in _FIELD_ORDER[6:]
+        mistyped = [name for name in cls._fields[6:]
                     if not isinstance(obj.get(name), (str, type(None)))]
         if mistyped:
             raise ManifestError(f"fields must be strings or null: {mistyped}")
@@ -99,10 +95,10 @@ class ManifestRecord:
         return cls(**data)
 
 
-_FIELD_NAMES = frozenset(f.name for f in fields(ManifestRecord))
+_FIELD_NAMES = frozenset(ManifestRecord._fields)
 
 
-def write_manifest(records: Iterable[ManifestRecord], path: str | Path) -> int:
+def write_manifest(records: Iterable[ManifestRecord], path: str | os.PathLike[str]) -> int:
     count = 0
     with open(path, "w", encoding="utf-8") as handle:
         for record in records:
@@ -112,7 +108,7 @@ def write_manifest(records: Iterable[ManifestRecord], path: str | Path) -> int:
 
 
 def iter_manifest_lines(
-        path: str | Path) -> Iterator[tuple[int, ManifestRecord | ManifestError]]:
+        path: str | os.PathLike[str]) -> Iterator[tuple[int, ManifestRecord | ManifestError]]:
     """Each non-blank line's number with its record, or the error that line holds."""
     with open(path, "rb") as handle:
         for line_no, raw in enumerate(handle, start=1):
@@ -130,7 +126,7 @@ def iter_manifest_lines(
             yield line_no, entry
 
 
-def read_manifest(path: str | Path) -> list[ManifestRecord]:
+def read_manifest(path: str | os.PathLike[str]) -> list[ManifestRecord]:
     """Every record, or a ``ManifestError`` naming the first line that holds none."""
     records = []
     for line_no, entry in iter_manifest_lines(path):

@@ -9,9 +9,13 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable
 from enum import Enum
+from types import MappingProxyType
 
 MAX_MANTISSA = 10**15
 MAX_SCALE = 6
+
+# The default per-type ``counts`` of a record: every record shares it, so it is read-only.
+NO_COUNTS = MappingProxyType({})
 
 
 class ExpressionType(Enum):

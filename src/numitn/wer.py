@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 
 def edit_distance(reference: Sequence[str], hypothesis: Sequence[str]) -> int:

@@ -531,6 +531,15 @@ class TestGenSplitEval:
         with pytest.raises(ManifestError, match="is not UTF-8"):
             record(json.loads('"\\udcff"'))
 
+    @pytest.mark.parametrize("train", ["nan", "inf"])
+    def test_non_finite_split_ratio_exits_1(self, tmp_path, capsys, train):
+        path = self.gen_manifest(tmp_path, capsys)
+        out_dir = tmp_path / "splits"
+        code, out, err = run(capsys, "split", "--manifest", str(path), "--out-dir", str(out_dir),
+                             "--train", train, "--dev", "0.5", "--test", "0.5")
+        assert (code, out, err) == (1, "", "error: split ratios must be finite\n")
+        assert not out_dir.exists()
+
     def test_split_needs_enough_groups(self, tmp_path, capsys):
         path = tmp_path / "tiny.jsonl"
         record = {"id": "a", "locale": "en", "type": "year",
@@ -715,3 +724,33 @@ class TestImports:
             f"cfg = load_locale_config({str(config)!r})\nlocale = cfg.locale('en-gb')\n{call}")
         assert "numitn.locales" in loaded
         assert loaded.isdisjoint({"typing", "dataclasses", "inspect"})
+
+    @pytest.mark.parametrize("command,runs,unloaded", [
+        ("gen", "numitn.datagen",
+         {"typing", "dataclasses", "inspect", "numitn.wer", "numitn.evaluate", "pathlib"}),
+        ("split", "numitn.datagen",
+         {"typing", "dataclasses", "inspect", "numitn.wer", "numitn.evaluate"}),
+        ("eval", "numitn.evaluate", {"typing", "pathlib"}),
+        ("guard", "numitn.wer", {"typing"}),
+    ], ids=["gen", "split", "eval", "guard"])
+    def test_a_corpus_command_leaves_its_budget_unloaded(self, tmp_path, capsys, command, runs,
+                                                         unloaded):
+        manifest = tmp_path / "m.jsonl"
+        assert run(capsys, "gen", "--locale", "en", "--years", "3", "--currencies", "3",
+                   "--out", str(manifest))[0] == 0
+        spoken = tmp_path / "spoken.txt"
+        spoken.write_text("".join(r.verbalized + "\n" for r in read_manifest(manifest)),
+                          encoding="utf-8")
+        argv = {
+            "gen": ["gen", "--locale", "en", "--years", "2", "--out", str(tmp_path / "g.jsonl")],
+            "split": ["split", "--manifest", str(manifest), "--out-dir", str(tmp_path / "s")],
+            "eval": ["eval", "--manifest", str(manifest), "--hypotheses", str(spoken),
+                     "--normalize-before-wer"],
+            "guard": ["guard", str(spoken), str(spoken)],
+        }[command]
+        loaded = self.loaded_after(
+            "import contextlib, io\nfrom numitn.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            f"contextlib.redirect_stderr(io.StringIO()):\n    assert main({argv!r}) == 0")
+        assert runs in loaded
+        assert loaded.isdisjoint(unloaded), sorted(loaded & unloaded)

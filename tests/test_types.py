@@ -1,8 +1,17 @@
 import pytest
 
+from numitn.datagen import (
+    ClientConfig,
+    GenerationPlan,
+    GenerationStats,
+    SplitSpec,
+    SynthesisResult,
+)
+from numitn.evaluate import EvalItem, EvalReport, TypeCount
 from numitn.extract import LiteralMatch
 from numitn.lexicon import ClockStyle
 from numitn.locales import EN, CurrencyUnit, Locale, LocaleConfig
+from numitn.manifest import ManifestRecord
 from numitn.pipeline import NormalizationOutcome, NormalizedExpression
 from numitn.types import (
     ExpressionType,
@@ -59,6 +68,9 @@ class TestTimeOfDay:
 
 _YEAR = ParsedExpression(Span(1, 3), ExpressionType.YEAR, NumericValue(1945))
 _REPLACED = (_YEAR, Span(3, 22), "nineteen forty-five", "1945", Span(3, 7))
+_MANIFEST_FIELDS = ("en-year-00001", "en", "year", "in nineteen forty-five", "in 1945",
+                    (("1945", "year"),), "clips/1.wav", "alloy")
+_PLAN_FIELDS = (EN, {ExpressionType.YEAR: 2}, True, 3, ("alloy", "echo"), 7)
 
 # Each record with the values of all its fields.
 RECORDS = [
@@ -75,8 +87,19 @@ RECORDS = [
     (NormalizedExpression, _REPLACED),
     (NormalizationOutcome, ("in 1945", (NormalizedExpression(*_REPLACED),))),
     (ClockStyle, ("quarter_to", "quarter to", 45, True, True)),
+    (SplitSpec, (0.7, 0.1, 0.2, 3)),
+    (ClientConfig, (2,)),
+    (SynthesisResult, (1.5,)),
+    (GenerationPlan, _PLAN_FIELDS),
+    (GenerationStats, (4, 10, 8, 2, ("conversion failed: x",), 3.5)),
+    (ManifestRecord, _MANIFEST_FIELDS),
+    (TypeCount, (1, 2)),
+    (EvalItem, ("in 1945", "in 1945", (("1945", ExpressionType.YEAR),))),
+    (EvalReport, (1, 10, {ExpressionType.YEAR: TypeCount(1, 2)})),
 ]
 _IDS = [record.__name__ for record, _ in RECORDS]
+# Records with a dict field, which cannot be hashed.
+_UNHASHABLE = (LocaleConfig, GenerationPlan, EvalReport)
 
 
 class TestRecords:
@@ -86,7 +109,7 @@ class TestRecords:
         assert first is not second and first == second
         assert record(**dict(zip(record._fields, fields))) == first
         assert record._make(fields) == first
-        if record is LocaleConfig:  # its fields are dicts
+        if record in _UNHASHABLE:
             with pytest.raises(TypeError):
                 hash(first)
         else:
@@ -119,6 +142,17 @@ class TestRecords:
         (CurrencyUnit, ("INR", "₹", 2), {"symbol": 5}),
         (CurrencyUnit, ("INR", "₹", 2), {"minor_unit_digits": True}),
         (CurrencyUnit, ("INR", "₹", 2), {"minor_unit_digits": -1}),
+        (SplitSpec, (0.7, 0.1, 0.2, 3), {"train": float("nan")}),
+        (SplitSpec, (0.7, 0.1, 0.2, 3), {"dev": float("inf")}),
+        (SplitSpec, (0.7, 0.1, 0.2, 3), {"test": 0.0}),
+        (SplitSpec, (0.7, 0.1, 0.2, 3), {"train": 0.8}),
+        (ClientConfig, (2,), {"max_concurrency": 0}),
+        (GenerationPlan, _PLAN_FIELDS, {"batch_size": 0}),
+        (GenerationPlan, _PLAN_FIELDS, {"voices": ()}),
+        (GenerationPlan, _PLAN_FIELDS, {"counts": {ExpressionType.YEAR: -1}}),
+        (ManifestRecord, _MANIFEST_FIELDS, {"verbalized": "in 1945"}),
+        (ManifestRecord, _MANIFEST_FIELDS, {"type": "date"}),
+        (ManifestRecord, _MANIFEST_FIELDS, {"expressions": (("1946", "year"),)}),
     ], ids=lambda value: repr(value) if isinstance(value, dict) else None)
     def test_bad_values_raise_through_every_constructor(self, record, fields, bad):
         good = record(*fields)
@@ -129,3 +163,10 @@ class TestRecords:
             record._make(values.values())
         with pytest.raises(ValueError):
             good._replace(**bad)
+
+    @pytest.mark.parametrize("default", [GenerationPlan(EN).counts, EvalReport().counts],
+                             ids=["GenerationPlan", "EvalReport"])
+    def test_default_counts_cannot_be_mutated(self, default):
+        with pytest.raises(TypeError):
+            default[ExpressionType.YEAR] = 1
+        assert dict(default) == {}
