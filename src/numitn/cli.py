@@ -224,7 +224,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_split(args: argparse.Namespace) -> int:
     """Split the manifest; a line that holds no record is reported and left out."""
-    from pathlib import Path
+    import os
 
     from .datagen import SplitSpec, corpus_statistics, split_disjoint
     from .manifest import ManifestError, iter_manifest_lines, write_manifest
@@ -238,11 +238,10 @@ def _cmd_split(args: argparse.Namespace) -> int:
         else:
             records.append(entry)
     train, dev, test = split_disjoint(records, spec)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    os.makedirs(args.out_dir, exist_ok=True)
     named = {"train": train, "dev": dev, "test": test}
     for name, part in named.items():
-        write_manifest(part, out_dir / f"{name}.jsonl")
+        write_manifest(part, os.path.join(args.out_dir, f"{name}.jsonl"))
     print(corpus_statistics(named), file=sys.stderr)
     return status
 

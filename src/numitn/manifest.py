@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from itertools import chain
@@ -12,6 +13,7 @@ from .extract import literal_present
 from .types import ExpressionType, make_through_new
 
 _TYPE_VALUES = {t.value for t in ExpressionType}
+_ENCODE = json.JSONEncoder(ensure_ascii=False).encode
 
 
 class ManifestError(ValueError):
@@ -66,7 +68,7 @@ class ManifestRecord(namedtuple(
 
     def to_json(self) -> str:
         # JSON writes the ``expressions`` tuples as lists.
-        return json.dumps(self._asdict(), ensure_ascii=False)
+        return _ENCODE(self._asdict())
 
     @classmethod
     def from_obj(cls, obj: object) -> ManifestRecord:
@@ -99,11 +101,31 @@ _FIELD_NAMES = frozenset(ManifestRecord._fields)
 
 
 def write_manifest(records: Iterable[ManifestRecord], path: str | os.PathLike[str]) -> int:
+    """Write one JSON line per record over ``path``; return the record count.
+
+    The file is rewritten in place and then cut where the writes reached,
+    not truncated when it is opened: when a file that was truncated to zero
+    and written again is closed, ext4 (with its default ``auto_da_alloc``)
+    writes it back to disk at once. An error raised while writing, by the
+    records or by the disk, leaves what was written before it and nothing
+    of the old file; a process killed before the cut can leave bytes of the
+    old file after the new records.
+    """
     count = 0
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(record.to_json() + "\n")
-            count += 1
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as handle:
+        try:
+            for record in records:
+                handle.write((record.to_json() + "\n").encode("utf-8"))
+                count += 1
+        finally:
+            try:
+                handle.flush()
+            finally:
+                # Only a longer regular file is cut: ftruncate fails on a
+                # pipe, a tty or /dev/null.
+                status = os.fstat(handle.fileno())
+                if stat.S_ISREG(status.st_mode) and status.st_size > (end := handle.raw.tell()):
+                    os.ftruncate(handle.fileno(), end)
     return count
 
 

@@ -260,6 +260,27 @@ class TestGenSplitEval:
         assert surfaces["dev"] & surfaces["test"] == set()
         assert "Subset" in err and "Utterances" in err
 
+    def test_split_over_an_earlier_split_writes_what_a_fresh_one_does(self, tmp_path, capsys):
+        big = self.gen_manifest(tmp_path, capsys)
+        small = tmp_path / "small.jsonl"
+        assert run(capsys, "gen", "--locale", "en", "--years", "2", "--currencies", "2",
+                   "--quantities", "2", "--seed", "3", "--out", str(small))[0] == 0
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        for manifest, out_dir in ((big, reused), (small, reused), (small, fresh)):
+            assert run(capsys, "split", "--manifest", str(manifest),
+                       "--out-dir", str(out_dir))[0] == 0
+        assert sorted(os.listdir(reused)) == sorted(os.listdir(fresh)) == \
+            ["dev.jsonl", "test.jsonl", "train.jsonl"]
+        for name in ("train", "dev", "test"):
+            assert (reused / f"{name}.jsonl").read_bytes() == \
+                (fresh / f"{name}.jsonl").read_bytes()
+
+    def test_gen_to_dev_null(self, capsys):
+        code, out, err = run(capsys, "gen", "--locale", "en", "--years", "2",
+                             "--out", os.devnull)
+        assert (code, out) == (0, "")
+        assert err.startswith("prompts=") and err.count("\n") == 1
+
     def test_eval_perfect_hypotheses(self, tmp_path, capsys):
         path = self.gen_manifest(tmp_path, capsys)
         records = read_manifest(path)
@@ -729,7 +750,7 @@ class TestImports:
         ("gen", "numitn.datagen",
          {"typing", "dataclasses", "inspect", "numitn.wer", "numitn.evaluate", "pathlib"}),
         ("split", "numitn.datagen",
-         {"typing", "dataclasses", "inspect", "numitn.wer", "numitn.evaluate"}),
+         {"typing", "dataclasses", "inspect", "numitn.wer", "numitn.evaluate", "pathlib"}),
         ("eval", "numitn.evaluate", {"typing", "pathlib"}),
         ("guard", "numitn.wer", {"typing"}),
     ], ids=["gen", "split", "eval", "guard"])

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import threading
 
 import pytest
@@ -547,21 +548,35 @@ class TestRunGeneration:
         assert records == expected
         assert stats.audio_seconds == 7 * 1.5
 
-    def test_pinned_output(self):
-        # Pinned so that a restructured run_generation keeps the corpus byte for byte.
-        lines = []
+    @staticmethod
+    def pinned_records():
+        records = []
         for locale, seed in ((EN, 21), (DE, 22)):
             plan = GenerationPlan(locale=locale,
                                   counts={t: 3 for t in ExpressionType},
                                   sweep_timestamp_phrasings=True,
                                   batch_size=2, seed=seed)
-            records, _ = run_generation(
+            records += run_generation(
                 plan, RuleBasedTextGenerator(locale, seed=seed),
-                MockSpeechSynthesizer())
-            lines += [r.to_json() for r in records]
+                MockSpeechSynthesizer())[0]
+        return records
+
+    def test_pinned_output(self):
+        # Pinned so that a restructured run_generation keeps the corpus byte for byte.
+        lines = [r.to_json() for r in self.pinned_records()]
         assert len(lines) == 168
         assert hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest() == \
             "d60eb4d44c954eb5323dc0b060cd57d032c9baa402e452fc0bd37a8b061055de"
+
+    def test_to_json_is_json_dumps(self):
+        # to_json keeps one encoder; its lines are the ones json.dumps writes.
+        odd = ManifestRecord(
+            id="de-\u00e9\U0001f600", locale="de", type="currency",
+            verbalized="f\u00fcnf \u201eEuro\u201c\t\u2028\"\\ \u00fc",
+            formatted="5\u20ac \u00fc", expressions=(("5\u20ac", "currency"),),
+            voice="\u00f8")
+        for rec in [*self.pinned_records(), odd]:
+            assert rec.to_json() == json.dumps(rec._asdict(), ensure_ascii=False)
 
 
 class TestCorpusStatistics:

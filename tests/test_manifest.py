@@ -1,4 +1,9 @@
+import errno
 import json
+import os
+import subprocess
+import sys
+import threading
 
 import pytest
 
@@ -184,3 +189,117 @@ class TestFiles:
         assert str(entries[1][1]).startswith("not UTF-8: 'utf-8' codec can't decode byte 0xe4")
         with pytest.raises(ManifestError, match=r":2: not UTF-8"):
             read_manifest(path)
+
+
+class TestWriteManifest:
+    """``write_manifest`` rewrites its file in place and cuts it to length."""
+
+    RECORDS = [record(), record(id="en-year-00002")]
+    BYTES = "".join(r.to_json() + "\n" for r in RECORDS).encode("utf-8")
+
+    @pytest.mark.parametrize("old", [b"x" * 4096, b"{}\n", None], ids=["longer", "shorter", "new"])
+    def test_leaves_exactly_the_new_bytes(self, tmp_path, old):
+        path = tmp_path / "m.jsonl"
+        if old is not None:
+            path.write_bytes(old)
+        assert write_manifest(self.RECORDS, path) == 2
+        assert path.read_bytes() == self.BYTES
+
+    def test_no_records_empty_the_file(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_bytes(self.BYTES)
+        assert write_manifest([], path) == 0
+        assert path.read_bytes() == b""
+
+    @pytest.mark.parametrize("through", ["symlink", "hard link"])
+    def test_every_name_of_the_file_shows_the_new_records(self, tmp_path, through):
+        target, other = tmp_path / "target.jsonl", tmp_path / "other.jsonl"
+        target.write_bytes(b"x" * 4096)
+        inode = os.stat(target).st_ino
+        if through == "symlink":
+            other.symlink_to(target)
+        else:
+            os.link(target, other)
+        write_manifest(self.RECORDS, other)
+        assert target.read_bytes() == other.read_bytes() == self.BYTES
+        assert os.stat(target).st_ino == os.stat(other).st_ino == inode
+        assert other.is_symlink() == (through == "symlink")
+
+    def test_mode_is_what_open_w_gives(self, tmp_path):
+        reference = tmp_path / "reference"
+        with open(reference, "w"):
+            pass
+        write_manifest(self.RECORDS, tmp_path / "new.jsonl")
+        assert os.stat(tmp_path / "new.jsonl").st_mode == os.stat(reference).st_mode
+        kept = tmp_path / "kept.jsonl"
+        kept.write_bytes(b"x" * 4096)
+        kept.chmod(0o600)
+        write_manifest(self.RECORDS, kept)
+        assert kept.stat().st_mode & 0o777 == 0o600
+
+    def test_dev_null(self):
+        assert write_manifest(self.RECORDS, os.devnull) == 2
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_named_pipe(self, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        try:
+            assert write_manifest(self.RECORDS, fifo) == 2
+        finally:
+            reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert received == [self.BYTES]
+
+    def test_the_old_file_stays_whole_until_the_first_record(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_bytes(b"x" * 4096)
+        sizes = []
+
+        def records():
+            sizes.append(os.path.getsize(path))
+            yield from self.RECORDS
+
+        write_manifest(records(), path)
+        assert sizes == [4096]
+        assert path.read_bytes() == self.BYTES
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_an_error_mid_write_leaves_the_records_before_it(self, tmp_path, k):
+        path = tmp_path / "m.jsonl"
+        path.write_bytes(b"x" * 4096)
+
+        def records():
+            yield from self.RECORDS[:k]
+            raise RuntimeError("source failed")
+
+        with pytest.raises(RuntimeError, match="source failed"):
+            write_manifest(records(), path)
+        assert path.read_bytes() == "".join(
+            r.to_json() + "\n" for r in self.RECORDS[:k]).encode("utf-8")
+        assert read_manifest(path) == self.RECORDS[:k]
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="needs RLIMIT_FSIZE")
+    def test_a_failed_disk_write_leaves_nothing_of_the_old_file(self, tmp_path):
+        # A child limited to 4,000 bytes a file writes 100 records over a longer
+        # file: the disk write fails with EFBIG, and the file ends where the
+        # writes reached, as a file truncated on open would.
+        path = tmp_path / "m.jsonl"
+        path.write_bytes(b"x" * 20_000)
+        lines = [record(id=f"en-year-{i:05d}").to_json() for i in range(100)]
+        src = os.path.dirname(os.path.dirname(manifest.__file__))
+        code = (
+            f"import json, resource, signal, sys\nsys.path.insert(0, {src!r})\n"
+            "from numitn.manifest import ManifestRecord, write_manifest\n"
+            f"records = (ManifestRecord.from_obj(json.loads(line)) for line in {lines!r})\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (4000, resource.RLIM_INFINITY))\n"
+            f"try:\n    write_manifest(records, {str(path)!r})\n"
+            "except OSError as err:\n    print(err.errno)\n")
+        done = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True,
+                              text=True, check=True, timeout=60)
+        assert done.stdout.split() == [str(errno.EFBIG)]
+        assert path.read_bytes() == "".join(line + "\n" for line in lines).encode("utf-8")[:4000]
