@@ -6,9 +6,9 @@ from collections import namedtuple
 from collections.abc import Iterable
 from decimal import Decimal, ROUND_HALF_UP
 
+from .distance import edit_distance
 from .extract import literal_present
 from .types import NO_COUNTS, ExpressionType
-from .wer import edit_distance
 
 _COLUMNS = (
     (ExpressionType.YEAR, "Years"),

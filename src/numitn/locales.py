@@ -46,6 +46,9 @@ class CurrencyUnit(namedtuple("CurrencyUnit", "code symbol minor_unit_digits")):
     def __new__(cls, code: str, symbol: str, minor_unit_digits: int = 2) -> CurrencyUnit:
         if not isinstance(symbol, str):
             raise ValueError("symbol must be a string")
+        if any(map(str.isdigit, symbol)):
+            # The extractor would find such a symbol inside plain numbers.
+            raise ValueError("symbol must not hold a digit")
         if not isinstance(minor_unit_digits, int) or isinstance(minor_unit_digits, bool):
             raise ValueError("minor_unit_digits must be an integer")
         if minor_unit_digits < 0:

@@ -751,7 +751,8 @@ class TestImports:
          {"typing", "dataclasses", "inspect", "numitn.wer", "numitn.evaluate", "pathlib"}),
         ("split", "numitn.datagen",
          {"typing", "dataclasses", "inspect", "numitn.wer", "numitn.evaluate", "pathlib"}),
-        ("eval", "numitn.evaluate", {"typing", "pathlib"}),
+        ("eval", "numitn.evaluate",
+         {"typing", "dataclasses", "inspect", "numitn.wer", "pathlib"}),
         ("guard", "numitn.wer", {"typing"}),
     ], ids=["gen", "split", "eval", "guard"])
     def test_a_corpus_command_leaves_its_budget_unloaded(self, tmp_path, capsys, command, runs,
@@ -775,3 +776,24 @@ class TestImports:
             f"contextlib.redirect_stderr(io.StringIO()):\n    assert main({argv!r}) == 0")
         assert runs in loaded
         assert loaded.isdisjoint(unloaded), sorted(loaded & unloaded)
+
+    def test_the_benchmark_corpus_warm_up_leaves_the_guard_unloaded(self, tmp_path):
+        # The statements the benchmark's corpus set-up child runs, with its
+        # empty config file.
+        config = tmp_path / "locales.json"
+        config.write_text("{}\n", encoding="utf-8")
+        loaded = self.loaded_after(
+            "import numitn.cli\nfrom numitn.locales import load_locale_config\n"
+            f"cfg = load_locale_config({str(config)!r})\n"
+            "from numitn import datagen\n"
+            "from numitn.evaluate import EvalItem, evaluate\n"
+            "from numitn.types import ExpressionType\n"
+            "locale = cfg.locale('en')\n"
+            "records, _ = datagen.run_generation(\n"
+            "    datagen.GenerationPlan(locale=locale, counts={ExpressionType.YEAR: 1}),\n"
+            "    datagen.RuleBasedTextGenerator(locale),\n"
+            "    datagen.MockSpeechSynthesizer(datagen.ClientConfig(max_concurrency=1)))\n"
+            "evaluate([EvalItem(r.formatted, r.formatted) for r in records])\n")
+        guard = {"dataclasses", "inspect", "numitn.wer"}
+        assert {"numitn.datagen", "numitn.evaluate", "numitn.distance"} <= loaded
+        assert loaded.isdisjoint(guard), sorted(loaded & guard)

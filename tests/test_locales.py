@@ -82,7 +82,7 @@ def test_load_config_rejects_bad_convention(tmp_path):
 
 # Config files that must be rejected when they load: a section or entry
 # that is not a JSON object, a field of the wrong type, an empty decimal mark,
-# a separator or mark that holds a digit.
+# a separator, mark or currency symbol that holds a digit.
 MALFORMED_CONFIGS = [
     {"locales": []},
     {"locales": {"x": "de"}},
@@ -91,6 +91,9 @@ MALFORMED_CONFIGS = [
     {"currencies": {"INR": {"minor_unit_digits": "2"}}},
     {"currencies": {"INR": {"minor_unit_digits": True}}},
     {"currencies": {"INR": {"symbol": 5}}},
+    {"currencies": {"XTS": {"symbol": "1"}}},
+    {"currencies": {"USD": {"symbol": "US1$"}}},
+    {"currencies": {"XTS": {"symbol": "\u0661"}}},
     {"locales": {"en-x": {"language": "en", "decimal_mark": 7}}},
     {"locales": {"en-x": {"language": "en", "thousands_separator": None}}},
     {"locales": {"en-x": {"language": "en", "decimal_mark": ""}}},

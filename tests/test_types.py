@@ -140,6 +140,8 @@ class TestRecords:
         (Locale, ("en", ",", ".", "prefix"), {"language": "fr"}),
         (Locale, ("en", ",", ".", "prefix"), {"language": None}),
         (CurrencyUnit, ("INR", "₹", 2), {"symbol": 5}),
+        (CurrencyUnit, ("INR", "₹", 2), {"symbol": "1"}),
+        (CurrencyUnit, ("INR", "₹", 2), {"symbol": "Rs5"}),
         (CurrencyUnit, ("INR", "₹", 2), {"minor_unit_digits": True}),
         (CurrencyUnit, ("INR", "₹", 2), {"minor_unit_digits": -1}),
         (SplitSpec, (0.7, 0.1, 0.2, 3), {"train": float("nan")}),
