@@ -9,9 +9,9 @@ pipeline with manifest tooling.
 
 The package re-exports nothing, so importing it loads no submodule;
 import from the submodules. The entry points most callers want are
-``numitn.pipeline.normalize_text`` and ``normalize_sentence``,
-``numitn.verbalize.verbalize_line``, ``numitn.wer.guard``,
-``numitn.evaluate.evaluate`` and ``numitn.datagen.run_generation``.
+``numitn.pipeline.normalize_text``, ``numitn.verbalize.verbalize_line``,
+``numitn.wer.guard``, ``numitn.evaluate.evaluate`` and
+``numitn.datagen.run_generation``.
 """
 
 __version__ = "0.1.0"

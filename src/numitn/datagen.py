@@ -1,12 +1,13 @@
-"""Three-step corpus generation: sentences, audio, conversions.
+"""Three-step corpus generation: sentences, synthesis, conversions.
 
 Each sentence prompt is finished before the next is asked: its sentences
 are synthesized, its batch is converted and the replies are filtered into
 records. All client calls run in that order on the calling thread, so a
-stateful mock stays reproducible. Audio is synthesized but not written
-anywhere. The offline text client answers the conversion step from the
-values it drew, so the normalizer does not run here; ``validate_record``
-still filters every reply, as it must for a real LLM.
+stateful mock stays reproducible. Synthesis makes no audio and reports no
+duration; a failed call is still recorded. The offline text client answers
+the conversion step from the values it drew, so the normalizer does not run
+here; ``validate_record`` still filters every reply, as it must for a real
+LLM.
 """
 
 from __future__ import annotations
@@ -219,24 +220,20 @@ class TextGenerator(ABC):
         ...
 
 
-class SynthesisResult(namedtuple("SynthesisResult", "duration_seconds")):
-    __slots__ = ()
-
-
 class SpeechSynthesizer(ABC):
     def __init__(self, config: ClientConfig = ClientConfig()) -> None:
         self.config = config
 
     @abstractmethod
-    def synthesize(self, text: str, voice: str) -> SynthesisResult:
+    def synthesize(self, text: str, voice: str) -> None:
         ...
 
 
 class MockSpeechSynthesizer(SpeechSynthesizer):
-    """Placeholder synthesis: no audio, zero seconds."""
+    """Placeholder synthesis: makes no audio."""
 
-    def synthesize(self, text: str, voice: str) -> SynthesisResult:
-        return SynthesisResult(0.0)
+    def synthesize(self, text: str, voice: str) -> None:
+        pass
 
 
 # --- rule-based text client -----------------------------------------------
@@ -439,7 +436,7 @@ class GenerationPlan(namedtuple(
 
 class GenerationStats(namedtuple(
         "GenerationStats",
-        "prompts_issued sentences_generated accepted discarded failures audio_seconds")):
+        "prompts_issued sentences_generated accepted discarded failures")):
     __slots__ = ()
 
 
@@ -468,7 +465,6 @@ def run_generation(plan: GenerationPlan, textgen: TextGenerator,
     records: list[ManifestRecord] = []
     generated = 0
     discarded = 0
-    audio_seconds = 0.0
     for expr_type, prompt, expected in _sentence_requests(plan):
         # Step 1: the batch's sentences.
         prompts_issued += 1
@@ -484,16 +480,15 @@ def run_generation(plan: GenerationPlan, textgen: TextGenerator,
         # Ids count every generated sentence, converted or not.
         first, generated = generated, generated + len(sentences)
 
-        # Step 2: one synthesis call per sentence; a failure leaves no audio.
-        voiced: list[tuple[str, float]] = []
+        # Step 2: one synthesis call per sentence.
+        voices: list[str] = []
         for sentence in sentences:
             voice = rng.choice(plan.voices)
-            seconds = 0.0
             try:
-                seconds = synthesizer.synthesize(sentence, voice).duration_seconds
+                synthesizer.synthesize(sentence, voice)
             except Exception as err:
                 failures.append(f"synthesis failed for {sentence!r}: {err}")
-            voiced.append((voice, seconds))
+            voices.append(voice)
 
         # Step 3: one conversion call for the batch.
         prompt = build_conversion_prompt(expr_type) + "\n" + "\n".join(sentences)
@@ -508,14 +503,13 @@ def run_generation(plan: GenerationPlan, textgen: TextGenerator,
             failures.append(f"conversion failed: {err}")
             continue
 
-        for at, (sentence, line, (voice, seconds)) in enumerate(
-                zip(sentences, lines, voiced), start=first):
+        for at, (sentence, line, voice) in enumerate(
+                zip(sentences, lines, voices), start=first):
             formatted = line.strip()
             literals = validate_record(sentence, formatted, locale)
             if not literals:
                 discarded += 1
                 continue
-            audio_seconds += seconds
             try:
                 records.append(ManifestRecord(
                     id=f"{locale.language}-{expr_type.value}-{at:05d}",
@@ -536,7 +530,6 @@ def run_generation(plan: GenerationPlan, textgen: TextGenerator,
         accepted=len(records),
         discarded=discarded,
         failures=tuple(failures),
-        audio_seconds=audio_seconds,
     )
     if prompts_issued and not records and failures and not discarded:
         raise GenerationError(

@@ -43,10 +43,6 @@ class EvalReport(namedtuple("EvalReport", "wer_distance wer_tokens counts",
 
     __slots__ = ()
 
-    @property
-    def wer(self) -> float:
-        return self.wer_distance / max(self.wer_tokens, 1)
-
     def accuracy(self, expr_type: ExpressionType) -> Decimal | None:
         count = self.counts.get(expr_type)
         if count is None or count.total == 0:

@@ -7,7 +7,7 @@ import os
 from collections import namedtuple
 
 from .lexicon import fold_german
-from .types import make_through_new
+from .types import MAX_SCALE, make_through_new
 
 _PLACEMENTS = ("prefix", "suffix")
 # Languages the grammar, classifier and verbalizer have tables for.
@@ -39,11 +39,13 @@ class Locale(namedtuple("Locale", "language thousands_separator decimal_mark cur
         return self
 
 
-class CurrencyUnit(namedtuple("CurrencyUnit", "code symbol minor_unit_digits")):
+class CurrencyUnit(namedtuple("CurrencyUnit", "symbol minor_unit_digits")):
+    """A currency's written form; registries key it by its code ("USD")."""
+
     __slots__ = ()
     _make = classmethod(make_through_new)
 
-    def __new__(cls, code: str, symbol: str, minor_unit_digits: int = 2) -> CurrencyUnit:
+    def __new__(cls, symbol: str, minor_unit_digits: int = 2) -> CurrencyUnit:
         if not isinstance(symbol, str):
             raise ValueError("symbol must be a string")
         if any(map(str.isdigit, symbol)):
@@ -51,9 +53,10 @@ class CurrencyUnit(namedtuple("CurrencyUnit", "code symbol minor_unit_digits")):
             raise ValueError("symbol must not hold a digit")
         if not isinstance(minor_unit_digits, int) or isinstance(minor_unit_digits, bool):
             raise ValueError("minor_unit_digits must be an integer")
-        if minor_unit_digits < 0:
-            raise ValueError("minor_unit_digits must be non-negative")
-        return tuple.__new__(cls, (code, symbol, minor_unit_digits))
+        if not 0 <= minor_unit_digits <= MAX_SCALE:
+            # An amount's value keeps at most MAX_SCALE digits after the point.
+            raise ValueError(f"minor_unit_digits must be between 0 and {MAX_SCALE}")
+        return tuple.__new__(cls, (symbol, minor_unit_digits))
 
 
 EN = Locale("en", thousands_separator=",", decimal_mark=".", currency_placement="prefix")
@@ -62,9 +65,9 @@ DE = Locale("de", thousands_separator=".", decimal_mark=",", currency_placement=
 DEFAULT_LOCALES: dict[str, Locale] = {"en": EN, "de": DE}
 
 DEFAULT_CURRENCIES: dict[str, CurrencyUnit] = {
-    "USD": CurrencyUnit("USD", "$"),
-    "EUR": CurrencyUnit("EUR", "€"),
-    "GBP": CurrencyUnit("GBP", "£"),
+    "USD": CurrencyUnit("$"),
+    "EUR": CurrencyUnit("€"),
+    "GBP": CurrencyUnit("£"),
 }
 
 DEFAULT_CURRENCY_CODE = {"en": "USD", "de": "EUR"}
@@ -107,9 +110,8 @@ class LocaleConfig(namedtuple("LocaleConfig", "locales currencies")):
 DEFAULT_CONFIG = LocaleConfig(dict(DEFAULT_LOCALES), dict(DEFAULT_CURRENCIES))
 
 
-# The fields a config entry may set, by section; "code" is the entry's key.
-_CONFIG_FIELDS = {"locales": set(Locale._fields),
-                  "currencies": set(CurrencyUnit._fields) - {"code"}}
+# The fields a config entry may set, by section; the entry's key is its code.
+_CONFIG_FIELDS = {"locales": set(Locale._fields), "currencies": set(CurrencyUnit._fields)}
 
 
 def _section(raw: dict, name: str) -> dict:
@@ -142,23 +144,10 @@ def load_locale_config(path: str | os.PathLike[str]) -> LocaleConfig:
         raise ValueError(f"unknown config sections {unknown}")
     locales = dict(DEFAULT_LOCALES)
     for code, entry in _section(raw, "locales").items():
-        base = locales.get(code)
-        locales[code] = Locale(
-            language=entry.get("language", base.language if base else code),
-            thousands_separator=entry.get(
-                "thousands_separator", base.thousands_separator if base else ","),
-            decimal_mark=entry.get("decimal_mark", base.decimal_mark if base else "."),
-            currency_placement=entry.get(
-                "currency_placement", base.currency_placement if base else "prefix"),
-        )
+        # A new code starts from EN's marks, with the code as its language.
+        base = locales[code]._asdict() if code in locales else {**EN._asdict(), "language": code}
+        locales[code] = Locale(**{**base, **entry})
     currencies = dict(DEFAULT_CURRENCIES)
     for code, entry in _section(raw, "currencies").items():
-        base_unit = currencies.get(code)
-        currencies[code] = CurrencyUnit(
-            code=code,
-            symbol=entry.get("symbol", base_unit.symbol if base_unit else ""),
-            minor_unit_digits=entry.get(
-                "minor_unit_digits",
-                base_unit.minor_unit_digits if base_unit else 2),
-        )
+        currencies[code] = currencies.get(code, CurrencyUnit(""))._replace(**entry)
     return LocaleConfig(locales, currencies)

@@ -29,14 +29,14 @@ from numitn.grammar import parse_cardinal
 from numitn.lexicon import verbalize_cardinal
 from numitn.locales import DEFAULT_CONFIG, DEFAULT_CURRENCIES
 from numitn.manifest import ManifestRecord
-from numitn.pipeline import normalize_sentence, normalize_text
+from numitn.pipeline import normalize_text
 from numitn.tokenizer import tokenize
 from numitn.types import (
     ExpressionType,
     NumericValue,
     TimeOfDay,
 )
-from numitn.verbalize import applicable_time_styles, verbalize_time
+from numitn.verbalize import applicable_time_styles, time_words
 from numitn.wer import GuardConfig, edit_distance, guard, word_error_rate
 
 EN = DEFAULT_CONFIG.locale("en")
@@ -119,11 +119,10 @@ def test_criterion_03_timestamp_round_trip():
                 t = TimeOfDay(hour, minute)
                 want = f"{hour}:{minute:02d}"
                 for style in applicable_time_styles(t, locale):
-                    phrase = verbalize_time(t, locale, style)
-                    outcome = normalize_sentence(phrase, locale)
+                    phrase, period = time_words(t, locale, style)
                     cases += 1
-                    if (len(outcome.replacements) != 1
-                            or outcome.replacements[0].formatted != want):
+                    # The whole phrase becomes the literal, and the period phrase stays.
+                    if normalize_text(phrase + period, locale) != want + period:
                         mismatches += 1
     elapsed = time.monotonic() - started
     ok = mismatches == 0 and elapsed < 60.0
@@ -387,7 +386,7 @@ def test_criterion_09_eval_self_consistency(generated_corpus):
     all_hundred = all(report.accuracy(t) == Decimal("100.0")
                       for t in ExpressionType if t in report.counts)
     types_present = len(report.counts) == 4
-    wer_zero = report.wer == 0.0 and report.wer_distance == 0
+    wer_zero = report.wer_distance == 0
 
     table = render_report(report, "table")
     head = table.splitlines()[0].split("  ")

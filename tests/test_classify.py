@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 from numitn.classify import choose, classify, resolve_time
 from numitn.grammar import scan_tokens
 from numitn.locales import DEFAULT_CONFIG
-from numitn.pipeline import normalize_sentence
 from numitn.tokenizer import tokenize
 from numitn.types import (
     ExpressionType,
@@ -229,11 +228,6 @@ class TestCurrencyClassification:
         assert parsed.magnitude_word == "million"
 
 
-def finished(text, locale):
-    """The expression ``normalize_sentence`` made of the first number in ``text``."""
-    return normalize_sentence(text, locale).replacements[0].expression
-
-
 class TestFinishedRecord:
     """The whole record each type leaves ``classify`` with."""
 
@@ -264,7 +258,7 @@ class TestFinishedRecord:
          ParsedExpression(Span(0, 2), ExpressionType.QUANTITY, NumericValue(2000))),
     ])
     def test_record(self, text, locale, expected):
-        assert finished(text, locale) == expected
+        assert classify_first(text, locale) == expected
 
     @pytest.mark.parametrize("text,locale", [
         ("in nineteen forty-five", EN),

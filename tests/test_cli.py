@@ -687,6 +687,21 @@ class TestConfigLocales:
         assert out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", ["normalize", "verbalize"])
+    @pytest.mark.parametrize("digits", [30, 300000])
+    def test_minor_unit_digits_above_max_scale_exits_1(self, tmp_path, capsys, command,
+                                                        digits):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"currencies": {"USD": {"minor_unit_digits": digits}}}),
+                          encoding="utf-8")
+        src = tmp_path / "in.txt"
+        src.write_text("It cost five dollars and fifty cents.\nIt cost $5.50.\n",
+                       encoding="utf-8")
+        code, out, err = run(capsys, command, "--locale", "en", "--config", str(config),
+                             str(src))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "minor_unit_digits" in err
+
     @pytest.mark.parametrize("command", ["normalize", "verbalize", "extract"])
     @pytest.mark.parametrize("raw", MALFORMED_CONFIGS, ids=json.dumps)
     def test_malformed_config_exits_1(self, tmp_path, capsys, command, raw):

@@ -71,7 +71,7 @@ class TestEvaluate:
 
     def test_empty(self):
         report = evaluate([])
-        assert report.wer == 0.0
+        assert (report.wer_distance, report.wer_tokens) == (0, 0)
         assert report.average_accuracy is None
 
     def test_multiple_expressions_per_item(self):

@@ -9,6 +9,7 @@ from numitn.locales import (
     Locale,
     load_locale_config,
 )
+from numitn.types import MAX_SCALE
 
 
 def test_preset_conventions():
@@ -68,8 +69,16 @@ def test_load_config_merges_over_presets(tmp_path):
     assert cfg.locale("en").thousands_separator == " "
     assert cfg.locale("en").decimal_mark == "."
     assert cfg.locale("de").thousands_separator == "."
-    assert cfg.currencies["CHF"] == CurrencyUnit("CHF", "₣", 2)
+    assert cfg.currencies["CHF"] == CurrencyUnit("₣", 2)
     assert cfg.currencies["USD"].symbol == "$"
+
+
+@pytest.mark.parametrize("digits", [0, 2, 3, MAX_SCALE])
+def test_load_config_accepts_minor_unit_digits_up_to_max_scale(tmp_path, digits):
+    path = tmp_path / "digits.json"
+    path.write_text(json.dumps({"currencies": {"USD": {"minor_unit_digits": digits}}}),
+                    encoding="utf-8")
+    assert load_locale_config(path).currencies["USD"] == CurrencyUnit("$", digits)
 
 
 def test_load_config_rejects_bad_convention(tmp_path):
@@ -90,6 +99,7 @@ MALFORMED_CONFIGS = [
     {"currencies": {"INR": "₹"}},
     {"currencies": {"INR": {"minor_unit_digits": "2"}}},
     {"currencies": {"INR": {"minor_unit_digits": True}}},
+    {"currencies": {"INR": {"minor_unit_digits": 7}}},
     {"currencies": {"INR": {"symbol": 5}}},
     {"currencies": {"XTS": {"symbol": "1"}}},
     {"currencies": {"USD": {"symbol": "US1$"}}},
