@@ -22,7 +22,7 @@ from collections.abc import Iterator, Mapping, Sequence
 from .extract import LiteralMatch, extract_numeric_literals
 from .formatting import YEAR_MAX, YEAR_MIN, format_expression, format_time
 from .grammar import scan_tokens
-from .lexicon import DE_MAGNITUDE_NAMES, EN_MAGNITUDE_WORDS
+from .lexicon import MAGNITUDE_NAMES
 from .locales import DEFAULT_LOCALES, Locale
 from .manifest import ManifestError, ManifestRecord
 from .tokenizer import Tokens, tokenize
@@ -404,11 +404,8 @@ class RuleBasedTextGenerator(TextGenerator):
         return ParsedExpression(NO_SPAN, ExpressionType.QUANTITY, value, word)
 
     def _magnitude_word(self, count: int) -> str:
-        rng = self._rng
-        if self._locale.language == "de":
-            _, singular, plural = rng.choice(DE_MAGNITUDE_NAMES)
-            return singular if count == 1 else plural
-        return rng.choice(EN_MAGNITUDE_WORDS)
+        _, singular, plural = self._rng.choice(MAGNITUDE_NAMES[self._locale.language])
+        return singular if count == 1 else plural
 
 
 # --- the pipeline -------------------------------------------------------------

@@ -8,7 +8,7 @@ from functools import lru_cache
 from operator import itemgetter
 
 from .formatting import YEAR_MAX, YEAR_MIN
-from .lexicon import DE_MAGNITUDE_NAMES, EN_MAGNITUDE_WORDS
+from .lexicon import MAGNITUDE_NAMES
 from .locales import DEFAULT_CURRENCIES, CurrencyUnit, Locale
 from .types import ExpressionType, Span
 
@@ -49,10 +49,8 @@ def _number_pattern(separator: str, decimal_mark: str, edge: str) -> str:
 
 
 def _magnitude_pattern(language: str) -> str:
-    if language == "de":
-        words = [form for _, *forms in DE_MAGNITUDE_NAMES for form in forms]
-    else:
-        words = EN_MAGNITUDE_WORDS
+    # Each form once, in table order before the stable sort.
+    words = dict.fromkeys(form for _, *forms in MAGNITUDE_NAMES[language] for form in forms)
     # Longest first, so "Millionen" is tried before "Million".
     alternation = "|".join(re.escape(w) for w in sorted(words, key=len, reverse=True))
     return rf"(?:\s(?i:(?P<mag>{alternation})))?"

@@ -59,8 +59,11 @@ def format_currency(major: NumericValue, minor: NumericValue | None,
     minor_units = major.mantissa * 10**(digits - major.scale)
     spoken_minor = minor is not None or major.scale > 0
     if minor is not None:
-        if not minor.is_integer or minor.mantissa >= 10**digits:
-            raise ValueError(f"minor value out of range: {minor}")
+        if not minor.is_integer:
+            raise ValueError("a minor part must be a whole number")
+        if minor.mantissa >= 10**digits:
+            raise ValueError(f"{minor.mantissa} minor units need more than the "
+                             f"currency's {digits} minor-unit digits")
         minor_units += minor.mantissa
     whole, cents = divmod(minor_units, 10**digits)
     body = group_thousands(str(whole), locale.thousands_separator)

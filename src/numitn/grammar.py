@@ -13,24 +13,23 @@ from .classify import choose
 from .lexicon import (
     AND_KEYS,
     CLOCK_STYLES,
-    DE_MAGNITUDE_WORDS,
     DE_NUMBER_STARTS,
     DE_THOUSAND,
+    DIGIT_VALUES,
     EN_DIGIT_PAIRS,
     EN_GROUPS,
-    EN_MAGNITUDE_WORDS,
     EN_NUMBER_WORDS,
     EN_PAIR_HUNDREDS,
-    EN_SCALES,
     HOUR_BEFORE_ONE,
     HOUR_NOUNS,
+    MAGNITUDE_WORDS,
     MAX_COUNTED_MINUTE,
     MERIDIEMS,
     MINUTE_NOUNS,
     PERIOD_PHRASES,
     POINT_KEYS,
+    SCALE_WORDS,
     de_compound,
-    digit_value,
     fold_german,
     phrase_keys,
 )
@@ -39,6 +38,7 @@ from .tokenizer import Tokens
 from .types import (
     MAX_MANTISSA,
     MAX_SCALE,
+    MINOR_UNIT_LIMIT,
     ExpressionType,
     MoneyAmount,
     NumericValue,
@@ -168,7 +168,7 @@ def _integer(tokens: Tokens, at: int,
     group. A dangling or non-decreasing scale word makes the phrase
     malformed and the parse absent.
     """
-    scales = DE_MAGNITUDE_WORDS if language == "de" else EN_SCALES
+    scales = SCALE_WORDS[language]
     total = 0
     scale_groups: list[int] = []
     last_scale_surface = ""
@@ -204,7 +204,7 @@ def _decimal_digits(tokens: Tokens, i: int, language: str) -> tuple[int, int, in
     value = 0
     count = 0
     while count < MAX_SCALE:
-        digit = digit_value(_key(tokens, i), language)
+        digit = DIGIT_VALUES[language].get(_key(tokens, i))
         if digit is None:
             break
         value = value * 10 + digit
@@ -237,8 +237,7 @@ def parse_cardinal(tokens: Tokens, at: int, locale: Locale) -> ParsedExpression 
             mantissa = value * 10**ndigits + frac_value
             if mantissa <= MAX_MANTISSA:
                 magnitude = None
-                if _key(tokens, frac_end) in (DE_MAGNITUDE_WORDS if language == "de"
-                                              else EN_MAGNITUDE_WORDS):
+                if _key(tokens, frac_end) in MAGNITUDE_WORDS[language]:
                     magnitude = tokens.surfaces[frac_end]
                     frac_end += 1
                 return ParsedExpression(Span(at, frac_end), ExpressionType.QUANTITY,
@@ -428,7 +427,7 @@ def _currency_reading(tokens: Tokens, cardinal: ParsedExpression,
     unit = _key(tokens, i)
     if unit in MINOR_UNIT_WORDS:
         # Cents-only amount ("fifty cents" -> $0.50).
-        if cardinal.magnitude_word or not value.is_integer or value.mantissa >= 100:
+        if cardinal.magnitude_word or not value.is_integer or value.mantissa >= MINOR_UNIT_LIMIT:
             return None
         money = MoneyAmount(NumericValue(0), value, DEFAULT_CURRENCY_CODE[language])
         return ParsedExpression(Span(at, i + 1), ExpressionType.CURRENCY, money)
@@ -446,7 +445,7 @@ def _currency_reading(tokens: Tokens, cardinal: ParsedExpression,
         if tail is not None and tail.magnitude_word is None and tail.value.is_integer:
             after = tail.span.end
             if _key(tokens, after) in MINOR_UNIT_WORDS:
-                if tail.value.mantissa >= 100:
+                if tail.value.mantissa >= MINOR_UNIT_LIMIT:
                     return None
                 minor = tail.value
                 end = after + 1

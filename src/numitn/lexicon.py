@@ -1,11 +1,13 @@
 """Number and clock words for English and German, and cardinal verbalization.
 
 Each word is spelled once, as the verbalizer writes it; the parse tables
-are derived from those spellings. Every table is keyed by the folded form
-``fold_german`` gives (lowercase, ss for ß, ae/oe/ue for umlauts), so ASR
-transliterations like "fuenfundvierzig" still parse. No English spelling
-holds ß, an umlaut, "ss", "ae", "oe" or "ue", so there the folded key is
-the lowercase word.
+are derived from those spellings. Every parse table is keyed by the folded
+form ``fold_german`` gives (lowercase, ss for ß, ae/oe/ue for umlauts), so
+ASR transliterations like "fuenfundvierzig" still parse. No English
+spelling holds ß, an umlaut, "ss", "ae", "oe" or "ue", so there the folded
+key is the lowercase word. A table both languages have, such as
+``MAGNITUDE_NAMES``, ``SCALE_WORDS`` or ``DIGIT_VALUES``, is one dict keyed
+by language, which callers index instead of choosing between two names.
 
 Cardinals are read from spelling tables built at import, one per language,
 that map each spelling of a group 0..999 to its value. An English key is
@@ -52,11 +54,13 @@ _DE_TENS_NAMES = ["", "", "zwanzig", "dreißig", "vierzig", "fünfzig",
 # The article forms of 1: "ein" also heads compounds ("einhundert"), "eine"
 # counts feminine nouns ("eine Million", "eine Minute").
 DE_EIN, DE_EINE = "ein", "eine"
-EN_HUNDRED, EN_OH = "hundred", "oh"
-# Scale words, smallest first: English (value, name) and German magnitude
-# nouns (value, singular, plural).
-_EN_SCALE_NAMES = ((1000, "thousand"), (10**6, "million"), (10**9, "billion"))
-DE_MAGNITUDE_NAMES = ((10**6, "Million", "Millionen"), (10**9, "Milliarde", "Milliarden"))
+EN_HUNDRED, EN_OH, _EN_THOUSAND = "hundred", "oh", "thousand"
+# Magnitude nouns, smallest first: (value, singular, plural). English says
+# "one million" and "two million" alike.
+MAGNITUDE_NAMES = {
+    "en": ((10**6, "million", "million"), (10**9, "billion", "billion")),
+    "de": ((10**6, "Million", "Millionen"), (10**9, "Milliarde", "Milliarden")),
+}
 # The decimal point and the "and" before cents, spoken and as parse keys.
 POINT_WORDS = {"en": "point", "de": "Komma"}
 AND_WORDS = {"en": "and", "de": "und"}
@@ -66,16 +70,25 @@ AND_KEYS = {language: fold_german(word) for language, word in AND_WORDS.items()}
 # lowercase ASCII and so its own folded key.
 _DE_HUNDRED, DE_THOUSAND, _DE_AND = "hundert", "tausend", AND_WORDS["de"]
 
-_EN_UNITS = {name: n for n, name in enumerate(_EN_UNIT_NAMES[:10])}
-EN_SCALES = {name: value for value, name in _EN_SCALE_NAMES}
-EN_MAGNITUDE_WORDS = tuple(name for value, name in _EN_SCALE_NAMES if value >= 10**6)
+# Each folded magnitude form, and the scale words a cardinal group may stand
+# before: English says "thousand" on its own, German inside the compound.
+MAGNITUDE_WORDS = {language: {fold_german(form): value for value, *forms in names
+                              for form in forms}
+                   for language, names in MAGNITUDE_NAMES.items()}
+SCALE_WORDS = {"en": {_EN_THOUSAND: 1000, **MAGNITUDE_WORDS["en"]}, "de": MAGNITUDE_WORDS["de"]}
 
-_DE_UNITS = {fold_german(name): n for n, name in enumerate(_DE_UNIT_NAMES[:10])}
-_DE_UNITS.update({DE_EIN: 1, DE_EINE: 1})
+# Spoken digit strings use "oh" for zero ("one oh five"); the parser reads
+# "zero" as well. German reads the compound head "ein" as a digit, but not
+# the article "eine".
+DIGIT_NAMES = {"en": (EN_OH, *_EN_UNIT_NAMES[1:10]), "de": tuple(_DE_UNIT_NAMES[:10])}
+DIGIT_VALUES = {
+    "en": {name: n for n, name in enumerate(_EN_UNIT_NAMES[:10])} | {EN_OH: 0},
+    "de": {fold_german(name): n for n, name in enumerate(_DE_UNIT_NAMES[:10])} | {DE_EIN: 1},
+}
+
+_DE_UNITS = {**DIGIT_VALUES["de"], DE_EINE: 1}
 _DE_TEENS = {fold_german(name): n for n, name in enumerate(_DE_UNIT_NAMES) if n >= 10}
 _DE_TENS = {fold_german(name): 10 * n for n, name in enumerate(_DE_TENS_NAMES) if name}
-DE_MAGNITUDE_WORDS = {fold_german(form): value
-                      for value, *forms in DE_MAGNITUDE_NAMES for form in forms}
 # Every folded key ``de_compound`` accepts starts with one of these: each
 # key of ``DE_GROUPS`` starts with a unit, teen or tens word or with
 # "hundert", and a compound may start with "tausend".
@@ -101,17 +114,12 @@ def _en_under_thousand(n: int) -> str:
     return " ".join(parts)
 
 
-def _verbalize_en(n: int) -> str:
-    if n == 0:
-        return _EN_UNIT_NAMES[0]
-    parts = []
-    for scale, name in reversed(_EN_SCALE_NAMES):
-        group, n = divmod(n, scale)
-        if group:
-            parts.append(f"{_en_under_thousand(group)} {name}")
-    if n:
-        parts.append(_en_under_thousand(n))
-    return " ".join(parts)
+def _en_under_million(n: int) -> str:
+    thousands, rest = divmod(n, 1000)
+    if not thousands:
+        return _en_under_thousand(rest)
+    head = f"{_en_under_thousand(thousands)} {_EN_THOUSAND}"
+    return f"{head} {_en_under_thousand(rest)}" if rest else head
 
 
 def de_two_digit_words(n: int, *, final: bool = True) -> str:
@@ -138,7 +146,7 @@ def de_under_thousand_words(n: int, *, final: bool = True) -> str:
 
 
 def _de_compound_words(n: int) -> str:
-    """1..999999 as one compound token."""
+    """0..999999 as one compound token."""
     thousands, rest = divmod(n, 1000)
     if not thousands:
         return de_under_thousand_words(rest)
@@ -148,28 +156,27 @@ def _de_compound_words(n: int) -> str:
     return head
 
 
-def _verbalize_de(n: int) -> str:
-    if n == 0:
-        return _DE_UNIT_NAMES[0]
-    parts = []
-    for scale, singular, plural in reversed(DE_MAGNITUDE_NAMES):
-        group, n = divmod(n, scale)
-        if group == 1:
-            parts.append(f"{DE_EINE} {singular}")
-        elif group:
-            parts.append(f"{_de_compound_words(group)} {plural}")
-    if n:
-        parts.append(_de_compound_words(n))
-    return " ".join(parts)
+# How each language says 0..999999 (German as one compound token), and the
+# count of a single magnitude ("one million", "eine Million").
+_UNDER_MILLION = {"en": _en_under_million, "de": _de_compound_words}
+MAGNITUDE_ONE = {"en": _EN_UNIT_NAMES[1], "de": DE_EINE}
 
 
 def verbalize_cardinal(n: int, language: str) -> str:
     """Spell out a non-negative integer in the given language ("en"/"de")."""
     if n < 0:
         raise ValueError("negative cardinals are not supported")
-    if language == "de":
-        return _verbalize_de(n)
-    return _verbalize_en(n)
+    under_million = _UNDER_MILLION[language]
+    parts = []
+    for scale, singular, plural in reversed(MAGNITUDE_NAMES[language]):
+        group, n = divmod(n, scale)
+        if group == 1:
+            parts.append(f"{MAGNITUDE_ONE[language]} {singular}")
+        elif group:
+            parts.append(f"{under_million(group)} {plural}")
+    if n or not parts:
+        parts.append(under_million(n))
+    return " ".join(parts)
 
 
 # --- spelling tables ---------------------------------------------------------
@@ -243,29 +250,13 @@ def de_compound(text: str) -> int | None:
 def is_number_word(key: str, language: str) -> bool:
     """Whether a folded key is a number, scale or magnitude word."""
     if language == "de":
-        return key in DE_MAGNITUDE_WORDS or de_compound(key) is not None
-    return key in EN_NUMBER_WORDS or key in EN_SCALES or key == EN_HUNDRED
-
-
-# Spoken digit strings use "oh" for zero ("one oh five"); the parser
-# accepts "zero" as well.
-_EN_DIGIT_NAMES = [EN_OH] + _EN_UNIT_NAMES[1:10]
-_DE_DIGIT_NAMES = _DE_UNIT_NAMES[:10]
+        return key in SCALE_WORDS["de"] or de_compound(key) is not None
+    return key in EN_NUMBER_WORDS or key in SCALE_WORDS["en"] or key == EN_HUNDRED
 
 
 def digit_words(digits: str, language: str) -> str:
     """Read out decimal digits individually ("15" -> "one five")."""
-    names = _DE_DIGIT_NAMES if language == "de" else _EN_DIGIT_NAMES
-    return " ".join(names[int(d)] for d in digits)
-
-
-def digit_value(key: str, language: str) -> int | None:
-    """The digit a folded key names when digits are read one by one."""
-    if language == "de":
-        return None if key == DE_EINE else _DE_UNITS.get(key)
-    if key == EN_OH:
-        return 0
-    return _EN_UNITS.get(key)
+    return " ".join(DIGIT_NAMES[language][int(d)] for d in digits)
 
 
 # --- clock words -------------------------------------------------------------

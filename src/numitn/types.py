@@ -13,6 +13,9 @@ from types import MappingProxyType
 
 MAX_MANTISSA = 10**15
 MAX_SCALE = 6
+# A spoken minor count is below this ("ninety-nine cents"): the grammar reads
+# no larger count as cents, so the verbalizer says none.
+MINOR_UNIT_LIMIT = 100
 
 # The default per-type ``counts`` of a record: every record shares it, so it is read-only.
 NO_COUNTS = MappingProxyType({})

@@ -19,6 +19,7 @@ from .lexicon import (
     EN_OH,
     HOUR_BEFORE_ONE,
     HOUR_NOUNS,
+    MAGNITUDE_ONE,
     MAX_COUNTED_MINUTE,
     MERIDIEMS,
     MINUTE_NOUNS,
@@ -39,6 +40,7 @@ from .locales import (
     Locale,
 )
 from .types import (
+    MINOR_UNIT_LIMIT,
     NO_SPAN,
     ExpressionType,
     MoneyAmount,
@@ -213,8 +215,8 @@ def enumerate_timestamp_phrasings(locale: Locale) -> tuple[tuple[str, TimeOfDay]
 def _count_words(value: NumericValue, language: str,
                  magnitude_word: str | None) -> str:
     # "eine Million", never "eins Million".
-    if magnitude_word and language == "de" and value.is_integer and value.mantissa == 1:
-        return DE_EINE
+    if magnitude_word and value.is_integer and value.mantissa == 1:
+        return MAGNITUDE_ONE[language]
     return verbalize_decimal(value, language)
 
 
@@ -232,6 +234,9 @@ def _currency_words(money: MoneyAmount, magnitude_word: str | None, locale: Loca
     out += f" {singular if one else plural}"
     if money.minor is not None:
         cents = money.minor.mantissa
+        if cents >= MINOR_UNIT_LIMIT:
+            raise ValueError(f"{cents} minor units of {money.currency} cannot be said: "
+                             f"a spoken amount has fewer than {MINOR_UNIT_LIMIT}")
         minor_unit = MINOR_UNIT_SPOKEN[language][cents != 1]
         cent_words = DE_EIN if cents == 1 and language == "de" \
             else verbalize_cardinal(cents, language)

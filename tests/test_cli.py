@@ -600,6 +600,40 @@ class TestPerLineErrors:
         assert out == "It cost one dollar and fifty cents.\nIt cost $1.505.\n"
         assert err == "line 2: '$1.505' has more than 2 fraction digits for USD\n"
 
+    @pytest.mark.parametrize("language,currency,literal,good,said", [
+        ("en", "USD", "$5.5", "$5.05", "five dollars and fifty cents"),
+        ("de", "EUR", "5,5€", "5,05€", "fünf Euro und fünfzig Cent"),
+    ])
+    def test_verbalize_minor_part_past_spoken_limit(self, tmp_path, capsys, language,
+                                                    currency, literal, good, said):
+        # With three minor digits "5.5" is 500 cents, which no spoken amount
+        # says and normalize would not read back; "5.05" is 50 cents.
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"currencies": {currency: {"minor_unit_digits": 3}}}),
+                          encoding="utf-8")
+        src = tmp_path / "in.txt"
+        src.write_text(f"x {literal} y\nx {good} y\n", encoding="utf-8")
+        code, out, err = run(capsys, "verbalize", "--locale", language,
+                             "--config", str(config), str(src))
+        assert code == 1
+        assert out == f"x {literal} y\nx {said} y\n"
+        assert err == (f"line 1: 500 minor units of {currency} cannot be said: "
+                       "a spoken amount has fewer than 100\n")
+
+    def test_normalize_minor_part_past_minor_digits(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"currencies": {"USD": {"minor_unit_digits": 0}}}),
+                          encoding="utf-8")
+        src = tmp_path / "in.txt"
+        src.write_text("It cost five dollars and fifty cents.\nIt cost five dollars.\n",
+                       encoding="utf-8")
+        code, out, err = run(capsys, "normalize", "--locale", "en",
+                             "--config", str(config), str(src))
+        assert code == 1
+        assert out == "It cost five dollars and fifty cents.\nIt cost $5.\n"
+        assert err == ("line 1: 50 minor units need more than the currency's "
+                       "0 minor-unit digits\n")
+
     def test_verbalize_currency_without_words(self, tmp_path, capsys):
         config = tmp_path / "c.json"
         config.write_text(json.dumps({"currencies": {"INR": {"symbol": "₹"}}}),

@@ -8,7 +8,7 @@ from numitn.extract import (
     _build_patterns,
     extract_numeric_literals,
 )
-from numitn.lexicon import DE_EIN, DE_EINE, DE_MAGNITUDE_NAMES, EN_MAGNITUDE_WORDS, is_number_word
+from numitn.lexicon import DE_EIN, DE_EINE, MAGNITUDE_NAMES, is_number_word
 from numitn.locales import DEFAULT_CONFIG, DEFAULT_CURRENCIES, CurrencyUnit
 from numitn.tokenizer import tokenize
 from numitn.types import ExpressionType, Span
@@ -155,11 +155,8 @@ _REF_PRIORITY = {ExpressionType.CURRENCY: 0, ExpressionType.TIMESTAMP: 1,
 def _reference_patterns(locale, symbols):
     number = _REF_NUMBER.format(sep=re.escape(locale.thousands_separator),
                                 mark=re.escape(locale.decimal_mark))
-    if locale.language == "de":
-        words = [form for _, *forms in DE_MAGNITUDE_NAMES for form in forms]
-    else:
-        words = EN_MAGNITUDE_WORDS
-    alternation = "|".join(re.escape(w) for w in sorted(words, key=len, reverse=True))
+    words = {form for _, *forms in MAGNITUDE_NAMES[locale.language] for form in forms}
+    alternation = "|".join(re.escape(w) for w in sorted(words, key=lambda w: (-len(w), w)))
     magnitude = rf"(?:\s(?i:{alternation}))?"
     patterns = []
     escaped = sorted((re.escape(s) for s in symbols if s), key=len, reverse=True)

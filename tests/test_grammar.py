@@ -418,10 +418,10 @@ EN_TWO_DIGIT = {**EN_TEENS, **EN_TENS, **EN_HYPHENATED}
 
 _EN_TENS = sorted(EN_TENS)
 _LEXICON_WORDS = sorted({
-    *EN_UNITS, *EN_TEENS, *EN_TENS, *lexicon.EN_SCALES,
+    *EN_UNITS, *EN_TEENS, *EN_TENS, *lexicon.SCALE_WORDS["en"],
     # The German group keys without "und" (or "hundert") are the single words.
     "hundred", *(key for key in lexicon.DE_GROUPS if "und" not in key),
-    *lexicon.DE_MAGNITUDE_WORDS, "hundert", "tausend",
+    *lexicon.SCALE_WORDS["de"], "hundert", "tausend",
 })
 _SPELLINGS = [str, fold_german, str.capitalize, str.upper]
 _CLOCK_WORDS = ["quarter", "half", "past", "to", "o'clock", "am", "pm", "a.m.", "p.m.",
@@ -506,7 +506,7 @@ _GATE_DIGITS = ["7", "12", "23", "0", "2024", "4:30", "15.45", "15:45", "7pm", "
 def _en_window_keys():
     return sorted({*lexicon.EN_NUMBER_WORDS, *(keys[0] for keys in lexicon.EN_GROUPS),
                    *(keys[0] for keys in lexicon.EN_PAIR_HUNDREDS),
-                   *grammar._IDIOMS["en"], *lexicon.EN_SCALES, "hundred", "oh"})
+                   *grammar._IDIOMS["en"], *lexicon.SCALE_WORDS["en"], "hundred", "oh"})
 
 
 def _de_window_keys():

@@ -7,7 +7,6 @@ from numitn import lexicon
 from numitn.lexicon import (
     de_compound,
     de_two_digit_words,
-    digit_value,
     digit_words,
     en_two_digit_words,
     fold_german,
@@ -31,7 +30,7 @@ EN_TWO_DIGIT = {"ten": 10, "eleven": 11, "twelve": 12, "thirteen": 13,
                 "eighteen": 18, "nineteen": 19, "twenty": 20, "thirty": 30,
                 "forty": 40, "fifty": 50, "sixty": 60, "seventy": 70,
                 "eighty": 80, "ninety": 90}
-EN_SCALES = {"thousand": 1_000, "million": 1_000_000, "billion": 1_000_000_000}
+EN_SCALE_WORDS = {"thousand": 1_000, "million": 1_000_000, "billion": 1_000_000_000}
 DE_NUMBERS = [
     ("null", "null", 0), ("eins", "eins", 1), ("zwei", "zwei", 2),
     ("drei", "drei", 3), ("vier", "vier", 4), ("fünf", "fuenf", 5),
@@ -66,13 +65,13 @@ class TestGoldenWords:
         words = {keys[0]: value for keys, value in lexicon.EN_GROUPS.items()
                  if len(keys) == 1 and "-" not in keys[0]}
         assert words == {**EN_UNITS, **EN_TWO_DIGIT}
-        assert lexicon.EN_SCALES == EN_SCALES
-        assert sorted(lexicon.EN_MAGNITUDE_WORDS) == ["billion", "million"]
+        assert lexicon.SCALE_WORDS["en"] == EN_SCALE_WORDS
+        assert lexicon.MAGNITUDE_WORDS["en"] == {"million": 1_000_000, "billion": 1_000_000_000}
 
     def test_english_verbalization(self):
         for word, value in {**EN_UNITS, **EN_TWO_DIGIT}.items():
             assert verbalize_cardinal(value, "en") == word
-        for word, value in EN_SCALES.items():
+        for word, value in EN_SCALE_WORDS.items():
             assert verbalize_cardinal(value, "en") == f"one {word}"
 
     def test_german_parse_tables(self):
@@ -86,7 +85,9 @@ class TestGoldenWords:
             {**{key: value for _, key, value in DE_NUMBERS}, **DE_ARTICLES}
         for spelling, key, value in DE_MAGNITUDES:
             assert fold_german(spelling) == key
-        assert lexicon.DE_MAGNITUDE_WORDS == {key: value for _, key, value in DE_MAGNITUDES}
+        assert lexicon.MAGNITUDE_WORDS["de"] == {key: value for _, key, value in DE_MAGNITUDES}
+        # German writes "tausend" inside the compound, so it is no scale word.
+        assert lexicon.SCALE_WORDS["de"] == lexicon.MAGNITUDE_WORDS["de"]
 
     def test_german_verbalization(self):
         for spelling, _, value in DE_NUMBERS:
@@ -98,6 +99,15 @@ class TestGoldenWords:
         assert verbalize_cardinal(2_000_000, "de") == f"zwei {plural_million}"
         assert verbalize_cardinal(1_000_000_000, "de") == f"eine {singular_billion}"
         assert verbalize_cardinal(2_000_000_000, "de") == f"zwei {plural_billion}"
+
+    def test_billions_count_past_a_thousand(self):
+        # From 10**12 up the count before "billion" passes 999; English says
+        # it as German does, as a number below a million.
+        assert verbalize_cardinal(12_345 * 10**9, "en") == \
+            "twelve thousand three hundred forty-five billion"
+        assert verbalize_cardinal(10**12, "en") == "one thousand billion"
+        assert verbalize_cardinal(12_345 * 10**9, "de") == \
+            "zwölftausenddreihundertfünfundvierzig Milliarden"
 
     def test_currency_words(self):
         for language, spelling, key, code in CURRENCIES:
@@ -120,7 +130,7 @@ class TestGoldenWords:
 
     def test_oh_digit(self):
         assert digit_words("0", "en") == "oh"
-        assert digit_value("oh", "en") == 0
+        assert lexicon.DIGIT_VALUES["en"].get("oh") == 0
         [parse] = scan_tokens(tokenize("nineteen oh five"), DEFAULT_CONFIG.locale("en"))
         assert parse.value == NumericValue(1905)
 
@@ -230,14 +240,15 @@ class TestDigitAndTwoDigitForms:
         assert digit_words("105", "de") == "eins null fünf"
 
     def test_digit_word_value(self):
-        assert digit_value("oh", "en") == 0
-        assert digit_value("zero", "en") == 0
-        assert digit_value(fold_german("Null"), "de") == 0
-        assert digit_value(fold_german("fünf"), "de") == 5
-        assert digit_value("eins", "de") == 1
+        digits = lexicon.DIGIT_VALUES
+        assert digits["en"].get("oh") == 0
+        assert digits["en"].get("zero") == 0
+        assert digits["de"].get(fold_german("Null")) == 0
+        assert digits["de"].get(fold_german("fünf")) == 5
+        assert digits["de"].get("eins") == 1
         # The article reading would corrupt decimals: "neun Komma eine".
-        assert digit_value("eine", "de") is None
-        assert digit_value("ten", "en") is None
+        assert digits["de"].get("eine") is None
+        assert digits["en"].get("ten") is None
 
     def test_two_digit_words(self):
         assert en_two_digit_words(45) == "forty-five"
@@ -370,4 +381,4 @@ def test_en_number_words_are_the_single_word_spellings():
         assert lexicon.EN_NUMBER_WORDS.get(word) == old, word
         assert lexicon.EN_GROUPS.get((word,)) == old, word
         assert is_number_word(word, "en") == (old is not None or word == "hundred"
-                                              or word in EN_SCALES), word
+                                              or word in EN_SCALE_WORDS), word

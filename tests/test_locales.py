@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from numitn import lexicon, locales
 from numitn.locales import (
     DEFAULT_CONFIG,
     DEFAULT_CURRENCIES,
@@ -17,6 +18,20 @@ def test_preset_conventions():
     assert (en.thousands_separator, en.decimal_mark, en.currency_placement) == (",", ".", "prefix")
     de = DEFAULT_CONFIG.locale("de")
     assert (de.thousands_separator, de.decimal_mark, de.currency_placement) == (".", ",", "suffix")
+
+
+def test_every_language_table_covers_every_language():
+    # A table that lacks a language would raise KeyError partway through a stream.
+    tables = {f"{module.__name__}.{name}": table
+              for module in (lexicon, locales) for name, table in vars(module).items()
+              if isinstance(table, dict) and set(table) & set(locales._LANGUAGES)}
+    for name, table in tables.items():
+        assert set(table) == set(locales._LANGUAGES), name
+    assert {f"numitn.lexicon.{name}" for name in (
+        "POINT_WORDS", "HOUR_NOUNS", "CLOCK_STYLES", "PERIOD_PHRASES", "YEAR_CUES",
+        "MAGNITUDE_NAMES", "MAGNITUDE_WORDS", "MAGNITUDE_ONE", "SCALE_WORDS", "DIGIT_NAMES",
+        "DIGIT_VALUES",
+    )} | {"numitn.locales.CURRENCY_WORDS"} <= set(tables)
 
 
 def test_unknown_locale():

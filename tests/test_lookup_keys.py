@@ -35,15 +35,16 @@ def grammar_keys(language):
             *_phrase_keys(grammar._PERIODS[language]), *CURRENCY_WORDS[language],
             *MINOR_UNIT_WORDS, *YEAR_CUES[language], *UNIT_STOPWORDS[language]}
     if language == "de":
-        return keys | {*lexicon.DE_GROUPS, *lexicon.DE_MAGNITUDE_WORDS,
+        return keys | {*lexicon.DE_GROUPS, *lexicon.SCALE_WORDS["de"],
                        *lexicon.DE_NUMBER_STARTS}
     spellings = (*lexicon.EN_GROUPS, *lexicon.EN_PAIR_HUNDREDS, *lexicon.EN_DIGIT_PAIRS)
-    return keys | {key for spelling in spellings for key in spelling} | {*lexicon.EN_SCALES}
+    return keys | {key for spelling in spellings for key in spelling} | {*lexicon.SCALE_WORDS["en"]}
 
 
 def english_word_keys():
     """The English number words and idiom openers, once read by the lowercase word."""
-    return {*grammar._EN_START_WORDS, *lexicon.EN_SCALES, lexicon.EN_HUNDRED, lexicon.EN_OH}
+    return {*grammar._EN_START_WORDS, *lexicon.SCALE_WORDS["en"], lexicon.EN_HUNDRED,
+            lexicon.EN_OH}
 
 
 def test_english_word_keys_are_their_own_fold():

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from numitn.classify import choose, resolve_time
 from numitn.extract import extract_numeric_literals, scan_literals
 from numitn.grammar import parse_cardinal, parse_clock_phrase
-from numitn.lexicon import DE_MAGNITUDE_NAMES, EN_MAGNITUDE_WORDS
+from numitn.lexicon import MAGNITUDE_NAMES
 from numitn.locales import DEFAULT_CONFIG, DEFAULT_CURRENCIES, CurrencyUnit
 from numitn.pipeline import normalize_text
 from numitn.tokenizer import tokenize
@@ -438,8 +438,8 @@ def _matched_symbol(text, expr_type, locale, currencies):
                key=len)
 
 
-_MAGNITUDE_WORDS = [*EN_MAGNITUDE_WORDS, *(form for _, *forms in DE_MAGNITUDE_NAMES
-                                             for form in forms)]
+_MAGNITUDE_WORDS = {form for names in MAGNITUDE_NAMES.values()
+                    for _, *forms in names for form in forms}
 _PIECES = ["0", "1", "5", "9", "19", "45", "2024", "1234567", "٣", ",", ".", ":", " ",
            "$", "€", "£", "US$", "A$", "BD", "Mi", "a", "million", "Million", "billion",
            "Millionen", "Milliarde", "Milliarden"]
