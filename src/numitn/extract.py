@@ -5,7 +5,6 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from functools import lru_cache
-from operator import itemgetter
 
 from .formatting import YEAR_MAX, YEAR_MIN
 from .lexicon import MAGNITUDE_NAMES
@@ -17,11 +16,8 @@ _YEAR_GUESS_RE = re.compile(r"^[12]\d{3}$")
 # holds no literal.
 _DIGIT_RE = re.compile(r"\d")
 
-# Overlapping matches are resolved in this order.
-_PRIORITY = {ExpressionType.CURRENCY: 0, ExpressionType.TIMESTAMP: 1,
-             ExpressionType.QUANTITY: 2}
-# Start, priority, then the longer match first.
-_SORT_KEY = itemgetter(0, 1, 2)
+# A locale's pattern names each top-level alternative after its type.
+_ALTERNATIVE_TYPES = {t.value: t for t in ExpressionType}
 
 
 class LiteralMatch(namedtuple("LiteralMatch", "span text guessed_type")):
@@ -35,67 +31,68 @@ class LiteralMatch(namedtuple("LiteralMatch", "span text guessed_type")):
 # pattern that starts with a character class, not "\b", lets the regex
 # engine skip ahead to a digit in C instead of trying every position.
 _WORD_START = r"(?<!\w\d)"
+# The rest of a clock time after its first digit: an hour of 0-23 then ":MM".
+_CLOCK = r"(?:(?<=[01])\d|(?<=2)[0-3])?:[0-5]\d\b"
 
 
-def _number_pattern(separator: str, decimal_mark: str, edge: str) -> str:
-    """A grouped or plain number, with ``edge`` written after its first digit.
+def _number_pattern(kind: str, language: str, separator: str, decimal_mark: str) -> str:
+    """The rest of a grouped or plain number after its first digit, and a magnitude word.
 
-    Group ``int`` holds the integer part after its first digit, so it also
-    marks where the number starts, and ``frac`` the fraction digits.
+    Group ``<kind>_int`` holds the integer part after the first digit, so it
+    also marks where the number starts, ``<kind>_frac`` the fraction digits
+    and ``<kind>_mag`` the magnitude word.
     """
     sep = re.escape(separator)
     mark = re.escape(decimal_mark)
-    return rf"\d{edge}(?P<int>\d{{0,2}}(?:{sep}\d{{3}})+|\d*)(?:{mark}(?P<frac>\d+))?"
-
-
-def _magnitude_pattern(language: str) -> str:
-    # Each form once, in table order before the stable sort.
+    # Each magnitude form once, in table order before the stable sort.
     words = dict.fromkeys(form for _, *forms in MAGNITUDE_NAMES[language] for form in forms)
     # Longest first, so "Millionen" is tried before "Million".
     alternation = "|".join(re.escape(w) for w in sorted(words, key=len, reverse=True))
-    return rf"(?:\s(?i:(?P<mag>{alternation})))?"
-
-
-# An hour of 0-23 then ":MM"; the branches after the first digit read it.
-_TIMESTAMP_RE = re.compile(rf"\d{_WORD_START}(?:(?<=[01])\d|(?<=2)[0-3])?:[0-5]\d\b")
+    return (rf"(?P<{kind}_int>\d{{0,2}}(?:{sep}\d{{3}})+|\d*)(?:{mark}(?P<{kind}_frac>\d+))?"
+            rf"(?:\s(?i:(?P<{kind}_mag>{alternation})))?")
 
 
 @lru_cache(maxsize=64)
-def _build_patterns(language: str, separator: str, decimal_mark: str, placement: str,
-                    symbols: tuple[str, ...]
-                    ) -> tuple[tuple[int, ExpressionType, re.Pattern[str]], ...]:
-    """(priority, type, pattern) for a locale's conventions and currency ``symbols``.
+def _build_pattern(language: str, separator: str, decimal_mark: str, placement: str,
+                   symbols: tuple[str, ...]) -> re.Pattern[str]:
+    """The one pattern of every literal for a locale's conventions and currency ``symbols``.
 
-    Keyed on strings, so a key holds exactly what the patterns are built
-    from: the locale's four fields and the currency symbols (the currency
-    dict itself cannot be hashed).
+    Keyed on strings, so a key holds exactly what the pattern is built
+    from (the currency dict itself cannot be hashed). Its top-level
+    alternatives, named after their types, are currency, timestamp and
+    quantity, in that order; each has its own groups and backtracks as it
+    would alone.
     """
-    number = _number_pattern(separator, decimal_mark, "")
-    word_number = _number_pattern(separator, decimal_mark, _WORD_START)
-    magnitude = _magnitude_pattern(language)
-    patterns: list[tuple[ExpressionType, re.Pattern[str]]] = []
-    # Escaped before sorting, so the longest escaped symbol is tried first.
-    escaped = sorted((re.escape(s) for s in symbols if s), key=len, reverse=True)
-    if escaped:
-        # An alternation, not a character class, so "US$" matches whole
-        # and its letters do not match on their own. A prefix symbol ends
-        # where group ``int`` starts, less the first digit.
-        symbol = "|".join(escaped)
-        if placement == "prefix":
-            money = rf"(?:{symbol}){number}{magnitude}\b"
-        else:
-            money = rf"{word_number}{magnitude}(?P<sym>{symbol})"
-        patterns.append((ExpressionType.CURRENCY, re.compile(money)))
-    patterns.append((ExpressionType.TIMESTAMP, _TIMESTAMP_RE))
-    patterns.append((ExpressionType.QUANTITY, re.compile(rf"{word_number}{magnitude}\b")))
-    return tuple((_PRIORITY[t], t, pattern) for t, pattern in patterns)
+    money = _number_pattern("currency", language, separator, decimal_mark)
+    count = _number_pattern("quantity", language, separator, decimal_mark)
+    # Longest escaped symbol first; a currency without a symbol is left out.
+    ordered = sorted(filter(None, symbols), key=lambda s: len(re.escape(s)), reverse=True)
+    # The first element is one character class, a digit or a prefix
+    # symbol's first character, so the engine skips ahead to it in C.
+    head, digit = r"\d" + _WORD_START, ""
+    alternatives = []
+    if ordered and placement == "prefix":
+        head = "[\\d" + "".join(dict.fromkeys(re.escape(s[0]) for s in ordered)) + "]"
+        # An alternation, not a character class, so "US$" matches whole and
+        # its letters do not match on their own: a lookbehind checks the
+        # first character, the rest follows. The symbol ends where group
+        # ``currency_int`` starts, less the first digit. Time and quantity
+        # check that the class matched a digit.
+        symbol = "|".join(rf"(?<={re.escape(s[0])}){re.escape(s[1:])}" for s in ordered)
+        alternatives.append(rf"(?P<currency>(?:{symbol})\d{money}\b)")
+        digit = r"(?<=\d)" + _WORD_START
+    elif ordered:
+        symbol = "|".join(re.escape(s) for s in ordered)
+        alternatives.append(rf"(?P<currency>{money}(?P<currency_sym>{symbol}))")
+    alternatives.append(rf"(?P<timestamp>{digit}{_CLOCK})")
+    alternatives.append(rf"(?P<quantity>{digit}{count}\b)")
+    return re.compile(f"{head}(?:{'|'.join(alternatives)})")
 
 
-def _locale_patterns(locale: Locale, currencies: dict[str, CurrencyUnit]
-                     ) -> tuple[tuple[int, ExpressionType, re.Pattern[str]], ...]:
-    return _build_patterns(locale.language, locale.thousands_separator,
-                           locale.decimal_mark, locale.currency_placement,
-                           tuple([u.symbol for u in currencies.values()]))
+def _locale_pattern(locale: Locale, currencies: dict[str, CurrencyUnit]) -> re.Pattern[str]:
+    return _build_pattern(locale.language, locale.thousands_separator, locale.decimal_mark,
+                          locale.currency_placement,
+                          tuple([u.symbol for u in currencies.values()]))
 
 
 def scan_literals(text: str, locale: Locale,
@@ -103,41 +100,39 @@ def scan_literals(text: str, locale: Locale,
                   ) -> list[tuple[ExpressionType, re.Match[str]]]:
     """(type, match) of every formatted literal, left to right, non-overlapping.
 
-    A match's named groups are the parts of its literal: ``int`` and
-    ``frac`` of the number, ``mag`` the magnitude word and ``sym`` a
-    suffix currency symbol.
+    One ``finditer`` of the locale's pattern: each literal is looked for
+    from where the one before it ended, at the leftmost position where one
+    matches, currency before time before quantity. A match's type is the
+    name of the alternative that matched (``lastgroup``); a quantity of
+    four digits in the year range is guessed a year. Its other named groups
+    are the parts of the literal: ``<type>_int`` and ``<type>_frac`` of the
+    number, ``<type>_mag`` the magnitude word and ``currency_sym`` a suffix
+    currency symbol.
     """
     if not _DIGIT_RE.search(text):
         return []
-    raw: list[tuple[int, int, int, ExpressionType, re.Match[str]]] = []
-    for priority, expr_type, pattern in _locale_patterns(locale, currencies):
-        for m in pattern.finditer(text):
-            raw.append((m.start(), priority, -m.end(), expr_type, m))
-    raw.sort(key=_SORT_KEY)
     kept: list[tuple[ExpressionType, re.Match[str]]] = []
-    last_end = -1
-    for start, _, neg_end, expr_type, m in raw:
-        end = -neg_end
-        if start < last_end:
-            continue
+    for m in _locale_pattern(locale, currencies).finditer(text):
+        expr_type = _ALTERNATIVE_TYPES[m.lastgroup]
         if expr_type is ExpressionType.QUANTITY and _YEAR_GUESS_RE.match(surface := m.group()) \
                 and YEAR_MIN <= int(surface) <= YEAR_MAX:
             expr_type = ExpressionType.YEAR
         kept.append((expr_type, m))
-        last_end = end
     return kept
 
 
 def match_literal(text: str, expr_type: ExpressionType, locale: Locale,
                   currencies: dict[str, CurrencyUnit]
                   ) -> re.Match[str] | None:
-    """``text`` matched whole as a literal of ``expr_type`` (a year as a quantity)."""
+    """``text`` matched whole as a literal of ``expr_type`` (a year as a quantity).
+
+    One ``fullmatch`` of the locale's pattern; None when nothing matches
+    whole or the first alternative that does is of another type.
+    """
     if expr_type is ExpressionType.YEAR:
         expr_type = ExpressionType.QUANTITY
-    for _, pattern_type, pattern in _locale_patterns(locale, currencies):
-        if pattern_type is expr_type:
-            return pattern.fullmatch(text)
-    return None
+    m = _locale_pattern(locale, currencies).fullmatch(text)
+    return m if m is not None and m.lastgroup == expr_type.value else None
 
 
 def extract_numeric_literals(text: str, locale: Locale,

@@ -308,17 +308,19 @@ def _read_literal(expr_type: ExpressionType, m: re.Match[str], locale: Locale,
         text = m.group()
         return ParsedExpression(NO_SPAN, expr_type, TimeOfDay(int(text[:-3]), int(text[-2:])))
     line = m.string
-    # The first digit comes just before group "int".
-    number_start = m.start("int") - 1
-    integer = line[number_start:m.end("int")].replace(locale.thousands_separator, "")
-    frac = m["frac"]
+    # The groups of the alternative that matched, "currency" or "quantity";
+    # the first digit comes just before group "<kind>_int".
+    kind = m.lastgroup
+    number_start = m.start(f"{kind}_int") - 1
+    integer = line[number_start:m.end(f"{kind}_int")].replace(locale.thousands_separator, "")
+    frac = m[f"{kind}_frac"]
     value = NumericValue(int(integer + frac), len(frac)) if frac else NumericValue(int(integer))
-    magnitude = m["mag"]
+    magnitude = m[f"{kind}_mag"]
     if expr_type is not ExpressionType.CURRENCY:
         return ParsedExpression(NO_SPAN, expr_type, value, magnitude)
 
     symbol = line[m.start():number_start] if locale.currency_placement == "prefix" \
-        else m["sym"]
+        else m["currency_sym"]
     # On a symbol shared by several codes, the first in registry order.
     code, unit = next(item for item in currencies.items() if item[1].symbol == symbol)
     if magnitude or not frac:

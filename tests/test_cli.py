@@ -164,6 +164,25 @@ class TestExtract:
             "3\tyear\t1999",
         ]
 
+    @pytest.mark.parametrize("symbols,line", [
+        # Symbols whose first characters must be escaped inside a class.
+        (["^", "]x", "\\"], "pay ^5 and ]x7 and \\9 now"),
+        # Symbols that share a first character.
+        (["$$", "U$", "US$"], "pay $$5 and U$7 and US$9 now"),
+    ])
+    def test_config_prefix_symbols(self, tmp_path, capsys, symbols, line):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"currencies": {
+            f"X{i}Y": {"symbol": symbol} for i, symbol in enumerate(symbols)}}),
+            encoding="utf-8")
+        src = tmp_path / "in.txt"
+        src.write_text(line + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "extract", "--locale", "en",
+                             "--config", str(config), str(src))
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [f"1\tcurrency\t{symbol}{digit}"
+                                    for symbol, digit in zip(symbols, "579")]
+
 
 class TestGuard:
     def test_decisions(self, tmp_path, capsys):

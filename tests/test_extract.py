@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from numitn.extract import (
     LiteralMatch,
-    _build_patterns,
+    _build_pattern,
     extract_numeric_literals,
 )
 from numitn.lexicon import DE_EIN, DE_EINE, MAGNITUDE_NAMES, is_number_word
@@ -143,13 +143,11 @@ class TestContainsNumericExpression:
         assert found == expected
 
 
-# The literal patterns spelled the plain way, each starting with "\b" (or
-# the prefix symbol): a reference that shares no code with
-# ``extract._build_patterns`` and its digit-first spelling.
+# The literal patterns spelled the plain way, one per type, each starting
+# with "\b" (or the prefix symbol): a reference that shares no code with
+# ``extract._build_pattern``, its one alternation and its digit-first spelling.
 _REF_NUMBER = r"(?:\d{{1,3}}(?:{sep}\d{{3}})+|\d+)(?:{mark}\d+)?"
 _REF_TIMESTAMP = r"\b(?:[01]?\d|2[0-3]):[0-5]\d\b"
-_REF_PRIORITY = {ExpressionType.CURRENCY: 0, ExpressionType.TIMESTAMP: 1,
-                 ExpressionType.QUANTITY: 2}
 
 
 def _reference_patterns(locale, symbols):
@@ -173,23 +171,43 @@ def _reference_patterns(locale, symbols):
 
 
 def reference_extract(text, locale, currencies=None):
-    """``extract_numeric_literals`` with no digit gate, on the reference patterns."""
+    """``extract_numeric_literals`` with no digit gate, on the reference patterns.
+
+    Start at position 0, and after each literal start again at its end.
+    Take the leftmost position where some pattern matches
+    (``pattern.match(text, pos)``); at that position the first pattern that
+    matches wins, in the order currency, time, quantity.
+    """
     registry = currencies if currencies is not None else DEFAULT_CURRENCIES
     patterns = _reference_patterns(locale, [u.symbol for u in registry.values()])
-    raw = sorted(((m.start(), _REF_PRIORITY[t], -m.end(), t, m.group())
-                  for t, pattern in patterns for m in pattern.finditer(text)),
-                 key=lambda r: r[:3])
     kept = []
-    last_end = -1
-    for start, _, neg_end, expr_type, surface in raw:
-        if start < last_end:
+    pos = 0
+    while pos < len(text):
+        found = next(((t, m) for t, pattern in patterns if (m := pattern.match(text, pos))), None)
+        if found is None:
+            pos += 1
             continue
+        expr_type, m = found
+        surface = m.group()
         if expr_type == ExpressionType.QUANTITY and re.match(r"^[12]\d{3}$", surface) \
                 and 1000 <= int(surface) <= 2100:
             expr_type = ExpressionType.YEAR
-        kept.append(LiteralMatch(Span(start, -neg_end), surface, expr_type))
-        last_end = -neg_end
+        kept.append(LiteralMatch(Span(pos, m.end()), surface, expr_type))
+        pos = m.end()
     return kept
+
+
+@pytest.mark.parametrize("text,locale,expected", [
+    # A literal glued by a separator to the one before it is looked for
+    # where that one ended, not inside it.
+    ("9,1,0€", DE, [("9,1", ExpressionType.QUANTITY), ("0€", ExpressionType.CURRENCY)]),
+    ("19:45,5", DE, [("19:45", ExpressionType.TIMESTAMP), ("5", ExpressionType.QUANTITY)]),
+    ("12:30.5", EN, [("12:30", ExpressionType.TIMESTAMP), ("5", ExpressionType.QUANTITY)]),
+    ("$1,5", EN, [("$1", ExpressionType.CURRENCY), ("5", ExpressionType.QUANTITY)]),
+])
+def test_a_literal_is_looked_for_where_the_one_before_it_ended(text, locale, expected):
+    assert spans(text, locale) == expected
+    assert [(m.text, m.guessed_type) for m in reference_extract(text, locale)] == expected
 
 
 # Digits of every script ``\d`` matches ("٣", "０", "७"), "²" (a digit to
@@ -253,26 +271,22 @@ def test_number_groups_match_the_reference(before, head, sep, tail, width, after
     assert extract_numeric_literals(text, locale) == reference_extract(text, locale)
 
 
-def _patterns(locale, symbols):
-    return _build_patterns(locale.language, locale.thousands_separator,
-                           locale.decimal_mark, locale.currency_placement, symbols)
-
-
-def test_symbols_are_escaped_before_they_are_sorted():
-    # "$$" escapes to four characters and so goes before "abc"; the empty
-    # symbol of a currency without one is left out.
-    patterns = {t: pattern for _, t, pattern in _patterns(EN, ("abc", "", "$$"))}
-    assert patterns[ExpressionType.CURRENCY].pattern.startswith(r"(?:\$\$|abc)")
+def _pattern(locale, placement, symbols):
+    return _build_pattern(locale.language, locale.thousands_separator,
+                          locale.decimal_mark, placement, symbols).pattern
 
 
 @pytest.mark.parametrize("placement", ["prefix", "suffix"])
 @pytest.mark.parametrize("locale", [EN, DE])
-def test_every_pattern_starts_with_a_digit_class_or_the_symbols(locale, placement):
+def test_the_pattern_starts_with_one_character_class(locale, placement):
     # The regex engine skips ahead in C only to a first literal or character
     # class; a leading "\b" or lookbehind would try a match at every character.
-    locale = locale._replace(currency_placement=placement)
-    symbols = ("$", "US$", "€")
-    for _, expr_type, pattern in _patterns(locale, symbols):
-        prefix = r"(?:US\$|\$|€)" if expr_type == ExpressionType.CURRENCY \
-            and placement == "prefix" else r"\d"
-        assert pattern.pattern.startswith(prefix), (expr_type, pattern.pattern)
+    # Under prefix placement the class holds each symbol's escaped first
+    # character once, longest escaped symbol first ("$$" before "abc"); the
+    # empty symbol of a currency without one is left out.
+    pattern = _pattern(locale, placement, ("abc", "", "$$", "$", "€"))
+    first = r"[\d\$a€]" if placement == "prefix" else r"\d(?<!\w\d)"
+    assert pattern.startswith(first + "(?:"), pattern
+    # Without symbols there is no currency alternative and no class to widen.
+    for symbols in [(), ("",)]:
+        assert _pattern(locale, placement, symbols).startswith(r"\d(?<!\w\d)(?:")

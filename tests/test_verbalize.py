@@ -366,6 +366,18 @@ class TestParseLiteral:
         parsed = parse_literal("2,000", ExpressionType.QUANTITY, EN)
         assert parsed.value == NumericValue(2000)
 
+    @pytest.mark.parametrize("text,expr_type,locale", [
+        ("$5", ExpressionType.QUANTITY, EN),
+        ("19:45", ExpressionType.CURRENCY, EN),
+        ("19:45", ExpressionType.QUANTITY, EN),
+        ("1945", ExpressionType.TIMESTAMP, EN),
+        ("5€", ExpressionType.QUANTITY, DE),
+        ("9,1 Millionen", ExpressionType.CURRENCY, DE),
+    ])
+    def test_a_literal_of_another_type_is_refused(self, text, expr_type, locale):
+        with pytest.raises(ValueError, match=f"is not a {expr_type.value} literal"):
+            parse_literal(text, expr_type, locale)
+
 
 # --- the reader against the literal parser it replaced -------------------------
 
