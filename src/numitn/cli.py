@@ -187,7 +187,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     from .manifest import write_manifest
     from .types import ExpressionType
 
-    _, locale = _locale(args)
+    cfg, locale = _locale(args)
     counts = {
         ExpressionType.YEAR: args.years,
         ExpressionType.TIMESTAMP: args.timestamps,
@@ -202,10 +202,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         voices=tuple(args.voices.split(",")) if args.voices else DEFAULT_VOICES,
         seed=args.seed,
     )
-    textgen = RuleBasedTextGenerator(locale, args.seed)
-    synthesizer = MockSpeechSynthesizer()
+    textgen = RuleBasedTextGenerator(locale, args.seed, cfg.currencies)
     try:
-        records, stats = run_generation(plan, textgen, synthesizer)
+        records, stats = run_generation(plan, textgen, MockSpeechSynthesizer(), cfg.currencies)
     except GenerationError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

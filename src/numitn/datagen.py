@@ -23,7 +23,7 @@ from .extract import LiteralMatch, extract_numeric_literals
 from .formatting import YEAR_MAX, YEAR_MIN, format_expression, format_time
 from .grammar import scan_tokens
 from .lexicon import MAGNITUDE_NAMES
-from .locales import DEFAULT_LOCALES, Locale
+from .locales import DEFAULT_CURRENCIES, DEFAULT_LOCALES, CurrencyUnit, Locale
 from .manifest import ManifestError, ManifestRecord
 from .tokenizer import Tokens, tokenize
 from .types import (
@@ -102,14 +102,16 @@ def build_timestamp_prompt(phrase: str, locale: Locale) -> str:
 # --- validation ---------------------------------------------------------------
 
 
-def validate_record(verbalized: str, converted: str, locale: Locale) -> list[LiteralMatch]:
+def validate_record(verbalized: str, converted: str, locale: Locale,
+                    currencies: dict[str, CurrencyUnit] = DEFAULT_CURRENCIES
+                    ) -> list[LiteralMatch]:
     """Filter rule: the conversion must add literals and change nothing else.
 
     Returns the literals of ``converted`` when the pair passes, else ``[]``.
     """
     if any(map(str.isdigit, verbalized)):
         return []
-    literals = extract_numeric_literals(converted, locale)
+    literals = extract_numeric_literals(converted, locale, currencies)
     if not literals:
         return []
     converted_rest = _surfaces_outside(tokenize(converted), literals)
@@ -319,9 +321,11 @@ class RuleBasedTextGenerator(TextGenerator):
     sentence this generator did not produce cannot be converted.
     """
 
-    def __init__(self, locale: Locale, seed: int = 0) -> None:
+    def __init__(self, locale: Locale, seed: int = 0,
+                 currencies: dict[str, CurrencyUnit] = DEFAULT_CURRENCIES) -> None:
         self._locale = locale
         self._rng = random.Random(seed)
+        self._currencies = currencies
         self._gold: dict[str, str] = {}
 
     def complete(self, prompt: str) -> str:
@@ -369,7 +373,8 @@ class RuleBasedTextGenerator(TextGenerator):
                                     NumericValue(rng.randint(YEAR_MIN, YEAR_MAX)))
         else:
             expr = self._money() if expr_type == ExpressionType.CURRENCY else self._quantity()
-        return verbalize_value(expr, locale, rng), format_expression(expr, locale)
+        return (verbalize_value(expr, locale, rng),
+                format_expression(expr, locale, self._currencies))
 
     def _money(self) -> ParsedExpression:
         rng = self._rng
@@ -452,9 +457,12 @@ def _sentence_requests(plan: GenerationPlan) -> Iterator[tuple[ExpressionType, s
 
 
 def run_generation(plan: GenerationPlan, textgen: TextGenerator,
-                   synthesizer: SpeechSynthesizer
+                   synthesizer: SpeechSynthesizer,
+                   currencies: dict[str, CurrencyUnit] = DEFAULT_CURRENCIES
                    ) -> tuple[list[ManifestRecord], GenerationStats]:
-    """One pass: per sentence prompt, ask, synthesize, convert the batch, filter."""
+    """One pass: per sentence prompt, ask, synthesize, convert the batch, filter.
+
+    Literals are found with ``currencies`` and typed as their prompt asked."""
     locale = plan.locale
     rng = random.Random(plan.seed)
     failures: list[str] = []
@@ -503,7 +511,7 @@ def run_generation(plan: GenerationPlan, textgen: TextGenerator,
         for at, (sentence, line, voice) in enumerate(
                 zip(sentences, lines, voices), start=first):
             formatted = line.strip()
-            literals = validate_record(sentence, formatted, locale)
+            literals = validate_record(sentence, formatted, locale, currencies)
             if not literals:
                 discarded += 1
                 continue
@@ -514,8 +522,7 @@ def run_generation(plan: GenerationPlan, textgen: TextGenerator,
                     type=expr_type.value,
                     verbalized=sentence,
                     formatted=formatted,
-                    expressions=tuple((lit.text, lit.guessed_type.value)
-                                      for lit in literals),
+                    expressions=tuple((lit.text, expr_type.value) for lit in literals),
                     voice=voice,
                 ))
             except ManifestError as err:

@@ -61,31 +61,12 @@ _MERIDIEMS = {language: dict(zip(map(fold_german, words),
               for language, words in MERIDIEMS.items()}
 
 
-def _by_first_key(entries):
-    """(keys, value) pairs grouped by their first key, so a position costs one lookup."""
-    index: dict[str, list] = {}
-    for keys, value in entries:
-        index.setdefault(keys[0], []).append((keys, value))
-    return index
-
-
-_PERIODS = {language: _by_first_key((phrase_keys(phrase), hint)
-                                    for hint, phrases in periods.items() for phrase in phrases)
-            for language, periods in PERIOD_PHRASES.items()}
-# The idioms with a fixed minute start a phrase; the counted ones follow a count.
-_IDIOMS = {language: _by_first_key((phrase_keys(s.words), s) for s in styles
-                                   if s.words and not s.counted)
-           for language, styles in CLOCK_STYLES.items()}
-_COUNTED = {language: _by_first_key((phrase_keys(s.words), s) for s in styles if s.counted)
-            for language, styles in CLOCK_STYLES.items()}
-
-
 # A spelling table, the length of its longest key per first key, and the
 # keys its spellings have second.
-_Spellings = tuple[dict[tuple[str, ...], int], dict[str, int], set[str]]
+_Spellings = tuple[dict[tuple[str, ...], object], dict[str, int], set[str]]
 
 
-def _by_longest(table: dict[tuple[str, ...], int]) -> _Spellings:
+def _by_longest(table: dict[tuple[str, ...], object]) -> _Spellings:
     """``table`` with the length of its longest key per first key and its second keys."""
     # Shortest first, so the longest key of each first key is written last.
     by_length = sorted(table, key=len)
@@ -93,11 +74,21 @@ def _by_longest(table: dict[tuple[str, ...], int]) -> _Spellings:
             {keys[1] for keys in by_length if len(keys) > 1})
 
 
+_PERIODS = {language: _by_longest({phrase_keys(phrase): hint for hint, phrases in periods.items()
+                                   for phrase in phrases})
+            for language, periods in PERIOD_PHRASES.items()}
+# The idioms with a fixed minute start a phrase; the counted ones follow a count.
+_IDIOMS = {language: _by_longest({phrase_keys(s.words): s for s in styles
+                                  if s.words and not s.counted})
+           for language, styles in CLOCK_STYLES.items()}
+_COUNTED = {language: _by_longest({phrase_keys(s.words): s for s in styles if s.counted})
+            for language, styles in CLOCK_STYLES.items()}
+
 _EN_GROUPS = _by_longest(EN_GROUPS)
 _EN_PAIR_HUNDREDS = _by_longest(EN_PAIR_HUNDREDS)
 _EN_DIGIT_PAIRS = _by_longest(EN_DIGIT_PAIRS)
 # English words a parser can start from: a number word or an idiom opener.
-_EN_START_WORDS = {*EN_NUMBER_WORDS, *_IDIOMS["en"]}
+_EN_START_WORDS = {*EN_NUMBER_WORDS, *_IDIOMS["en"][1]}
 
 
 def _key(tokens: Tokens, i: int) -> str:
@@ -110,7 +101,7 @@ def _key(tokens: Tokens, i: int) -> str:
 # --- cardinals ---------------------------------------------------------------
 
 
-def _spelled(tokens: Tokens, i: int, spellings: _Spellings) -> tuple[int, int] | None:
+def _spelled(tokens: Tokens, i: int, spellings: _Spellings) -> tuple[object, int] | None:
     """Value and end of the longest spelling that starts at token ``i``."""
     keys = tokens.keys
     if i >= len(keys):
@@ -260,11 +251,6 @@ def _meridiem(tokens: Tokens, i: int, language: str) -> PeriodHint | None:
     return _MERIDIEMS[language].get(_key(tokens, i).replace(".", ""))
 
 
-def _spells(tokens: Tokens, i: int, keys: list[str]) -> bool:
-    # Every key holds a letter, so a punctuation token never equals one.
-    return tokens.keys[i:i + len(keys)] == keys
-
-
 def _clock_number(tokens: Tokens, i: int, language: str) -> int | None:
     """An hour or minute said as a number word or one or two digits.
 
@@ -295,13 +281,6 @@ def _relative_minutes(tokens: Tokens, cardinal: ParsedExpression | None,
     return None
 
 
-def _period_lookahead(tokens: Tokens, i: int, language: str) -> PeriodHint | None:
-    for keys, hint in _PERIODS[language].get(_key(tokens, i), ()):
-        if _spells(tokens, i, keys):
-            return hint
-    return None
-
-
 def _clock_reading(tokens: Tokens, at: int, end: int, hour: int, minute: int,
                    language: str, hint: PeriodHint | None = None,
                    bare: bool = False) -> ParsedExpression:
@@ -314,7 +293,8 @@ def _clock_reading(tokens: Tokens, at: int, end: int, hour: int, minute: int,
         if hint is not None:
             end += 1
         else:
-            hint = _period_lookahead(tokens, end, language) or PeriodHint.UNSPECIFIED
+            period = _spelled(tokens, end, _PERIODS[language])
+            hint = PeriodHint.UNSPECIFIED if period is None else period[0]
     return ParsedExpression(Span(at, end), ExpressionType.TIMESTAMP,
                             TimeOfDay(hour, minute, hint), bare=bare)
 
@@ -381,22 +361,22 @@ def _parse_idioms(tokens: Tokens, at: int, cardinal: ParsedExpression | None,
         starts.append((*counted, _COUNTED[language]))
     out: list[ParsedExpression] = []
     for i, count, idioms in starts:
-        for keys, style in idioms.get(_key(tokens, i), ()):
-            if not _spells(tokens, i, keys):
-                continue
-            hour_at = i + len(keys)
-            hour = _clock_number(tokens, hour_at, language)
-            if hour is None or hour > 12 or (style.next_hour and hour == 0):
-                continue
-            if language == "de" and (hour == 0 or tokens.keys[hour_at][0].isdigit()):
-                # German says the hour in words and from one up.
-                continue
-            minute = style.minute
-            if minute is None:
-                minute = 60 - count if style.next_hour else count
-            if style.next_hour:
-                hour = hour - 1 or HOUR_BEFORE_ONE[language]
-            out.append(_clock_reading(tokens, at, hour_at + 1, hour, minute, language))
+        idiom = _spelled(tokens, i, idioms)
+        if idiom is None:
+            continue
+        style, hour_at = idiom
+        hour = _clock_number(tokens, hour_at, language)
+        if hour is None or hour > 12 or (style.next_hour and hour == 0):
+            continue
+        if language == "de" and (hour == 0 or tokens.keys[hour_at][0].isdigit()):
+            # German says the hour in words and from one up.
+            continue
+        minute = style.minute
+        if minute is None:
+            minute = 60 - count if style.next_hour else count
+        if style.next_hour:
+            hour = hour - 1 or HOUR_BEFORE_ONE[language]
+        out.append(_clock_reading(tokens, at, hour_at + 1, hour, minute, language))
     return out
 
 
@@ -478,7 +458,7 @@ def _starts(keys: list[str], language: str) -> list[int]:
     ``de_compound`` is called.
     """
     if language == "de":
-        idioms = _IDIOMS["de"]
+        idioms = _IDIOMS["de"][1]
         return [i for i, key in enumerate(keys)
                 if key[0].isdigit() or key in idioms
                 or key.startswith(DE_NUMBER_STARTS) and de_compound(key) is not None]

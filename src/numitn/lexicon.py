@@ -318,8 +318,8 @@ PERIOD_PHRASES = {
 HOUR_BEFORE_ONE = {"en": 12, "de": 0}
 
 
-def phrase_keys(phrase: str) -> list[str]:
-    return [fold_german(word) for word in phrase.split()]
+def phrase_keys(phrase: str) -> tuple[str, ...]:
+    return tuple(fold_german(word) for word in phrase.split())
 
 
 # --- context cues ------------------------------------------------------------

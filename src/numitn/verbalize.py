@@ -214,6 +214,15 @@ def enumerate_timestamp_phrasings(locale: Locale) -> tuple[tuple[str, TimeOfDay]
 
 def _count_words(value: NumericValue, language: str,
                  magnitude_word: str | None) -> str:
+    # The grammar reads a count back as one number only below a limit: "one
+    # thousand five hundred million" and "twelve thousand three hundred
+    # forty-five billion" read back as two. A decimal before a magnitude
+    # word is read through its point ("one thousand point five million").
+    limit = 1000 if magnitude_word and value.is_integer else 10**12
+    if value.mantissa >= limit * 10**value.scale:
+        before = f" before {magnitude_word!r}" if magnitude_word else ""
+        raise ValueError(f"count {value.mantissa // 10**value.scale}{before} does not read "
+                         f"back as one number: at most {limit - 1}")
     # "eine Million", never "eins Million".
     if magnitude_word and value.is_integer and value.mantissa == 1:
         return MAGNITUDE_ONE[language]

@@ -262,6 +262,43 @@ class TestGenSplitEval:
         b = self.gen_manifest(tmp_path / "b", capsys)
         assert a.read_text(encoding="utf-8") == b.read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize("locale,code,symbol,said", [
+        ("en", "USD", "US$", "dollar"), ("de", "EUR", "EUR", "Euro")])
+    def test_gen_formats_with_the_config_currencies(self, tmp_path, capsys, locale, code,
+                                                    symbol, said):
+        # normalize --config writes the config's symbol, so gen --config must too.
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"currencies": {code: {"symbol": symbol}}}),
+                          encoding="utf-8")
+        code_, out, _ = run(capsys, "gen", "--locale", locale, "--currencies", "40",
+                            "--seed", "0", "--config", str(config))
+        assert code_ == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        assert len(records) == 40
+        said_in = [r for r in records if said in r["verbalized"]]
+        assert said_in and all(symbol in r["formatted"] for r in said_in)
+        spoken = tmp_path / "spoken.txt"
+        spoken.write_text("".join(r["verbalized"] + "\n" for r in records), encoding="utf-8")
+        code_, out, _ = run(capsys, "normalize", "--locale", locale, "--config", str(config),
+                            str(spoken))
+        assert code_ == 0
+        assert out.splitlines() == [r["formatted"] for r in records]
+
+    @pytest.mark.parametrize("locale", ["en", "de"])
+    def test_gen_types_expressions_as_the_prompt_asked(self, tmp_path, capsys, locale):
+        # Without a thousands separator, seed 64 draws the quantity 1722,
+        # which the extractor alone would guess is a year.
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"locales": {locale: {"thousands_separator": ""}}}),
+                          encoding="utf-8")
+        code, out, _ = run(capsys, "gen", "--locale", locale, "--quantities", "100",
+                           "--seed", "64", "--config", str(config))
+        assert code == 0
+        expressions = [pair for line in out.splitlines()
+                       for pair in json.loads(line)["expressions"]]
+        assert ["1722", "quantity"] in expressions
+        assert {t for _, t in expressions} == {"quantity"}
+
     def test_split(self, tmp_path, capsys):
         path = self.gen_manifest(tmp_path, capsys)
         out_dir = tmp_path / "splits"
@@ -341,7 +378,7 @@ class TestGenSplitEval:
     def test_gen_failure_is_one_error_line(self, capsys, monkeypatch):
         from numitn import datagen
 
-        def fail(plan, textgen, synthesizer):
+        def fail(plan, textgen, synthesizer, currencies):
             raise datagen.GenerationError("all records failed (1 errors); first: boom")
 
         monkeypatch.setattr(datagen, "run_generation", fail)
@@ -638,6 +675,42 @@ class TestPerLineErrors:
         assert out == f"x {literal} y\nx {said} y\n"
         assert err == (f"line 1: 500 minor units of {currency} cannot be said: "
                        "a spoken amount has fewer than 100\n")
+
+    @pytest.mark.parametrize("language,lines,said,errors", [
+        ("en", ["It cost $1,500 million.", "We saw 12345000000000 birds.",
+                "We saw 12345000000000.5 birds.",
+                "It cost $1,234.5 billion.", "We saw 999,999,999,999 birds."],
+         ["It cost one thousand two hundred thirty-four point five billion dollars.",
+          "We saw nine hundred ninety-nine billion nine hundred ninety-nine million nine "
+          "hundred ninety-nine thousand nine hundred ninety-nine birds."],
+         ["count 1500 before 'million' does not read back as one number: at most 999",
+          "count 12345000000000 does not read back as one number: at most 999999999999",
+          "count 12345000000000 does not read back as one number: at most 999999999999"]),
+        ("de", ["Es kostet 1.234 Milliarden€.", "Wir sahen 12345000000000 Vögel.",
+                "Es kostet 1.234,5 Milliarden€.", "Wir sahen 999.999.999.999 Vögel."],
+         ["Es kostet eintausendzweihundertvierunddreißig Komma fünf Milliarden Euro.",
+          "Wir sahen neunhundertneunundneunzig Milliarden neunhundertneunundneunzig Millionen "
+          "neunhundertneunundneunzigtausendneunhundertneunundneunzig Vögel."],
+         ["count 1234 before 'Milliarden' does not read back as one number: at most 999",
+          "count 12345000000000 does not read back as one number: at most 999999999999"]),
+    ])
+    def test_verbalize_count_that_does_not_read_back(self, tmp_path, capsys, language, lines,
+                                                     said, errors):
+        # The counts would be said as "one thousand five hundred million" and
+        # "twelve thousand three hundred forty-five billion", which normalize
+        # reads as two numbers; the counts below the limits round-trip.
+        failing = len(errors)
+        src = tmp_path / "in.txt"
+        src.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        code, out, err = run(capsys, "verbalize", "--locale", language, str(src))
+        assert code == 1
+        assert out.splitlines() == lines[:failing] + said
+        assert err.splitlines() == [f"line {n}: {error}" for n, error in enumerate(errors, 1)]
+        spoken = tmp_path / "said.txt"
+        spoken.write_text("".join(line + "\n" for line in said), encoding="utf-8")
+        code, out, _ = run(capsys, "normalize", "--locale", language, str(spoken))
+        assert code == 0
+        assert out.splitlines() == lines[failing:]
 
     def test_normalize_minor_part_past_minor_digits(self, tmp_path, capsys):
         config = tmp_path / "c.json"

@@ -490,8 +490,7 @@ def missed_starts(text, locale):
 
 def _idiom_windows(language, hour):
     """Each clock idiom that opens a phrase, said before ``hour``."""
-    return [" ".join(keys + [hour])
-            for entries in grammar._IDIOMS[language].values() for keys, _ in entries]
+    return [" ".join((*keys, hour)) for keys in grammar._IDIOMS[language][0]]
 
 
 # Second tokens that complete a reading: clock nouns, am/pm, scales, the
@@ -506,11 +505,11 @@ _GATE_DIGITS = ["7", "12", "23", "0", "2024", "4:30", "15.45", "15:45", "7pm", "
 def _en_window_keys():
     return sorted({*lexicon.EN_NUMBER_WORDS, *(keys[0] for keys in lexicon.EN_GROUPS),
                    *(keys[0] for keys in lexicon.EN_PAIR_HUNDREDS),
-                   *grammar._IDIOMS["en"], *lexicon.SCALE_WORDS["en"], "hundred", "oh"})
+                   *grammar._IDIOMS["en"][1], *lexicon.SCALE_WORDS["en"], "hundred", "oh"})
 
 
 def _de_window_keys():
-    return sorted({*lexicon.DE_GROUPS, *grammar._IDIOMS["de"], "tausend"})
+    return sorted({*lexicon.DE_GROUPS, *grammar._IDIOMS["de"][1], "tausend"})
 
 
 def _de_thousands():

@@ -22,9 +22,9 @@ LANGUAGES = ("en", "de")
 FOLD_PAIRS = ("ae", "oe", "ue", "ss")
 
 
-def _phrase_keys(index):
-    """Every key of every phrase in a first-key index of the grammar."""
-    return {key for entries in index.values() for keys, _ in entries for key in keys}
+def _phrase_keys(spellings):
+    """Every key of every phrase in one of the grammar's spelling tables."""
+    return {key for keys in spellings[0] for key in keys}
 
 
 def grammar_keys(language):
