@@ -118,8 +118,9 @@ def _cmd_verbalize(args: argparse.Namespace) -> int:
 def _cmd_extract(args: argparse.Namespace) -> int:
     cfg, locale = _locale(args)
     return _each_line(args, lambda line_no, line: "".join(
-        f"{line_no}\t{lit.guessed_type.value}\t{lit.text}\n"
-        for lit in extract_numeric_literals(line, locale, cfg.currencies)), pass_through=False)
+        f"{line_no}\t{expr_type.value}\t{m.group()}\n"
+        for expr_type, m in extract_numeric_literals(line, locale, cfg.currencies)),
+        pass_through=False)
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:

@@ -19,7 +19,7 @@ from abc import ABC, abstractmethod
 from collections import namedtuple
 from collections.abc import Iterator, Mapping, Sequence
 
-from .extract import LiteralMatch, extract_numeric_literals
+from .extract import extract_numeric_literals
 from .formatting import YEAR_MAX, YEAR_MIN, format_expression, format_time
 from .grammar import scan_tokens
 from .lexicon import MAGNITUDE_NAMES
@@ -104,7 +104,7 @@ def build_timestamp_prompt(phrase: str, locale: Locale) -> str:
 
 def validate_record(verbalized: str, converted: str, locale: Locale,
                     currencies: dict[str, CurrencyUnit] = DEFAULT_CURRENCIES
-                    ) -> list[LiteralMatch]:
+                    ) -> list[tuple[ExpressionType, re.Match[str]]]:
     """Filter rule: the conversion must add literals and change nothing else.
 
     Returns the literals of ``converted`` when the pair passes, else ``[]``.
@@ -123,19 +123,20 @@ def validate_record(verbalized: str, converted: str, locale: Locale,
     return literals if verbalized_rest == converted_rest else []
 
 
-def _surfaces_outside(tokens: Tokens, literals: list[LiteralMatch]) -> list[str]:
+def _surfaces_outside(tokens: Tokens, literals: list[tuple[ExpressionType, re.Match[str]]]
+                      ) -> list[str]:
     """Surfaces of the tokens that no literal covers, in one forward walk.
 
     The literal spans are sorted and disjoint, so only the first one that
     ends after a token's start can cover that token.
     """
     out = []
-    remaining = iter(literals)
-    lit = next(remaining, None)
+    remaining = (m for _, m in literals)
+    m = next(remaining, None)
     for surface, (start, end) in zip(tokens.surfaces, tokens.spans):
-        while lit is not None and lit.span.end <= start:
-            lit = next(remaining, None)
-        if lit is None or not (lit.span.start <= start and end <= lit.span.end):
+        while m is not None and m.end() <= start:
+            m = next(remaining, None)
+        if m is None or not (m.start() <= start and end <= m.end()):
             out.append(surface)
     return out
 
@@ -522,7 +523,7 @@ def run_generation(plan: GenerationPlan, textgen: TextGenerator,
                     type=expr_type.value,
                     verbalized=sentence,
                     formatted=formatted,
-                    expressions=tuple((lit.text, expr_type.value) for lit in literals),
+                    expressions=tuple((m.group(), expr_type.value) for _, m in literals),
                     voice=voice,
                 ))
             except ManifestError as err:

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import re
-from collections import namedtuple
 from functools import lru_cache
 
 from .formatting import YEAR_MAX, YEAR_MIN
 from .lexicon import MAGNITUDE_NAMES
 from .locales import DEFAULT_CURRENCIES, CurrencyUnit, Locale
-from .types import ExpressionType, Span
+from .types import ExpressionType
 
 _YEAR_GUESS_RE = re.compile(r"^[12]\d{3}$")
 # Every literal pattern needs a digit of this class, so a line without one
@@ -18,12 +17,6 @@ _DIGIT_RE = re.compile(r"\d")
 
 # A locale's pattern names each top-level alternative after its type.
 _ALTERNATIVE_TYPES = {t.value: t for t in ExpressionType}
-
-
-class LiteralMatch(namedtuple("LiteralMatch", "span text guessed_type")):
-    """A formatted literal: its char ``Span``, its text and the ``ExpressionType`` guessed."""
-
-    __slots__ = ()
 
 
 # "\b" before a digit, written after that first digit: the lookbehind fails
@@ -83,7 +76,10 @@ def _build_pattern(language: str, separator: str, decimal_mark: str, placement: 
         digit = r"(?<=\d)" + _WORD_START
     elif ordered:
         symbol = "|".join(re.escape(s) for s in ordered)
-        alternatives.append(rf"(?P<currency>{money}(?P<currency_sym>{symbol}))")
+        # "5€" or "5 €": after one whitespace character the symbol must end
+        # a word, so "5 Millionen" holds no symbol "Mi".
+        alternatives.append(rf"(?P<currency>{money}(?P<currency_gap>\s)?"
+                            rf"(?P<currency_sym>{symbol})(?(currency_gap)(?!\w)))")
     alternatives.append(rf"(?P<timestamp>{digit}{_CLOCK})")
     alternatives.append(rf"(?P<quantity>{digit}{count}\b)")
     return re.compile(f"{head}(?:{'|'.join(alternatives)})")
@@ -95,9 +91,9 @@ def _locale_pattern(locale: Locale, currencies: dict[str, CurrencyUnit]) -> re.P
                           tuple([u.symbol for u in currencies.values()]))
 
 
-def scan_literals(text: str, locale: Locale,
-                  currencies: dict[str, CurrencyUnit]
-                  ) -> list[tuple[ExpressionType, re.Match[str]]]:
+def extract_numeric_literals(text: str, locale: Locale,
+                             currencies: dict[str, CurrencyUnit] = DEFAULT_CURRENCIES
+                             ) -> list[tuple[ExpressionType, re.Match[str]]]:
     """(type, match) of every formatted literal, left to right, non-overlapping.
 
     One ``finditer`` of the locale's pattern: each literal is looked for
@@ -119,28 +115,6 @@ def scan_literals(text: str, locale: Locale,
             expr_type = ExpressionType.YEAR
         kept.append((expr_type, m))
     return kept
-
-
-def match_literal(text: str, expr_type: ExpressionType, locale: Locale,
-                  currencies: dict[str, CurrencyUnit]
-                  ) -> re.Match[str] | None:
-    """``text`` matched whole as a literal of ``expr_type`` (a year as a quantity).
-
-    One ``fullmatch`` of the locale's pattern; None when nothing matches
-    whole or the first alternative that does is of another type.
-    """
-    if expr_type is ExpressionType.YEAR:
-        expr_type = ExpressionType.QUANTITY
-    m = _locale_pattern(locale, currencies).fullmatch(text)
-    return m if m is not None and m.lastgroup == expr_type.value else None
-
-
-def extract_numeric_literals(text: str, locale: Locale,
-                             currencies: dict[str, CurrencyUnit] = DEFAULT_CURRENCIES
-                             ) -> list[LiteralMatch]:
-    """All formatted numeric literals, left to right, non-overlapping."""
-    return [LiteralMatch(Span(m.start(), m.end()), m.group(), expr_type)
-            for expr_type, m in scan_literals(text, locale, currencies)]
 
 
 def literal_present(hypothesis: str, surface: str) -> bool:

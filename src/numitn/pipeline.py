@@ -33,7 +33,7 @@ def _rewrites(sentence: str, locale: Locale, currencies: dict[str, CurrencyUnit]
         # Already-formatted literals stay untouched; a reading only
         # proceeds when it covers more text than the digit match itself
         # ("15.45 Uhr", "4:30 pm").
-        if any(lit.span.start <= start and end <= lit.span.end for lit in literals):
+        if any(m.start() <= start and end <= m.end() for _, m in literals):
             continue
         expr = classify(reading, tokens, locale)
         start, end = _char_range(tokens, expr.span)

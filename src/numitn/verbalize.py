@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 import re
 
-from .extract import match_literal, scan_literals
+from .extract import extract_numeric_literals
 from .lexicon import (
     AND_WORDS,
     CLOCK_STYLES,
@@ -278,14 +278,14 @@ def verbalize_line(line: str, locale: Locale,
                    rng: random.Random | None = None,
                    currencies: dict[str, CurrencyUnit] = DEFAULT_CURRENCIES) -> str:
     """Replace every formatted literal in a line with number words."""
-    literals = scan_literals(line, locale, currencies)
+    literals = extract_numeric_literals(line, locale, currencies)
     if not literals:
         return line
     # Right to left, the order in which the literals draw from ``rng``.
     parts = []
     end = len(line)
     for expr_type, m in reversed(literals):
-        expr = _read_literal(expr_type, m, locale, currencies)
+        expr = parse_literal(expr_type, m, locale, currencies)
         parts += line[m.end():end], verbalize_value(expr, locale, rng=rng)
         end = m.start()
     parts.append(line[:end])
@@ -296,21 +296,13 @@ def verbalize_line(line: str, locale: Locale,
 # --- formatted-literal parsing (CLI inverse) ----------------------------------
 
 
-def parse_literal(text: str, expr_type: ExpressionType, locale: Locale,
-                  currencies: dict[str, CurrencyUnit] = DEFAULT_CURRENCIES) -> ParsedExpression:
+def parse_literal(expr_type: ExpressionType, m: re.Match[str], locale: Locale,
+                  currencies: dict[str, CurrencyUnit]) -> ParsedExpression:
     """Read an already-formatted literal back into an expression.
 
-    ``text`` must match whole the extractor's pattern for ``expr_type``.
+    ``expr_type`` and ``m`` are a pair ``extract_numeric_literals`` returned;
+    the value is read from the match's groups.
     """
-    m = match_literal(text, expr_type, locale, currencies)
-    if m is None:
-        raise ValueError(f"{text!r} is not a {expr_type.value} literal")
-    return _read_literal(expr_type, m, locale, currencies)
-
-
-def _read_literal(expr_type: ExpressionType, m: re.Match[str], locale: Locale,
-                  currencies: dict[str, CurrencyUnit]) -> ParsedExpression:
-    """The expression an extractor match spells, read from the match's groups."""
     if expr_type is ExpressionType.YEAR:
         return ParsedExpression(NO_SPAN, expr_type, NumericValue(int(m.group())))
     if expr_type is ExpressionType.TIMESTAMP:

@@ -283,7 +283,7 @@ def test_criterion_06_extractor_recall_and_precision():
         surface = _random_formatted(rng, locale)
         filler = _EN_FILLER if locale is EN else _DE_FILLER
         sentence = f"{rng.choice(filler)} {surface} {rng.choice(filler)}."
-        found = [m.text for m in extract_numeric_literals(sentence, locale)]
+        found = [m.group() for _, m in extract_numeric_literals(sentence, locale)]
         if surface not in found:
             missed += 1
     false_positives = 0

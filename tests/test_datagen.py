@@ -31,6 +31,8 @@ from numitn.tokenizer import tokenize
 from numitn.types import ExpressionType
 from numitn.verbalize import enumerate_timestamp_phrasings
 
+from test_extract import triples
+
 EN = DEFAULT_CONFIG.locale("en")
 DE = DEFAULT_CONFIG.locale("de")
 
@@ -109,7 +111,7 @@ class TestValidateRecord:
     def test_accepted_pair_returns_its_literals(self, verbalized, converted, locale):
         literals = validate_record(verbalized, converted, locale)
         assert literals
-        assert literals == extract_numeric_literals(converted, locale)
+        assert triples(literals) == triples(extract_numeric_literals(converted, locale))
 
     @pytest.mark.parametrize("verbalized,converted", [
         ("The war ended in 1945.", "The war ended in 1945."),  # digits in the spoken side
@@ -598,6 +600,5 @@ def test_surfaces_outside_walks_as_the_any_rule(text, locale):
     tokens = tokenize(text)
     literals = extract_numeric_literals(text, locale)
     expected = [surface for surface, (start, end) in zip(tokens.surfaces, tokens.spans)
-                if not any(lit.span.start <= start and end <= lit.span.end
-                           for lit in literals)]
+                if not any(m.start() <= start and end <= m.end() for _, m in literals)]
     assert _surfaces_outside(tokens, literals) == expected

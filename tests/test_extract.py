@@ -3,22 +3,24 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from numitn.extract import (
-    LiteralMatch,
-    _build_pattern,
-    extract_numeric_literals,
-)
+from numitn.extract import _build_pattern, extract_numeric_literals
 from numitn.lexicon import DE_EIN, DE_EINE, MAGNITUDE_NAMES, is_number_word
 from numitn.locales import DEFAULT_CONFIG, DEFAULT_CURRENCIES, CurrencyUnit
 from numitn.tokenizer import tokenize
-from numitn.types import ExpressionType, Span
+from numitn.types import ExpressionType
 
 EN = DEFAULT_CONFIG.locale("en")
 DE = DEFAULT_CONFIG.locale("de")
 
 
-def spans(text, locale):
-    return [(m.text, m.guessed_type) for m in extract_numeric_literals(text, locale)]
+def triples(literals):
+    """(type, span, surface) of each (type, match) pair: matches compare by identity."""
+    return [(expr_type, m.span(), m.group()) for expr_type, m in literals]
+
+
+def spans(text, locale, currencies=DEFAULT_CURRENCIES):
+    return [(surface, expr_type) for expr_type, _, surface
+            in triples(extract_numeric_literals(text, locale, currencies))]
 
 
 class TestExtraction:
@@ -47,6 +49,18 @@ class TestExtraction:
     def test_german_currency_magnitude(self):
         assert spans("Sie sammelten 9,1 Millionen€.", DE) == \
             [("9,1 Millionen€", ExpressionType.CURRENCY)]
+
+    # One space, a no-break space or a narrow no-break space may stand
+    # before a suffix symbol; two spaces leave a bare number.
+    @pytest.mark.parametrize("text,expected", [
+        ("Es kostet 5 €.", [("5 €", ExpressionType.CURRENCY)]),
+        ("Sie sammelten 9,1 Millionen €.", [("9,1 Millionen €", ExpressionType.CURRENCY)]),
+        ("Es kostet 1.000,50\u00a0€.", [("1.000,50\u00a0€", ExpressionType.CURRENCY)]),
+        ("Es kostet 5\u202f€.", [("5\u202f€", ExpressionType.CURRENCY)]),
+        ("Es kostet 5  €.", [("5", ExpressionType.QUANTITY)]),
+    ])
+    def test_german_currency_spaced_symbol(self, text, expected):
+        assert spans(text, DE) == expected
 
     def test_quantity_magnitude(self):
         assert spans("about 9.1 million users", EN) == \
@@ -101,21 +115,32 @@ class TestExtraction:
 
     def test_offsets_point_into_source(self):
         text = "Pay $50 at 19:45."
-        for m in extract_numeric_literals(text, EN):
-            assert text[m.span.start:m.span.end] == m.text
+        assert triples(extract_numeric_literals(text, EN)) == [
+            (ExpressionType.CURRENCY, (4, 7), "$50"), (ExpressionType.TIMESTAMP, (11, 16), "19:45")]
 
     def test_multi_char_symbol_matches_whole(self):
         # The README's example config: "US$" for USD. Its letters alone
         # ("S5") are not a currency, and "US$9" is not cut to "$9".
         registry = {**DEFAULT_CURRENCIES, "USD": CurrencyUnit("US$")}
-        got = extract_numeric_literals("It cost US$9 and S5 here", EN, registry)
-        assert [(m.text, m.guessed_type) for m in got] == \
+        assert spans("It cost US$9 and S5 here", EN, registry) == \
             [("US$9", ExpressionType.CURRENCY)]
 
     def test_longest_symbol_first(self):
         registry = {**DEFAULT_CURRENCIES, "AUD": CurrencyUnit("A$")}
-        got = extract_numeric_literals("A$5 or $3", EN, registry)
-        assert [m.text for m in got] == ["A$5", "$3"]
+        assert spans("A$5 or $3", EN, registry) == \
+            [("A$5", ExpressionType.CURRENCY), ("$3", ExpressionType.CURRENCY)]
+
+    # A whole literal is one literal of one type: "$5" is no quantity, "19:45"
+    # no currency or quantity, "1945" no time, "9,1 Millionen" no currency.
+    @pytest.mark.parametrize("text,locale,expected", [
+        ("$5", EN, ExpressionType.CURRENCY),
+        ("19:45", EN, ExpressionType.TIMESTAMP),
+        ("1945", EN, ExpressionType.YEAR),
+        ("5€", DE, ExpressionType.CURRENCY),
+        ("9,1 Millionen", DE, ExpressionType.QUANTITY),
+    ])
+    def test_a_whole_literal_has_one_type(self, text, locale, expected):
+        assert spans(text, locale) == [(text, expected)]
 
 
 class TestContainsNumericExpression:
@@ -163,7 +188,7 @@ def _reference_patterns(locale, symbols):
         if locale.currency_placement == "prefix":
             money = rf"{symbol}{number}{magnitude}\b"
         else:
-            money = rf"\b{number}{magnitude}{symbol}"
+            money = rf"\b{number}{magnitude}(?:{symbol}|\s{symbol}(?!\w))"
         patterns.append((ExpressionType.CURRENCY, re.compile(money)))
     patterns.append((ExpressionType.TIMESTAMP, re.compile(_REF_TIMESTAMP)))
     patterns.append((ExpressionType.QUANTITY, re.compile(rf"\b{number}{magnitude}\b")))
@@ -192,7 +217,7 @@ def reference_extract(text, locale, currencies=None):
         if expr_type == ExpressionType.QUANTITY and re.match(r"^[12]\d{3}$", surface) \
                 and 1000 <= int(surface) <= 2100:
             expr_type = ExpressionType.YEAR
-        kept.append(LiteralMatch(Span(pos, m.end()), surface, expr_type))
+        kept.append((expr_type, m))
         pos = m.end()
     return kept
 
@@ -207,7 +232,8 @@ def reference_extract(text, locale, currencies=None):
 ])
 def test_a_literal_is_looked_for_where_the_one_before_it_ended(text, locale, expected):
     assert spans(text, locale) == expected
-    assert [(m.text, m.guessed_type) for m in reference_extract(text, locale)] == expected
+    assert [(surface, expr_type) for expr_type, _, surface
+            in triples(reference_extract(text, locale))] == expected
 
 
 # Digits of every script ``\d`` matches ("٣", "０", "७"), "²" (a digit to
@@ -241,9 +267,11 @@ _REGISTRIES = [DEFAULT_CURRENCIES,
 @example(text="1:3", locale=EN, currencies=DEFAULT_CURRENCIES)
 @example(text="a5€", locale=DE, currencies=DEFAULT_CURRENCIES)
 @example(text="1234,567", locale=EN, currencies=DEFAULT_CURRENCIES)
+@example(text="5 €", locale=DE, currencies=DEFAULT_CURRENCIES)
+@example(text="5 US$x", locale=DE, currencies=_REGISTRIES[1])
 def test_digit_gate_skips_only_lines_without_literals(text, locale, currencies):
-    assert extract_numeric_literals(text, locale, currencies) == \
-        reference_extract(text, locale, currencies)
+    assert triples(extract_numeric_literals(text, locale, currencies)) == \
+        triples(reference_extract(text, locale, currencies))
 
 
 _BEFORE = ["", " ", "x", "_", "$", "٣"]
@@ -258,7 +286,8 @@ def test_clock_digits_match_the_reference(before, hour, minute, widths, after, l
     # Every hour branch ("0"/"1" then any digit, "2" then "0"-"3", one
     # digit) and what comes before and after it.
     text = f"{before}{hour:0{widths[0]}d}:{minute:0{widths[1]}d}{after}"
-    assert extract_numeric_literals(text, locale) == reference_extract(text, locale)
+    assert triples(extract_numeric_literals(text, locale)) == \
+        triples(reference_extract(text, locale))
 
 
 @settings(max_examples=300)
@@ -268,7 +297,8 @@ def test_clock_digits_match_the_reference(before, hour, minute, widths, after, l
 def test_number_groups_match_the_reference(before, head, sep, tail, width, after, locale):
     # One to five leading digits, then a group of one to four.
     text = f"{before}{head}{sep}{tail:0{width}d}{after}"
-    assert extract_numeric_literals(text, locale) == reference_extract(text, locale)
+    assert triples(extract_numeric_literals(text, locale)) == \
+        triples(reference_extract(text, locale))
 
 
 def _pattern(locale, placement, symbols):

@@ -7,7 +7,6 @@ from numitn.datagen import (
     SplitSpec,
 )
 from numitn.evaluate import EvalItem, EvalReport, TypeCount
-from numitn.extract import LiteralMatch
 from numitn.lexicon import ClockStyle
 from numitn.locales import EN, CurrencyUnit, Locale, LocaleConfig
 from numitn.manifest import ManifestRecord
@@ -80,7 +79,6 @@ RECORDS = [
     (Locale, ("en", ",", ".", "prefix")),
     (CurrencyUnit, ("₹", 2)),
     (LocaleConfig, ({"en": EN}, {"INR": CurrencyUnit("₹")})),
-    (LiteralMatch, (Span(8, 10), "$5", ExpressionType.CURRENCY)),
     (ClockStyle, ("quarter_to", "quarter to", 45, True, True)),
     (SplitSpec, (0.7, 0.1, 0.2, 3)),
     (ClientConfig, (2,)),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from numitn.classify import choose, resolve_time
-from numitn.extract import extract_numeric_literals, scan_literals
+from numitn.extract import extract_numeric_literals
 from numitn.grammar import parse_cardinal, parse_clock_phrase
 from numitn.lexicon import MAGNITUDE_NAMES
 from numitn.locales import DEFAULT_CONFIG, DEFAULT_CURRENCIES, CurrencyUnit
@@ -28,7 +28,6 @@ from numitn.verbalize import (
     verbalize_value,
     verbalize_year,
     year_styles,
-    _read_literal,
 )
 
 from test_extract import _REGISTRIES
@@ -252,6 +251,18 @@ class TestLineRewrites:
         assert verbalize_line(line, loc) == words
         assert normalize_text(words, loc) == written
 
+    @pytest.mark.parametrize("line,words,written", [
+        ("Es kostet 5 €.", "Es kostet fünf Euro.", "Es kostet 5€."),
+        ("Es kostet 1.000,50 €.", "Es kostet eintausend Euro und fünfzig Cent.",
+         "Es kostet 1.000,50€."),
+        ("Sie sammelten 9,1 Millionen €.", "Sie sammelten neun Komma eins Millionen Euro.",
+         "Sie sammelten 9,1 Millionen€."),
+    ])
+    def test_german_spaced_suffix_symbol(self, line, words, written):
+        # The space before a suffix symbol belongs to the literal: "5 €" is five euros.
+        assert verbalize_line(line, DE) == words
+        assert normalize_text(words, DE) == written
+
     @pytest.mark.parametrize("line,words", [
         ("Es kostet 1€.", "Es kostet ein Euro."),
         ("Es kostet 0,01€.", "Es kostet null Euro und ein Cent."),
@@ -289,23 +300,33 @@ class TestLineRewrites:
         assert a == b
 
 
+def parse_whole(text, expr_type, locale, currencies=DEFAULT_CURRENCIES):
+    """``parse_literal`` of the one literal the extractor finds in ``text``.
+
+    That literal is of ``expr_type`` and covers ``text`` whole.
+    """
+    [(found, m)] = extract_numeric_literals(text, locale, currencies)
+    assert (found, m.span()) == (expr_type, (0, len(text)))
+    return parse_literal(found, m, locale, currencies)
+
+
 class TestParseLiteral:
     def test_year(self):
-        parsed = parse_literal("1945", ExpressionType.YEAR, EN)
+        parsed = parse_whole("1945", ExpressionType.YEAR, EN)
         assert parsed.value == NumericValue(1945)
 
     def test_time(self):
-        parsed = parse_literal("19:45", ExpressionType.TIMESTAMP, EN)
+        parsed = parse_whole("19:45", ExpressionType.TIMESTAMP, EN)
         assert parsed.value == TimeOfDay(19, 45)
 
     def test_currency_with_cents(self):
-        parsed = parse_literal("$1,000.50", ExpressionType.CURRENCY, EN)
+        parsed = parse_whole("$1,000.50", ExpressionType.CURRENCY, EN)
         assert parsed.value.major == NumericValue(1000)
         assert parsed.value.minor == NumericValue(50)
         assert parsed.value.currency == "USD"
 
     def test_currency_whole(self):
-        parsed = parse_literal("$1,945", ExpressionType.CURRENCY, EN)
+        parsed = parse_whole("$1,945", ExpressionType.CURRENCY, EN)
         assert parsed.value.minor is None
 
     @pytest.mark.parametrize("text,locale,major,minor", [
@@ -313,70 +334,58 @@ class TestParseLiteral:
         ("1,5€", DE, 1, 50), ("1.000,5€", DE, 1000, 50),
     ])
     def test_currency_fraction_is_minor_units(self, text, locale, major, minor):
-        parsed = parse_literal(text, ExpressionType.CURRENCY, locale)
+        parsed = parse_whole(text, ExpressionType.CURRENCY, locale)
         assert (parsed.value.major, parsed.value.minor) == \
             (NumericValue(major), NumericValue(minor))
 
     def test_currency_minor_unit_digits_from_registry(self):
         registry = {**DEFAULT_CURRENCIES, "BHD": CurrencyUnit("BD", 3)}
-        parsed = parse_literal("BD1.5", ExpressionType.CURRENCY, EN, registry)
+        parsed = parse_whole("BD1.5", ExpressionType.CURRENCY, EN, registry)
         assert (parsed.value.major, parsed.value.minor) == (NumericValue(1), NumericValue(500))
         with pytest.raises(ValueError, match="more than 3 fraction digits"):
-            parse_literal("BD1.5055", ExpressionType.CURRENCY, EN, registry)
+            parse_whole("BD1.5055", ExpressionType.CURRENCY, EN, registry)
 
     @pytest.mark.parametrize("text,locale", [("$1.505", EN), ("1,505€", DE)])
     def test_currency_too_many_fraction_digits(self, text, locale):
         with pytest.raises(ValueError, match="more than 2 fraction digits"):
-            parse_literal(text, ExpressionType.CURRENCY, locale)
+            parse_whole(text, ExpressionType.CURRENCY, locale)
 
     def test_currency_suffix_symbol(self):
-        parsed = parse_literal("1.000,50€", ExpressionType.CURRENCY, DE)
+        parsed = parse_whole("1.000,50€", ExpressionType.CURRENCY, DE)
         assert parsed.value.currency == "EUR"
         assert parsed.value.minor == NumericValue(50)
 
     def test_longest_symbol_wins(self):
         registry = {**DEFAULT_CURRENCIES, "AUD": CurrencyUnit("A$")}
-        parsed = parse_literal("A$5", ExpressionType.CURRENCY, EN, registry)
+        parsed = parse_whole("A$5", ExpressionType.CURRENCY, EN, registry)
         assert parsed.value.currency == "AUD"
         assert parsed.value.major == NumericValue(5)
 
     def test_longest_symbol_present_wins_over_registry_order(self):
         registry = {"USD": CurrencyUnit("$"), "XUS": CurrencyUnit("US$")}
-        parsed = parse_literal("US$5", ExpressionType.CURRENCY, EN, registry)
+        parsed = parse_whole("US$5", ExpressionType.CURRENCY, EN, registry)
         assert parsed.value.currency == "XUS"
         assert parsed.value.major == NumericValue(5)
 
     @pytest.mark.parametrize("codes", [("USD", "AUD"), ("AUD", "USD")])
     def test_equal_symbols_take_the_first_in_registry_order(self, codes):
         registry = {code: CurrencyUnit("$") for code in codes}
-        parsed = parse_literal("$5", ExpressionType.CURRENCY, EN, registry)
+        parsed = parse_whole("$5", ExpressionType.CURRENCY, EN, registry)
         assert parsed.value.currency == codes[0]
 
     def test_currency_magnitude(self):
-        parsed = parse_literal("$9.1 million", ExpressionType.CURRENCY, EN)
+        parsed = parse_whole("$9.1 million", ExpressionType.CURRENCY, EN)
         assert parsed.value.major == NumericValue(91, 1)
         assert parsed.magnitude_word == "million"
 
     def test_quantity_magnitude(self):
-        parsed = parse_literal("9,1 Millionen", ExpressionType.QUANTITY, DE)
+        parsed = parse_whole("9,1 Millionen", ExpressionType.QUANTITY, DE)
         assert parsed.value == NumericValue(91, 1)
         assert parsed.magnitude_word == "Millionen"
 
     def test_quantity_plain(self):
-        parsed = parse_literal("2,000", ExpressionType.QUANTITY, EN)
+        parsed = parse_whole("2,000", ExpressionType.QUANTITY, EN)
         assert parsed.value == NumericValue(2000)
-
-    @pytest.mark.parametrize("text,expr_type,locale", [
-        ("$5", ExpressionType.QUANTITY, EN),
-        ("19:45", ExpressionType.CURRENCY, EN),
-        ("19:45", ExpressionType.QUANTITY, EN),
-        ("1945", ExpressionType.TIMESTAMP, EN),
-        ("5€", ExpressionType.QUANTITY, DE),
-        ("9,1 Millionen", ExpressionType.CURRENCY, DE),
-    ])
-    def test_a_literal_of_another_type_is_refused(self, text, expr_type, locale):
-        with pytest.raises(ValueError, match=f"is not a {expr_type.value} literal"):
-            parse_literal(text, expr_type, locale)
 
 
 # --- the reader against the literal parser it replaced -------------------------
@@ -471,18 +480,15 @@ _READER_REGISTRIES = _REGISTRIES + [
 @example(text="$1.1234567", locale=EN, currencies=DEFAULT_CURRENCIES)
 @example(text="0:00, 7:05, 23:59 and ٣:٣٠", locale=DE, currencies=DEFAULT_CURRENCIES)
 def test_reader_matches_the_reference_parser(text, locale, currencies):
-    for literal, (expr_type, m) in zip(extract_numeric_literals(text, locale, currencies),
-                                       scan_literals(text, locale, currencies), strict=True):
-        assert (literal.text, literal.guessed_type) == (m.group(), expr_type)
-        expected = _outcome(lambda: reference_parse_literal(literal.text, expr_type,
+    for expr_type, m in extract_numeric_literals(text, locale, currencies):
+        surface = m.group()
+        expected = _outcome(lambda: reference_parse_literal(surface, expr_type,
                                                             locale, currencies))
-        picked = _reference_symbol(literal.text, currencies)
-        matched = _matched_symbol(literal.text, expr_type, locale, currencies)
-        if picked and (picked[1] != matched or literal.text.count(matched) > 1):
+        picked = _reference_symbol(surface, currencies)
+        matched = _matched_symbol(surface, expr_type, locale, currencies)
+        if picked and (picked[1] != matched or surface.count(matched) > 1):
             # The reference read a symbol inside the magnitude word: one the
             # pattern did not match, or the matched one a second time.
             assert any(picked[1] in word for word in _MAGNITUDE_WORDS)
             continue
-        assert _outcome(lambda: _read_literal(expr_type, m, locale, currencies)) == expected
-        assert _outcome(lambda: parse_literal(literal.text, expr_type, locale,
-                                              currencies)) == expected
+        assert _outcome(lambda: parse_literal(expr_type, m, locale, currencies)) == expected
