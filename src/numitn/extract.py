@@ -68,11 +68,16 @@ def _build_pattern(language: str, separator: str, decimal_mark: str, placement: 
         head = "[\\d" + "".join(dict.fromkeys(re.escape(s[0]) for s in ordered)) + "]"
         # An alternation, not a character class, so "US$" matches whole and
         # its letters do not match on their own: a lookbehind checks the
-        # first character, the rest follows. The symbol ends where group
-        # ``currency_int`` starts, less the first digit. Time and quantity
-        # check that the class matched a digit.
-        symbol = "|".join(rf"(?<={re.escape(s[0])}){re.escape(s[1:])}" for s in ordered)
-        alternatives.append(rf"(?P<currency>(?:{symbol})\d{money}\b)")
+        # first character, the rest follows. "$5" or "$ 5": before one
+        # whitespace character (group ``currency_gap``) the symbol must start
+        # a word, which a second lookbehind checks, so "FOR 5" holds no
+        # symbol "R". The symbol ends where the gap or the first digit
+        # starts. Time and quantity check that the class matched a digit.
+        parts = [(re.escape(s[0]), re.escape(s[1:])) for s in ordered]
+        glued = "|".join(rf"(?<={first}){rest}" for first, rest in parts)
+        spaced = "|".join(rf"(?<={first})(?<!\w{first}){rest}" for first, rest in parts)
+        alternatives.append(rf"(?P<currency>(?:{glued}|(?:{spaced})(?P<currency_gap>\s))"
+                            rf"\d{money}\b)")
         digit = r"(?<=\d)" + _WORD_START
     elif ordered:
         symbol = "|".join(re.escape(s) for s in ordered)
@@ -102,8 +107,8 @@ def extract_numeric_literals(text: str, locale: Locale,
     name of the alternative that matched (``lastgroup``); a quantity of
     four digits in the year range is guessed a year. Its other named groups
     are the parts of the literal: ``<type>_int`` and ``<type>_frac`` of the
-    number, ``<type>_mag`` the magnitude word and ``currency_sym`` a suffix
-    currency symbol.
+    number, ``<type>_mag`` the magnitude word, ``currency_sym`` a suffix
+    currency symbol and ``currency_gap`` the whitespace after or before the symbol.
     """
     if not _DIGIT_RE.search(text):
         return []

@@ -48,9 +48,8 @@ from .types import (
     TimeOfDay,
 )
 
-_TWO_DIGITS_RE = re.compile(r"(\d{1,2})$")
-_DIGIT_TIME_RE = re.compile(r"(\d{1,2})[.:]([0-5]\d)$")
-_DIGIT_AMPM_RE = re.compile(rf"(\d{{1,2}})(?:[.:]([0-5]\d))?({'|'.join(MERIDIEMS['en'])})$")
+# A digit clock token: an hour, an optional minute and am/pm ("7", "7:30", "7.30pm").
+_CLOCK_DIGITS_RE = re.compile(rf"(\d{{1,2}})(?:[.:]([0-5]\d))?({'|'.join(MERIDIEMS['en'])})?$")
 
 # Clock parse keys, derived from the lexicon's spellings.
 _HOUR_NOUN = {language: fold_german(noun) for language, noun in HOUR_NOUNS.items()}
@@ -147,47 +146,30 @@ def _group(tokens: Tokens, i: int, language: str) -> tuple[int, int] | None:
     return _spelled(tokens, i, _EN_GROUPS)
 
 
-def _integer(tokens: Tokens, at: int,
-             language: str) -> tuple[int, int, tuple[int, str] | None] | None:
-    """Parse an integer cardinal from the groups ``_group`` reads.
+def _integer(tokens: Tokens, at: int, language: str) -> tuple[int, int] | None:
+    """Value and end of an integer cardinal from the groups ``_group`` reads.
 
     Every group but a bare last one is 1..999 and followed by a scale word
-    ("thousand", "Millionen"), the scales decreasing.
-
-    Returns (value, end, sole_magnitude) where sole_magnitude is
-    (scale, surface) when the whole parse is one "<n> million/Millionen"
-    group. A dangling or non-decreasing scale word makes the phrase
-    malformed and the parse absent.
+    ("thousand", "Millionen"), the scales decreasing. A dangling or
+    non-decreasing scale word makes the phrase malformed and the parse absent.
     """
     scales = SCALE_WORDS[language]
-    total = 0
-    scale_groups: list[int] = []
-    last_scale_surface = ""
-    bare_tail = False
+    total = last = 0  # ``last``: the scale of the group before, 0 at the first
     i = at
-    while True:
-        group = _group(tokens, i, language)
-        if group is None:
-            break
-        value, j = group
-        scale = scales.get(_key(tokens, j))
+    while (group := _group(tokens, i, language)) is not None:
+        value, i = group
+        scale = scales.get(_key(tokens, i))
         if scale is None:
             total += value
-            bare_tail = True
-            i = j
             break
-        if not 0 < value < 1000 or (scale_groups and scale >= scale_groups[-1]):
+        if not 0 < value < 1000 or 0 < last <= scale:
             return None
         total += value * scale
-        scale_groups.append(scale)
-        last_scale_surface = tokens.surfaces[j]
-        i = j + 1
+        last = scale
+        i += 1
     if i == at or _key(tokens, i) in scales:
         return None
-    sole = None
-    if not bare_tail and len(scale_groups) == 1 and scale_groups[0] >= 1_000_000:
-        sole = (scale_groups[0], last_scale_surface)
-    return total, i, sole
+    return total, i
 
 
 def _decimal_digits(tokens: Tokens, i: int, language: str) -> tuple[int, int, int] | None:
@@ -216,11 +198,13 @@ def parse_cardinal(tokens: Tokens, at: int, locale: Locale) -> ParsedExpression 
     integer = _integer(tokens, at, language)
     if integer is None:
         return None
-    value, end, sole = integer
-    if sole is not None:
-        scale, word = sole
-        return ParsedExpression(Span(at, end), ExpressionType.QUANTITY,
-                                NumericValue(value // scale), magnitude_word=word)
+    value, end = integer
+    # "five million": the first group ends at the last token read, a magnitude word.
+    if _key(tokens, end - 1) in MAGNITUDE_WORDS[language]:
+        group, group_end = _group(tokens, at, language)
+        if group_end == end - 1:
+            return ParsedExpression(Span(at, end), ExpressionType.QUANTITY,
+                                    NumericValue(group), magnitude_word=tokens.surfaces[group_end])
     if _key(tokens, end) == POINT_KEYS[language]:
         frac = _decimal_digits(tokens, end + 1, language)
         if frac is not None:
@@ -258,9 +242,8 @@ def _clock_number(tokens: Tokens, i: int, language: str) -> int | None:
     """
     key = _key(tokens, i)
     value = de_compound(key) if language == "de" else EN_NUMBER_WORDS.get(key) or None
-    if value is None:
-        m = _TWO_DIGITS_RE.match(key)
-        value = int(m.group(1)) if m else None
+    if value is None and (m := _CLOCK_DIGITS_RE.match(key)) and not (m[2] or m[3]):
+        value = int(m[1])
     return value
 
 
@@ -281,13 +264,15 @@ def _relative_minutes(tokens: Tokens, cardinal: ParsedExpression | None,
     return None
 
 
-def _clock_reading(tokens: Tokens, at: int, end: int, hour: int, minute: int,
-                   language: str, hint: PeriodHint | None = None,
-                   bare: bool = False) -> ParsedExpression:
-    """The clock reading from ``at`` to ``end``.
+def _clock_reading(out: list[ParsedExpression], tokens: Tokens, at: int, end: int,
+                   hour: int | None, minute: int | None, language: str,
+                   hint: PeriodHint | None = None, bare: bool = False) -> None:
+    """Add to ``out`` the reading from ``at`` to ``end`` if ``hour``:``minute`` is a 24-hour time.
 
     Unless ``hint`` is given, an am/pm word after it joins it, else a period phrase sets it.
     """
+    if hour is None or minute is None or hour > 23 or minute > 59:
+        return
     if hint is None:
         hint = _meridiem(tokens, end, language)
         if hint is not None:
@@ -295,34 +280,33 @@ def _clock_reading(tokens: Tokens, at: int, end: int, hour: int, minute: int,
         else:
             period = _spelled(tokens, end, _PERIODS[language])
             hint = PeriodHint.UNSPECIFIED if period is None else period[0]
-    return ParsedExpression(Span(at, end), ExpressionType.TIMESTAMP,
-                            TimeOfDay(hour, minute, hint), bare=bare)
+    out.append(ParsedExpression(Span(at, end), ExpressionType.TIMESTAMP,
+                                TimeOfDay(hour, minute, hint), bare=bare))
 
 
 def _parse_hour_first_en(tokens: Tokens, at: int) -> list[ParsedExpression]:
     """Digit times with am/pm, "H o'clock", "H pm" and the bare "H MM" ("nine thirty")."""
     out: list[ParsedExpression] = []
     key = _key(tokens, at)
-    m = _DIGIT_AMPM_RE.match(key)
-    if m and int(m.group(1)) <= 23:
-        out.append(_clock_reading(tokens, at, at + 1, int(m.group(1)), int(m.group(2) or 0),
-                                  "en", _MERIDIEMS["en"][m.group(3)]))
-    m = _DIGIT_TIME_RE.match(key)
-    # "4:30 pm": the am/pm word is part of the reading.
-    if m and int(m.group(1)) <= 23 and _meridiem(tokens, at + 1, "en") is not None:
-        out.append(_clock_reading(tokens, at, at + 1, int(m.group(1)), int(m.group(2)), "en"))
+    m = _CLOCK_DIGITS_RE.match(key)
+    if m and (m[2] or m[3]):
+        # "7pm", "7:30pm" or "4:30 pm": the am/pm word is part of the reading.
+        if m[3] or _meridiem(tokens, at + 1, "en") is not None:
+            _clock_reading(out, tokens, at, at + 1, int(m[1]), int(m[2] or 0), "en",
+                           _MERIDIEMS["en"].get(m[3]))
+        return out
 
-    hour = _clock_number(tokens, at, "en")
-    if hour is None or hour > 23:
+    hour = int(m[1]) if m else EN_NUMBER_WORDS.get(key) or None
+    if hour is None:
         return out
     if _key(tokens, at + 1) == _HOUR_NOUN["en"]:
-        out.append(_clock_reading(tokens, at, at + 2, hour, 0, "en"))
+        _clock_reading(out, tokens, at, at + 2, hour, 0, "en")
     if _meridiem(tokens, at + 1, "en") is not None:
-        out.append(_clock_reading(tokens, at, at + 1, hour, 0, "en"))
+        _clock_reading(out, tokens, at, at + 1, hour, 0, "en")
     # A minute word is 10..59 or "oh" and a digit ("nine oh five").
     minutes = _spelled(tokens, at + 1, _EN_DIGIT_PAIRS)
-    if minutes is not None and minutes[0] <= 59:
-        out.append(_clock_reading(tokens, at, minutes[1], hour, minutes[0], "en", bare=True))
+    if minutes is not None:
+        _clock_reading(out, tokens, at, minutes[1], hour, minutes[0], "en", bare=True)
     return out
 
 
@@ -333,17 +317,13 @@ def _parse_hour_first_de(tokens: Tokens, at: int) -> list[ParsedExpression]:
         return out
 
     hour = _clock_number(tokens, at, "de")
-    if hour is not None and hour <= 23:
-        i = at + 2
-        out.append(_clock_reading(tokens, at, i, hour, 0, "de"))
-        minute = _clock_number(tokens, i, "de")
-        if minute is not None and minute <= 59:
-            out.append(_clock_reading(tokens, at, i + 1, hour, minute, "de"))
+    _clock_reading(out, tokens, at, at + 2, hour, 0, "de")
+    _clock_reading(out, tokens, at, at + 3, hour, _clock_number(tokens, at + 2, "de"), "de")
 
-    m = _DIGIT_TIME_RE.match(_key(tokens, at))
-    if m and int(m.group(1)) <= 23:
+    m = _CLOCK_DIGITS_RE.match(_key(tokens, at))
+    if m and m[2] and not m[3]:
         # "15.45 Uhr" or "15:45 Uhr": reformat and drop the Uhr token.
-        out.append(_clock_reading(tokens, at, at + 2, int(m.group(1)), int(m.group(2)), "de"))
+        _clock_reading(out, tokens, at, at + 2, int(m[1]), int(m[2]), "de")
     return out
 
 
@@ -376,7 +356,7 @@ def _parse_idioms(tokens: Tokens, at: int, cardinal: ParsedExpression | None,
             minute = 60 - count if style.next_hour else count
         if style.next_hour:
             hour = hour - 1 or HOUR_BEFORE_ONE[language]
-        out.append(_clock_reading(tokens, at, hour_at + 1, hour, minute, language))
+        _clock_reading(out, tokens, at, hour_at + 1, hour, minute, language)
     return out
 
 

@@ -320,8 +320,8 @@ def parse_literal(expr_type: ExpressionType, m: re.Match[str], locale: Locale,
     if expr_type is not ExpressionType.CURRENCY:
         return ParsedExpression(NO_SPAN, expr_type, value, magnitude)
 
-    symbol = line[m.start():number_start] if locale.currency_placement == "prefix" \
-        else m["currency_sym"]
+    symbol = line[m.start():number_start - len(m["currency_gap"] or "")] \
+        if locale.currency_placement == "prefix" else m["currency_sym"]
     # On a symbol shared by several codes, the first in registry order.
     code, unit = next(item for item in currencies.items() if item[1].symbol == symbol)
     if magnitude or not frac:

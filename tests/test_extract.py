@@ -62,6 +62,26 @@ class TestExtraction:
     def test_german_currency_spaced_symbol(self, text, expected):
         assert spans(text, DE) == expected
 
+    # One whitespace character may stand after a prefix symbol that starts
+    # a word; two spaces or a word character before it leave a bare number.
+    @pytest.mark.parametrize("text,expected", [
+        ("It cost $ 5.", [("$ 5", ExpressionType.CURRENCY)]),
+        ("It cost € 5.", [("€ 5", ExpressionType.CURRENCY)]),
+        ("It cost $ 9.1 million.", [("$ 9.1 million", ExpressionType.CURRENCY)]),
+        ("It cost $\u00a05.", [("$\u00a05", ExpressionType.CURRENCY)]),
+        ("It cost $  5.", [("5", ExpressionType.QUANTITY)]),
+        ("It cost x$ 5.", [("5", ExpressionType.QUANTITY)]),
+        ("It cost $5.", [("$5", ExpressionType.CURRENCY)]),
+    ])
+    def test_english_currency_spaced_symbol(self, text, expected):
+        assert spans(text, EN) == expected
+
+    def test_spaced_prefix_symbol_starts_a_word(self):
+        registry = {"ZAR": CurrencyUnit("R"), "AUD": CurrencyUnit("A$")}
+        assert spans("FOR 5, R 5, xA$ 5, A$ 5", EN, registry) == [
+            ("5", ExpressionType.QUANTITY), ("R 5", ExpressionType.CURRENCY),
+            ("5", ExpressionType.QUANTITY), ("A$ 5", ExpressionType.CURRENCY)]
+
     def test_quantity_magnitude(self):
         assert spans("about 9.1 million users", EN) == \
             [("9.1 million", ExpressionType.QUANTITY)]
@@ -186,7 +206,7 @@ def _reference_patterns(locale, symbols):
     if escaped:
         symbol = "(?:" + "|".join(escaped) + ")"
         if locale.currency_placement == "prefix":
-            money = rf"{symbol}{number}{magnitude}\b"
+            money = rf"(?:{symbol}|(?<!\w){symbol}\s){number}{magnitude}\b"
         else:
             money = rf"\b{number}{magnitude}(?:{symbol}|\s{symbol}(?!\w))"
         patterns.append((ExpressionType.CURRENCY, re.compile(money)))
@@ -269,6 +289,7 @@ _REGISTRIES = [DEFAULT_CURRENCIES,
 @example(text="1234,567", locale=EN, currencies=DEFAULT_CURRENCIES)
 @example(text="5 €", locale=DE, currencies=DEFAULT_CURRENCIES)
 @example(text="5 US$x", locale=DE, currencies=_REGISTRIES[1])
+@example(text="$ 5", locale=EN, currencies=DEFAULT_CURRENCIES)
 def test_digit_gate_skips_only_lines_without_literals(text, locale, currencies):
     assert triples(extract_numeric_literals(text, locale, currencies)) == \
         triples(reference_extract(text, locale, currencies))

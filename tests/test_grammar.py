@@ -17,6 +17,7 @@ from numitn.grammar import (
 from numitn import lexicon
 from numitn.lexicon import fold_german, verbalize_cardinal
 from numitn.locales import CURRENCY_WORDS, DEFAULT_CONFIG, MINOR_UNIT_WORDS
+from numitn.pipeline import normalize_text
 from numitn.tokenizer import tokenize
 from numitn.types import (
     ExpressionType, MoneyAmount, NumericValue, PeriodHint, Span, TimeOfDay,
@@ -196,6 +197,24 @@ class TestGermanCardinals:
         assert cardinal(text, DE).expr_type == ExpressionType.QUANTITY
 
 
+# One group right before a magnitude word keeps the word; any other chain of
+# scale groups is spelled out. Each case is (mantissa, magnitude word, end).
+@pytest.mark.parametrize("text,locale,want", [
+    ("five hundred million", EN, (500, "million", 3)),
+    ("nine hundred ninety-nine billion", EN, (999, "billion", 4)),
+    ("one billion five million", EN, (1_005_000_000, None, 4)),
+    ("five million three", EN, (5_000_003, None, 3)),
+    ("five million million", EN, None),
+    ("eine Million", DE, (1, "Million", 2)),
+    ("zweihundert Millionen", DE, (200, "Millionen", 2)),
+    ("fünf Millionen drei", DE, (5_000_003, None, 3)),
+    ("eine Milliarde fünf Millionen", DE, (1_005_000_000, None, 4)),
+])
+def test_only_one_group_before_a_magnitude_word_keeps_it(text, locale, want):
+    c = cardinal(text, locale)
+    assert (c and (c.value.mantissa, c.magnitude_word, c.span.end)) == want
+
+
 class TestEnglishClock:
     @pytest.mark.parametrize("text,hour,minute,hint", [
         ("ten o'clock", 10, 0, PeriodHint.UNSPECIFIED),
@@ -294,6 +313,32 @@ class TestGermanClock:
     def test_uhr_takes_only_a_word_or_two_digits_as_minute(self, minute):
         c = clock(f"fünf Uhr {minute}", DE)
         assert (c.span.end, c.value.hour, c.value.minute) == (2, 5, 0)
+
+
+# Hours past 23 and minutes past 59 are no time of day, spoken or in digits.
+@pytest.mark.parametrize("text,locale", [
+    ("twenty-four o'clock", EN), ("24 o'clock", EN), ("24pm", EN), ("24:30 pm", EN),
+    ("25 pm", EN), ("nine sixty", EN), ("nine sixty pm", EN), ("ninety-nine o'clock", EN),
+    ("quarter past thirteen", EN),
+    ("vierundzwanzig Uhr", DE), ("24 Uhr", DE), ("24.30 Uhr", DE),
+    ("viertel nach dreizehn", DE),
+])
+def test_out_of_range_clock_values_are_no_time(text, locale):
+    assert clock_readings(text, locale) is None
+
+
+@pytest.mark.parametrize("text", ["7 Uhr 60", "sieben Uhr sechzig"])
+def test_a_minute_past_59_after_uhr_is_left_out(text):
+    assert [(r.span, r.value.hour, r.value.minute) for r in clock_readings(text, DE)] == \
+        [(Span(0, 2), 7, 0)]
+
+
+@pytest.mark.parametrize("text,locale,want", [
+    ("nine sixty pm", EN, "9 60 pm"),
+    ("7 Uhr 60", DE, "7:00 60"),
+])
+def test_out_of_range_minutes_normalize_as_counts(text, locale, want):
+    assert normalize_text(text, locale) == want
 
 
 class TestCurrency:

@@ -263,6 +263,20 @@ class TestLineRewrites:
         assert verbalize_line(line, DE) == words
         assert normalize_text(words, DE) == written
 
+    @pytest.mark.parametrize("line,words,written", [
+        ("It cost $ 5.", "It cost five dollars.", "It cost $5."),
+        ("It cost € 5.", "It cost five euros.", "It cost €5."),
+        ("It cost $ 1,000.50.", "It cost one thousand dollars and fifty cents.",
+         "It cost $1,000.50."),
+        ("It cost $ 9.1 million.", "It cost nine point one million dollars.",
+         "It cost $9.1 million."),
+        ("It cost $  5.", "It cost $  five.", "It cost $  5."),
+    ])
+    def test_english_spaced_prefix_symbol(self, line, words, written):
+        # One space after a prefix symbol belongs to the literal: "$ 5" is five dollars.
+        assert verbalize_line(line, EN) == words
+        assert normalize_text(words, EN) == written
+
     @pytest.mark.parametrize("line,words", [
         ("Es kostet 1€.", "Es kostet ein Euro."),
         ("Es kostet 0,01€.", "Es kostet null Euro und ein Cent."),
