@@ -26,6 +26,7 @@ from .lexicon import (
     MAX_COUNTED_MINUTE,
     MERIDIEMS,
     MINUTE_NOUNS,
+    PAIR_YEARS,
     PERIOD_PHRASES,
     POINT_KEYS,
     SCALE_WORDS,
@@ -124,7 +125,7 @@ def _en_pair_reading(tokens: Tokens, at: int) -> ParsedExpression | None:
     so it is a cardinal reading.
     """
     first = EN_NUMBER_WORDS.get(_key(tokens, at))
-    if first is None or not 11 <= first <= 20:
+    if first is None or first * 100 not in PAIR_YEARS["en"]:
         return None
     hundreds = _spelled(tokens, at, _EN_PAIR_HUNDREDS)
     if hundreds is not None:
@@ -221,7 +222,7 @@ def parse_cardinal(tokens: Tokens, at: int, locale: Locale) -> ParsedExpression 
     # A hundert compound with a nonzero tail ("neunzehnhundertfünfundvierzig")
     # is a year pair: the plain cardinal for 1100..1999 goes through
     # "tausend", and round hundreds ("elfhundert") are cardinals.
-    if language == "de" and 1100 <= value <= 1999 and value % 100 \
+    if language == "de" and value in PAIR_YEARS["de"] and value % 100 \
             and DE_THOUSAND not in tokens.keys[at]:
         expr_type = ExpressionType.YEAR
     return ParsedExpression(Span(at, end), expr_type, NumericValue(value))

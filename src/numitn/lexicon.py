@@ -1,4 +1,4 @@
-"""Number and clock words for English and German, and cardinal verbalization.
+"""Number and clock words for English and German, and the cardinal spellers.
 
 Each word is spelled once, as the verbalizer writes it; the parse tables
 are derived from those spellings. Every parse table is keyed by the folded
@@ -8,6 +8,8 @@ spelling holds ß, an umlaut, "ss", "ae", "oe" or "ue", so there the folded
 key is the lowercase word. A table both languages have, such as
 ``MAGNITUDE_NAMES``, ``SCALE_WORDS`` or ``DIGIT_VALUES``, is one dict keyed
 by language, which callers index instead of choosing between two names.
+So are the cardinal spellers: English joins a count, "hundred" or
+"thousand" and the rest with spaces, German into one compound.
 
 Cardinals are read from spelling tables built at import, one per language,
 that map each spelling of a group 0..999 to its value. An English key is
@@ -104,24 +106,6 @@ def en_two_digit_words(n: int) -> str:
     return _EN_TENS_NAMES[tens]
 
 
-def _en_under_thousand(n: int) -> str:
-    parts = []
-    hundreds, rest = divmod(n, 100)
-    if hundreds:
-        parts.append(f"{_EN_UNIT_NAMES[hundreds]} {EN_HUNDRED}")
-    if rest or not parts:
-        parts.append(en_two_digit_words(rest))
-    return " ".join(parts)
-
-
-def _en_under_million(n: int) -> str:
-    thousands, rest = divmod(n, 1000)
-    if not thousands:
-        return _en_under_thousand(rest)
-    head = f"{_en_under_thousand(thousands)} {_EN_THOUSAND}"
-    return f"{head} {_en_under_thousand(rest)}" if rest else head
-
-
 def de_two_digit_words(n: int, *, final: bool = True) -> str:
     """0..99 as a compound fragment; ``final`` selects "eins" over "ein"."""
     if n == 1 and not final:
@@ -134,48 +118,58 @@ def de_two_digit_words(n: int, *, final: bool = True) -> str:
     return _DE_TENS_NAMES[tens]
 
 
-def de_under_thousand_words(n: int, *, final: bool = True) -> str:
-    """0..1999 as a compound fragment; hundreds up to 19 give year forms."""
+def two_digit_words(n: int, language: str, *, final: bool = True) -> str:
+    """0..99; a German 1 that is not ``final`` is "ein" ("ein Euro", "einhundert")."""
+    if language == "de":
+        return de_two_digit_words(n, final=final)
+    return en_two_digit_words(n)
+
+
+# A count joins "hundred" or "thousand", and that joins the rest, with a
+# space in English and into one compound in German.
+_JOINERS = {"en": " ", "de": ""}
+_HUNDRED_WORDS = {"en": EN_HUNDRED, "de": _DE_HUNDRED}
+_THOUSAND_WORDS = {"en": _EN_THOUSAND, "de": DE_THOUSAND}
+# The count of a single magnitude ("one million", "eine Million").
+MAGNITUDE_ONE = {"en": _EN_UNIT_NAMES[1], "de": DE_EINE}
+# The years said as two pairs of digits ("nineteen forty-five") or, in
+# German, as a hundreds compound ("neunzehnhundertfünfundvierzig").
+PAIR_YEARS = {"en": range(1100, 2100), "de": range(1100, 2000)}
+
+
+def under_thousand_words(n: int, language: str, *, final: bool = True) -> str:
+    """0..999, and up to 20 before "hundred" ("nineteen hundred", "neunzehnhundertfünf")."""
     hundreds, rest = divmod(n, 100)
     if not hundreds:
-        return de_two_digit_words(rest, final=final)
-    prefix = de_two_digit_words(hundreds, final=False) + _DE_HUNDRED
-    if rest:
-        return prefix + de_two_digit_words(rest, final=final)
-    return prefix
+        return two_digit_words(rest, language, final=final)
+    joiner = _JOINERS[language]
+    head = two_digit_words(hundreds, language, final=False) + joiner + _HUNDRED_WORDS[language]
+    return head + joiner + two_digit_words(rest, language, final=final) if rest else head
 
 
-def _de_compound_words(n: int) -> str:
-    """0..999999 as one compound token."""
+def _under_million_words(n: int, language: str) -> str:
     thousands, rest = divmod(n, 1000)
     if not thousands:
-        return de_under_thousand_words(rest)
-    head = de_under_thousand_words(thousands, final=False) + DE_THOUSAND
-    if rest:
-        return head + de_under_thousand_words(rest)
-    return head
-
-
-# How each language says 0..999999 (German as one compound token), and the
-# count of a single magnitude ("one million", "eine Million").
-_UNDER_MILLION = {"en": _en_under_million, "de": _de_compound_words}
-MAGNITUDE_ONE = {"en": _EN_UNIT_NAMES[1], "de": DE_EINE}
+        return under_thousand_words(rest, language)
+    joiner = _JOINERS[language]
+    head = under_thousand_words(thousands, language, final=False) + joiner \
+        + _THOUSAND_WORDS[language]
+    return head + joiner + under_thousand_words(rest, language) if rest else head
 
 
 def verbalize_cardinal(n: int, language: str) -> str:
     """Spell out a non-negative integer in the given language ("en"/"de")."""
     if n < 0:
         raise ValueError("negative cardinals are not supported")
-    under_million = _UNDER_MILLION[language]
     parts = []
     for scale, singular, plural in reversed(MAGNITUDE_NAMES[language]):
         group, n = divmod(n, scale)
         if group == 1:
             parts.append(f"{MAGNITUDE_ONE[language]} {singular}")
         elif group:
-            parts.append(f"{under_million(group)} {plural}")
+            parts.append(f"{_under_million_words(group, language)} {plural}")
     if n or not parts:
-        parts.append(under_million(n))
+        parts.append(_under_million_words(n, language))
     return " ".join(parts)
 
 

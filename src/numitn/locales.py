@@ -133,7 +133,7 @@ def load_locale_config(path: str | os.PathLike[str]) -> LocaleConfig:
 
         {"locales": {"en-in": {"language": "en", "thousands_separator": ",",
                                "decimal_mark": ".", "currency_placement": "prefix"}},
-         "currencies": {"INR": {"symbol": "₹", "minor_unit_digits": 2}}}
+         "currencies": {"USD": {"symbol": "US$"}}}
     """
     with open(path, encoding="utf-8") as handle:
         raw = json.load(handle)

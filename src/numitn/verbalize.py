@@ -13,9 +13,6 @@ from .extract import extract_numeric_literals
 from .lexicon import (
     AND_WORDS,
     CLOCK_STYLES,
-    DE_EIN,
-    DE_EINE,
-    EN_HUNDRED,
     EN_OH,
     HOUR_BEFORE_ONE,
     HOUR_NOUNS,
@@ -23,13 +20,14 @@ from .lexicon import (
     MAX_COUNTED_MINUTE,
     MERIDIEMS,
     MINUTE_NOUNS,
+    PAIR_YEARS,
     PERIOD_PHRASES,
     POINT_WORDS,
     ClockStyle,
-    de_two_digit_words,
-    de_under_thousand_words,
     digit_words,
     en_two_digit_words,
+    two_digit_words,
+    under_thousand_words,
     verbalize_cardinal,
 )
 from .locales import (
@@ -62,10 +60,12 @@ def verbalize_decimal(value: NumericValue, language: str) -> str:
 # --- years -------------------------------------------------------------------
 
 
+# The styles of a year in ``PAIR_YEARS``; any other is said as a cardinal.
+_YEAR_STYLES = {"en": ("pair", "cardinal"), "de": ("compound", "cardinal")}
+
+
 def year_styles(year: int, language: str) -> tuple[str, ...]:
-    if language == "de":
-        return ("compound", "cardinal") if 1100 <= year <= 1999 else ("cardinal",)
-    return ("pair", "cardinal") if 1100 <= year <= 2099 else ("cardinal",)
+    return _YEAR_STYLES[language] if year in PAIR_YEARS[language] else ("cardinal",)
 
 
 def verbalize_year(year: int, language: str, style: str | None = None) -> str:
@@ -73,26 +73,18 @@ def verbalize_year(year: int, language: str, style: str | None = None) -> str:
     style = style or styles[0]
     if style not in styles:
         raise ValueError(f"style {style!r} not applicable to year {year}")
-    if style == "cardinal":
-        return verbalize_cardinal(year, language)
-    if language == "de":
-        return de_under_thousand_words(year)
     high, low = divmod(year, 100)
-    if high == 20 and low < 10:
+    if style == "cardinal" or high == 20 and low < 10:
         # "twenty oh five" is rare; spell 2000..2009 as plain cardinals.
-        return verbalize_cardinal(year, "en")
-    head = en_two_digit_words(high)
-    if low == 0:
-        return f"{head} {EN_HUNDRED}"
-    if low < 10:
-        return f"{head} {EN_OH} {en_two_digit_words(low)}"
-    return f"{head} {en_two_digit_words(low)}"
+        return verbalize_cardinal(year, language)
+    if style == "compound" or low == 0:
+        # "neunzehnhundertfünf", "nineteen hundred"
+        return under_thousand_words(year, language)
+    oh = f" {EN_OH}" if low < 10 else ""
+    return f"{en_two_digit_words(high)}{oh} {en_two_digit_words(low)}"
 
 
 # --- timestamps --------------------------------------------------------------
-
-
-_TWO_DIGIT_WORDS = {"en": en_two_digit_words, "de": de_two_digit_words}
 
 
 def _face(hour: int) -> int:
@@ -138,18 +130,17 @@ def _time_phrase(t: TimeOfDay, style: ClockStyle, language: str) -> str:
     """``t`` said in ``style``, without a day-period phrase."""
     h, m = t.hour, t.minute
     if style.words:
-        words = _TWO_DIGIT_WORDS[language]
-        hour = words(_face(h + 1 if style.next_hour else h))
+        hour = two_digit_words(_face(h + 1 if style.next_hour else h), language)
         if not style.counted:
             return f"{style.words} {hour}"
         count = 60 - m if style.next_hour else m
         # "eine Minute", as "eine Million" in _count_words.
-        count_words = DE_EINE if count == 1 and language == "de" else words(count)
+        count_words = MAGNITUDE_ONE[language] if count == 1 else two_digit_words(count, language)
         return f"{count_words} {MINUTE_NOUNS[language][count != 1]} {style.words} {hour}"
     if language == "de":
         # German says the hour first on the 24-hour clock: "fünfzehn Uhr zehn".
-        phrase = f"{de_two_digit_words(h, final=False)} {HOUR_NOUNS[language]}"
-        return f"{phrase} {de_two_digit_words(m)}" if style.minute is None and m else phrase
+        phrase = f"{two_digit_words(h, language, final=False)} {HOUR_NOUNS[language]}"
+        return f"{phrase} {two_digit_words(m, language)}" if style.minute is None and m else phrase
     face = en_two_digit_words(_face(h))
     if style.minute == 0:
         return f"{face} {HOUR_NOUNS[language]}"
@@ -225,8 +216,9 @@ def _count_words(value: NumericValue, language: str,
                          f"back as one number: at most {limit - 1}")
     # "eine Million", never "eins Million".
     if magnitude_word and value.is_integer and value.mantissa == 1:
-        return MAGNITUDE_ONE[language]
-    return verbalize_decimal(value, language)
+        return f"{MAGNITUDE_ONE[language]} {magnitude_word}"
+    words = verbalize_decimal(value, language)
+    return f"{words} {magnitude_word}" if magnitude_word else words
 
 
 def _currency_words(money: MoneyAmount, magnitude_word: str | None, locale: Locale) -> str:
@@ -236,19 +228,17 @@ def _currency_words(money: MoneyAmount, magnitude_word: str | None, locale: Loca
     singular, plural = CURRENCY_SPOKEN[(money.currency, language)]
     one = money.major.is_integer and money.major.mantissa == 1 and not magnitude_word
     # "ein Euro", never "eins Euro".
-    out = DE_EIN if one and language == "de" else \
+    count = two_digit_words(1, language, final=False) if one else \
         _count_words(money.major, language, magnitude_word)
-    if magnitude_word:
-        out += f" {magnitude_word}"
-    out += f" {singular if one else plural}"
+    out = f"{count} {singular if one else plural}"
     if money.minor is not None:
         cents = money.minor.mantissa
         if cents >= MINOR_UNIT_LIMIT:
             raise ValueError(f"{cents} minor units of {money.currency} cannot be said: "
                              f"a spoken amount has fewer than {MINOR_UNIT_LIMIT}")
         minor_unit = MINOR_UNIT_SPOKEN[language][cents != 1]
-        cent_words = DE_EIN if cents == 1 and language == "de" \
-            else verbalize_cardinal(cents, language)
+        # "ein Cent", never "eins Cent".
+        cent_words = two_digit_words(cents, language, final=False)
         out += f" {AND_WORDS[language]} {cent_words} {minor_unit}"
     return out
 
@@ -267,8 +257,6 @@ def verbalize_value(expr: ParsedExpression, locale: Locale,
     if expr_type is ExpressionType.CURRENCY:
         return _currency_words(value, expr.magnitude_word, locale)
     out = _count_words(value, language, expr.magnitude_word)
-    if expr.magnitude_word:
-        out += f" {expr.magnitude_word}"
     if expr.unit_word:
         out += f" {expr.unit_word}"
     return out

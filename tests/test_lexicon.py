@@ -11,6 +11,7 @@ from numitn.lexicon import (
     en_two_digit_words,
     fold_german,
     is_number_word,
+    two_digit_words,
     verbalize_cardinal,
 )
 from numitn.grammar import scan_tokens
@@ -122,6 +123,11 @@ class TestGoldenWords:
         ("en", 100, "one hundred"), ("en", 105, "one hundred five"),
         ("de", 100, "einhundert"), ("de", 1_000, "eintausend"),
         ("de", 21, "einundzwanzig"), ("de", 2_105, "zweitausendeinhundertfünf"),
+        ("de", 101_000, "einhunderteintausend"),
+        ("de", 121_001, "einhunderteinundzwanzigtausendeins"),
+        ("de", 100_100, "einhunderttausendeinhundert"),
+        ("en", 101_000, "one hundred one thousand"),
+        ("en", 121_001, "one hundred twenty-one thousand one"),
     ])
     def test_compound_words(self, language, n, words):
         assert verbalize_cardinal(n, language) == words
@@ -255,6 +261,8 @@ class TestDigitAndTwoDigitForms:
         assert de_two_digit_words(1) == "eins"
         assert de_two_digit_words(1, final=False) == "ein"
         assert de_two_digit_words(21) == "einundzwanzig"
+        assert two_digit_words(1, "en", final=False) == "one"
+        assert two_digit_words(1, "de", final=False) == "ein"
 
 
 @given(st.integers(min_value=0, max_value=999_999_999))
