@@ -8,12 +8,13 @@ import stat
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from itertools import chain
+from json.encoder import encode_basestring as _str
 
 from .extract import literal_present
 from .types import ExpressionType, make_through_new
 
 _TYPE_VALUES = {t.value for t in ExpressionType}
-_ENCODE = json.JSONEncoder(ensure_ascii=False).encode
+_OPTIONAL = (str, type(None))
 
 
 class ManifestError(ValueError):
@@ -25,11 +26,11 @@ class ManifestRecord(namedtuple(
     """One corpus sentence pair plus its synthesis bookkeeping.
 
     ``expressions`` holds (surface, type value) pairs of strings; ``audio``
-    and ``voice`` may be None. The spoken side must be digit-free, every
-    expression surface must occur in the formatted side and every string
-    must encode as UTF-8 (a lone surrogate does not); all are enforced on
-    construction so a manifest on disk can be trusted after a plain read
-    and written back whole.
+    and ``voice`` are strings or None. The spoken side must be digit-free,
+    every expression surface must occur in the formatted side and every
+    string must encode as UTF-8 (a lone surrogate does not); all are
+    enforced on construction so a manifest on disk can be trusted after a
+    plain read and written back whole.
     """
 
     __slots__ = ()
@@ -53,8 +54,11 @@ class ManifestRecord(namedtuple(
                 raise ManifestError(
                     f"record {id}: expression {surface!r} missing from "
                     f"formatted text {formatted!r}")
+        if not isinstance(audio, _OPTIONAL) or not isinstance(voice, _OPTIONAL):
+            raise ManifestError(f"record {id}: audio and voice must be strings or None, "
+                                f"got {audio!r} and {voice!r}")
         try:
-            "".join([id, locale, type, verbalized, formatted, str(audio), str(voice),
+            "".join([id, locale, type, verbalized, formatted, audio or "", voice or "",
                      *chain.from_iterable(expressions)]).encode("utf-8")
         except UnicodeEncodeError as err:
             bad = err.object[err.start:err.end]
@@ -67,37 +71,53 @@ class ManifestRecord(namedtuple(
         return tuple(surface for surface, _ in self.expressions)
 
     def to_json(self) -> str:
-        # JSON writes the ``expressions`` tuples as lists.
-        return _ENCODE(self._asdict())
+        """The record as one JSON object, written field by field.
+
+        Each string goes through ``encode_basestring``, the C escaper that
+        ``json.dumps(..., ensure_ascii=False)`` uses, with its separators and
+        the keys in field order, so the line is the one ``json.dumps`` of
+        ``_asdict()`` writes; ``json.loads`` and ``from_obj`` read it back.
+        """
+        id, locale, type, verbalized, formatted, expressions, audio, voice = self
+        pairs = "], [".join([f"{_str(surface)}, {_str(expr_type)}"
+                             for surface, expr_type in expressions])
+        return (f'{{"id": {_str(id)}, "locale": {_str(locale)}, "type": {_str(type)}, '
+                f'"verbalized": {_str(verbalized)}, "formatted": {_str(formatted)}, '
+                f'"expressions": [[{pairs}]], '
+                f'"audio": {"null" if audio is None else _str(audio)}, '
+                f'"voice": {"null" if voice is None else _str(voice)}}}')
 
     @classmethod
     def from_obj(cls, obj: object) -> ManifestRecord:
         if not isinstance(obj, dict):
             raise ManifestError(f"expected an object, got {type(obj).__name__}")
-        extra = set(obj) - _FIELD_NAMES
-        if extra:
-            raise ManifestError(f"unknown fields: {sorted(extra)}")
-        missing = [name for name in cls._fields[:6] if name not in obj]
-        if missing:
-            raise ManifestError(f"missing fields: {missing}")
-        mistyped = [name for name in cls._fields[:5] if not isinstance(obj[name], str)]
+        keys = obj.keys()
+        if not keys <= _FIELD_NAMES:
+            raise ManifestError(f"unknown fields: {sorted(keys - _FIELD_NAMES)}")
+        if not keys >= _REQUIRED:
+            raise ManifestError(
+                f"missing fields: {[name for name in cls._fields[:6] if name not in obj]}")
+        values = list(map(obj.get, cls._fields))
+        mistyped = [name for name, value in zip(cls._fields[:5], values)
+                    if not isinstance(value, str)]
         if mistyped:
             raise ManifestError(f"fields must be strings: {mistyped}")
-        mistyped = [name for name in cls._fields[6:]
-                    if not isinstance(obj.get(name), (str, type(None)))]
+        mistyped = [name for name, value in zip(cls._fields[6:], values[6:])
+                    if not isinstance(value, _OPTIONAL)]
         if mistyped:
             raise ManifestError(f"fields must be strings or null: {mistyped}")
-        data = dict(obj)
-        raw = data["expressions"]
+        raw = values[5]
         if not isinstance(raw, list) or not all(
                 isinstance(pair, list) and len(pair) == 2
                 and isinstance(pair[0], str) and isinstance(pair[1], str) for pair in raw):
             raise ManifestError("expressions must be [surface, type] pairs of strings")
-        data["expressions"] = tuple((s, t) for s, t in raw)
-        return cls(**data)
+        values[5] = tuple(map(tuple, raw))
+        return cls(*values)
 
 
 _FIELD_NAMES = frozenset(ManifestRecord._fields)
+# ``audio`` and ``voice`` may be left out.
+_REQUIRED = frozenset(ManifestRecord._fields[:6])
 
 
 def write_manifest(records: Iterable[ManifestRecord], path: str | os.PathLike[str]) -> int:

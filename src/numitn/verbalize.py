@@ -262,6 +262,10 @@ def verbalize_value(expr: ParsedExpression, locale: Locale,
     return out
 
 
+# The first character of the token after a literal, when a space comes first.
+_NEXT_WORD = re.compile(r"\s+(\w)")
+
+
 def verbalize_line(line: str, locale: Locale,
                    rng: random.Random | None = None,
                    currencies: dict[str, CurrencyUnit] = DEFAULT_CURRENCIES) -> str:
@@ -274,7 +278,14 @@ def verbalize_line(line: str, locale: Locale,
     end = len(line)
     for expr_type, m in reversed(literals):
         expr = parse_literal(expr_type, m, locale, currencies)
-        parts += line[m.end():end], verbalize_value(expr, locale, rng=rng)
+        if (expr_type is ExpressionType.QUANTITY and locale.language == "de"
+                and expr.value.is_integer and expr.value.mantissa == 1 and not expr.magnitude_word
+                and (after := _NEXT_WORD.match(line, m.end())) and after[1].isupper()):
+            # A capital letter starts a noun: "ein Stück", never "eins Stück".
+            words = two_digit_words(1, "de", final=False)
+        else:
+            words = verbalize_value(expr, locale, rng=rng)
+        parts += line[m.end():end], words
         end = m.start()
     parts.append(line[:end])
     parts.reverse()

@@ -36,6 +36,14 @@ from test_extract import triples
 EN = DEFAULT_CONFIG.locale("en")
 DE = DEFAULT_CONFIG.locale("de")
 
+_TYPE_VALUES = [t.value for t in ExpressionType]
+# Text with what a JSON string escapes or might get wrong: quotes,
+# backslashes, C0 controls, DEL, the JavaScript line separators and
+# characters outside the BMP.
+_JSON_TEXT = st.text(
+    st.sampled_from(['"', "\\", "\x7f", "\u2028", "\u2029", "\U0001f600", "\u00fc"])
+    | st.characters(max_codepoint=0x1f) | st.characters(), max_size=12)
+
 
 class TestPrompts:
     def test_sentence_prompt_en(self):
@@ -562,7 +570,7 @@ class TestRunGeneration:
             "d60eb4d44c954eb5323dc0b060cd57d032c9baa402e452fc0bd37a8b061055de"
 
     def test_to_json_is_json_dumps(self):
-        # to_json keeps one encoder; its lines are the ones json.dumps writes.
+        # to_json writes field by field the line json.dumps writes.
         odd = ManifestRecord(
             id="de-\u00e9\U0001f600", locale="de", type="currency",
             verbalized="f\u00fcnf \u201eEuro\u201c\t\u2028\"\\ \u00fc",
@@ -570,6 +578,22 @@ class TestRunGeneration:
             voice="\u00f8")
         for rec in [*self.pinned_records(), odd]:
             assert rec.to_json() == json.dumps(rec._asdict(), ensure_ascii=False)
+
+    @settings(max_examples=300)
+    @given(id=_JSON_TEXT, locale=_JSON_TEXT, type=st.sampled_from(_TYPE_VALUES),
+           verbalized=_JSON_TEXT.map(lambda text: "".join(c for c in text if not c.isdigit())),
+           text=_JSON_TEXT,
+           expressions=st.lists(st.tuples(_JSON_TEXT.filter(bool), st.sampled_from(_TYPE_VALUES)),
+                                min_size=1, max_size=3).map(tuple),
+           audio=st.none() | _JSON_TEXT, voice=st.none() | _JSON_TEXT)
+    def test_to_json_is_json_dumps_on_any_record(self, text, **fields):
+        # Spaces keep every surface whole in the formatted side.
+        rec = ManifestRecord(
+            formatted=" ".join([text, *(surface for surface, _ in fields["expressions"])]),
+            **fields)
+        line = rec.to_json()
+        assert line == json.dumps(rec._asdict(), ensure_ascii=False)
+        assert ManifestRecord.from_obj(json.loads(line)) == rec
 
 
 class TestCorpusStatistics:

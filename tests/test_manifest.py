@@ -142,6 +142,25 @@ class TestSerialization:
         del obj["audio"], obj["voice"]
         assert ManifestRecord.from_obj(obj) == record()
 
+    @pytest.mark.parametrize("faults,message", [
+        ({"extra": 1, "verbalized": None}, "unknown fields: ['extra']"),
+        ({"verbalized": None, "locale": 5}, "missing fields: ['verbalized']"),
+        ({"locale": 5, "audio": 5}, "fields must be strings: ['locale']"),
+        ({"audio": 5, "expressions": ["1945"]}, "fields must be strings or null: ['audio']"),
+    ], ids=["extra+missing", "missing+mistyped", "mistyped+optional", "optional+expressions"])
+    def test_the_first_fault_is_reported(self, faults, message):
+        # A None value here deletes the field.
+        obj = {**json.loads(record().to_json()), **faults}
+        obj = {name: value for name, value in obj.items() if value is not None}
+        with pytest.raises(ManifestError) as caught:
+            ManifestRecord.from_obj(obj)
+        assert str(caught.value) == message
+
+    def test_a_list_is_no_object(self):
+        with pytest.raises(ManifestError) as caught:
+            ManifestRecord.from_obj([json.loads(record().to_json())])
+        assert str(caught.value) == "expected an object, got list"
+
     @pytest.mark.parametrize("pair", [[5, "year"], ["1945", None], [1945, 1945],
                                       ["1945", ["year"]]])
     def test_pair_elements_must_be_strings(self, pair):

@@ -148,6 +148,8 @@ class TestRecords:
         (ManifestRecord, _MANIFEST_FIELDS, {"verbalized": "in 1945"}),
         (ManifestRecord, _MANIFEST_FIELDS, {"type": "date"}),
         (ManifestRecord, _MANIFEST_FIELDS, {"expressions": (("1946", "year"),)}),
+        (ManifestRecord, _MANIFEST_FIELDS, {"audio": 5}),
+        (ManifestRecord, _MANIFEST_FIELDS, {"voice": ["x"]}),
     ], ids=lambda value: repr(value) if isinstance(value, dict) else None)
     def test_bad_values_raise_through_every_constructor(self, record, fields, bad):
         good = record(*fields)

@@ -290,6 +290,22 @@ class TestLineRewrites:
         assert verbalize_line(line, DE) == words
         assert normalize_text(words, DE) == line
 
+    @pytest.mark.parametrize("line,locale,words", [
+        ("Es waren 1 Stück.", DE, "Es waren ein Stück."),
+        ("Ich habe 1 Auto.", DE, "Ich habe ein Auto."),
+        ("Es waren 1.", DE, "Es waren eins."),
+        ("1 von 3", DE, "eins von drei"),
+        ("Es waren 1 , Stück.", DE, "Es waren eins , Stück."),
+        ("1,5 Stück", DE, "eins Komma fünf Stück"),
+        ("Es waren 21 Stück.", DE, "Es waren einundzwanzig Stück."),
+        ("1 box", EN, "one box"),
+        ("1 Box", EN, "one Box"),
+    ])
+    def test_german_count_of_one_before_a_noun_is_ein(self, line, locale, words):
+        # A capital letter starts a German noun; a count of one before it is "ein".
+        assert verbalize_line(line, locale) == words
+        assert normalize_text(words, locale) == line
+
     def test_multi_char_symbol(self):
         registry = {**DEFAULT_CURRENCIES, "USD": CurrencyUnit("US$")}
         assert verbalize_line("It cost US$9 and S5 here", EN, currencies=registry) \
