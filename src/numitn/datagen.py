@@ -16,6 +16,7 @@ import math
 import random
 import re
 from abc import ABC, abstractmethod
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from collections.abc import Iterator, Mapping, Sequence
 
@@ -25,7 +26,7 @@ from .grammar import scan_tokens
 from .lexicon import MAGNITUDE_NAMES
 from .locales import DEFAULT_CURRENCIES, DEFAULT_LOCALES, CurrencyUnit, Locale
 from .manifest import ManifestError, ManifestRecord
-from .tokenizer import Tokens, tokenize
+from .tokenizer import tokenize
 from .types import (
     NO_COUNTS,
     NO_SPAN,
@@ -114,31 +115,20 @@ def validate_record(verbalized: str, converted: str, locale: Locale,
     literals = extract_numeric_literals(converted, locale, currencies)
     if not literals:
         return []
-    converted_rest = _surfaces_outside(tokenize(converted), literals)
+    converted_tokens = tokenize(converted)
+    offsets = converted_tokens.offsets()
+    starts, ends = offsets[0::2], offsets[1::2]
+    converted_rest = converted_tokens.surfaces[:]
+    # Literals and readings are disjoint and in order, so cutting from the last keeps indices.
+    for _, m in reversed(literals):
+        # A literal contains the tokens from the first that starts in it to
+        # the last that ends in it; a token it only overlaps stays.
+        del converted_rest[bisect_left(starts, m.start()):bisect_right(ends, m.end())]
     verbalized_tokens = tokenize(verbalized)
     verbalized_rest = verbalized_tokens.surfaces[:]
-    # The readings are disjoint and in order, so cutting from the last keeps indices.
     for reading in reversed(scan_tokens(verbalized_tokens, locale)):
         del verbalized_rest[reading.span.start:reading.span.end]
     return literals if verbalized_rest == converted_rest else []
-
-
-def _surfaces_outside(tokens: Tokens, literals: list[tuple[ExpressionType, re.Match[str]]]
-                      ) -> list[str]:
-    """Surfaces of the tokens that no literal covers, in one forward walk.
-
-    The literal spans are sorted and disjoint, so only the first one that
-    ends after a token's start can cover that token.
-    """
-    out = []
-    remaining = (m for _, m in literals)
-    m = next(remaining, None)
-    for surface, (start, end) in zip(tokens.surfaces, tokens.spans):
-        while m is not None and m.end() <= start:
-            m = next(remaining, None)
-        if m is None or not (m.start() <= start and end <= m.end()):
-            out.append(surface)
-    return out
 
 
 # --- splitting ----------------------------------------------------------------

@@ -39,6 +39,11 @@ class ManifestRecord(namedtuple(
     def __new__(cls, id: str, locale: str, type: str, verbalized: str, formatted: str,
                 expressions: tuple[tuple[str, str], ...], audio: str | None = None,
                 voice: str | None = None) -> ManifestRecord:
+        strings = (id, locale, type, verbalized, formatted)
+        mistyped = [name for name, value in zip(cls._fields, strings)
+                    if not isinstance(value, str)]
+        if mistyped:
+            raise ManifestError(f"record {id!r}: fields must be strings: {mistyped}")
         if type not in _TYPE_VALUES:
             raise ManifestError(f"record {id}: unknown type {type!r}")
         if any(map(str.isdigit, verbalized)):

@@ -1,12 +1,16 @@
-"""Whitespace tokenizer that peels sentence punctuation off word edges into parallel lists.
+"""Whitespace tokenizer that peels sentence punctuation off word edges.
 
 Interior punctuation stays attached, so "o'clock", "forty-five", "4:30pm"
-and "1.000,50€" each survive as a single token.
+and "1.000,50€" each survive as a single token. One regex split gives a
+line's parts: gap, token, gap, …, gap. The keys are one fold of the
+surfaces joined by spaces: no token holds a space, and ``lower()`` reads
+no context across one, not even for a final sigma.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import accumulate
 
 from .lexicon import fold_german
 
@@ -15,41 +19,38 @@ from .lexicon import fold_german
 _PEEL = set(".,!?;:\"()[]{}…«»„“”'’–—")
 
 _P = re.escape("".join(sorted(_PEEL)))
-# One peeled edge character, or a core that starts and ends outside _PEEL.
-_TOKEN_RE = re.compile(rf"[{_P}]|[^\s{_P}](?:\S*[^\s{_P}])?")
+# One peeled edge character, or a core that starts and ends outside _PEEL;
+# the group makes ``split`` keep the tokens between the gaps.
+_TOKEN_RE = re.compile(rf"([{_P}]|[^\s{_P}](?:\S*[^\s{_P}])?)")
 
 
 class Tokens:
-    """Parallel lists of surfaces, keys and char spans; ``len`` counts tokens."""
+    """A line's parts, its token surfaces ``parts[1::2]`` and their keys; ``len`` counts tokens."""
 
-    __slots__ = ("surfaces", "keys", "spans")
+    __slots__ = ("parts", "surfaces", "keys")
 
-    def __init__(self, surfaces: list[str], keys: list[str],
-                 spans: list[tuple[int, int]]) -> None:
+    def __init__(self, parts: list[str], surfaces: list[str], keys: list[str]) -> None:
         # Keys are lowercase with umlauts and ß spelled out: what every table lookup reads.
-        self.surfaces, self.keys, self.spans = surfaces, keys, spans
+        self.parts, self.surfaces, self.keys = parts, surfaces, keys
 
     def __len__(self) -> int:
         return len(self.surfaces)
 
     def __eq__(self, other: object) -> bool:
-        return other.__class__ is Tokens and (self.surfaces, self.keys, self.spans) == (
-            other.surfaces, other.keys, other.spans)
+        return other.__class__ is Tokens and (self.parts, self.surfaces, self.keys) == (
+            other.parts, other.surfaces, other.keys)
 
     def __repr__(self) -> str:
-        return f"Tokens(surfaces={self.surfaces!r}, keys={self.keys!r}, spans={self.spans!r})"
+        return f"Tokens(parts={self.parts!r}, surfaces={self.surfaces!r}, keys={self.keys!r})"
+
+    def offsets(self) -> list[int]:
+        """Where each part ends: token ``i`` covers ``offsets[2 * i]:offsets[2 * i + 1]``."""
+        return list(accumulate(map(len, self.parts)))
 
 
 def tokenize(sentence: str) -> Tokens:
-    """Split ``sentence`` into tokens that cover it losslessly.
-
-    Concatenating the token surfaces with the original inter-token gaps
-    reconstructs the input exactly.
-    """
-    spans = [match.span() for match in _TOKEN_RE.finditer(sentence)]
-    surfaces = [sentence[start:end] for start, end in spans]
-    if sentence.isascii():
-        # ASCII lowercasing keeps every offset, and the fold maps only non-ASCII.
-        lowered = sentence.lower()
-        return Tokens(surfaces, [lowered[start:end] for start, end in spans], spans)
-    return Tokens(surfaces, list(map(fold_german, surfaces)), spans)
+    """Split ``sentence`` into tokens that cover it losslessly."""
+    parts = _TOKEN_RE.split(sentence)
+    surfaces = parts[1::2]
+    keys = fold_german(" ".join(surfaces)).split(" ") if surfaces else []
+    return Tokens(parts, surfaces, keys)

@@ -232,6 +232,13 @@ class TestGermanWords:
         assert fold_german("fünfunddreißig") == "fuenfunddreissig"
         assert fold_german("Äpfel") == "aepfel"
 
+    @given(st.text(alphabet=st.sampled_from("äöüßÄÖÜẞaeous AOUSİΣς "), max_size=20)
+           | st.text(max_size=40))
+    def test_fold_is_the_translate_table_fold(self, word):
+        # The fold as a translate table, which the four replaces must equal.
+        table = str.maketrans({"ä": "ae", "ö": "oe", "ü": "ue", "ß": "ss"})
+        assert fold_german(word) == word.lower().translate(table)
+
     def test_number_word_detection(self):
         for word in ("zweitausend", "Millionen", "Fünfundzwanzig", "fuenf", "eine"):
             assert is_number_word(fold_german(word), "de"), word

@@ -66,6 +66,14 @@ class TestConstruction:
             record(type="currency", formatted="It cost $1,000,000.",
                    expressions=(("1,000", "quantity"),))
 
+    @pytest.mark.parametrize("field,value", [("id", 5), ("locale", None), ("type", ["x"]),
+                                             ("verbalized", b"five"), ("formatted", 5)])
+    def test_non_string_field_rejected(self, field, value):
+        with pytest.raises(ManifestError) as caught:
+            record(**{field: value})
+        name = value if field == "id" else "en-year-00001"
+        assert str(caught.value) == f"record {name!r}: fields must be strings: ['{field}']"
+
     def test_multiple_expressions(self):
         rec = record(
             formatted="Pay $50 at 19:45.",

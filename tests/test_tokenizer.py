@@ -47,10 +47,17 @@ def test_currency_symbols_stay_attached():
     assert "1.000,50€" in surfaces
 
 
+def char_spans(tokens):
+    """(start, end) char offsets of each token, read from ``offsets()``."""
+    offsets = tokens.offsets()
+    return list(zip(offsets[0::2], offsets[1::2]))
+
+
 def test_offsets_point_into_source():
     text = "Um 15.45 Uhr, wirklich."
     tokens = tokenize(text)
-    assert [text[start:end] for start, end in tokens.spans] == tokens.surfaces
+    assert [text[start:end] for start, end in char_spans(tokens)] == tokens.surfaces
+    assert tokens.offsets()[-1] == len(text)
 
 
 def test_folded_key():
@@ -61,18 +68,11 @@ def test_folded_key():
 
 
 @given(st.text(max_size=80))
-def test_reconstruction_from_offsets(text):
-    # Tokens plus the gaps between them must cover the input exactly.
+def test_parts_rebuild_the_input(text):
+    # The gaps and tokens alternate and cover the input exactly.
     tokens = tokenize(text)
-    cursor = 0
-    rebuilt = []
-    for surface, (start, end) in zip(tokens.surfaces, tokens.spans):
-        assert start >= cursor
-        rebuilt.append(text[cursor:start])
-        rebuilt.append(surface)
-        cursor = end
-    rebuilt.append(text[cursor:])
-    assert "".join(rebuilt) == text
+    assert "".join(tokens.parts) == text
+    assert tokens.parts[1::2] == tokens.surfaces
 
 
 @given(st.text(alphabet=st.characters(whitelist_categories=("Ll", "Lu", "Nd")),
@@ -97,7 +97,7 @@ def _assert_matches_reference(text):
     surfaces, keys, spans = reference_tokenize(text)
     assert tokens.surfaces == surfaces
     assert tokens.keys == keys
-    assert tokens.spans == spans
+    assert char_spans(tokens) == spans
     assert len(tokens) == len(surfaces)
 
 
@@ -111,10 +111,19 @@ def test_matches_peel_loop_on_any_text(text):
     _assert_matches_reference(text)
 
 
+@given(st.text(alphabet=_EDGE_ALPHABET, max_size=40) | st.text(max_size=60))
+def test_one_fold_per_line_is_the_fold_of_each_token(text):
+    tokens = tokenize(text)
+    assert tokens.keys == [fold_german(surface) for surface in tokens.surfaces]
+
+
 def test_tokens_are_a_record_of_three_lists():
-    tokens = tokenize("Fünf")
-    assert tokens == Tokens(["Fünf"], ["fuenf"], [(0, 4)])
-    assert len(tokens) == 1
-    assert repr(tokens) == "Tokens(surfaces=['Fünf'], keys=['fuenf'], spans=[(0, 4)])"
+    tokens = tokenize(" Fünf!")
+    assert tokens == Tokens([" ", "Fünf", "", "!", ""], ["Fünf", "!"], ["fuenf", "!"])
+    assert len(tokens) == 2
+    assert tokens.offsets() == [1, 5, 5, 6, 6]
+    assert repr(tokens) == \
+        "Tokens(parts=[' ', 'Fünf', '', '!', ''], surfaces=['Fünf', '!'], keys=['fuenf', '!'])"
     with pytest.raises(AttributeError):
-        tokens.index = [0]
+        tokens.spans = [(1, 5)]
+
