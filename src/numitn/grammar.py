@@ -2,7 +2,8 @@
 
 The parse functions are pure and free of context: each builds the readings
 that start at a given token, whatever surrounds them, as ``ParsedExpression``
-records. ``scan_tokens`` hands a position's readings to ``classify.choose``.
+records. ``scan_tokens`` picks the parsers to run at a position from its
+first key and the key after it, and hands the readings to ``classify.choose``.
 """
 
 from __future__ import annotations
@@ -89,6 +90,24 @@ _EN_PAIR_HUNDREDS = _by_longest(EN_PAIR_HUNDREDS)
 _EN_DIGIT_PAIRS = _by_longest(EN_DIGIT_PAIRS)
 # English words a parser can start from: a number word or an idiom opener.
 _EN_START_WORDS = {*EN_NUMBER_WORDS, *_IDIOMS["en"][1]}
+# Every start of a German compound numeral is this long or longer, so a key
+# whose head of this length is none of theirs starts no numeral.
+_DE_HEAD = min(map(len, DE_NUMBER_STARTS))
+_DE_HEADS = {start[:_DE_HEAD] for start in DE_NUMBER_STARTS}
+
+# The scan's follow sets: the keys after a number word that a reading can go
+# on from. A clock reading goes on after the first token or after the
+# cardinal: the hour noun, am/pm (dots removed), an English minute word
+# ("nine thirty", "nine oh five"), a minute noun or a counted idiom word
+# ("five [minutes] past seven"). A currency reading goes on after the amount.
+_CLOCK_FOLLOWERS = {language: {_HOUR_NOUN[language], *_MERIDIEMS[language],
+                               *_MINUTE_NOUNS[language], *_COUNTED[language][1]}
+                    for language in CLOCK_STYLES}
+_CLOCK_FOLLOWERS["en"].update(_EN_DIGIT_PAIRS[1])
+_CURRENCY_FOLLOWERS = {language: {*words, *MINOR_UNIT_WORDS}
+                       for language, words in CURRENCY_WORDS.items()}
+# The English number words a year pair starts with ("nineteen forty-five").
+_PAIR_HEADS = {word for word, n in EN_NUMBER_WORDS.items() if n * 100 in PAIR_YEARS["en"]}
 
 
 def _key(tokens: Tokens, i: int) -> str:
@@ -147,22 +166,23 @@ def _group(tokens: Tokens, i: int, language: str) -> tuple[int, int] | None:
     return _spelled(tokens, i, _EN_GROUPS)
 
 
-def _integer(tokens: Tokens, at: int, language: str) -> tuple[int, int] | None:
-    """Value and end of an integer cardinal from the groups ``_group`` reads.
+def _integer(tokens: Tokens, at: int, language: str) -> tuple[int, int, int] | None:
+    """Value and end of an integer cardinal from the groups ``_group`` reads,
+    and the end of its first group.
 
     Every group but a bare last one is 1..999 and followed by a scale word
     ("thousand", "Millionen"), the scales decreasing. A dangling or
     non-decreasing scale word makes the phrase malformed and the parse absent.
     """
     scales = SCALE_WORDS[language]
-    total = last = 0  # ``last``: the scale of the group before, 0 at the first
+    total = last = first_end = 0  # ``last``: the scale of the group before, 0 at the first
     i = at
     while (group := _group(tokens, i, language)) is not None:
         value, i = group
+        first_end = first_end or i
         scale = scales.get(_key(tokens, i))
         if scale is None:
-            total += value
-            break
+            return total + value, i, first_end
         if not 0 < value < 1000 or 0 < last <= scale:
             return None
         total += value * scale
@@ -170,7 +190,7 @@ def _integer(tokens: Tokens, at: int, language: str) -> tuple[int, int] | None:
         i += 1
     if i == at or _key(tokens, i) in scales:
         return None
-    return total, i
+    return total, i, first_end
 
 
 def _decimal_digits(tokens: Tokens, i: int, language: str) -> tuple[int, int, int] | None:
@@ -199,13 +219,14 @@ def parse_cardinal(tokens: Tokens, at: int, locale: Locale) -> ParsedExpression 
     integer = _integer(tokens, at, language)
     if integer is None:
         return None
-    value, end = integer
-    # "five million": the first group ends at the last token read, a magnitude word.
-    if _key(tokens, end - 1) in MAGNITUDE_WORDS[language]:
-        group, group_end = _group(tokens, at, language)
-        if group_end == end - 1:
+    value, end, first_end = integer
+    # "five million": the only group and its scale, a magnitude word.
+    if first_end == end - 1:
+        scale = MAGNITUDE_WORDS[language].get(_key(tokens, first_end))
+        if scale is not None:
             return ParsedExpression(Span(at, end), ExpressionType.QUANTITY,
-                                    NumericValue(group), magnitude_word=tokens.surfaces[group_end])
+                                    NumericValue(value // scale),
+                                    magnitude_word=tokens.surfaces[first_end])
     if _key(tokens, end) == POINT_KEYS[language]:
         frac = _decimal_digits(tokens, end + 1, language)
         if frac is not None:
@@ -435,14 +456,14 @@ def _starts(keys: list[str], language: str) -> list[int]:
     from a key that starts with a digit (the digit patterns are anchored on
     ``\\d``, a subset of ``str.isdigit``), a clock idiom's first word or a
     number word. The counted clock forms start from a cardinal. A German
-    key that starts with no numeral word is turned away before
+    key whose head starts no numeral word is turned away before
     ``de_compound`` is called.
     """
     if language == "de":
-        idioms = _IDIOMS["de"][1]
+        idioms, heads, head = _IDIOMS["de"][1], _DE_HEADS, _DE_HEAD
         return [i for i, key in enumerate(keys)
                 if key[0].isdigit() or key in idioms
-                or key.startswith(DE_NUMBER_STARTS) and de_compound(key) is not None]
+                or key[:head] in heads and de_compound(key) is not None]
     words = _EN_START_WORDS
     return [i for i, key in enumerate(keys) if key in words or key[0].isdigit()]
 
@@ -450,26 +471,47 @@ def _starts(keys: list[str], language: str) -> list[int]:
 def scan_tokens(tokens: Tokens, locale: Locale) -> list[ParsedExpression]:
     """Non-overlapping chosen readings, left to right.
 
-    At each position the parsers build every reading they can (cardinal,
-    clock, then currency readings), and ``classify.choose`` picks one. The
-    cardinal readings of a position are parsed once and shared: a currency
-    phrase starts with one, and the "M past H" clock forms count minutes
-    with one. Only the positions ``_starts`` lists are parsed.
+    Only the positions ``_starts`` lists are parsed, and the parsers to run
+    are picked from the first key and the key after it. A digit key or an
+    idiom opener starts no cardinal, so only the clock parser runs there.
+    At a number word the cardinal parser runs first. The clock parser runs
+    only where the key after the first token or after the cardinal is in
+    its follow set, the year-pair parser only at a pair head, and the
+    currency parser only where a currency word follows the cardinal or the
+    pair: elsewhere they build nothing. The cardinal readings of a position
+    are parsed once and shared: a currency phrase starts with one, and the
+    "M past H" clock forms count minutes with one. ``classify.choose``
+    picks one of the cardinal, clock and currency readings, in that order.
     """
     out: list[ParsedExpression] = []
     language = locale.language
+    keys = tokens.keys
+    openers = _IDIOMS[language][1]
+    clock_followers = _CLOCK_FOLLOWERS[language]
+    currency_followers = _CURRENCY_FOLLOWERS[language]
+    pair_heads = _PAIR_HEADS if language == "en" else ()
     end = 0
-    for i in _starts(tokens.keys, language):
+    for i in _starts(keys, language):
         if i < end:
             continue
-        cardinal = parse_cardinal(tokens, i, locale)
-        readings = parse_clock_phrase(tokens, i, locale, cardinal) or []
-        if cardinal is not None:
-            # A year pair starts with a two-digit word, which is a cardinal too.
-            pair = _en_pair_reading(tokens, i) if language == "en" else None
-            cardinals = [cardinal] if pair is None else [cardinal, pair]
-            currency = parse_currency_phrase(tokens, cardinals, locale) or []
-            readings = cardinals + readings + currency
+        key = keys[i]
+        if key[0].isdigit() or key in openers:
+            readings = parse_clock_phrase(tokens, i, locale, None) or []
+        else:
+            cardinal = parse_cardinal(tokens, i, locale)
+            after = "" if cardinal is None else _key(tokens, cardinal.span.end)
+            readings = []
+            if after in clock_followers \
+                    or _key(tokens, i + 1).replace(".", "") in clock_followers:
+                readings = parse_clock_phrase(tokens, i, locale, cardinal) or []
+            if cardinal is not None:
+                # A year pair starts with a two-digit word, which is a cardinal too.
+                pair = _en_pair_reading(tokens, i) if key in pair_heads else None
+                cardinals = [cardinal] if pair is None else [cardinal, pair]
+                readings = cardinals + readings
+                if after in currency_followers \
+                        or pair is not None and _key(tokens, pair.span.end) in currency_followers:
+                    readings += parse_currency_phrase(tokens, cardinals, locale) or []
         best = choose(readings, tokens, language)
         if best is not None:
             out.append(best)

@@ -51,6 +51,11 @@ class ManifestRecord(namedtuple(
                 f"record {id}: verbalized text contains digits: {verbalized!r}")
         if not expressions:
             raise ManifestError(f"record {id}: no expressions listed")
+        if not all(isinstance(pair, tuple) and len(pair) == 2
+                   and isinstance(pair[0], str) and isinstance(pair[1], str)
+                   for pair in expressions):
+            raise ManifestError(
+                f"record {id!r}: expressions must be (surface, type) pairs of strings")
         for surface, expr_type in expressions:
             if expr_type not in _TYPE_VALUES:
                 raise ManifestError(

@@ -491,7 +491,31 @@ def _spoken(low, high, languages):
                      st.sampled_from(languages), st.sampled_from(_SPELLINGS))
 
 
+# Windows that put each key the scan's follow checks read after a number
+# word before what completes a reading, so each check decides: an hour
+# before am/pm (dotted or not), an hour noun, or "oh" and the minute words of
+# "nine oh five" and "nine thirty"; a count before a minute noun or the
+# counted "past"/"to"/"nach"/"vor"; and a currency or cent word after a year
+# pair, whose cardinal ends sooner ("nineteen forty-five dollars"). Digit
+# hours run the clock parser whatever follows; they are here for "7 Uhr".
+_HOURS = st.one_of(_spoken(1, 23, ["en"]), _spoken(1, 23, ["de"]), st.sampled_from(_DIGIT_FORMS))
+_HOUR_FOLLOWERS = ["o'clock", "am", "a.m", "P.M.", "oh five", "thirty", "forty-five", "Uhr",
+                   "uhr fünf"]
+_PERIODS = ["", "pm", "in the evening", "abends"]
+_MINUTE_NOUNS = ["", "minute", "minutes", "Minute", "Minuten"]
+_COUNTED = ["past seven", "to seven", "nach acht", "vor acht"]
+_PAIR_TAILS = ["forty-five", "fifty", "oh five", "hundred", "hundred five"]
+_FOLLOWED = [
+    st.builds("{} {} {}".format, _HOURS, st.sampled_from(_HOUR_FOLLOWERS),
+              st.sampled_from(_PERIODS)),
+    st.builds("{} {} {}".format, st.one_of(_spoken(1, 59, ["en"]), _spoken(1, 59, ["de"])),
+              st.sampled_from(_MINUTE_NOUNS), st.sampled_from(_COUNTED)),
+    st.builds("{} {} {}".format, st.sampled_from(["ten", "eleven", "nineteen", "twenty"]),
+              st.sampled_from(_PAIR_TAILS), st.sampled_from(_CURRENCY)),
+]
+
 _WORD = st.one_of(
+    *_FOLLOWED,
     st.sampled_from(_LEXICON_WORDS),
     st.builds("{}-{}".format, st.sampled_from(_EN_TENS + ["ten", "nineteen"]),
               st.sampled_from(sorted(EN_UNITS))),
@@ -562,6 +586,16 @@ def _de_thousands():
     groups = sorted(lexicon.DE_GROUPS)
     return [*(f"{head}tausend{tail}" for head in ("", *groups) for tail in ("", "und", "eins")),
             *(f"zweitausend{tail}" for tail in groups)]
+
+
+@pytest.mark.parametrize("locale", [EN, DE], ids=["en", "de"])
+def test_no_cardinal_starts_at_a_digit_or_an_idiom_opener(locale):
+    # ``scan_tokens`` runs only the clock parser at these keys.
+    openers = [*grammar._IDIOMS["en"][1], *grammar._IDIOMS["de"][1]]
+    followers = _EN_FOLLOWERS if locale.language == "en" else _DE_FOLLOWERS
+    for first in (*_GATE_DIGITS, *openers):
+        for text in (first, *(f"{first} {follower}" for follower in followers)):
+            assert parse_cardinal(tokenize(text), 0, locale) is None, text
 
 
 @pytest.mark.parametrize("locale", [EN, DE], ids=["en", "de"])

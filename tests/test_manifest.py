@@ -66,13 +66,20 @@ class TestConstruction:
             record(type="currency", formatted="It cost $1,000,000.",
                    expressions=(("1,000", "quantity"),))
 
-    @pytest.mark.parametrize("field,value", [("id", 5), ("locale", None), ("type", ["x"]),
-                                             ("verbalized", b"five"), ("formatted", 5)])
+    @pytest.mark.parametrize("field,value", [
+        ("id", 5), ("locale", None), ("type", ["x"]), ("verbalized", b"five"), ("formatted", 5),
+        # An entry that is no pair of strings: a non-string surface, a bare
+        # surface, and pairs of three items and of one.
+        ("expressions", ((5, "year"),)), ("expressions", ("1945",)),
+        ("expressions", (("1945", "year", "x"),)), ("expressions", (("1945",),)),
+    ])
     def test_non_string_field_rejected(self, field, value):
         with pytest.raises(ManifestError) as caught:
             record(**{field: value})
         name = value if field == "id" else "en-year-00001"
-        assert str(caught.value) == f"record {name!r}: fields must be strings: ['{field}']"
+        fault = ("expressions must be (surface, type) pairs of strings" if field == "expressions"
+                 else f"fields must be strings: ['{field}']")
+        assert str(caught.value) == f"record {name!r}: {fault}"
 
     def test_multiple_expressions(self):
         rec = record(
