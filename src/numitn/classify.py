@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .formatting import YEAR_MAX, YEAR_MIN
-from .lexicon import UNIT_STOPWORDS, YEAR_CUES, is_number_word
+from .lexicon import UNIT_STOPWORDS, YEAR_CUES, has_digit, is_number_word
 from .locales import Locale
 from .tokenizer import Tokens
 from .types import ExpressionType, ParsedExpression, PeriodHint, Span, TimeOfDay
@@ -67,7 +67,7 @@ def _unit_word_after(reading: ParsedExpression, tokens: Tokens, locale: Locale) 
     if i >= len(tokens) or not any(map(str.isalnum, tokens.surfaces[i])):
         return ""
     key = tokens.keys[i]
-    if any(map(str.isdigit, key)) or key in UNIT_STOPWORDS[locale.language] \
+    if has_digit(key) or key in UNIT_STOPWORDS[locale.language] \
             or is_number_word(key, locale.language):
         return ""
     return tokens.surfaces[i]

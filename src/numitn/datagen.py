@@ -23,7 +23,7 @@ from collections.abc import Iterator, Mapping, Sequence
 from .extract import extract_numeric_literals
 from .formatting import YEAR_MAX, YEAR_MIN, format_expression, format_time
 from .grammar import scan_tokens
-from .lexicon import MAGNITUDE_NAMES
+from .lexicon import MAGNITUDE_NAMES, has_digit
 from .locales import DEFAULT_CURRENCIES, DEFAULT_LOCALES, CurrencyUnit, Locale
 from .manifest import ManifestError, ManifestRecord
 from .tokenizer import tokenize
@@ -110,7 +110,7 @@ def validate_record(verbalized: str, converted: str, locale: Locale,
 
     Returns the literals of ``converted`` when the pair passes, else ``[]``.
     """
-    if any(map(str.isdigit, verbalized)):
+    if has_digit(verbalized):
         return []
     literals = extract_numeric_literals(converted, locale, currencies)
     if not literals:
@@ -167,7 +167,7 @@ def split_disjoint(records: Sequence[ManifestRecord], spec: SplitSpec
     groups: dict[str, list[ManifestRecord]] = {}
     order: list[str] = []
     for record in records:
-        root = find(record.surfaces()[0])
+        root = find(record.expressions[0][0])
         if root not in groups:
             groups[root] = []
             order.append(root)
@@ -455,6 +455,7 @@ def run_generation(plan: GenerationPlan, textgen: TextGenerator,
 
     Literals are found with ``currencies`` and typed as their prompt asked."""
     locale = plan.locale
+    language = locale.language
     rng = random.Random(plan.seed)
     failures: list[str] = []
     prompts_issued = 0
@@ -487,6 +488,7 @@ def run_generation(plan: GenerationPlan, textgen: TextGenerator,
             voices.append(voice)
 
         # Step 3: one conversion call for the batch.
+        type_value = expr_type.value
         prompt = build_conversion_prompt(expr_type) + "\n" + "\n".join(sentences)
         prompts_issued += 1
         try:
@@ -508,14 +510,9 @@ def run_generation(plan: GenerationPlan, textgen: TextGenerator,
                 continue
             try:
                 records.append(ManifestRecord(
-                    id=f"{locale.language}-{expr_type.value}-{at:05d}",
-                    locale=locale.language,
-                    type=expr_type.value,
-                    verbalized=sentence,
-                    formatted=formatted,
-                    expressions=tuple((m.group(), expr_type.value) for _, m in literals),
-                    voice=voice,
-                ))
+                    f"{language}-{type_value}-{at:05d}", language, type_value, sentence,
+                    formatted, tuple([(m.group(), type_value) for _, m in literals]),
+                    None, voice))
             except ManifestError as err:
                 failures.append(str(err))
 

@@ -122,6 +122,9 @@ def extract_numeric_literals(text: str, locale: Locale,
     return kept
 
 
+_JOINERS = frozenset(".,:")
+
+
 def literal_present(hypothesis: str, surface: str) -> bool:
     """Whether ``surface`` stands whole in ``hypothesis``.
 
@@ -133,17 +136,11 @@ def literal_present(hypothesis: str, surface: str) -> bool:
     at = hypothesis.find(surface)
     while at != -1:
         end = at + len(surface)
-        if not (_continues(hypothesis, at - 1, -1) or _continues(hypothesis, end, 1)):
+        # Neighbours as slices, empty off either end of the line ([-1:0] too).
+        before, after = hypothesis[at - 1:at], hypothesis[end:end + 1]
+        if not (before.isalnum() or after.isalnum()
+                or before in _JOINERS and hypothesis[at - 2:at - 1].isdigit()
+                or after in _JOINERS and hypothesis[end + 1:end + 2].isdigit()):
             return True
         at = hypothesis.find(surface, at + 1)
     return False
-
-
-def _continues(text: str, i: int, step: int) -> bool:
-    """Whether ``text[i]``, beside a match, joins it to a longer word or number."""
-    if not 0 <= i < len(text):
-        return False
-    if text[i].isalnum():
-        return True
-    far = i + step
-    return text[i] in ".,:" and 0 <= far < len(text) and text[far].isdigit()

@@ -27,6 +27,7 @@ sweep all read them, so a new phrasing is one table entry.
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 
 from .types import PeriodHint
@@ -35,6 +36,16 @@ from .types import PeriodHint
 def fold_german(word: str) -> str:
     return (word.lower().replace("ä", "ae").replace("ö", "oe").replace("ü", "ue")
             .replace("ß", "ss"))
+
+
+_ASCII_DIGIT = re.compile("[0-9]").search
+
+
+def has_digit(text: str) -> bool:
+    """``any(map(str.isdigit, text))``, in one regex search when ``text`` is ASCII."""
+    if text.isascii():
+        return _ASCII_DIGIT(text) is not None
+    return any(map(str.isdigit, text))
 
 
 _EN_UNIT_NAMES = ["zero", "one", "two", "three", "four", "five", "six",

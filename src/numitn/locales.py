@@ -6,7 +6,7 @@ import json
 import os
 from collections import namedtuple
 
-from .lexicon import fold_german
+from .lexicon import fold_german, has_digit
 from .types import MAX_SCALE, make_through_new
 
 _PLACEMENTS = ("prefix", "suffix")
@@ -29,7 +29,7 @@ class Locale(namedtuple("Locale", "language thousands_separator decimal_mark cur
             raise ValueError("decimal mark must not be empty")
         if thousands_separator == decimal_mark:
             raise ValueError("thousands separator and decimal mark must differ")
-        if any(map(str.isdigit, thousands_separator + decimal_mark)):
+        if has_digit(thousands_separator + decimal_mark):
             # A digit mark would be read as part of the number it splits.
             raise ValueError("thousands separator and decimal mark must not hold a digit")
         if currency_placement not in _PLACEMENTS:
@@ -48,7 +48,7 @@ class CurrencyUnit(namedtuple("CurrencyUnit", "symbol minor_unit_digits")):
     def __new__(cls, symbol: str, minor_unit_digits: int = 2) -> CurrencyUnit:
         if not isinstance(symbol, str):
             raise ValueError("symbol must be a string")
-        if any(map(str.isdigit, symbol)):
+        if has_digit(symbol):
             # The extractor would find such a symbol inside plain numbers.
             raise ValueError("symbol must not hold a digit")
         if not isinstance(minor_unit_digits, int) or isinstance(minor_unit_digits, bool):

@@ -11,9 +11,11 @@ from itertools import chain
 from json.encoder import encode_basestring as _str
 
 from .extract import literal_present
+from .lexicon import has_digit
 from .types import ExpressionType, make_through_new
 
 _TYPE_VALUES = {t.value for t in ExpressionType}
+_STRINGS = (str,) * 5
 _OPTIONAL = (str, type(None))
 
 
@@ -21,14 +23,22 @@ class ManifestError(ValueError):
     pass
 
 
+def _pairs_of_strings(pairs: object, kind: type) -> bool:
+    """Whether ``pairs`` is a ``kind`` (tuple or list) of 2-item ``kind``s of strings."""
+    return isinstance(pairs, kind) and all(
+        isinstance(pair, kind) and len(pair) == 2
+        and isinstance(pair[0], str) and isinstance(pair[1], str) for pair in pairs)
+
+
 class ManifestRecord(namedtuple(
         "ManifestRecord", "id locale type verbalized formatted expressions audio voice")):
     """One corpus sentence pair plus its synthesis bookkeeping.
 
-    ``expressions`` holds (surface, type value) pairs of strings; ``audio``
-    and ``voice`` are strings or None. The spoken side must be digit-free,
-    every expression surface must occur in the formatted side and every
-    string must encode as UTF-8 (a lone surrogate does not); all are
+    ``expressions`` is a tuple of (surface, type value) pairs of strings;
+    ``audio`` and ``voice`` are strings or None. The spoken side must be
+    digit-free (a digit is any character ``str.isdigit`` accepts, so "²"
+    counts), every expression surface must occur in the formatted side and
+    every string must encode as UTF-8 (a lone surrogate does not); all are
     enforced on construction so a manifest on disk can be trusted after a
     plain read and written back whole.
     """
@@ -40,20 +50,18 @@ class ManifestRecord(namedtuple(
                 expressions: tuple[tuple[str, str], ...], audio: str | None = None,
                 voice: str | None = None) -> ManifestRecord:
         strings = (id, locale, type, verbalized, formatted)
-        mistyped = [name for name, value in zip(cls._fields, strings)
-                    if not isinstance(value, str)]
-        if mistyped:
+        if not all(map(isinstance, strings, _STRINGS)):
+            mistyped = [name for name, value in zip(cls._fields, strings)
+                        if not isinstance(value, str)]
             raise ManifestError(f"record {id!r}: fields must be strings: {mistyped}")
         if type not in _TYPE_VALUES:
             raise ManifestError(f"record {id}: unknown type {type!r}")
-        if any(map(str.isdigit, verbalized)):
+        if has_digit(verbalized):
             raise ManifestError(
                 f"record {id}: verbalized text contains digits: {verbalized!r}")
         if not expressions:
             raise ManifestError(f"record {id}: no expressions listed")
-        if not all(isinstance(pair, tuple) and len(pair) == 2
-                   and isinstance(pair[0], str) and isinstance(pair[1], str)
-                   for pair in expressions):
+        if not _pairs_of_strings(expressions, tuple):
             raise ManifestError(
                 f"record {id!r}: expressions must be (surface, type) pairs of strings")
         for surface, expr_type in expressions:
@@ -67,13 +75,17 @@ class ManifestRecord(namedtuple(
         if not isinstance(audio, _OPTIONAL) or not isinstance(voice, _OPTIONAL):
             raise ManifestError(f"record {id}: audio and voice must be strings or None, "
                                 f"got {audio!r} and {voice!r}")
-        try:
-            "".join([id, locale, type, verbalized, formatted, audio or "", voice or "",
-                     *chain.from_iterable(expressions)]).encode("utf-8")
-        except UnicodeEncodeError as err:
-            bad = err.object[err.start:err.end]
-            raise ManifestError(
-                f"record {id}: {bad!r} is not UTF-8 ({err.reason})") from None
+        # An ASCII string always encodes; ``type`` and the expression types are
+        # known names and every surface is part of ``formatted``.
+        if not (verbalized.isascii() and formatted.isascii() and id.isascii()
+                and locale.isascii() and (audio or "").isascii() and (voice or "").isascii()):
+            try:
+                "".join([id, locale, type, verbalized, formatted, audio or "", voice or "",
+                         *chain.from_iterable(expressions)]).encode("utf-8")
+            except UnicodeEncodeError as err:
+                bad = err.object[err.start:err.end]
+                raise ManifestError(
+                    f"record {id}: {bad!r} is not UTF-8 ({err.reason})") from None
         return tuple.__new__(cls, (id, locale, type, verbalized, formatted, expressions,
                                    audio, voice))
 
@@ -108,18 +120,16 @@ class ManifestRecord(namedtuple(
             raise ManifestError(
                 f"missing fields: {[name for name in cls._fields[:6] if name not in obj]}")
         values = list(map(obj.get, cls._fields))
-        mistyped = [name for name, value in zip(cls._fields[:5], values)
-                    if not isinstance(value, str)]
-        if mistyped:
+        if not all(map(isinstance, values, _STRINGS)):
+            mistyped = [name for name, value in zip(cls._fields[:5], values)
+                        if not isinstance(value, str)]
             raise ManifestError(f"fields must be strings: {mistyped}")
-        mistyped = [name for name, value in zip(cls._fields[6:], values[6:])
-                    if not isinstance(value, _OPTIONAL)]
-        if mistyped:
+        if not (isinstance(values[6], _OPTIONAL) and isinstance(values[7], _OPTIONAL)):
+            mistyped = [name for name, value in zip(cls._fields[6:], values[6:])
+                        if not isinstance(value, _OPTIONAL)]
             raise ManifestError(f"fields must be strings or null: {mistyped}")
         raw = values[5]
-        if not isinstance(raw, list) or not all(
-                isinstance(pair, list) and len(pair) == 2
-                and isinstance(pair[0], str) and isinstance(pair[1], str) for pair in raw):
+        if not _pairs_of_strings(raw, list):
             raise ManifestError("expressions must be [surface, type] pairs of strings")
         values[5] = tuple(map(tuple, raw))
         return cls(*values)

@@ -1,7 +1,7 @@
 from decimal import Decimal
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from numitn.evaluate import (
     EvalItem,
@@ -12,6 +12,35 @@ from numitn.evaluate import (
     render_report,
 )
 from numitn.types import ExpressionType
+
+
+def _literal_present_by_calls(hypothesis, surface):
+    """``literal_present`` written with one ``_continues`` call per neighbour."""
+
+    def _continues(text, i, step):
+        if not 0 <= i < len(text):
+            return False
+        if text[i].isalnum():
+            return True
+        far = i + step
+        return text[i] in ".,:" and 0 <= far < len(text) and text[far].isdigit()
+
+    at = hypothesis.find(surface)
+    while at != -1:
+        end = at + len(surface)
+        if not (_continues(hypothesis, at - 1, -1) or _continues(hypothesis, end, 1)):
+            return True
+        at = hypothesis.find(surface, at + 1)
+    return False
+
+
+@st.composite
+def _line_and_surface(draw):
+    """A short line over digits, joiners and letters, with a slice of it or any surface."""
+    line = draw(st.text("15.,:$ a²٣", max_size=12))
+    start = draw(st.integers(0, len(line)))
+    end = draw(st.integers(start, len(line)))
+    return line, draw(st.one_of(st.just(line[start:end]), st.text("15.,$a", max_size=3)))
 
 
 class TestLiteralPresent:
@@ -42,6 +71,32 @@ class TestLiteralPresent:
     ])
     def test_table(self, hypothesis, surface, expected):
         assert literal_present(hypothesis, surface) is expected
+
+    @given(_line_and_surface())
+    # A surface at the first and at the last character.
+    @example(("1945 ended it", "1945"))
+    @example(("it ended in 1945", "1945"))
+    @example(("1945", "1945"))
+    # ".", "," or ":" beside it, with and without a digit past it.
+    @example(("5.5", "5"))
+    @example(("5. Mai", "5"))
+    @example(("x.5", "5"))
+    @example(("1,5", "1"))
+    @example(("a, 5", "5"))
+    @example(("19:45", "19"))
+    @example(("19:45", "45"))
+    @example((":45", "45"))
+    @example(("$1,000,000", "1,000"))
+    @example(("in 1945.", "1945"))
+    # A non-ASCII digit beside it, or past a "." or ",".
+    @example(("٣1945", "1945"))
+    @example(("1945²", "1945"))
+    @example(("1945.٣", "1945"))
+    @example(("²,5", "5"))
+    def test_as_the_neighbour_function_reads_it(self, case):
+        hypothesis, surface = case
+        assert literal_present(hypothesis, surface) is _literal_present_by_calls(
+            hypothesis, surface)
 
 
 class TestEvaluate:

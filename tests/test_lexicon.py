@@ -1,4 +1,6 @@
+import ast
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -397,3 +399,53 @@ def test_en_number_words_are_the_single_word_spellings():
         assert lexicon.EN_GROUPS.get((word,)) == old, word
         assert is_number_word(word, "en") == (old is not None or word == "hundred"
                                               or word in EN_SCALE_WORDS), word
+
+
+class TestHasDigit:
+    """``has_digit`` is ``any(map(str.isdigit, text))`` on every string."""
+
+    def test_every_code_point(self):
+        # Every code point, the surrogates too.
+        wrong = [c for c in range(0x110000) if lexicon.has_digit(chr(c)) != chr(c).isdigit()]
+        assert not wrong
+
+    @given(st.text(st.one_of(st.sampled_from("0159 ab.,"), st.characters()), max_size=30))
+    @example("")
+    @example("Kilometer für zwei")
+    @example("fünf 5")
+    # Digits that ``\d`` misses ("²", "①") and one it finds ("٣").
+    @example("five²")
+    @example("für ①")
+    @example("٣")
+    def test_mixed_strings(self, text):
+        assert lexicon.has_digit(text) is any(map(str.isdigit, text))
+
+
+def _isdigit_scans(tree):
+    """Lines where ``str.isdigit`` is mapped over a string: ``map(str.isdigit, s)``,
+    ``filter(str.isdigit, s)`` or a comprehension calling ``c.isdigit()`` on its target."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in ("map", "filter") and node.args \
+                and ast.unparse(node.args[0]) == "str.isdigit":
+            yield node.lineno
+        if isinstance(node, (ast.GeneratorExp, ast.ListComp, ast.SetComp)):
+            targets = {name.id for gen in node.generators for name in ast.walk(gen.target)
+                       if isinstance(name, ast.Name)}
+            for call in ast.walk(node.elt):
+                if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute) \
+                        and call.func.attr == "isdigit" \
+                        and isinstance(call.func.value, ast.Name) and call.func.value.id in targets:
+                    yield call.lineno
+
+
+def test_the_digit_scan_is_written_once():
+    library = Path(lexicon.__file__).parent
+    found = []
+    for path in sorted(library.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        allowed = {line for node in tree.body if isinstance(node, ast.FunctionDef)
+                   and node.name == "has_digit"
+                   for line in range(node.lineno, node.end_lineno + 1)}
+        found += [f"{path.name}:{line}" for line in _isdigit_scans(tree) if line not in allowed]
+    assert not found, "call lexicon.has_digit instead: " + ", ".join(found)

@@ -26,7 +26,11 @@ def record(**overrides):
         expressions=(("1945", "year"),),
     )
     base.update(overrides)
-    return ManifestRecord(**base)
+    rec = ManifestRecord(**base)
+    # Every accepted record is hashable and reads back equal from its JSON line.
+    hash(rec)
+    assert ManifestRecord.from_obj(json.loads(rec.to_json())) == rec
+    return rec
 
 
 class TestConstruction:
@@ -72,6 +76,9 @@ class TestConstruction:
         # surface, and pairs of three items and of one.
         ("expressions", ((5, "year"),)), ("expressions", ("1945",)),
         ("expressions", (("1945", "year", "x"),)), ("expressions", (("1945",),)),
+        # Not a tuple: no iterable at all, a list of pairs and a generator of them.
+        ("expressions", 5), ("expressions", [("1945", "year")]),
+        ("expressions", (pair for pair in [("1945", "year")])),
     ])
     def test_non_string_field_rejected(self, field, value):
         with pytest.raises(ManifestError) as caught:
@@ -80,6 +87,59 @@ class TestConstruction:
         fault = ("expressions must be (surface, type) pairs of strings" if field == "expressions"
                  else f"fields must be strings: ['{field}']")
         assert str(caught.value) == f"record {name!r}: {fault}"
+
+    @pytest.mark.parametrize("faults,message", [
+        ({"type": "date", "formatted": 5},
+         "record 'en-year-00001': fields must be strings: ['formatted']"),
+        ({"type": "date", "verbalized": "in 1945"}, "record en-year-00001: unknown type 'date'"),
+        ({"verbalized": "in 1945", "audio": 5},
+         "record en-year-00001: verbalized text contains digits: 'in 1945'"),
+        ({"verbalized": "in ²", "expressions": ()},
+         "record en-year-00001: verbalized text contains digits: 'in ²'"),
+        ({"expressions": (), "voice": 5}, "record en-year-00001: no expressions listed"),
+        ({"expressions": (("1945", "date"), (5, "year"))},
+         "record 'en-year-00001': expressions must be (surface, type) pairs of strings"),
+        ({"expressions": (("1946", "year"), ("1945", "date"))},
+         "record en-year-00001: expression '1946' missing from "
+         "formatted text 'The war ended in 1945.'"),
+        ({"expressions": (("1945", "date"), ("1946", "year"))},
+         "record en-year-00001: unknown expression type 'date'"),
+        ({"expressions": (("1946", "year"),), "voice": 5},
+         "record en-year-00001: expression '1946' missing from "
+         "formatted text 'The war ended in 1945.'"),
+        ({"voice": 5, "verbalized": "in \ud800"},
+         "record en-year-00001: audio and voice must be strings or None, got None and 5"),
+        # A lone surrogate in each field in turn.
+        ({"id": "en-\ud800"},
+         "record en-\ud800: '\\ud800' is not UTF-8 (surrogates not allowed)"),
+        ({"locale": "e\ud800"},
+         "record en-year-00001: '\\ud800' is not UTF-8 (surrogates not allowed)"),
+        ({"type": "year\ud800"}, "record en-year-00001: unknown type 'year\\ud800'"),
+        ({"verbalized": "in nineteen forty-five\ud800"},
+         "record en-year-00001: '\\ud800' is not UTF-8 (surrogates not allowed)"),
+        ({"formatted": "The war \ud800 ended in 1945."},
+         "record en-year-00001: '\\ud800' is not UTF-8 (surrogates not allowed)"),
+        ({"formatted": "in 1945\ud800.", "expressions": (("1945\ud800", "year"),)},
+         "record en-year-00001: '\\ud800' is not UTF-8 (surrogates not allowed)"),
+        ({"expressions": (("1945", "year\ud800"),)},
+         "record en-year-00001: unknown expression type 'year\\ud800'"),
+        ({"audio": "a\ud800"},
+         "record en-year-00001: '\\ud800' is not UTF-8 (surrogates not allowed)"),
+        ({"voice": "v\ud800"},
+         "record en-year-00001: '\\ud800' is not UTF-8 (surrogates not allowed)"),
+        # Two at once: the first field in (id, locale, verbalized, formatted,
+        # audio, voice) order is named, with a surrogate that follows it at once.
+        ({"voice": "\ud801", "audio": "\ud802"},
+         "record en-year-00001: '\\ud802\\ud801' is not UTF-8 (surrogates not allowed)"),
+        ({"formatted": "The war \ud803 ended in 1945.", "verbalized": "Der Krieg\ud804 endete."},
+         "record en-year-00001: '\\ud804' is not UTF-8 (surrogates not allowed)"),
+        ({"id": "ü\ud805", "locale": "\ud806"},
+         "record ü\ud805: '\\ud805\\ud806' is not UTF-8 (surrogates not allowed)"),
+    ])
+    def test_the_first_fault_is_reported(self, faults, message):
+        with pytest.raises(ManifestError) as caught:
+            record(**faults)
+        assert str(caught.value) == message
 
     def test_multiple_expressions(self):
         rec = record(
